@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, DecodeError
+from .errors import CapacityError, ConfigurationError, DecodeError, OrderingError
 from .geometry import CATEGORY_ORDER, Box3D
 from .sensing import FeatureFlow, FeatureGrid, GridSpec, PointCloud
 
@@ -281,14 +281,8 @@ def _grid_raw_bytes(g: Union[FeatureGrid, FeatureFlow]) -> int:
     return rows * cols * channels * 4
 
 
-def _f32_grid(g: FeatureGrid) -> FeatureGrid:
-    return FeatureGrid(spec=g.spec, values=g.values.astype(np.float32).astype(float),
-                       timestamp=g.timestamp, frame=g.frame)
-
-
-def _f32_flow(f: FeatureFlow) -> FeatureFlow:
-    return FeatureFlow(spec=f.spec, values=f.values.astype(np.float32).astype(float),
-                       timestamp=f.timestamp)
+def _f32(g: Union[FeatureGrid, FeatureFlow]) -> Union[FeatureGrid, FeatureFlow]:
+    return replace(g, values=g.values.astype(np.float32).astype(float))
 
 
 def encode_message(
@@ -320,7 +314,7 @@ def encode_message(
             decoded = decompress_grid(data)
         else:
             data = content.values.astype("<f4").tobytes()
-            decoded = _f32_grid(content)
+            decoded = _f32(content)
     elif kind is MessageKind.FEATURE_WITH_FLOW:
         f0, f1 = content
         if f0.spec != f1.spec:
@@ -331,7 +325,7 @@ def encode_message(
             decoded = decompress_grid(data)
         else:
             data = f0.values.astype("<f4").tobytes() + f1.values.astype("<f4").tobytes()
-            decoded = (_f32_grid(f0), _f32_flow(f1))
+            decoded = (_f32(f0), _f32(f1))
     else:
         raise ValueError(f"unknown message kind {kind}")
 
@@ -379,20 +373,37 @@ def bps_raw(messages: Sequence[ChannelMessage], duration_s: float) -> float:
 
 @dataclass
 class Channel:
-    """Single-writer event log of transmitted messages for one run."""
+    """Single-writer event log of transmitted messages for one run.
+
+    Queries through ``latest`` must come at non-decreasing times. A message
+    sent before one that has already arrived can never be the latest again,
+    so ``latest`` drops its decoded ``content`` (it becomes None) and keeps
+    its byte and time fields: memory stays bounded by the messages still in
+    flight, while ``bps``, ``bps_raw`` and ``export_jsonl`` see every message.
+    """
 
     latency: LatencyModel
-    compression: CompressionConfig = CompressionConfig()
     messages: List[ChannelMessage] = field(default_factory=list)
+    _released: int = field(default=0, init=False, repr=False)  # no content before this
+    _t_last: float = field(default=-np.inf, init=False, repr=False)
 
-    def send(self, kind: MessageKind, content, t_send: float) -> ChannelMessage:
-        msg = encode_message(kind, content, self.compression, t_send)
+    def send(self, msg: ChannelMessage) -> ChannelMessage:
+        """Transmit a message made by ``encode_message``; one encoding can feed many channels."""
         msg = transmit(msg, self.latency, message_index=len(self.messages))
         self.messages.append(msg)
         return msg
 
     def latest(self, t_now: float) -> Optional[ChannelMessage]:
-        return latest_available(self.messages, t_now)
+        if t_now < self._t_last:
+            raise OrderingError(f"channel queried at {t_now} after {self._t_last}")
+        self._t_last = t_now
+        for i in range(len(self.messages) - 1, self._released - 1, -1):
+            if self.messages[i].arrived_by(t_now):
+                for j in range(self._released, i):
+                    self.messages[j] = replace(self.messages[j], content=None)
+                self._released = i
+                return self.messages[i]
+        return None
 
     def export_jsonl(self, path) -> None:
         """Audit log: one line per message with times, kind and sizes."""

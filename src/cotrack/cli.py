@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment sweep from a config file")
     p_run.add_argument("--config", required=True, help="experiment config JSON")
     p_run.add_argument("--out", default="out", help="output directory")
-    p_run.add_argument("--workers", type=int, default=1, help="parallel run workers")
+    p_run.add_argument("--workers", type=int, default=1, help="worker processes; each runs whole scenario seeds")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.set_defaults(func=_cmd_run)
 

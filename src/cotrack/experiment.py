@@ -2,36 +2,47 @@
 detection -> tracking -> metrics, swept over fusion method, latency and seed.
 
 Every run is deterministic in (config, fusion, latency, seed); sweep output
-files are byte-reproducible. Runs are the unit of parallelism.
+files are byte-reproducible. A scenario seed is the unit of shared work and
+of parallelism: the world, sensing and encoded messages of a seed's frames are
+made once, and each (fusion, latency) cell of the seed replays them through its
+own channel, fusion, detection, tracking and scoring.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+                    get_args, get_origin, get_type_hints)
 
 import numpy as np
 
-from .channel import Channel, CompressionConfig, LatencyModel, MessageKind
+from .channel import (
+    Channel,
+    ChannelMessage,
+    CompressionConfig,
+    LatencyModel,
+    MessageKind,
+    encode_message,
+)
 from .detector import DetectParams, detect
-from .errors import ConfigurationError
+from .errors import ConfigurationError, CotrackError
 from .fusion import (
     MESSAGE_KIND_FOR_FUSION,
     EgoInputs,
     FusionKind,
     FusionMethod,
-    GridReducer,
     cooperative_feature,
 )
-from .geometry import Category, Region, compose, inverse, transform_box
+from .geometry import Pose, compose, inverse, transform_box
 from .metrics import RunReport, aggregate_run, evaluate_clearmot
 from .scenario import (
-    AgentPopulation,
-    Lane,
     Provenance,
+    Scenario,
     ScenarioConfig,
     TrackedObject,
     cooperative_ground_truth,
@@ -41,8 +52,7 @@ from .scenario import (
 )
 from .sensing import (
     FeatureFlow,
-    GridSpec,
-    NoiseConfig,
+    FeatureGrid,
     View,
     extract_feature_flow,
     rasterize_bev,
@@ -96,84 +106,174 @@ def _zero_flow(grid) -> FeatureFlow:
     return FeatureFlow(spec=grid.spec, values=np.zeros(grid.spec.shape), timestamp=grid.timestamp)
 
 
+def _infra_payloads(scn, t: float, seed: int, cfg: ExperimentConfig, kinds, prev_grid):
+    """This frame's infra-side payload for each MessageKind in ``kinds``.
+
+    Returns the payloads by kind and the infra grid the next frame's flow
+    differences against (``prev_grid`` when only raw points are sent).
+    """
+    sc = scn.config
+    cloud = sample_point_cloud(scn, t, View.INFRA, sc.noise, seed, sc.surface_pts_per_m)
+    grid = prev_grid
+    if kinds != [MessageKind.RAW_POINTS]:
+        grid = rasterize_bev(cloud, sc.infra_grid, sc.density_cap)
+    payloads = {}
+    for kind in kinds:
+        if kind is MessageKind.RAW_POINTS:
+            payloads[kind] = cloud
+        elif kind is MessageKind.DETECTIONS:
+            payloads[kind] = detect(grid, cfg.detect)
+        elif kind is MessageKind.FEATURE:
+            payloads[kind] = grid
+        else:
+            flow = extract_feature_flow(prev_grid, grid) if prev_grid is not None else _zero_flow(grid)
+            payloads[kind] = (grid, flow)
+    return payloads, grid
+
+
+class _Frame(NamedTuple):
+    """One frame's products that no cell's fusion or latency changes."""
+
+    t: float
+    ego_pose: Pose
+    world_to_ego: Pose
+    infra_to_ego: Pose
+    ego: EgoInputs
+    messages: Dict[MessageKind, ChannelMessage]  # encoded once, sent into every channel
+
+
+def _seed_frames(cfg: ExperimentConfig, scn, seed: int,
+                 fusions: Sequence[FusionMethod]) -> Iterator[_Frame]:
+    """The frames of one scenario seed as every cell using ``fusions`` reads them.
+
+    Per frame: the ego cloud, grid and (if a fusion needs them) detections,
+    and the infra payload of each MessageKind the fusions consume, encoded
+    once. Frames are made one at a time, as they are read.
+    """
+    sc = cfg.scenario
+    kinds = list(dict.fromkeys(MESSAGE_KIND_FOR_FUSION[f.kind] for f in fusions
+                               if f.kind in MESSAGE_KIND_FOR_FUSION))
+    needs_dets = any(f.kind in (FusionKind.VEHICLE_ONLY, FusionKind.LATE) for f in fusions)
+    compression = CompressionConfig(enabled=cfg.compression)
+    prev_inf_grid = None
+    for t in scn.frame_times():
+        messages = {}
+        if kinds:
+            payloads, prev_inf_grid = _infra_payloads(scn, t, seed, cfg, kinds, prev_inf_grid)
+            messages = {k: encode_message(k, payloads[k], compression, t) for k in kinds}
+        pc_ego = sample_point_cloud(scn, t, View.VEHICLE, sc.noise, seed, sc.surface_pts_per_m)
+        ego_grid = rasterize_bev(pc_ego, sc.vehicle_grid, sc.density_cap)
+        ego = EgoInputs(cloud=pc_ego, grid=ego_grid,
+                        detections=detect(ego_grid, cfg.detect) if needs_dets else [],
+                        grid_spec=sc.vehicle_grid, density_cap=sc.density_cap)
+        ego_pose = scn.ego_pose(t)
+        world_to_ego = inverse(ego_pose)
+        yield _Frame(t, ego_pose, world_to_ego, compose(world_to_ego, scn.infra_pose), ego, messages)
+
+
+class _Sparse(NamedTuple):
+    """A FeatureGrid or FeatureFlow held without its zero cells."""
+
+    cls: type
+    other_fields: dict  # every field but ``values``
+    index: np.ndarray  # flat indices of the cells whose bits are not all zero
+    values: np.ndarray
+
+
+def _pack(obj):
+    """``obj`` (a grid or a tuple of them) with each grid held sparsely; others as they are."""
+    if isinstance(obj, (FeatureGrid, FeatureFlow)):
+        flat = obj.values.ravel()
+        index = np.flatnonzero(flat.view(np.uint64))  # keeps -0.0: unpacking is bit-exact
+        return _Sparse(type(obj), {f.name: getattr(obj, f.name) for f in fields(obj)
+                                   if f.name != "values"}, index, flat[index])
+    if isinstance(obj, tuple):
+        return tuple(_pack(o) for o in obj)
+    return obj
+
+
+def _unpack(obj):
+    if isinstance(obj, _Sparse):
+        values = np.zeros(obj.other_fields["spec"].shape)
+        values.ravel()[obj.index] = obj.values
+        return obj.cls(values=values, **obj.other_fields)
+    if isinstance(obj, tuple):
+        return tuple(_unpack(o) for o in obj)
+    return obj
+
+
+def _packed(frame: _Frame) -> _Frame:
+    """A frame to hold while other cells of its seed wait: grids kept sparse
+    (about 3% of their cells are nonzero)."""
+    return frame._replace(ego=replace(frame.ego, grid=_pack(frame.ego.grid)),
+                          messages={k: replace(m, content=_pack(m.content))
+                                    for k, m in frame.messages.items()})
+
+
+def _unpacked(frame: _Frame, kind: Optional[MessageKind]) -> _Frame:
+    """A held frame as one cell reads it: fresh grids, and only the message of ``kind``."""
+    messages = {}
+    if kind is not None:
+        messages[kind] = replace(frame.messages[kind], content=_unpack(frame.messages[kind].content))
+    return frame._replace(ego=replace(frame.ego, grid=_unpack(frame.ego.grid)), messages=messages)
+
+
 def run_single(
     cfg: ExperimentConfig,
     fusion: FusionMethod,
     latency_ms: float,
     seed: int,
     keep_artifacts: bool = False,
+    shared: Optional[Tuple[Scenario, Iterable[_Frame]]] = None,
 ):
     """Execute one full run and return its RunReport.
 
     With keep_artifacts=True returns (report, RunArtifacts) instead.
+    ``shared`` is the seed's scenario and its frames (``_seed_frames``) when
+    a sweep runs several cells of the seed; a lone run makes its own, one
+    frame at a time. The run itself receives, fuses, detects, tracks and
+    scores.
     """
-    scn = generate_scenario(cfg.scenario, seed)
-    sc = scn.config
-    needs_channel = fusion.kind is not FusionKind.VEHICLE_ONLY
-    channel = None
-    if needs_channel:
-        lm_kind = "uniform" if cfg.jitter_ms > 0 else "constant"
-        channel = Channel(
-            latency=LatencyModel(lm_kind, latency_ms, cfg.jitter_ms, seed),
-            compression=CompressionConfig(enabled=cfg.compression),
-        )
-    provenance = Provenance.VEHICLE_SIDE if fusion.kind is FusionKind.VEHICLE_ONLY else Provenance.FUSED
-    tracker = Tracker(cfg.tracker, provenance=provenance)
+    if shared is None:
+        scn = generate_scenario(cfg.scenario, seed)
+        shared = (scn, _seed_frames(cfg, scn, seed, [fusion]))
+    scn, frames = shared
     msg_kind = MESSAGE_KIND_FOR_FUSION.get(fusion.kind)
+    channel = None
+    if msg_kind is not None:
+        lm_kind = "uniform" if cfg.jitter_ms > 0 else "constant"
+        channel = Channel(latency=LatencyModel(lm_kind, latency_ms, cfg.jitter_ms, seed))
+    provenance = Provenance.VEHICLE_SIDE if channel is None else Provenance.FUSED
+    tracker = Tracker(cfg.tracker, provenance=provenance)
     region = scn.region
-    needs_ego_dets = fusion.kind in (FusionKind.VEHICLE_ONLY, FusionKind.LATE)
 
     gt_frames: List[List[TrackedObject]] = []
     hyp_frames: List[List[TrackedObject]] = []
     fallback = 0
-    prev_inf_grid = None
 
-    for t in scn.frame_times():
-        ego_pose = scn.ego_pose(t)
-        world_to_ego = inverse(ego_pose)
-        infra_to_ego = compose(world_to_ego, scn.infra_pose)
-
-        gt_v = objects_to_frame(ground_truth_at(scn, t, View.VEHICLE), world_to_ego)
-        gt_i = objects_to_frame(ground_truth_at(scn, t, View.INFRA), world_to_ego)
+    for frame in frames:
+        t = frame.t
+        gt_v = objects_to_frame(ground_truth_at(scn, t, View.VEHICLE), frame.world_to_ego)
+        gt_i = objects_to_frame(ground_truth_at(scn, t, View.INFRA), frame.world_to_ego)
         gt_frames.append(cooperative_ground_truth(gt_v, gt_i, region))
 
-        if needs_channel:
-            pc_inf = sample_point_cloud(scn, t, View.INFRA, sc.noise, seed, sc.surface_pts_per_m)
-            if msg_kind is MessageKind.RAW_POINTS:
-                content = pc_inf
-            else:
-                inf_grid = rasterize_bev(pc_inf, sc.infra_grid, sc.density_cap)
-                if msg_kind is MessageKind.DETECTIONS:
-                    content = detect(inf_grid, cfg.detect)
-                elif msg_kind is MessageKind.FEATURE:
-                    content = inf_grid
-                else:
-                    flow = (extract_feature_flow(prev_inf_grid, inf_grid)
-                            if prev_inf_grid is not None else _zero_flow(inf_grid))
-                    content = (inf_grid, flow)
-                    prev_inf_grid = inf_grid
-            channel.send(msg_kind, content, t)
+        if channel is not None:
+            channel.send(frame.messages[msg_kind])
 
-        pc_ego = sample_point_cloud(scn, t, View.VEHICLE, sc.noise, seed, sc.surface_pts_per_m)
-        ego_grid = rasterize_bev(pc_ego, sc.vehicle_grid, sc.density_cap)
-        ego_dets = detect(ego_grid, cfg.detect) if needs_ego_dets else []
-        ego_inputs = EgoInputs(cloud=pc_ego, grid=ego_grid, detections=ego_dets,
-                               grid_spec=sc.vehicle_grid, density_cap=sc.density_cap)
-
-        fused = cooperative_feature(fusion, channel, t, ego_inputs, infra_to_ego)
+        fused = cooperative_feature(fusion, channel, t, frame.ego, frame.infra_to_ego)
         if fused.used_fallback:
             fallback += 1
         dets = fused.detections if fused.detections is not None else detect(fused.grid, cfg.detect)
 
-        dets_world = [replace(d, box=transform_box(d.box, ego_pose)) for d in dets]
+        dets_world = [replace(d, box=transform_box(d.box, frame.ego_pose)) for d in dets]
         tracked_world = tracker.step(dets_world, t)
-        hyp = [o for o in objects_to_frame(tracked_world, world_to_ego)
+        hyp = [o for o in objects_to_frame(tracked_world, frame.world_to_ego)
                if region.contains(o.box.x, o.box.y)]
         hyp_frames.append(hyp)
 
     mot = evaluate_clearmot(gt_frames, hyp_frames, cfg.eval_gate_m)
     report = aggregate_run(
-        mot, channel, sc.duration_s, fusion.kind.value, latency_ms, seed,
+        mot, channel, cfg.scenario.duration_s, fusion.kind.value, latency_ms, seed,
         fallback_frames=fallback, match_gate_m=cfg.eval_gate_m, num_frames=len(gt_frames),
     )
     if keep_artifacts:
@@ -181,9 +281,39 @@ def run_single(
     return report
 
 
-def _run_cell(args):
-    cfg, fusion, latency_ms, seed = args
-    return run_single(cfg, fusion, latency_ms, seed)
+def _run_seed(cfg: ExperimentConfig, seed: int,
+              cells: Sequence[Tuple[FusionMethod, float]]) -> list:
+    """Run the (fusion, latency) ``cells`` of one scenario seed.
+
+    Returns one entry per cell, in order: its RunReport or the exception
+    that failed it. The scenario and the frames (``_seed_frames``) are made
+    once and held packed (``_packed``), so memory grows with the scenario's
+    duration, while one ``run_single`` per distinct cell reads them in
+    turn; ``vehicle_only`` ignores latency, so one of its runs
+    serves all latencies. A failure in the shared work fails every cell; a
+    failure in one run fails only the cells it serves.
+    """
+    keys = [(f, None if f.kind is FusionKind.VEHICLE_ONLY else lat) for f, lat in cells]
+    runs: Dict[tuple, float] = {}  # distinct run -> the latency it runs at
+    for key, (_, latency_ms) in zip(keys, cells):
+        runs.setdefault(key, latency_ms)
+    try:
+        scn = generate_scenario(cfg.scenario, seed)
+        frames = _seed_frames(cfg, scn, seed, [fusion for fusion, _ in runs])
+        held = [_packed(frame) for frame in frames] if len(runs) > 1 else None
+    except Exception as exc:  # noqa: BLE001 - shared work failed: every cell fails
+        return [exc] * len(cells)
+    results = {}
+    for key, latency_ms in runs.items():
+        fusion = key[0]
+        if held is not None:
+            frames = map(partial(_unpacked, kind=MESSAGE_KIND_FOR_FUSION.get(fusion.kind)), held)
+        try:
+            results[key] = run_single(cfg, fusion, latency_ms, seed, shared=(scn, frames))
+        except Exception as exc:  # noqa: BLE001 - one cell's failure spares the rest
+            results[key] = exc
+    return [r if isinstance(r, Exception) else replace(r, latency_ms=latency_ms)
+            for r, (_, latency_ms) in zip(map(results.get, keys), cells)]
 
 
 def run_sweep(
@@ -191,30 +321,31 @@ def run_sweep(
 ) -> Tuple[List[RunReport], List[RunFailure]]:
     """Run every (fusion x latency x seed) cell; failures do not stop the sweep.
 
-    Reports come back in deterministic cell order regardless of worker count.
+    Each seed's cells run together in one ``_run_seed`` call, which is also
+    the unit handed to a worker process. Reports come back in deterministic
+    cell order (fusion, latency, seed) regardless of worker count.
     """
-    cells = [(cfg, fusion, lat, seed)
-             for fusion in cfg.fusions for lat in cfg.latencies_ms for seed in cfg.seeds]
-    reports: List[Optional[RunReport]] = [None] * len(cells)
-    failures: List[RunFailure] = []
-    if workers <= 1:
-        for idx, cell in enumerate(cells):
+    cells = [(fusion, lat) for fusion in cfg.fusions for lat in cfg.latencies_ms]
+    by_seed = {}
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        pending = {seed: pool.submit(_run_seed, cfg, seed, cells) if pool else None
+                   for seed in cfg.seeds}
+        for seed, future in pending.items():
             try:
-                reports[idx] = _run_cell(cell)
+                by_seed[seed] = future.result() if future else _run_seed(cfg, seed, cells)
             except Exception as exc:  # noqa: BLE001 - sweep must survive cell failures
-                failures.append(RunFailure(cell[1].kind.value, cell[2], cell[3], repr(exc)))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_cell, cell): idx for idx, cell in enumerate(cells)}
-            for fut, idx in futures.items():
-                cell = cells[idx]
-                try:
-                    reports[idx] = fut.result()
-                except Exception as exc:  # noqa: BLE001
-                    failures.append(RunFailure(cell[1].kind.value, cell[2], cell[3], repr(exc)))
-    done = [r for r in reports if r is not None]
+                by_seed[seed] = [exc] * len(cells)
+    reports: List[RunReport] = []
+    failures: List[RunFailure] = []
+    for idx, (fusion, lat) in enumerate(cells):
+        for seed in cfg.seeds:
+            out = by_seed[seed][idx]
+            if isinstance(out, Exception):
+                failures.append(RunFailure(fusion.kind.value, lat, seed, repr(out)))
+            else:
+                reports.append(out)
     failures.sort(key=lambda f: (f.fusion, f.latency_ms, f.seed))
-    return done, failures
+    return reports, failures
 
 
 def summarize(reports: Sequence[RunReport]) -> List[dict]:
@@ -322,137 +453,86 @@ def write_sweep_outputs(
 
 
 # ---------------------------------------------------------------------------
-# Config file parsing. The schema is documented in the README; unknown keys
-# are rejected so typos fail loudly.
+# Config file parsing, driven by the config dataclasses: a JSON object sets a
+# dataclass's fields by name, values are coerced to the annotated field types,
+# and defaults live only in the dataclasses. The schema is documented in the
+# README; unknown keys are rejected so typos fail loudly.
+
+# Scenario keys grouped in JSON that set flat ScenarioConfig fields.
+_SCENARIO_GROUPS = {
+    "ego": {"start": "ego_start", "yaw": "ego_yaw", "speed_mps": "ego_speed"},
+    "infra": {"position": "infra_position", "yaw": "infra_yaw", "range_m": "infra_range_m"},
+}
+# Top-level keys that parametrize every FusionMethod named in "fusions".
+_FUSION_KEYS = ("late_threshold_m", "reducer")
+
 
 def _check_keys(d: dict, allowed: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigurationError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _grid_from_dict(d: dict, where: str) -> GridSpec:
-    _check_keys(d, {"x0", "y0", "cell_size", "cols", "rows", "channels"}, where)
-    return GridSpec(x0=float(d["x0"]), y0=float(d["y0"]), cell_size=float(d["cell_size"]),
-                    cols=int(d["cols"]), rows=int(d["rows"]), channels=int(d.get("channels", 3)))
+def _from_dict(cls, d: dict, where: str):
+    """Build the dataclass ``cls`` from a JSON object of its field values."""
+    _check_keys(d, {f.name for f in fields(cls) if f.init}, where)
+    hints = get_type_hints(cls)
+    kwargs = {k: _coerce(hints[k], v, f"{where}.{k}") for k, v in d.items()}
+    try:
+        return cls(**kwargs)
+    except CotrackError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid {where}: {exc}") from exc
 
 
-def scenario_config_from_dict(d: dict) -> ScenarioConfig:
-    _check_keys(d, {
-        "duration_s", "frame_rate_hz", "region", "ego", "infra", "vehicle_range_m",
-        "agents", "occluders", "occlusion", "noise", "vehicle_grid", "infra_grid",
-        "density_cap", "surface_pts_per_m",
-    }, "scenario")
-    base = ScenarioConfig()
-    kwargs = {}
-    if "duration_s" in d:
-        kwargs["duration_s"] = float(d["duration_s"])
-    if "frame_rate_hz" in d:
-        kwargs["frame_rate_hz"] = int(d["frame_rate_hz"])
-    if "region" in d:
-        kwargs["region"] = Region(*[float(v) for v in d["region"]])
-    if "ego" in d:
-        ego = d["ego"]
-        _check_keys(ego, {"start", "yaw", "speed_mps"}, "scenario.ego")
-        kwargs["ego_start"] = tuple(float(v) for v in ego.get("start", base.ego_start))
-        kwargs["ego_yaw"] = float(ego.get("yaw", base.ego_yaw))
-        kwargs["ego_speed"] = float(ego.get("speed_mps", base.ego_speed))
-    if "infra" in d:
-        infra = d["infra"]
-        _check_keys(infra, {"position", "yaw", "range_m"}, "scenario.infra")
-        kwargs["infra_position"] = tuple(float(v) for v in infra.get("position", base.infra_position))
-        kwargs["infra_yaw"] = float(infra.get("yaw", base.infra_yaw))
-        kwargs["infra_range_m"] = float(infra.get("range_m", base.infra_range_m))
-    if "vehicle_range_m" in d:
-        kwargs["vehicle_range_m"] = float(d["vehicle_range_m"])
-    if "agents" in d:
-        a = d["agents"]
-        _check_keys(a, {"count", "speed_range", "lanes", "x_start_range", "categories",
-                        "turn_fraction", "turn_rate"}, "scenario.agents")
-        pop = AgentPopulation(
-            count=int(a.get("count", 6)),
-            speed_range=tuple(float(v) for v in a.get("speed_range", (8.0, 12.0))),
-            lanes=tuple(Lane(float(l["y"]), float(l.get("heading", 0.0))) for l in a["lanes"])
-            if "lanes" in a else AgentPopulation().lanes,
-            x_start_range=tuple(float(v) for v in a.get("x_start_range", (-10.0, 50.0))),
-            categories=tuple(Category(c) for c in a.get("categories", ["car", "van"])),
-            turn_fraction=float(a.get("turn_fraction", 0.0)),
-            turn_rate=float(a.get("turn_rate", 0.3)),
-        )
-        kwargs["agents"] = pop
-    if "occluders" in d:
-        kwargs["occluders"] = tuple(tuple(float(v) for v in rect) for rect in d["occluders"])
-    if "occlusion" in d:
-        kwargs["occlusion"] = bool(d["occlusion"])
-    if "noise" in d:
-        n = d["noise"]
-        _check_keys(n, {"sigma_m", "dropout_p", "clutter_per_m2"}, "scenario.noise")
-        kwargs["noise"] = NoiseConfig(
-            sigma_m=float(n.get("sigma_m", 0.05)),
-            dropout_p=float(n.get("dropout_p", 0.0)),
-            clutter_per_m2=float(n.get("clutter_per_m2", 0.2)),
-        )
-    if "vehicle_grid" in d:
-        kwargs["vehicle_grid"] = _grid_from_dict(d["vehicle_grid"], "scenario.vehicle_grid")
-    if "infra_grid" in d:
-        kwargs["infra_grid"] = _grid_from_dict(d["infra_grid"], "scenario.infra_grid")
-    if "density_cap" in d:
-        kwargs["density_cap"] = float(d["density_cap"])
-    if "surface_pts_per_m" in d:
-        kwargs["surface_pts_per_m"] = float(d["surface_pts_per_m"])
-    return replace(base, **kwargs)
-
-
-_FUSION_BY_NAME = {k.value: k for k in FusionKind}
+def _coerce(tp, value, where: str):
+    """A JSON value as an instance of the annotated type ``tp``."""
+    try:
+        if get_origin(tp) is tuple:
+            args, items = get_args(tp), list(value)
+            if args[-1] is Ellipsis:
+                args = args[:1] * len(items)
+            if len(args) != len(items):
+                raise ValueError(f"expected {len(args)} values, got {len(items)}")
+            return tuple(_coerce(a, v, where) for a, v in zip(args, items))
+        if is_dataclass(tp):
+            if not isinstance(value, dict):  # positional, e.g. a region's four bounds
+                names = [f.name for f in fields(tp)]
+                if len(value) > len(names):
+                    raise ValueError(f"expected at most {len(names)} values")
+                value = dict(zip(names, value))
+            return _from_dict(tp, value, where)
+        return tp(value)
+    except CotrackError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid {where}: {exc}") from exc
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
-    _check_keys(d, {
-        "scenario", "fusions", "latencies_ms", "seeds", "compression", "jitter_ms",
-        "eval_gate_m", "late_threshold_m", "reducer", "detect", "tracker",
-    }, "experiment config")
-    base = ExperimentConfig()
-    late_threshold = float(d.get("late_threshold_m", 2.0))
-    reducer = GridReducer(d.get("reducer", "max"))
-    kwargs = {}
+    fields_ = {f.name for f in fields(ExperimentConfig)}
+    _check_keys(d, fields_ | set(_FUSION_KEYS), "config")
+    d = dict(d)
+    method = {k: d.pop(k) for k in _FUSION_KEYS if k in d}
+    if isinstance(d.get("fusions"), list):
+        d["fusions"] = [dict(method, kind=name) for name in d["fusions"]]
     if "scenario" in d:
-        kwargs["scenario"] = scenario_config_from_dict(d["scenario"])
-    if "fusions" in d:
-        try:
-            kinds = [_FUSION_BY_NAME[name] for name in d["fusions"]]
-        except KeyError as exc:
-            raise ConfigurationError(f"unknown fusion {exc.args[0]!r}") from exc
-        kwargs["fusions"] = tuple(
-            FusionMethod(kind, late_threshold_m=late_threshold, reducer=reducer) for kind in kinds
-        )
-    if "latencies_ms" in d:
-        kwargs["latencies_ms"] = tuple(float(v) for v in d["latencies_ms"])
-    if "seeds" in d:
-        kwargs["seeds"] = tuple(int(v) for v in d["seeds"])
-    if "compression" in d:
-        kwargs["compression"] = bool(d["compression"])
-    if "jitter_ms" in d:
-        kwargs["jitter_ms"] = float(d["jitter_ms"])
-    if "eval_gate_m" in d:
-        kwargs["eval_gate_m"] = float(d["eval_gate_m"])
-    if "detect" in d:
-        dd = d["detect"]
-        _check_keys(dd, {"tau", "min_cells"}, "detect")
-        kwargs["detect"] = DetectParams(tau=float(dd.get("tau", 0.15)),
-                                        min_cells=int(dd.get("min_cells", 3)))
-    if "tracker" in d:
-        td = d["tracker"]
-        _check_keys(td, {"min_hits", "max_age", "gate_m", "association", "iou_gate",
-                         "warmup_output"}, "tracker")
-        kwargs["tracker"] = TrackerParams(
-            min_hits=int(td.get("min_hits", 3)),
-            max_age=int(td.get("max_age", 2)),
-            gate_m=float(td.get("gate_m", 4.0)),
-            association=td.get("association", "distance"),
-            iou_gate=float(td.get("iou_gate", 0.1)),
-            warmup_output=bool(td.get("warmup_output", True)),
-        )
-    return replace(base, **kwargs)
+        d["scenario"] = _flat_scenario(d["scenario"])
+    return _from_dict(ExperimentConfig, d, "config")
+
+
+def _flat_scenario(d: dict) -> dict:
+    """Scenario JSON with its grouped keys spread into ScenarioConfig field names."""
+    if not isinstance(d, dict):
+        raise ConfigurationError("config.scenario must be a JSON object")
+    flat = {k: v for k, v in d.items() if k not in _SCENARIO_GROUPS}
+    for group, names in _SCENARIO_GROUPS.items():
+        _check_keys(d.get(group, {}), set(names), f"config.scenario.{group}")
+        flat.update((names[k], v) for k, v in d.get(group, {}).items())
+    return flat
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -138,11 +138,12 @@ class NoiseConfig:
             raise ConfigurationError("invalid noise configuration")
 
 
-def _perimeter_samples(box: Box3D, offsets: np.ndarray) -> np.ndarray:
+def _perimeter_samples(box: Box3D, offsets: Sequence[np.ndarray]) -> np.ndarray:
     """Points on the footprint outline at given per-edge parametric offsets.
 
-    ``offsets`` has shape (4, K): fraction along each of the four edges.
-    Returns (4*K, 2) world coordinates.
+    ``offsets`` holds four 1-D arrays, the fractions along each edge of
+    ``corners_bev()`` in order; their lengths may differ. Returns the (N, 2)
+    world coordinates, edge by edge.
     """
     corners = box.corners_bev()
     out = []
@@ -227,18 +228,12 @@ def sample_point_cloud(
     for idx, (_, box) in enumerate(boxes):
         if math.hypot(box.x - sensor_xy[0], box.y - sensor_xy[1]) > range_m:
             continue
-        # Edge order around corners_bev() is (w, l, w, l).
-        per_edge = [
-            max(1, int(round(surface_pts_per_m * edge)))
-            for edge in (box.w, box.l, box.w, box.l)
-        ]
-        pts2d = []
-        for e, count in enumerate(per_edge):
-            # Even spacing with a random phase: stable per-cell coverage so
-            # blobs do not fragment, while the raster stays seed-dependent.
-            offs = (np.arange(count) + rng.random()) / count
-            pts2d.append(_perimeter_samples_edge(box, e, offs))
-        pts2d = np.concatenate(pts2d, axis=0)
+        # Edge order around corners_bev() is (w, l, w, l). Even spacing with a
+        # random phase per edge: stable per-cell coverage so blobs do not
+        # fragment, while the raster stays seed-dependent.
+        counts = [max(1, int(round(surface_pts_per_m * edge)))
+                  for edge in (box.w, box.l, box.w, box.l)]
+        pts2d = _perimeter_samples(box, [(np.arange(n) + rng.random()) / n for n in counts])
         others = [b for j, (_, b) in enumerate(boxes) if j != idx]
         keep = ~_blocked(sensor_xy, pts2d, s.occluders, others)
         pts2d = pts2d[keep]
@@ -277,13 +272,6 @@ def sample_point_cloud(
     if len(pts):
         local[:, :3] = inverse(pose).apply_to_points(pts[:, :3])
     return PointCloud(points=local, frame=sensor.value, timestamp=t)
-
-
-def _perimeter_samples_edge(box: Box3D, edge: int, offsets: np.ndarray) -> np.ndarray:
-    corners = box.corners_bev()
-    a = corners[edge]
-    b = corners[(edge + 1) % 4]
-    return a[None, :] + offsets[:, None] * (b - a)[None, :]
 
 
 def rasterize_bev(pc: PointCloud, spec: GridSpec, density_cap: float = 10.0) -> FeatureGrid:

@@ -142,11 +142,20 @@ def test_criterion_5_bandwidth_ordering_and_flow_payload_factor():
     )
 
 
+def _sweep_by_cell(cfg):
+    """One run_sweep over ``cfg``; reports keyed by (fusion, latency, seed)."""
+    reports, failures = run_sweep(cfg)
+    assert failures == []
+    return {(r.fusion, r.latency_ms, r.seed): r for r in reports}
+
+
 def test_criterion_6_flow_fusion_degenerates_to_static_at_zero_latency():
-    cfg = ExperimentConfig(scenario=hidden_lane_scenario())
-    for seed in range(1, 11):
-        a = run_single(cfg, STATIC, 0.0, seed)
-        b = run_single(cfg, FLOW, 0.0, seed)
+    seeds = range(1, 11)
+    runs = _sweep_by_cell(ExperimentConfig(scenario=hidden_lane_scenario(), fusions=(STATIC, FLOW),
+                                           latencies_ms=(0.0,), seeds=tuple(seeds)))
+    for seed in seeds:
+        a = runs[("middle_static", 0.0, seed)]
+        b = runs[("middle_flow", 0.0, seed)]
         assert (a.mota, a.motp_m, a.ids, a.fp, a.fn, a.num_gt) == \
                (b.mota, b.motp_m, b.ids, b.fp, b.fn, b.num_gt)
     _report("6 zero-latency degeneracy", "10 seeds bit-equal")
@@ -154,13 +163,14 @@ def test_criterion_6_flow_fusion_degenerates_to_static_at_zero_latency():
 
 def test_criterion_7_flow_fusion_is_more_latency_robust():
     start = time.monotonic()
-    cfg = ExperimentConfig(scenario=hidden_lane_scenario())
     seeds = range(1, 21)
+    runs = _sweep_by_cell(ExperimentConfig(scenario=hidden_lane_scenario(), fusions=(STATIC, FLOW),
+                                           latencies_ms=(0.0, 200.0), seeds=tuple(seeds)))
     means = {}
     for fusion, label in ((STATIC, "static"), (FLOW, "flow")):
         for latency in (0.0, 200.0):
             means[(label, latency)] = float(np.mean(
-                [run_single(cfg, fusion, latency, s).mota for s in seeds]
+                [runs[(fusion.kind.value, latency, s)].mota for s in seeds]
             ))
     drop_static = means[("static", 0.0)] - means[("static", 200.0)]
     drop_flow = means[("flow", 0.0)] - means[("flow", 200.0)]
@@ -184,12 +194,14 @@ def test_criterion_8_every_fusion_beats_vehicle_only_with_occlusion():
              {o.track_id for o in ground_truth_at(scn, 0.0, View.VEHICLE)}
     assert len(hidden) >= 2, "scenario must hide at least two agents from the ego"
 
-    cfg = ExperimentConfig(scenario=scenario)
     seeds = range(1, 11)
-    baseline = float(np.mean([run_single(cfg, VEHICLE, 0.0, s).mota for s in seeds]))
+    runs = _sweep_by_cell(ExperimentConfig(scenario=scenario,
+                                           fusions=(VEHICLE, EARLY, LATE, STATIC, FLOW),
+                                           latencies_ms=(0.0,), seeds=tuple(seeds)))
+    baseline = float(np.mean([runs[("vehicle_only", 0.0, s)].mota for s in seeds]))
     gains = {}
     for fusion in (EARLY, LATE, STATIC, FLOW):
-        mean = float(np.mean([run_single(cfg, fusion, 0.0, s).mota for s in seeds]))
+        mean = float(np.mean([runs[(fusion.kind.value, 0.0, s)].mota for s in seeds]))
         gains[fusion.kind.value] = mean - baseline
         assert mean - baseline >= 0.10, f"{fusion.kind.value} gain {mean - baseline:.3f}"
     elapsed = time.monotonic() - start

@@ -227,9 +227,9 @@ class TestBps:
 
 class TestChannelLog:
     def test_send_latest_and_export(self, tmp_path):
-        ch = Channel(latency=LatencyModel("constant", 100.0), compression=RAW)
+        ch = Channel(latency=LatencyModel("constant", 100.0))
         for k in range(3):
-            ch.send(MessageKind.DETECTIONS, detections(2), 0.1 * k)
+            ch.send(encode_message(MessageKind.DETECTIONS, detections(2), RAW, 0.1 * k))
         assert ch.latest(0.05) is None
         got = ch.latest(0.35)
         assert got is not None and got.t_send == pytest.approx(0.2)

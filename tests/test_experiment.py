@@ -1,4 +1,8 @@
+import importlib.util
 import json
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from cotrack.experiment import (
 from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.scenario import AgentPopulation, Lane, ScenarioConfig
 from cotrack.sensing import NoiseConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_config(**kw):
@@ -82,10 +88,10 @@ class TestRunSweep:
                           latencies_ms=(0.0,), seeds=(1, 2, 3))
         real = experiment.run_single
 
-        def flaky(cfg_, fusion, latency, seed, keep_artifacts=False):
+        def flaky(cfg_, fusion, latency, seed, **kwargs):
             if seed == 2:
                 raise RuntimeError("injected")
-            return real(cfg_, fusion, latency, seed, keep_artifacts)
+            return real(cfg_, fusion, latency, seed, **kwargs)
 
         monkeypatch.setattr(experiment, "run_single", flaky)
         reports, failures = run_sweep(cfg)
@@ -93,12 +99,75 @@ class TestRunSweep:
         assert len(failures) == 1
         assert failures[0].seed == 2 and "injected" in failures[0].error
 
+    def test_shared_work_failure_fails_exactly_that_seeds_cells(self, monkeypatch):
+        cfg = tiny_config()
+        clean, _ = run_sweep(cfg)
+        real = experiment.sample_point_cloud
+
+        def broken_sensor(scn, t, sensor, noise, rng_seed, surface_pts_per_m=6.0):
+            if rng_seed == 2 and t >= 0.5:
+                raise RuntimeError("sensor down")
+            return real(scn, t, sensor, noise, rng_seed, surface_pts_per_m)
+
+        monkeypatch.setattr(experiment, "sample_point_cloud", broken_sensor)
+        reports, failures = run_sweep(cfg)
+        assert reports == [r for r in clean if r.seed == 1]
+        assert [(f.fusion, f.latency_ms, f.seed) for f in failures] == [
+            ("late", 0.0, 2), ("late", 100.0, 2),
+            ("vehicle_only", 0.0, 2), ("vehicle_only", 100.0, 2)]
+        assert {f.error for f in failures} == {repr(RuntimeError("sensor down"))}
+
+    def test_one_cell_failure_spares_the_other_cells_of_its_seed(self, monkeypatch):
+        cfg = tiny_config()
+        clean, _ = run_sweep(cfg)
+        real = experiment.cooperative_feature
+
+        def flaky(fusion, channel, t_v, ego, infra_to_ego):
+            if (fusion.kind is FusionKind.LATE and channel.latency.base_ms == 100.0
+                    and channel.latency.seed == 2 and t_v >= 0.5):
+                raise RuntimeError("fusion bug")
+            return real(fusion, channel, t_v, ego, infra_to_ego)
+
+        monkeypatch.setattr(experiment, "cooperative_feature", flaky)
+        reports, failures = run_sweep(cfg)
+        assert reports == [r for r in clean
+                           if (r.fusion, r.latency_ms, r.seed) != ("late", 100.0, 2)]
+        assert [(f.fusion, f.latency_ms, f.seed, f.error) for f in failures] == [
+            ("late", 100.0, 2, repr(RuntimeError("fusion bug")))]
+
     def test_parallel_matches_serial(self):
-        cfg = tiny_config(fusions=(FusionMethod(FusionKind.VEHICLE_ONLY),),
-                          latencies_ms=(0.0,), seeds=(1, 2))
-        serial, _ = run_sweep(cfg, workers=1)
-        parallel, _ = run_sweep(cfg, workers=2)
+        cfg = tiny_config()
+        assert len(cfg.fusions) >= 2 and len(cfg.latencies_ms) >= 2
+        serial = run_sweep(cfg, workers=1)
+        parallel = run_sweep(cfg, workers=2)
         assert serial == parallel
+        assert [(r.fusion, r.latency_ms, r.seed) for r in serial[0]] == [
+            (f.kind.value, lat, seed) for f in cfg.fusions for lat in cfg.latencies_ms
+            for seed in cfg.seeds]
+
+    @pytest.mark.parametrize("variant", [{"jitter_ms": 80.0}, {"compression": False}])
+    def test_sweep_equals_one_cell_runs(self, variant):
+        # Cells of a seed share world, sensing and encoded messages; a cell
+        # that mutated a shared product would make the sweep and isolated
+        # one-cell runs disagree.
+        cfg = tiny_config(fusions=tuple(FusionMethod(kind) for kind in FusionKind),
+                          latencies_ms=(0.0, 100.0, 300.0), **variant)
+        reports, failures = run_sweep(cfg)
+        assert failures == []
+        single = [run_single(cfg, fusion, lat, seed)
+                  for fusion in cfg.fusions for lat in cfg.latencies_ms for seed in cfg.seeds]
+        assert reports == single
+
+    def test_latency_sweep_matches_pinned_benchmark_reference(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        pinned = json.loads((ROOT / "perfbench" / "reference" / "latency_sweep.json").read_text())
+        reports, failures = run_sweep(workloads.WORKLOADS["latency_sweep"].config(0))
+        assert failures == []
+        assert [r.to_json_dict() for r in reports] == pinned["seeds"]["0"]
 
 
 class TestEmitReport:
@@ -172,6 +241,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             experiment_config_from_dict({"scenario": {"durations": 3.0}})
 
+    @pytest.mark.parametrize("doc", [
+        {"scenario": 3},
+        {"scenario": {"region": [0.0, 1.0]}},
+        {"scenario": {"vehicle_grid": {"x0": 0.0}}},
+        {"scenario": {"agents": {"categories": ["boat"]}}},
+        {"scenario": {"agents": {"lanes": [{"y": "left"}]}}},
+        {"scenario": {"occluders": [[1.0, 2.0, 3.0]]}},
+        {"seeds": None},
+        {"tracker": {"min_hits": "many"}},
+    ])
+    def test_malformed_values_raise_configuration_error(self, doc):
+        with pytest.raises(ConfigurationError):
+            experiment_config_from_dict(doc)
+
+    def test_every_dataclass_field_is_settable(self):
+        cfg = experiment_config_from_dict({
+            "scenario": {"agents": {"lane_slot_spacing_m": 25.0}, "ego": {"speed_mps": 3.0}},
+            "detect": {"max_dim_m": 9.0},
+            "tracker": {"q_vel": 2.0},
+        })
+        assert cfg.scenario.agents.lane_slot_spacing_m == 25.0
+        assert cfg.scenario.ego_speed == 3.0
+        assert cfg.detect.max_dim_m == 9.0
+        assert cfg.tracker.q_vel == 2.0
+
     def test_unknown_fusion_rejected(self):
         with pytest.raises(ConfigurationError):
             experiment_config_from_dict({"fusions": ["psychic"]})
@@ -187,6 +281,16 @@ class TestConfigParsing:
         assert cfg.seeds == (3,)
         with pytest.raises(ConfigurationError):
             load_experiment_config(tmp_path / "missing.json")
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
+    def test_config_loads_and_runs(self, path):
+        cfg = load_experiment_config(path)
+        cfg = replace(cfg, scenario=replace(cfg.scenario, duration_s=1.0), seeds=cfg.seeds[:1])
+        reports, failures = run_sweep(cfg)
+        assert failures == []
+        assert len(reports) == len(cfg.fusions) * len(cfg.latencies_ms)
 
 
 class TestCli:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cotrack.channel import Channel, CompressionConfig, LatencyModel, MessageKind
+from cotrack.channel import Channel, CompressionConfig, LatencyModel, MessageKind, encode_message
 from cotrack.detector import Detection
 from cotrack.errors import ShapeMismatchError
 from cotrack.fusion import (
@@ -25,6 +25,10 @@ SPEC = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=20, rows=16)
 
 def grid(values, spec=SPEC, t=0.0, frame="infra"):
     return FeatureGrid(spec=spec, values=values, timestamp=t, frame=frame)
+
+
+def send(ch, kind, content, t_send, compression=CompressionConfig()):
+    return ch.send(encode_message(kind, content, compression, t_send))
 
 
 def one_hot(r, c, value=1.0, spec=SPEC):
@@ -198,8 +202,8 @@ class TestCooperativeFeature:
         assert not out.used_fallback
 
     def test_fallback_before_first_arrival(self):
-        ch = Channel(latency=LatencyModel("constant", 500.0), compression=CompressionConfig())
-        ch.send(MessageKind.FEATURE, grid(np.ones(SPEC.shape)), 0.9)
+        ch = Channel(latency=LatencyModel("constant", 500.0))
+        send(ch, MessageKind.FEATURE, grid(np.ones(SPEC.shape)), 0.9)
         ego = self.make_ego()
         out = cooperative_feature(FusionMethod(FusionKind.MIDDLE_STATIC), ch, 1.0, ego,
                                   Pose.identity())
@@ -207,7 +211,7 @@ class TestCooperativeFeature:
         assert np.array_equal(out.grid.values, ego.grid.values)
 
     def test_late_fallback_returns_ego_detections(self):
-        ch = Channel(latency=LatencyModel("constant", 500.0), compression=CompressionConfig())
+        ch = Channel(latency=LatencyModel("constant", 500.0))
         ego = self.make_ego()
         out = cooperative_feature(FusionMethod(FusionKind.LATE), ch, 1.0, ego, Pose.identity())
         assert out.used_fallback
@@ -216,11 +220,11 @@ class TestCooperativeFeature:
     def test_flow_equals_static_at_zero_latency_bitwise(self):
         at = affine_grid_maker(SPEC)
         ego = self.make_ego(at(1.0).values * 0.5)
-        static_ch = Channel(latency=LatencyModel(), compression=CompressionConfig())
-        static_ch.send(MessageKind.FEATURE, at(1.0), 1.0)
-        flow_ch = Channel(latency=LatencyModel(), compression=CompressionConfig())
+        static_ch = Channel(latency=LatencyModel())
+        send(static_ch, MessageKind.FEATURE, at(1.0), 1.0)
+        flow_ch = Channel(latency=LatencyModel())
         flow_vals = (at(1.0).values - at(0.9).values) / 0.1
-        flow_ch.send(MessageKind.FEATURE_WITH_FLOW,
+        send(flow_ch, MessageKind.FEATURE_WITH_FLOW,
                      (at(1.0), FeatureFlow(SPEC, flow_vals, 1.0)), 1.0)
         out_static = cooperative_feature(FusionMethod(FusionKind.MIDDLE_STATIC), static_ch,
                                          1.0, ego, Pose.identity())
@@ -233,9 +237,10 @@ class TestCooperativeFeature:
         at = affine_grid_maker(SPEC)
         ego = self.make_ego(np.zeros(SPEC.shape))
         # Stale capture at t=0.8 carrying its flow, arriving before t_v=1.0.
-        ch = Channel(latency=LatencyModel("constant", 200.0), compression=CompressionConfig(enabled=False))
+        ch = Channel(latency=LatencyModel("constant", 200.0))
         flow_vals = (at(0.8).values - at(0.7).values) / 0.1
-        ch.send(MessageKind.FEATURE_WITH_FLOW, (at(0.8), FeatureFlow(SPEC, flow_vals, 0.8)), 0.8)
+        send(ch, MessageKind.FEATURE_WITH_FLOW, (at(0.8), FeatureFlow(SPEC, flow_vals, 0.8)), 0.8,
+             compression=CompressionConfig(enabled=False))
         out = cooperative_feature(FusionMethod(FusionKind.MIDDLE_FLOW), ch, 1.0, ego,
                                   Pose.identity())
         fresh = cooperative_feature(
@@ -247,18 +252,18 @@ class TestCooperativeFeature:
 
     def test_early_and_late_paths(self):
         ego = self.make_ego()
-        ch = Channel(latency=LatencyModel(), compression=CompressionConfig())
-        ch.send(MessageKind.RAW_POINTS, PointCloud(np.array([[2.0, 2.0, 1.0, 0.5]]), "infra", 1.0), 1.0)
+        ch = Channel(latency=LatencyModel())
+        send(ch, MessageKind.RAW_POINTS, PointCloud(np.array([[2.0, 2.0, 1.0, 0.5]]), "infra", 1.0), 1.0)
         out = cooperative_feature(FusionMethod(FusionKind.EARLY), ch, 1.0, ego, Pose.identity())
         assert out.grid.values[:, :, 0].sum() > 0
 
-        ch2 = Channel(latency=LatencyModel(), compression=CompressionConfig())
-        ch2.send(MessageKind.DETECTIONS, [det(6.0)], 1.0)
+        ch2 = Channel(latency=LatencyModel())
+        send(ch2, MessageKind.DETECTIONS, [det(6.0)], 1.0)
         out2 = cooperative_feature(FusionMethod(FusionKind.LATE), ch2, 1.0, ego, Pose.identity())
         assert len(out2.detections) == 2
 
 
 def _instant_channel(g):
-    ch = Channel(latency=LatencyModel(), compression=CompressionConfig(enabled=False))
-    ch.send(MessageKind.FEATURE, g, g.timestamp)
+    ch = Channel(latency=LatencyModel())
+    send(ch, MessageKind.FEATURE, g, g.timestamp, compression=CompressionConfig(enabled=False))
     return ch

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cotrack.channel import Channel, ChannelMessage, CompressionConfig, LatencyModel, MessageKind
+from cotrack.channel import Channel, ChannelMessage, LatencyModel, MessageKind
 from cotrack.errors import AlignmentError
 from cotrack.geometry import Box3D
 from cotrack.metrics import (
@@ -151,7 +151,7 @@ class TestAggregateRun:
         assert report.bps_pre == 0.0 and report.bps_post == 0.0
 
     def test_bps_arithmetic(self):
-        ch = Channel(latency=LatencyModel(), compression=CompressionConfig())
+        ch = Channel(latency=LatencyModel())
         ch.messages = [fake_msg(0.1 * k, 330, 330) for k in range(150)]
         mot = MotResult(mota=0.5, motp=0.3, ids=1, fp=2, fn=3, num_gt=10)
         report = aggregate_run(mot, ch, 15.0, "late", 200.0, 7)
