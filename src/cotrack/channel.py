@@ -106,12 +106,18 @@ def _spec_header_bytes(spec: GridSpec, timestamp: float) -> bytes:
                             spec.cell_size, timestamp)
 
 
-def _parse_spec_header(data: bytes):
+def _parse_spec_header(data: bytes, expected: GridSpec):
     if len(data) < GRID_HEADER.size:
         raise DecodeError("truncated grid header")
     cols, rows, channels, x0_mm, y0_mm, cell, timestamp = GRID_HEADER.unpack_from(data, 0)
-    if cols <= 0 or rows <= 0 or channels <= 0 or cell <= 0:
-        raise DecodeError("malformed grid header")
+    # The receiver knows the sender's grid from the run config; checking the
+    # header against it bounds every allocation below by that grid's size.
+    want = GRID_HEADER.unpack(_spec_header_bytes(expected, 0.0))[:6]
+    if (cols, rows, channels, x0_mm, y0_mm, cell) != want:
+        raise DecodeError(
+            f"grid header (cols, rows, channels, x0_mm, y0_mm, cell) = "
+            f"{(cols, rows, channels, x0_mm, y0_mm, cell)} does not match the expected {want}"
+        )
     spec = GridSpec(x0=x0_mm / 1000.0, y0=y0_mm / 1000.0, cell_size=float(cell),
                     cols=cols, rows=rows, channels=channels)
     return spec, float(timestamp), GRID_HEADER.size
@@ -159,6 +165,8 @@ def _decompress_values(data: bytes, offset: int, spec: GridSpec):
     for ch in range(channels):
         mins[ch], maxs[ch] = CHANNEL_RANGE.unpack_from(data, offset)
         offset += CHANNEL_RANGE.size
+    if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
+        raise DecodeError("non-finite channel range")
     (n_runs,) = struct.unpack_from("<I", data, offset)
     offset += 4
     if len(data) < offset + 4 * n_runs:
@@ -215,16 +223,22 @@ def _parse_frame_tag(data: bytes, offset: int) -> Tuple[str, int]:
     n = data[offset]
     if len(data) < offset + 1 + n:
         raise DecodeError("truncated frame tag")
-    return data[offset + 1 : offset + 1 + n].decode("utf-8"), offset + 1 + n
+    try:
+        frame = data[offset + 1 : offset + 1 + n].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"frame tag is not UTF-8: {exc}") from None
+    return frame, offset + 1 + n
 
 
-def decompress_grid(data: bytes):
-    """Inverse of compress_grid / compress_grid_pair.
+def decompress_grid(data: bytes, expected: GridSpec):
+    """Inverse of compress_grid / compress_grid_pair for a receiver of ``expected`` grids.
 
     Returns a FeatureGrid, a FeatureFlow, or a (FeatureGrid, FeatureFlow)
-    tuple depending on what was encoded.
+    tuple depending on what was encoded. Raises DecodeError on any malformed
+    stream, including a header whose shape, origin or cell size is not
+    ``expected``'s; that check comes before anything is allocated.
     """
-    spec, timestamp, offset = _parse_spec_header(data)
+    spec, timestamp, offset = _parse_spec_header(data, expected)
     if len(data) < offset + 1:
         raise DecodeError("missing payload kind byte")
     kind = data[offset]
@@ -311,7 +325,7 @@ def encode_message(
         raw = _grid_raw_bytes(content)
         if compression.enabled:
             data = compress_grid(content)
-            decoded = decompress_grid(data)
+            decoded = decompress_grid(data, content.spec)
         else:
             data = content.values.astype("<f4").tobytes()
             decoded = _f32(content)
@@ -322,7 +336,7 @@ def encode_message(
         raw = _grid_raw_bytes(f0) + _grid_raw_bytes(f1)
         if compression.enabled:
             data = compress_grid_pair(f0, f1)
-            decoded = decompress_grid(data)
+            decoded = decompress_grid(data, f0.spec)
         else:
             data = f0.values.astype("<f4").tobytes() + f1.values.astype("<f4").tobytes()
             decoded = (_f32(f0), _f32(f1))

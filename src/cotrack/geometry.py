@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -228,18 +228,58 @@ class Region:
 _EPS_T = 1e-9
 
 
-def segments_hit_aabb(starts: np.ndarray, ends: np.ndarray, rect) -> np.ndarray:
-    """Whether 2D segments cross the interior of an axis-aligned rectangle.
+@dataclass(frozen=True)
+class Blockers:
+    """Ray blockers stacked for one batched slab test: boxes first, then walls.
 
-    ``rect`` is (x_min, y_min, x_max, y_max). Endpoints exactly on the
-    boundary do not count as hits; the crossing must be strictly interior to
-    the segment (slab test with a small parametric margin).
+    ``(point - centre[k]) @ rot_t[k]`` maps world points into blocker ``k``'s
+    frame, where it is the rectangle ``[lo[k], hi[k]]``. Shapes are (K, 2, 2)
+    and (K, 1, 2). A wall's rotation is the identity and its centre zero, so
+    its frame is the world bitwise: x * 1 + y * 0 == x, up to the sign of a
+    zero, which no comparison in the slab test sees.
     """
-    starts = np.asarray(starts, dtype=float)
-    ends = np.asarray(ends, dtype=float)
-    x_min, y_min, x_max, y_max = rect
-    lo = np.array([x_min, y_min])
-    hi = np.array([x_max, y_max])
+
+    rot_t: np.ndarray
+    centre: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def of(
+        cls,
+        boxes: Sequence[Box3D] = (),
+        walls: Sequence[Tuple[float, float, float, float]] = (),
+    ) -> "Blockers":
+        """Box footprints, then axis-aligned walls (x_min, y_min, x_max, y_max)."""
+        nb = len(boxes)
+        walls = np.asarray(walls, dtype=float).reshape(-1, 4)
+        k = nb + len(walls)
+        rot_t = np.empty((k, 2, 2))
+        centre = np.zeros((k, 1, 2))
+        lo = np.empty((k, 1, 2))
+        hi = np.empty((k, 1, 2))
+        for b, box in enumerate(boxes):
+            c, s = math.cos(-box.yaw), math.sin(-box.yaw)
+            rot_t[b] = ((c, s), (-s, c))
+            centre[b] = (box.x, box.y)
+            hi[b] = (0.5 * box.l, 0.5 * box.w)
+        lo[:nb] = -hi[:nb]
+        rot_t[nb:] = np.eye(2)
+        lo[nb:, 0] = walls[:, :2]
+        hi[nb:, 0] = walls[:, 2:]
+        return cls(rot_t, centre, lo, hi)
+
+
+def segments_hit_blockers(starts: np.ndarray, ends: np.ndarray, blockers: Blockers) -> np.ndarray:
+    """Whether 2D segments cross the interior of each blocker, shape (K, N).
+
+    One broadcast slab test in every blocker's frame. The rotation into each
+    frame stays a (stacked) matrix product, so each row is bitwise what a
+    test against that blocker alone gives.
+    """
+    starts = (np.asarray(starts, dtype=float) - blockers.centre) @ blockers.rot_t
+    ends = (np.asarray(ends, dtype=float) - blockers.centre) @ blockers.rot_t
+    lo, hi = blockers.lo, blockers.hi
     d = ends - starts
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (lo - starts) / d
@@ -248,22 +288,25 @@ def segments_hit_aabb(starts: np.ndarray, ends: np.ndarray, rect) -> np.ndarray:
     t_far = np.maximum(t1, t2)
     # Axis-parallel segments: hit only if within the slab on that axis.
     parallel = d == 0.0
-    inside = (starts >= lo) & (starts <= hi)
-    t_near[parallel] = np.where(inside[parallel], -np.inf, np.inf)
-    t_far[parallel] = np.where(inside[parallel], np.inf, -np.inf)
-    enter = t_near.max(axis=1)
-    exit_ = t_far.min(axis=1)
+    if parallel.any():
+        inside = (starts >= lo) & (starts <= hi)
+        t_near = np.where(parallel, np.where(inside, -np.inf, np.inf), t_near)
+        t_far = np.where(parallel, np.where(inside, np.inf, -np.inf), t_far)
+    enter = np.maximum(t_near[..., 0], t_near[..., 1])
+    exit_ = np.minimum(t_far[..., 0], t_far[..., 1])
     return (enter <= exit_) & (enter < 1.0 - _EPS_T) & (exit_ > _EPS_T)
+
+
+def segments_hit_aabb(starts: np.ndarray, ends: np.ndarray, rect) -> np.ndarray:
+    """Whether 2D segments cross the interior of an axis-aligned rectangle.
+
+    ``rect`` is (x_min, y_min, x_max, y_max). Endpoints exactly on the
+    boundary do not count as hits; the crossing must be strictly interior to
+    the segment (slab test with a small parametric margin).
+    """
+    return segments_hit_blockers(starts, ends, Blockers.of(walls=[rect]))[0]
 
 
 def segments_hit_box(starts: np.ndarray, ends: np.ndarray, box: Box3D) -> np.ndarray:
     """Whether 2D segments cross a box footprint (oriented rectangle)."""
-    starts = np.asarray(starts, dtype=float)
-    ends = np.asarray(ends, dtype=float)
-    c, s = math.cos(-box.yaw), math.sin(-box.yaw)
-    rot = np.array([[c, -s], [s, c]])
-    shift = np.array([box.x, box.y])
-    local_starts = (starts - shift) @ rot.T
-    local_ends = (ends - shift) @ rot.T
-    rect = (-0.5 * box.l, -0.5 * box.w, 0.5 * box.l, 0.5 * box.w)
-    return segments_hit_aabb(local_starts, local_ends, rect)
+    return segments_hit_blockers(starts, ends, Blockers.of([box]))[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .geometry import Box3D, Category, Pose, Region, transform_box, wrap_angle
-from .sensing import GridSpec, NoiseConfig, View, agent_visible
+from .sensing import GridSpec, NoiseConfig, View, visible_agents
 
 
 class Provenance(Enum):
@@ -306,17 +306,14 @@ def ground_truth_at(s: Scenario, t: float, view: View) -> List[TrackedObject]:
     """
     idx = s.frame_index(t)
     pose = s.sensor_pose(view, t)
-    range_m = s.sensor_range(view)
     provenance = Provenance.VEHICLE_SIDE if view is View.VEHICLE else Provenance.INFRA_SIDE
-    boxes = [(a.id, a.box_at(idx)) for a in s.agents]
-    out = []
-    for i, (agent_id, box) in enumerate(boxes):
-        others = [b for j, (_, b) in enumerate(boxes) if j != i]
-        if agent_visible((pose.x, pose.y), box, others, s.occluders, range_m):
-            out.append(
-                TrackedObject(box=box, track_id=agent_id, timestamp=t, provenance=provenance)
-            )
-    return out
+    boxes = [a.box_at(idx) for a in s.agents]
+    visible = visible_agents((pose.x, pose.y), boxes, s.occluders, s.sensor_range(view))
+    return [
+        TrackedObject(box=box, track_id=a.id, timestamp=t, provenance=provenance)
+        for a, box, seen in zip(s.agents, boxes, visible)
+        if seen
+    ]
 
 
 def cooperative_ground_truth(

@@ -14,6 +14,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, OrderingError, ShapeMismatchError
-from .geometry import Box3D, inverse, segments_hit_aabb, segments_hit_box
+from .geometry import Blockers, Box3D, inverse, segments_hit_blockers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -154,44 +155,65 @@ def _perimeter_samples(box: Box3D, offsets: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate(out, axis=0)
 
 
-def _blocked(
-    sensor_xy: np.ndarray,
-    targets: np.ndarray,
-    occluders: Sequence[Tuple[float, float, float, float]],
-    boxes: Sequence[Box3D],
-) -> np.ndarray:
-    """Whether the ray from the sensor to each 2D target point is blocked."""
-    n = len(targets)
-    starts = np.broadcast_to(sensor_xy, (n, 2))
-    blocked = np.zeros(n, dtype=bool)
-    for rect in occluders:
-        blocked |= segments_hit_aabb(starts, targets, rect)
-    for box in boxes:
-        blocked |= segments_hit_box(starts, targets, box)
-    return blocked
+# Visibility probes sit strictly inside each edge so that touching corners of
+# neighboring footprints do not flip the answer.
+_PROBE_OFFSETS = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
 
 
-def agent_visible(
+def visible_agents(
     sensor_xy,
-    box: Box3D,
-    blocking_boxes: Sequence[Box3D],
+    boxes: Sequence[Box3D],
     occluders: Sequence[Tuple[float, float, float, float]],
     range_m: float,
-) -> bool:
-    """Ray-model visibility of one agent box from a sensor position.
+) -> np.ndarray:
+    """Ray-model visibility of each agent box from a sensor position.
 
-    The box is visible when its center is within sensor range and at least
-    one of a fixed set of perimeter probe points has an unobstructed ray
-    from the sensor. Probes sit strictly inside each edge so that touching
-    corners of neighboring footprints do not flip the answer.
+    A box is visible when its center is within sensor range and at least one
+    of its 20 perimeter probe points has a 2D ray from the sensor that no wall
+    and no other box crosses. All probes of all boxes go through one batched
+    ray test; a box never blocks its own probes.
     """
     sensor_xy = np.asarray(sensor_xy, dtype=float)
-    if math.hypot(box.x - sensor_xy[0], box.y - sensor_xy[1]) > range_m:
-        return False
-    offsets = np.tile(np.array([0.1, 0.3, 0.5, 0.7, 0.9]), (4, 1))
-    probes = _perimeter_samples(box, offsets)
-    blocked = _blocked(sensor_xy, probes, occluders, blocking_boxes)
-    return bool(np.any(~blocked))
+    if not boxes:
+        return np.zeros(0, dtype=bool)
+    corners = np.stack([box.corners_bev() for box in boxes])
+    a = corners[:, :, None, :]
+    b = np.roll(corners, -1, axis=1)[:, :, None, :]
+    probes = (a + _PROBE_OFFSETS[:, None] * (b - a)).reshape(-1, 2)
+    hits = segments_hit_blockers(
+        np.broadcast_to(sensor_xy, probes.shape), probes, Blockers.of(boxes, occluders)
+    ).reshape(len(boxes) + len(occluders), len(boxes), -1)
+    own = np.arange(len(boxes))
+    hits[own, own] = False
+    in_range = np.array(
+        [math.hypot(box.x - sensor_xy[0], box.y - sensor_xy[1]) <= range_m for box in boxes]
+    )
+    return in_range & (~hits.any(axis=0)).any(axis=1)
+
+
+@functools.lru_cache(maxsize=2)
+def _clutter_field(rng_seed: int, sensor: View, noise: NoiseConfig, range_m: float):
+    """Static ground-clutter field of one (seed, sensor), relative to the sensor.
+
+    Returns read-only (offsets (C, 2), jitter (C, 2) or None, z (C,)); the
+    same asphalt returns every frame, with position noise baked in once so
+    the raster background does not flicker frame to frame.
+    """
+    clutter_rng = np.random.default_rng([int(rng_seed), 0xC1, _VIEW_CODE[sensor]])
+    count = clutter_rng.poisson(noise.clutter_per_m2 * math.pi * range_m**2)
+    radius = range_m * np.sqrt(clutter_rng.random(count))
+    theta = 2.0 * math.pi * clutter_rng.random(count)
+    offsets = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
+    jitter = None
+    z = np.zeros(count)
+    if noise.sigma_m > 0:
+        j = clutter_rng.normal(0.0, noise.sigma_m, size=(count, 3))
+        jitter = np.ascontiguousarray(j[:, :2])
+        z = z + j[:, 2]
+    for arr in (offsets, jitter, z):
+        if arr is not None:
+            arr.setflags(write=False)
+    return offsets, jitter, z
 
 
 def sample_point_cloud(
@@ -222,10 +244,13 @@ def sample_point_cloud(
     pose = s.sensor_pose(sensor, t)
     range_m = s.sensor_range(sensor)
     sensor_xy = np.array([pose.x, pose.y])
-    boxes = s.agent_boxes_at(t)
+    boxes = [box for _, box in s.agent_boxes_at(t)]
+    blockers = Blockers.of(boxes, s.occluders)
 
     chunks: List[np.ndarray] = []
-    for idx, (_, box) in enumerate(boxes):
+    # One loop per target box: the draws below depend on each box's kept
+    # point count, so batching targets would reorder the random stream.
+    for idx, box in enumerate(boxes):
         if math.hypot(box.x - sensor_xy[0], box.y - sensor_xy[1]) > range_m:
             continue
         # Edge order around corners_bev() is (w, l, w, l). Even spacing with a
@@ -234,9 +259,9 @@ def sample_point_cloud(
         counts = [max(1, int(round(surface_pts_per_m * edge)))
                   for edge in (box.w, box.l, box.w, box.l)]
         pts2d = _perimeter_samples(box, [(np.arange(n) + rng.random()) / n for n in counts])
-        others = [b for j, (_, b) in enumerate(boxes) if j != idx]
-        keep = ~_blocked(sensor_xy, pts2d, s.occluders, others)
-        pts2d = pts2d[keep]
+        hits = segments_hit_blockers(np.broadcast_to(sensor_xy, pts2d.shape), pts2d, blockers)
+        hits[idx] = False  # a box never blocks its own outline
+        pts2d = pts2d[~hits.any(axis=0)]
         if len(pts2d) == 0:
             continue
         z = rng.random(len(pts2d)) * box.h
@@ -247,22 +272,14 @@ def sample_point_cloud(
     if noise.sigma_m > 0 and len(pts):
         pts[:, :3] += rng.normal(0.0, noise.sigma_m, size=(len(pts), 3))
 
-    # Ground clutter is a static field per (seed, sensor): the same asphalt
-    # returns every frame, with position noise baked in once at field
-    # creation so the raster background does not flicker frame to frame.
-    # Only the clutter intensities redraw per frame.
-    clutter_rng = np.random.default_rng([int(rng_seed), 0xC1, _VIEW_CODE[sensor]])
-    clutter_count = clutter_rng.poisson(noise.clutter_per_m2 * math.pi * range_m**2)
-    if clutter_count > 0:
-        radius = range_m * np.sqrt(clutter_rng.random(clutter_count))
-        theta = 2.0 * math.pi * clutter_rng.random(clutter_count)
-        cx = sensor_xy[0] + radius * np.cos(theta)
-        cy = sensor_xy[1] + radius * np.sin(theta)
-        cz = np.zeros(clutter_count)
-        if noise.sigma_m > 0:
-            jitter = clutter_rng.normal(0.0, noise.sigma_m, size=(clutter_count, 3))
-            cx, cy, cz = cx + jitter[:, 0], cy + jitter[:, 1], cz + jitter[:, 2]
-        clutter = np.column_stack([cx, cy, cz, rng.random(clutter_count)])
+    offsets, jitter, cz = _clutter_field(rng_seed, sensor, noise, range_m)
+    if len(cz):
+        cx = sensor_xy[0] + offsets[:, 0]
+        cy = sensor_xy[1] + offsets[:, 1]
+        if jitter is not None:
+            cx, cy = cx + jitter[:, 0], cy + jitter[:, 1]
+        # Only the clutter intensities redraw per frame.
+        clutter = np.column_stack([cx, cy, cz, rng.random(len(cz))])
         pts = np.concatenate([pts, clutter], axis=0) if len(pts) else clutter
 
     if noise.dropout_p > 0 and len(pts):

@@ -31,6 +31,31 @@ def brute_force_assignment_cost(cost: np.ndarray) -> float:
     return best
 
 
+def brute_force_assignment(cost):
+    """Exhaustive minimum over all maximal partial assignments.
+
+    Returns (best_cost, best_pairs) where ties resolve to the first optimum
+    in lexicographic column-tuple order (rows scanned upward, unmatched rows
+    ordered after all real columns).
+    """
+    cost = np.asarray(cost, dtype=float)
+    n, m = cost.shape
+    k = min(n, m)
+    best_cost = None
+    best_pairs = None
+    for rows in itertools.combinations(range(n), k):
+        for cols in itertools.permutations(range(m), k):
+            total = sum(cost[r, c] for r, c in zip(rows, cols))
+            key = tuple(dict(zip(rows, cols)).get(r, m) for r in range(n))
+            if best_cost is None or total < best_cost - 1e-12 or (
+                abs(total - best_cost) <= 1e-12 and key < best_key
+            ):
+                best_cost = total
+                best_key = key
+                best_pairs = sorted(zip(rows, cols))
+    return best_cost, best_pairs
+
+
 def _best_gated_matching(dist, gate, free_g, free_h):
     """Max matches, then min summed distance, then lexicographic columns.
 

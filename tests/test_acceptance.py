@@ -224,7 +224,7 @@ def test_criterion_9_compression_roundtrip_bound():
         if case % 5 == 0:
             values[:, :, 2] = 3.25  # constant channel must roundtrip exactly
         g = FeatureGrid(spec=spec, values=values, timestamp=0.0, frame="infra")
-        out = decompress_grid(compress_grid(g))
+        out = decompress_grid(compress_grid(g), spec)
         for ch in range(spec.channels):
             span = values[:, :, ch].max() - values[:, :, ch].min()
             err = float(np.abs(out.values[:, :, ch] - values[:, :, ch]).max())

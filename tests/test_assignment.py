@@ -1,34 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from cotrack.assignment import solve_assignment
-
-
-def brute_force(cost):
-    """Exhaustive minimum over all maximal partial assignments.
-
-    Returns (best_cost, best_pairs) where ties resolve to the first optimum
-    in lexicographic column-tuple order (rows scanned upward, unmatched rows
-    ordered after all real columns).
-    """
-    cost = np.asarray(cost, dtype=float)
-    n, m = cost.shape
-    k = min(n, m)
-    best_cost = None
-    best_pairs = None
-    for rows in itertools.combinations(range(n), k):
-        for cols in itertools.permutations(range(m), k):
-            total = sum(cost[r, c] for r, c in zip(rows, cols))
-            key = tuple(dict(zip(rows, cols)).get(r, m) for r in range(n))
-            if best_cost is None or total < best_cost - 1e-12 or (
-                abs(total - best_cost) <= 1e-12 and key < best_key
-            ):
-                best_cost = total
-                best_key = key
-                best_pairs = sorted(zip(rows, cols))
-    return best_cost, best_pairs
+from oracle_utils import brute_force_assignment
 
 
 class TestSolveAssignment:
@@ -62,7 +36,7 @@ class TestSolveAssignment:
             cost = rng.uniform(0, 10, size=(5, 5))
             pairs = solve_assignment(cost)
             total = sum(cost[r, c] for r, c in pairs)
-            expected, _ = brute_force(cost)
+            expected, _ = brute_force_assignment(cost)
             assert total == expected
 
     def test_all_shapes_up_to_six_match_brute_force(self):
@@ -78,7 +52,7 @@ class TestSolveAssignment:
                     assert len(set(rows)) == len(rows)
                     assert len(set(cols)) == len(cols)
                     total = sum(cost[r, c] for r, c in pairs)
-                    expected, _ = brute_force(cost)
+                    expected, _ = brute_force_assignment(cost)
                     assert total == pytest.approx(expected, abs=1e-9)
 
     def test_tie_break_lowest_row_then_column(self):
@@ -94,7 +68,7 @@ class TestSolveAssignment:
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 5))
             cost = rng.integers(0, 3, size=(n, m)).astype(float)
-            _, expected_pairs = brute_force(cost)
+            _, expected_pairs = brute_force_assignment(cost)
             assert solve_assignment(cost) == expected_pairs
 
     def test_negative_costs(self):

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,7 +94,7 @@ class TestEncode:
     def test_compressed_content_is_what_receiver_decodes(self):
         vals = np.random.default_rng(5).random(SPEC.shape)
         msg = encode_message(MessageKind.FEATURE, grid(vals), COMPRESSED, 0.0)
-        direct = decompress_grid(compress_grid(grid(vals)))
+        direct = decompress_grid(compress_grid(grid(vals)), SPEC)
         assert np.array_equal(msg.content.values, direct.values)
 
 
@@ -100,13 +103,13 @@ class TestCompression:
         g = grid(np.zeros(SPEC.shape))
         data = compress_grid(g)
         assert len(data) < 100
-        out = decompress_grid(data)
+        out = decompress_grid(data, SPEC)
         assert not out.values.any()
         assert out.spec == SPEC
 
     def test_constant_grid_exact(self):
         g = grid(np.full(SPEC.shape, 1.0))
-        out = decompress_grid(compress_grid(g))
+        out = decompress_grid(compress_grid(g), SPEC)
         assert np.array_equal(out.values, np.full(SPEC.shape, 1.0))
 
     def test_random_grid_quantization_bound(self):
@@ -114,7 +117,7 @@ class TestCompression:
         vals = rng.uniform(-3.0, 9.0, SMALL.shape)
         vals[rng.random(SMALL.shape[:2]) < 0.3] = 0.0
         g = grid(vals, spec=SMALL)
-        out = decompress_grid(compress_grid(g))
+        out = decompress_grid(compress_grid(g), SMALL)
         for ch in range(SMALL.channels):
             span = vals[:, :, ch].max() - vals[:, :, ch].min()
             err = np.abs(out.values[:, :, ch] - vals[:, :, ch]).max()
@@ -123,19 +126,19 @@ class TestCompression:
     def test_zero_cells_restore_exactly(self):
         vals = np.random.default_rng(8).uniform(1.0, 2.0, SMALL.shape)
         vals[3:6, 3:6, :] = 0.0
-        out = decompress_grid(compress_grid(grid(vals, spec=SMALL)))
+        out = decompress_grid(compress_grid(grid(vals, spec=SMALL)), SMALL)
         assert (out.values[3:6, 3:6, :] == 0.0).all()
 
     def test_flow_roundtrip_and_kind(self):
         flow = FeatureFlow(SMALL, np.random.default_rng(9).standard_normal(SMALL.shape), 1.5)
-        out = decompress_grid(compress_grid(flow))
+        out = decompress_grid(compress_grid(flow), SMALL)
         assert isinstance(out, FeatureFlow)
         assert out.timestamp == pytest.approx(1.5, abs=1e-6)
 
     def test_pair_roundtrip(self):
         g = grid(np.random.default_rng(10).random(SMALL.shape), spec=SMALL)
         flow = FeatureFlow(SMALL, np.random.default_rng(11).standard_normal(SMALL.shape), 0.0)
-        f0, f1 = decompress_grid(compress_grid_pair(g, flow))
+        f0, f1 = decompress_grid(compress_grid_pair(g, flow), SMALL)
         assert isinstance(f0, FeatureGrid) and isinstance(f1, FeatureFlow)
         assert f0.spec == f1.spec == SMALL
 
@@ -143,11 +146,35 @@ class TestCompression:
         g = grid(np.random.default_rng(12).random(SMALL.shape), spec=SMALL)
         data = compress_grid(g)
         with pytest.raises(DecodeError):
-            decompress_grid(data[:10])
+            decompress_grid(data[:10], SMALL)
         with pytest.raises(DecodeError):
-            decompress_grid(data[:-20])
+            decompress_grid(data[:-20], SMALL)
         with pytest.raises(DecodeError):
-            decompress_grid(b"\x00" * 40)
+            decompress_grid(b"\x00" * 40, SMALL)
+
+    def test_non_finite_range_and_bad_frame_tag_rejected(self):
+        data = bytearray(compress_grid(grid(np.ones(SMALL.shape), spec=SMALL)))
+        bad_tag = bytes(data[:-6]) + bytes([1, 0xFF])  # "infra" tag -> one invalid UTF-8 byte
+        with pytest.raises(DecodeError, match="UTF-8"):
+            decompress_grid(bad_tag, SMALL)
+        data[29:33] = struct.pack("<f", float("nan"))  # channel 0 minimum
+        with pytest.raises(DecodeError, match="non-finite"):
+            decompress_grid(bytes(data), SMALL)
+
+    def test_header_of_another_grid_rejected_before_allocating(self):
+        # A well-formed 1500 x 1500 all-zero grid: one zero run covers it.
+        # Decoding it would allocate 54 MB; the receiver expects SMALL.
+        data = (struct.pack("<5i2f", 1500, 1500, 3, 0, 0, 0.5, 0.0) + bytes([0])
+                + struct.pack("<6f", *([0.0] * 6)) + struct.pack("<2I", 1, 1500 * 1500)
+                + bytes([0]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError, match="does not match"):
+                decompress_grid(data, SMALL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestTransmit:
