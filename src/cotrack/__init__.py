@@ -27,6 +27,7 @@ from .errors import (
     ConfigurationError,
     CotrackError,
     DecodeError,
+    EncodeError,
     NumericError,
     OrderingError,
     ShapeMismatchError,

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, DecodeError, OrderingError
+from .errors import CapacityError, ConfigurationError, DecodeError, EncodeError, OrderingError
 from .geometry import CATEGORY_ORDER, Box3D
 from .sensing import FeatureFlow, FeatureGrid, GridSpec, PointCloud
 
@@ -100,10 +100,13 @@ class CompressionConfig:
 
 
 def _spec_header_bytes(spec: GridSpec, timestamp: float) -> bytes:
-    x0_mm = int(round(spec.x0 * 1000.0))
-    y0_mm = int(round(spec.y0 * 1000.0))
-    return GRID_HEADER.pack(spec.cols, spec.rows, spec.channels, x0_mm, y0_mm,
-                            spec.cell_size, timestamp)
+    try:
+        x0_mm = int(round(spec.x0 * 1000.0))
+        y0_mm = int(round(spec.y0 * 1000.0))
+        return GRID_HEADER.pack(spec.cols, spec.rows, spec.channels, x0_mm, y0_mm,
+                                spec.cell_size, timestamp)
+    except (struct.error, OverflowError, ValueError) as exc:
+        raise EncodeError(f"{spec} at t={timestamp} does not fit the grid header: {exc}") from None
 
 
 def _parse_spec_header(data: bytes, expected: GridSpec):
@@ -123,36 +126,57 @@ def _parse_spec_header(data: bytes, expected: GridSpec):
     return spec, float(timestamp), GRID_HEADER.size
 
 
-def _compress_values(values: np.ndarray) -> bytes:
-    """One block: channel ranges, zero-cell runs, quantized nonzero cells."""
-    rows, cols, channels = values.shape
-    flat = values.reshape(-1, channels)
-    nonzero = ~np.all(flat == 0.0, axis=1)
+def _nonzero_cells(runs: np.ndarray) -> np.ndarray:
+    """Flat indices of the cells in the nonzero (odd) runs of an int64 run table."""
+    lengths = runs[1::2]
+    # The k-th nonzero cell, in run j, is k plus the zero cells up to run j's end.
+    zeros_before = np.cumsum(runs)[1::2] - np.cumsum(lengths)
+    return np.arange(lengths.sum()) + np.repeat(zeros_before, lengths)
 
-    mins = flat.min(axis=0)
-    maxs = flat.max(axis=0)
-    spans = maxs - mins
-    codes = np.zeros_like(flat, dtype=np.uint8)
-    for ch in range(channels):
-        if spans[ch] > 0:
-            codes[:, ch] = np.round((flat[:, ch] - mins[ch]) / spans[ch] * 255.0).astype(np.uint8)
+
+def _compress_values(values: np.ndarray) -> bytes:
+    """One block: channel ranges, zero-cell runs, quantized nonzero cells.
+
+    One pass over every cell finds the nonzero ones; the ranges and codes
+    are then taken over those cells alone.
+    """
+    channels = values.shape[2]
+    flat = values.reshape(-1, channels)
+    n = len(flat)
+    unequal = flat != 0.0
+    nonzero = unequal[:, 0].copy()
+    for ch in range(1, channels):
+        nonzero |= unequal[:, ch]
 
     # Alternating run lengths over flattened cells, starting with a zero run.
-    n = len(flat)
-    if n:
-        change = np.flatnonzero(np.diff(nonzero))
-        bounds = np.concatenate([[0], change + 1, [n]])
-        runs = np.diff(bounds).astype(np.uint32)
-        if nonzero[0]:
-            runs = np.concatenate([[np.uint32(0)], runs])
-    else:
-        runs = np.zeros(0, dtype=np.uint32)
+    edges = np.flatnonzero(nonzero[1:] != nonzero[:-1]) + 1
+    runs = np.diff(np.concatenate(([0], edges, [n])))
+    if nonzero[0]:
+        runs = np.concatenate(([0], runs))
+    index = _nonzero_cells(runs)
+    cells = flat.take(index, axis=0)
 
-    parts = [CHANNEL_RANGE.pack(float(mins[ch]), float(maxs[ch])) for ch in range(channels)]
-    parts.append(struct.pack("<I", len(runs)))
-    parts.append(runs.astype("<u4").tobytes())
-    parts.append(codes[nonzero].tobytes())
-    return b"".join(parts)
+    # Zero cells add 0.0 to every channel's range. Of equal values the row-wise
+    # min/max keeps the later one, so a zero bound takes the sign of the last
+    # zero in its column: the last zero cell joins the reduction in place.
+    bounded = cells
+    if len(index) < n:
+        last = edges[-1] - 1 if nonzero[-1] else n - 1
+        i = np.searchsorted(index, last)
+        bounded = np.concatenate((cells[:i], flat[last:last + 1], cells[i:]))
+    mins = bounded.min(axis=0)
+    maxs = bounded.max(axis=0)
+    with np.errstate(over="ignore"):
+        table = np.stack([mins, maxs], axis=1).astype("<f4")
+    if not np.all(np.isfinite(table)):
+        raise EncodeError("grid values lie beyond the float32 range")
+
+    spans = maxs - mins
+    live = spans > 0
+    codes = np.zeros(cells.shape, dtype=np.uint8)
+    codes[:, live] = np.round((cells[:, live] - mins[live]) / spans[live] * 255.0)
+    return b"".join([table.tobytes(), struct.pack("<I", len(runs)),
+                     runs.astype("<u4").tobytes(), codes.tobytes()])
 
 
 def _decompress_values(data: bytes, offset: int, spec: GridSpec):
@@ -160,13 +184,11 @@ def _decompress_values(data: bytes, offset: int, spec: GridSpec):
     need = channels * CHANNEL_RANGE.size + 4
     if len(data) < offset + need:
         raise DecodeError("truncated channel table")
-    mins = np.empty(channels)
-    maxs = np.empty(channels)
-    for ch in range(channels):
-        mins[ch], maxs[ch] = CHANNEL_RANGE.unpack_from(data, offset)
-        offset += CHANNEL_RANGE.size
-    if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
+    table = np.frombuffer(data, dtype="<f4", count=2 * channels, offset=offset).astype(float)
+    offset += channels * CHANNEL_RANGE.size
+    if not np.all(np.isfinite(table)):
         raise DecodeError("non-finite channel range")
+    mins, maxs = table[0::2], table[1::2]
     (n_runs,) = struct.unpack_from("<I", data, offset)
     offset += 4
     if len(data) < offset + 4 * n_runs:
@@ -177,12 +199,8 @@ def _decompress_values(data: bytes, offset: int, spec: GridSpec):
     n_cells = spec.rows * spec.cols
     if runs.sum() != n_cells:
         raise DecodeError(f"run lengths cover {runs.sum()} cells, expected {n_cells}")
-    zero_flags = np.zeros(len(runs), dtype=bool)
-    zero_flags[::2] = True
-    mask_nonzero = np.repeat(~zero_flags, runs)
-
-    n_nz = int(mask_nonzero.sum())
-    if len(data) < offset + n_nz * spec.channels:
+    n_nz = int(runs[1::2].sum())
+    if len(data) < offset + n_nz * channels:
         raise DecodeError("truncated value stream")
     codes = np.frombuffer(data, dtype=np.uint8, count=n_nz * channels, offset=offset)
     codes = codes.reshape(n_nz, channels).astype(float)
@@ -190,8 +208,7 @@ def _decompress_values(data: bytes, offset: int, spec: GridSpec):
 
     flat = np.zeros((n_cells, channels))
     spans = maxs - mins
-    decoded = np.where(spans > 0, mins + codes / 255.0 * spans, mins)
-    flat[mask_nonzero] = decoded
+    flat[_nonzero_cells(runs)] = np.where(spans > 0, mins + codes / 255.0 * spans, mins)
     return flat.reshape(spec.rows, spec.cols, channels), offset
 
 
@@ -295,8 +312,13 @@ def _grid_raw_bytes(g: Union[FeatureGrid, FeatureFlow]) -> int:
     return rows * cols * channels * 4
 
 
-def _f32(g: Union[FeatureGrid, FeatureFlow]) -> Union[FeatureGrid, FeatureFlow]:
-    return replace(g, values=g.values.astype(np.float32).astype(float))
+def _raw_grid(g: Union[FeatureGrid, FeatureFlow]) -> Tuple[bytes, Union[FeatureGrid, FeatureFlow]]:
+    """Raw float32 bytes of a grid or flow and the grid they decode to."""
+    with np.errstate(over="ignore"):
+        values = g.values.astype("<f4")
+    if not np.all(np.isfinite(values)):
+        raise EncodeError("grid values lie beyond the float32 range")
+    return values.tobytes(), replace(g, values=values.astype(float))
 
 
 def encode_message(
@@ -309,7 +331,8 @@ def encode_message(
 
     The message's ``content`` is the payload as decoded by the receiver:
     float32-rounded for raw encodings, quantization-rounded for compressed
-    grids. Raises CapacityError if the payload exceeds the configured MTU.
+    grids. Raises EncodeError if a grid's origin or values do not fit the
+    wire format and CapacityError if the payload exceeds the configured MTU.
     """
     if kind is MessageKind.RAW_POINTS:
         if not isinstance(content, PointCloud):
@@ -327,8 +350,7 @@ def encode_message(
             data = compress_grid(content)
             decoded = decompress_grid(data, content.spec)
         else:
-            data = content.values.astype("<f4").tobytes()
-            decoded = _f32(content)
+            data, decoded = _raw_grid(content)
     elif kind is MessageKind.FEATURE_WITH_FLOW:
         f0, f1 = content
         if f0.spec != f1.spec:
@@ -338,8 +360,8 @@ def encode_message(
             data = compress_grid_pair(f0, f1)
             decoded = decompress_grid(data, f0.spec)
         else:
-            data = f0.values.astype("<f4").tobytes() + f1.values.astype("<f4").tobytes()
-            decoded = (_f32(f0), _f32(f1))
+            (d0, g0), (d1, g1) = _raw_grid(f0), _raw_grid(f1)
+            data, decoded = d0 + d1, (g0, g1)
     else:
         raise ValueError(f"unknown message kind {kind}")
 

@@ -21,6 +21,10 @@ class DecodeError(CotrackError):
     """A byte stream could not be parsed as a transmitted payload."""
 
 
+class EncodeError(CotrackError):
+    """A payload cannot be written in its wire format (a field out of range)."""
+
+
 class CapacityError(CotrackError):
     """An encoded payload exceeds the configured MTU cap."""
 

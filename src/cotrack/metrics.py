@@ -9,7 +9,7 @@ against stable assignments rather than per-frame re-matching churn.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -52,7 +52,8 @@ class RunReport:
     num_frames: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # Every field is a scalar, so asdict's recursive copy is not needed.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def csv_columns() -> List[str]:

@@ -350,7 +350,10 @@ def predict_feature(f0: FeatureGrid, f1: FeatureFlow, tau: float) -> FeatureGrid
     """Linearly extrapolate a grid ``tau`` seconds forward: f0 + tau * f1.
 
     The density channel is clamped at zero from below; height and intensity
-    are left unclamped. With tau == 0 the result equals ``f0`` exactly.
+    are left unclamped. With tau == 0 the result equals ``f0`` bit for bit
+    when its density is nonnegative and it holds no -0.0, as every grid
+    ``rasterize_bev`` makes and its decoded copy do; a negative density cell
+    comes back as 0.
     """
     if f0.spec != f1.spec:
         raise ShapeMismatchError("prediction requires identical grid specs")

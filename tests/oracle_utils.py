@@ -1,14 +1,20 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
 These deliberately avoid the library's own algorithms: assignments come
-from exhaustive permutation search and tracking scores from direct
-enumeration of gated matchings.
+from exhaustive permutation search, tracking scores from direct
+enumeration of gated matchings, and the grid codec from the first,
+dense implementation (every cell quantized, a boolean mask scattered).
 """
 
 import itertools
 import math
+import struct
 
 import numpy as np
+
+from cotrack.channel import CHANNEL_RANGE
+from cotrack.errors import DecodeError
+from cotrack.sensing import GridSpec
 
 _PERM_CACHE = {}
 
@@ -139,3 +145,80 @@ def brute_force_clearmot(gt_frames, hyp_frames, gate):
         fp += len(hyps) - len(matched)
         prev_pairs = cur
     return fp, fn, ids, num_gt, dist_sum, n_match
+
+
+# The dense grid codec, kept verbatim as the byte-level reference for the
+# sparse one in ``cotrack.channel``: it takes min/max over every cell and
+# quantizes every cell, then keeps the nonzero cells' codes.
+
+
+def dense_compress_values(values: np.ndarray) -> bytes:
+    """One block: channel ranges, zero-cell runs, quantized nonzero cells."""
+    rows, cols, channels = values.shape
+    flat = values.reshape(-1, channels)
+    nonzero = ~np.all(flat == 0.0, axis=1)
+
+    mins = flat.min(axis=0)
+    maxs = flat.max(axis=0)
+    spans = maxs - mins
+    codes = np.zeros_like(flat, dtype=np.uint8)
+    for ch in range(channels):
+        if spans[ch] > 0:
+            codes[:, ch] = np.round((flat[:, ch] - mins[ch]) / spans[ch] * 255.0).astype(np.uint8)
+
+    # Alternating run lengths over flattened cells, starting with a zero run.
+    n = len(flat)
+    if n:
+        change = np.flatnonzero(np.diff(nonzero))
+        bounds = np.concatenate([[0], change + 1, [n]])
+        runs = np.diff(bounds).astype(np.uint32)
+        if nonzero[0]:
+            runs = np.concatenate([[np.uint32(0)], runs])
+    else:
+        runs = np.zeros(0, dtype=np.uint32)
+
+    parts = [CHANNEL_RANGE.pack(float(mins[ch]), float(maxs[ch])) for ch in range(channels)]
+    parts.append(struct.pack("<I", len(runs)))
+    parts.append(runs.astype("<u4").tobytes())
+    parts.append(codes[nonzero].tobytes())
+    return b"".join(parts)
+
+
+def dense_decompress_values(data: bytes, offset: int, spec: GridSpec):
+    channels = spec.channels
+    need = channels * CHANNEL_RANGE.size + 4
+    if len(data) < offset + need:
+        raise DecodeError("truncated channel table")
+    mins = np.empty(channels)
+    maxs = np.empty(channels)
+    for ch in range(channels):
+        mins[ch], maxs[ch] = CHANNEL_RANGE.unpack_from(data, offset)
+        offset += CHANNEL_RANGE.size
+    if not (np.all(np.isfinite(mins)) and np.all(np.isfinite(maxs))):
+        raise DecodeError("non-finite channel range")
+    (n_runs,) = struct.unpack_from("<I", data, offset)
+    offset += 4
+    if len(data) < offset + 4 * n_runs:
+        raise DecodeError("truncated run table")
+    runs = np.frombuffer(data, dtype="<u4", count=n_runs, offset=offset).astype(np.int64)
+    offset += 4 * n_runs
+
+    n_cells = spec.rows * spec.cols
+    if runs.sum() != n_cells:
+        raise DecodeError(f"run lengths cover {runs.sum()} cells, expected {n_cells}")
+    zero_flags = np.zeros(len(runs), dtype=bool)
+    zero_flags[::2] = True
+    mask_nonzero = np.repeat(~zero_flags, runs)
+
+    n_nz = int(mask_nonzero.sum())
+    if len(data) < offset + n_nz * spec.channels:
+        raise DecodeError("truncated value stream")
+    codes = np.frombuffer(data, dtype=np.uint8, count=n_nz * channels, offset=offset)
+    codes = codes.reshape(n_nz, channels).astype(float)
+    offset += n_nz * channels
+
+    flat = np.zeros((n_cells, channels))
+    spans = maxs - mins
+    decoded = np.where(spans > 0, mins + codes / 255.0 * spans, mins)
+    flat[mask_nonzero] = decoded
+    return flat.reshape(spec.rows, spec.cols, channels), offset

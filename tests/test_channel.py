@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cotrack.channel import (
     transmit,
 )
 from cotrack.detector import Detection
-from cotrack.errors import CapacityError, ConfigurationError, DecodeError
+from cotrack.errors import CapacityError, ConfigurationError, DecodeError, EncodeError
 from cotrack.geometry import Box3D, Category
 from cotrack.sensing import FeatureFlow, FeatureGrid, GridSpec, PointCloud
 
@@ -175,6 +176,36 @@ class TestCompression:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestEncodeErrors:
+    def test_origin_beyond_the_int32_millimetre_header(self):
+        far = GridSpec(x0=3e6, y0=0.0, cell_size=0.5, cols=4, rows=4)
+        with pytest.raises(EncodeError, match="grid header"):
+            compress_grid(grid(np.ones(far.shape), spec=far))
+        with pytest.raises(EncodeError, match="grid header"):
+            encode_message(MessageKind.FEATURE, grid(np.ones(far.shape), spec=far), COMPRESSED, 0.0)
+
+    @pytest.mark.parametrize("compression", [COMPRESSED, RAW], ids=["compressed", "raw"])
+    def test_value_beyond_float32(self, compression):
+        spec = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=4, rows=4)
+        values = np.zeros(spec.shape)
+        values[1, 2, 0] = 1e39
+        pair = (grid(np.zeros(spec.shape), spec=spec), FeatureFlow(spec, -values, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            with pytest.raises(EncodeError, match="float32"):
+                encode_message(MessageKind.FEATURE, grid(values, spec=spec), compression, 0.0)
+            with pytest.raises(EncodeError, match="float32"):
+                encode_message(MessageKind.FEATURE_WITH_FLOW, pair, compression, 0.0)
+
+    def test_largest_float32_values_still_encode(self):
+        spec = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=4, rows=4)
+        values = np.zeros(spec.shape)
+        values[0, 0] = (float(np.finfo(np.float32).max), -float(np.finfo(np.float32).max), 1.0)
+        for compression in (COMPRESSED, RAW):
+            msg = encode_message(MessageKind.FEATURE, grid(values, spec=spec), compression, 0.0)
+            assert msg.content.values[0, 0, 0] == values[0, 0, 0]
 
 
 class TestTransmit:
