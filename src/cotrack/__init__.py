@@ -10,7 +10,6 @@ from .assignment import solve_assignment
 from .channel import (
     Channel,
     ChannelMessage,
-    CompressionConfig,
     LatencyModel,
     MessageKind,
     bps,
@@ -23,7 +22,6 @@ from .channel import (
 from .detector import DetectParams, Detection, detect
 from .errors import (
     AlignmentError,
-    CapacityError,
     ConfigurationError,
     CotrackError,
     DecodeError,
@@ -70,7 +68,6 @@ from .scenario import (
     ground_truth_at,
 )
 from .sensing import (
-    FeatureFlow,
     FeatureGrid,
     GridSpec,
     NoiseConfig,

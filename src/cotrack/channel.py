@@ -9,10 +9,11 @@ Wire formats (little-endian throughout):
   config), so a rows x cols x channels grid costs exactly rows*cols*channels*4
 * compressed grid: 28-byte spec header (5 x int32: cols, rows, channels,
   x0 in millimeters, y0 in millimeters; 2 x float32: cell size, timestamp),
-  1 payload-kind byte, then per block: per-channel (min, max) float32 pairs,
-  a uint32 run count, alternating zero/nonzero run lengths (uint32, starting
-  with a zero run), and the nonzero cells' channel values quantized to 8 bits
-  between the channel min and max
+  1 payload-kind byte (0: one grid; 2: a grid and its flow), then per block:
+  per-channel (min, max) float32 pairs, a uint32 run count, alternating
+  zero/nonzero run lengths (uint32, starting with a zero run), and the
+  nonzero cells' channel values quantized to 8 bits between the channel
+  min and max; last, a length-prefixed UTF-8 frame tag
 
 Compression is per-channel linear 8-bit quantization plus run-length coding
 of all-zero cells; zero cells decode to exactly 0 and constant channels
@@ -26,13 +27,13 @@ import json
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigurationError, DecodeError, EncodeError, OrderingError
+from .errors import ConfigurationError, DecodeError, EncodeError, OrderingError
 from .geometry import CATEGORY_ORDER, Box3D
-from .sensing import FeatureFlow, FeatureGrid, GridSpec, PointCloud
+from .sensing import FeatureGrid, GridSpec, PointCloud
 
 BOX_RECORD_BYTES = 33
 POINT_RECORD_BYTES = 16
@@ -40,7 +41,6 @@ GRID_HEADER = struct.Struct("<5i2f")
 CHANNEL_RANGE = struct.Struct("<2f")
 
 _KIND_GRID = 0
-_KIND_FLOW = 1
 _KIND_GRID_WITH_FLOW = 2
 
 
@@ -73,30 +73,21 @@ class ChannelMessage:
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Transport delay: constant, or constant plus uniform jitter."""
+    """Transport delay: constant, plus uniform jitter when ``jitter_ms > 0``."""
 
-    kind: str = "constant"  # "constant" | "uniform"
     base_ms: float = 0.0
     jitter_ms: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "uniform"):
-            raise ConfigurationError(f"unknown latency model kind {self.kind!r}")
         if self.base_ms < 0 or self.jitter_ms < 0:
             raise ConfigurationError("latency parameters must be non-negative")
 
     def delay_s(self, message_index: int) -> float:
-        if self.kind == "constant" or self.jitter_ms == 0.0:
+        if self.jitter_ms == 0.0:
             return self.base_ms / 1000.0
         rng = np.random.default_rng([self.seed, message_index])
         return (self.base_ms + rng.uniform(0.0, self.jitter_ms)) / 1000.0
-
-
-@dataclass(frozen=True)
-class CompressionConfig:
-    enabled: bool = True
-    mtu_bytes: Optional[int] = None
 
 
 def _spec_header_bytes(spec: GridSpec, timestamp: float) -> bytes:
@@ -115,7 +106,10 @@ def _parse_spec_header(data: bytes, expected: GridSpec):
     cols, rows, channels, x0_mm, y0_mm, cell, timestamp = GRID_HEADER.unpack_from(data, 0)
     # The receiver knows the sender's grid from the run config; checking the
     # header against it bounds every allocation below by that grid's size.
-    want = GRID_HEADER.unpack(_spec_header_bytes(expected, 0.0))[:6]
+    try:
+        want = GRID_HEADER.unpack(_spec_header_bytes(expected, 0.0))[:6]
+    except EncodeError as exc:
+        raise DecodeError(f"no grid header can match the expected grid: {exc}") from None
     if (cols, rows, channels, x0_mm, y0_mm, cell) != want:
         raise DecodeError(
             f"grid header (cols, rows, channels, x0_mm, y0_mm, cell) = "
@@ -212,15 +206,13 @@ def _decompress_values(data: bytes, offset: int, spec: GridSpec):
     return flat.reshape(spec.rows, spec.cols, channels), offset
 
 
-def compress_grid(g: Union[FeatureGrid, FeatureFlow]) -> bytes:
-    """Serialize one grid or flow with quantization and zero-cell RLE."""
-    kind = _KIND_FLOW if isinstance(g, FeatureFlow) else _KIND_GRID
-    frame = getattr(g, "frame", "")
+def compress_grid(g: FeatureGrid) -> bytes:
+    """Serialize one grid (a flow is a grid too) with quantization and zero-cell RLE."""
     header = _spec_header_bytes(g.spec, g.timestamp)
-    return header + bytes([kind]) + _compress_values(g.values) + _frame_tag(frame)
+    return header + bytes([_KIND_GRID]) + _compress_values(g.values) + _frame_tag(g.frame)
 
 
-def compress_grid_pair(f0: FeatureGrid, f1: FeatureFlow) -> bytes:
+def compress_grid_pair(f0: FeatureGrid, f1: FeatureGrid) -> bytes:
     """Serialize a grid and its flow sharing one spec header."""
     if f0.spec != f1.spec:
         raise ValueError("grid and flow must share a spec")
@@ -250,32 +242,27 @@ def _parse_frame_tag(data: bytes, offset: int) -> Tuple[str, int]:
 def decompress_grid(data: bytes, expected: GridSpec):
     """Inverse of compress_grid / compress_grid_pair for a receiver of ``expected`` grids.
 
-    Returns a FeatureGrid, a FeatureFlow, or a (FeatureGrid, FeatureFlow)
-    tuple depending on what was encoded. Raises DecodeError on any malformed
-    stream, including a header whose shape, origin or cell size is not
-    ``expected``'s; that check comes before anything is allocated.
+    Returns a FeatureGrid, or a (grid, flow) pair of FeatureGrids sharing
+    the header's timestamp and the frame tag, depending on what was encoded.
+    Raises DecodeError on any malformed stream, including a header whose
+    shape, origin or cell size is not ``expected``'s; that check comes
+    before anything is allocated.
     """
     spec, timestamp, offset = _parse_spec_header(data, expected)
     if len(data) < offset + 1:
         raise DecodeError("missing payload kind byte")
     kind = data[offset]
     offset += 1
-    if kind == _KIND_GRID:
+    if kind not in (_KIND_GRID, _KIND_GRID_WITH_FLOW):
+        raise DecodeError(f"unknown payload kind byte {kind}")
+    blocks = []
+    for _ in range(1 if kind == _KIND_GRID else 2):
         values, offset = _decompress_values(data, offset, spec)
-        frame, _ = _parse_frame_tag(data, offset)
-        return FeatureGrid(spec=spec, values=values, timestamp=timestamp, frame=frame)
-    if kind == _KIND_FLOW:
-        values, offset = _decompress_values(data, offset, spec)
-        return FeatureFlow(spec=spec, values=values, timestamp=timestamp)
-    if kind == _KIND_GRID_WITH_FLOW:
-        v0, offset = _decompress_values(data, offset, spec)
-        v1, offset = _decompress_values(data, offset, spec)
-        frame, _ = _parse_frame_tag(data, offset)
-        return (
-            FeatureGrid(spec=spec, values=v0, timestamp=timestamp, frame=frame),
-            FeatureFlow(spec=spec, values=v1, timestamp=timestamp),
-        )
-    raise DecodeError(f"unknown payload kind byte {kind}")
+        blocks.append(values)
+    frame, _ = _parse_frame_tag(data, offset)
+    grids = tuple(FeatureGrid(spec=spec, values=v, timestamp=timestamp, frame=frame)
+                  for v in blocks)
+    return grids if kind == _KIND_GRID_WITH_FLOW else grids[0]
 
 
 def _encode_points(pc: PointCloud) -> Tuple[bytes, PointCloud]:
@@ -307,13 +294,13 @@ def _encode_detections(dets: Sequence) -> Tuple[bytes, list]:
     return b"".join(parts), decoded
 
 
-def _grid_raw_bytes(g: Union[FeatureGrid, FeatureFlow]) -> int:
+def _grid_raw_bytes(g: FeatureGrid) -> int:
     rows, cols, channels = g.values.shape
     return rows * cols * channels * 4
 
 
-def _raw_grid(g: Union[FeatureGrid, FeatureFlow]) -> Tuple[bytes, Union[FeatureGrid, FeatureFlow]]:
-    """Raw float32 bytes of a grid or flow and the grid they decode to."""
+def _raw_grid(g: FeatureGrid) -> Tuple[bytes, FeatureGrid]:
+    """Raw float32 bytes of a grid and the grid they decode to."""
     with np.errstate(over="ignore"):
         values = g.values.astype("<f4")
     if not np.all(np.isfinite(values)):
@@ -324,15 +311,16 @@ def _raw_grid(g: Union[FeatureGrid, FeatureFlow]) -> Tuple[bytes, Union[FeatureG
 def encode_message(
     kind: MessageKind,
     content,
-    compression: CompressionConfig,
+    compress: bool,
     t_send: float,
 ) -> ChannelMessage:
     """Serialize content for transmission and account bytes exactly.
 
-    The message's ``content`` is the payload as decoded by the receiver:
-    float32-rounded for raw encodings, quantization-rounded for compressed
-    grids. Raises EncodeError if a grid's origin or values do not fit the
-    wire format and CapacityError if the payload exceeds the configured MTU.
+    ``compress`` selects the compressed grid format over raw float32 for
+    grid payloads. The message's ``content`` is the payload as decoded by
+    the receiver: float32-rounded for raw encodings, quantization-rounded
+    for compressed grids. Raises EncodeError if a grid's origin or values
+    do not fit the wire format.
     """
     if kind is MessageKind.RAW_POINTS:
         if not isinstance(content, PointCloud):
@@ -346,7 +334,7 @@ def encode_message(
         if not isinstance(content, FeatureGrid):
             raise ValueError("feature content must be a FeatureGrid")
         raw = _grid_raw_bytes(content)
-        if compression.enabled:
+        if compress:
             data = compress_grid(content)
             decoded = decompress_grid(data, content.spec)
         else:
@@ -356,7 +344,7 @@ def encode_message(
         if f0.spec != f1.spec:
             raise ValueError("feature and flow must share a spec")
         raw = _grid_raw_bytes(f0) + _grid_raw_bytes(f1)
-        if compression.enabled:
+        if compress:
             data = compress_grid_pair(f0, f1)
             decoded = decompress_grid(data, f0.spec)
         else:
@@ -365,12 +353,7 @@ def encode_message(
     else:
         raise ValueError(f"unknown message kind {kind}")
 
-    payload = len(data)
-    if compression.mtu_bytes is not None and payload > compression.mtu_bytes:
-        raise CapacityError(
-            f"payload of {payload} bytes exceeds MTU cap {compression.mtu_bytes}"
-        )
-    return ChannelMessage(kind=kind, payload_bytes=payload, t_send=t_send,
+    return ChannelMessage(kind=kind, payload_bytes=len(data), t_send=t_send,
                           t_arrive=None, content=decoded, raw_bytes=raw)
 
 
@@ -391,20 +374,16 @@ def latest_available(messages: Sequence[ChannelMessage], t_now: float) -> Option
     return None
 
 
-def bps(messages: Sequence[ChannelMessage], duration_s: float) -> float:
-    """Transmitted bytes per second over a window starting at time zero."""
+def bps(messages: Sequence[ChannelMessage], duration_s: float) -> Tuple[float, float]:
+    """(Pre-compression, transmitted) bytes per second over a window starting at time zero."""
     if duration_s <= 0:
         raise ValueError("duration must be positive")
-    total = sum(m.payload_bytes for m in messages if m.t_send <= duration_s)
-    return total / duration_s
-
-
-def bps_raw(messages: Sequence[ChannelMessage], duration_s: float) -> float:
-    """Pre-compression bytes per second over the same window as bps()."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    total = sum(m.raw_bytes for m in messages if m.t_send <= duration_s)
-    return total / duration_s
+    raw = sent = 0
+    for m in messages:
+        if m.t_send <= duration_s:
+            raw += m.raw_bytes
+            sent += m.payload_bytes
+    return raw / duration_s, sent / duration_s
 
 
 @dataclass
@@ -415,7 +394,7 @@ class Channel:
     sent before one that has already arrived can never be the latest again,
     so ``latest`` drops its decoded ``content`` (it becomes None) and keeps
     its byte and time fields: memory stays bounded by the messages still in
-    flight, while ``bps``, ``bps_raw`` and ``export_jsonl`` see every message.
+    flight, while ``bps`` and ``export_jsonl`` see every message.
     """
 
     latency: LatencyModel

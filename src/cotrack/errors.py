@@ -25,10 +25,6 @@ class EncodeError(CotrackError):
     """A payload cannot be written in its wire format (a field out of range)."""
 
 
-class CapacityError(CotrackError):
-    """An encoded payload exceeds the configured MTU cap."""
-
-
 class NumericError(CotrackError):
     """A numerical invariant (e.g. positive-definite covariance) failed."""
 

@@ -24,7 +24,6 @@ import numpy as np
 from .channel import (
     Channel,
     ChannelMessage,
-    CompressionConfig,
     LatencyModel,
     MessageKind,
     encode_message,
@@ -51,7 +50,6 @@ from .scenario import (
     objects_to_frame,
 )
 from .sensing import (
-    FeatureFlow,
     FeatureGrid,
     View,
     extract_feature_flow,
@@ -102,15 +100,12 @@ class RunArtifacts:
     fallback_frames: int
 
 
-def _zero_flow(grid) -> FeatureFlow:
-    return FeatureFlow(spec=grid.spec, values=np.zeros(grid.spec.shape), timestamp=grid.timestamp)
-
-
 def _infra_payloads(scn, t: float, seed: int, cfg: ExperimentConfig, kinds, prev_grid):
     """This frame's infra-side payload for each MessageKind in ``kinds``.
 
     Returns the payloads by kind and the infra grid the next frame's flow
-    differences against (``prev_grid`` when only raw points are sent).
+    differences against (``prev_grid`` when only raw points are sent). The
+    first frame's flow is zero.
     """
     sc = scn.config
     cloud = sample_point_cloud(scn, t, View.INFRA, sc.noise, seed, sc.surface_pts_per_m)
@@ -126,7 +121,8 @@ def _infra_payloads(scn, t: float, seed: int, cfg: ExperimentConfig, kinds, prev
         elif kind is MessageKind.FEATURE:
             payloads[kind] = grid
         else:
-            flow = extract_feature_flow(prev_grid, grid) if prev_grid is not None else _zero_flow(grid)
+            flow = (extract_feature_flow(prev_grid, grid) if prev_grid is not None
+                    else replace(grid, values=np.zeros(grid.spec.shape)))
             payloads[kind] = (grid, flow)
     return payloads, grid
 
@@ -154,27 +150,25 @@ def _seed_frames(cfg: ExperimentConfig, scn, seed: int,
     kinds = list(dict.fromkeys(MESSAGE_KIND_FOR_FUSION[f.kind] for f in fusions
                                if f.kind in MESSAGE_KIND_FOR_FUSION))
     needs_dets = any(f.kind in (FusionKind.VEHICLE_ONLY, FusionKind.LATE) for f in fusions)
-    compression = CompressionConfig(enabled=cfg.compression)
     prev_inf_grid = None
     for t in scn.frame_times():
         messages = {}
         if kinds:
             payloads, prev_inf_grid = _infra_payloads(scn, t, seed, cfg, kinds, prev_inf_grid)
-            messages = {k: encode_message(k, payloads[k], compression, t) for k in kinds}
+            messages = {k: encode_message(k, payloads[k], cfg.compression, t) for k in kinds}
         pc_ego = sample_point_cloud(scn, t, View.VEHICLE, sc.noise, seed, sc.surface_pts_per_m)
         ego_grid = rasterize_bev(pc_ego, sc.vehicle_grid, sc.density_cap)
         ego = EgoInputs(cloud=pc_ego, grid=ego_grid,
                         detections=detect(ego_grid, cfg.detect) if needs_dets else [],
-                        grid_spec=sc.vehicle_grid, density_cap=sc.density_cap)
+                        density_cap=sc.density_cap)
         ego_pose = scn.ego_pose(t)
         world_to_ego = inverse(ego_pose)
         yield _Frame(t, ego_pose, world_to_ego, compose(world_to_ego, scn.infra_pose), ego, messages)
 
 
 class _Sparse(NamedTuple):
-    """A FeatureGrid or FeatureFlow held without its zero cells."""
+    """A FeatureGrid held without its zero cells."""
 
-    cls: type
     other_fields: dict  # every field but ``values``
     index: np.ndarray  # flat indices of the cells whose bits are not all zero
     values: np.ndarray
@@ -182,10 +176,10 @@ class _Sparse(NamedTuple):
 
 def _pack(obj):
     """``obj`` (a grid or a tuple of them) with each grid held sparsely; others as they are."""
-    if isinstance(obj, (FeatureGrid, FeatureFlow)):
+    if isinstance(obj, FeatureGrid):
         flat = obj.values.ravel()
         index = np.flatnonzero(flat.view(np.uint64))  # keeps -0.0: unpacking is bit-exact
-        return _Sparse(type(obj), {f.name: getattr(obj, f.name) for f in fields(obj)
+        return _Sparse({f.name: getattr(obj, f.name) for f in fields(obj)
                                    if f.name != "values"}, index, flat[index])
     if isinstance(obj, tuple):
         return tuple(_pack(o) for o in obj)
@@ -196,7 +190,7 @@ def _unpack(obj):
     if isinstance(obj, _Sparse):
         values = np.zeros(obj.other_fields["spec"].shape)
         values.ravel()[obj.index] = obj.values
-        return obj.cls(values=values, **obj.other_fields)
+        return FeatureGrid(values=values, **obj.other_fields)
     if isinstance(obj, tuple):
         return tuple(_unpack(o) for o in obj)
     return obj
@@ -241,8 +235,7 @@ def run_single(
     msg_kind = MESSAGE_KIND_FOR_FUSION.get(fusion.kind)
     channel = None
     if msg_kind is not None:
-        lm_kind = "uniform" if cfg.jitter_ms > 0 else "constant"
-        channel = Channel(latency=LatencyModel(lm_kind, latency_ms, cfg.jitter_ms, seed))
+        channel = Channel(latency=LatencyModel(latency_ms, cfg.jitter_ms, seed))
     provenance = Provenance.VEHICLE_SIDE if channel is None else Provenance.FUSED
     tracker = Tracker(cfg.tracker, provenance=provenance)
     region = scn.region
@@ -289,11 +282,11 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
     that failed it. The scenario and the frames (``_seed_frames``) are made
     once and held packed (``_packed``), so memory grows with the scenario's
     duration, while one ``run_single`` per distinct cell reads them in
-    turn; ``vehicle_only`` ignores latency, so one of its runs
-    serves all latencies. A failure in the shared work fails every cell; a
-    failure in one run fails only the cells it serves.
+    turn. A fusion that sends no message (``vehicle_only``) ignores latency,
+    so one of its runs serves all latencies. A failure in the shared work
+    fails every cell; a failure in one run fails only the cells it serves.
     """
-    keys = [(f, None if f.kind is FusionKind.VEHICLE_ONLY else lat) for f, lat in cells]
+    keys = [(f, lat if f.kind in MESSAGE_KIND_FOR_FUSION else None) for f, lat in cells]
     runs: Dict[tuple, float] = {}  # distinct run -> the latency it runs at
     for key, (_, latency_ms) in zip(keys, cells):
         runs.setdefault(key, latency_ms)
@@ -419,8 +412,7 @@ def write_sweep_outputs(
     paths = {"runs": emit_report(reports, fmt, out)}
 
     rows = summarize(reports)
-    columns = ["fusion", "latency_ms", "n_seeds", "mean_mota", "mean_motp_m", "mean_ids",
-               "mean_fp", "mean_fn", "mean_bps_pre", "mean_bps_post", "mean_fallback_frames"]
+    columns = list(rows[0])
     lines = [",".join(columns)]
     lines += [",".join(_format_cell(row[c]) for c in columns) for row in rows]
     summary = out / "summary.csv"

@@ -218,7 +218,6 @@ class EgoInputs:
     cloud: PointCloud  # ego frame
     grid: FeatureGrid  # ego frame
     detections: List[Detection]  # ego frame
-    grid_spec: GridSpec
     density_cap: float = 10.0
 
 
@@ -257,7 +256,7 @@ def cooperative_feature(
 
     tau = t_v - msg.t_send
     if fusion.kind is FusionKind.EARLY:
-        grid = fuse_early(ego.cloud, msg.content, infra_to_ego, ego.grid_spec, ego.density_cap)
+        grid = fuse_early(ego.cloud, msg.content, infra_to_ego, ego.grid.spec, ego.density_cap)
         return FusionOutput(grid=grid, tau_s=tau)
     if fusion.kind is FusionKind.LATE:
         moved = [replace(d, box=transform_box(d.box, infra_to_ego)) for d in msg.content]
@@ -265,11 +264,11 @@ def cooperative_feature(
             detections=fuse_late(ego.detections, moved, fusion.late_threshold_m), tau_s=tau
         )
     if fusion.kind is FusionKind.MIDDLE_STATIC:
-        aligned = align_grid(msg.content, infra_to_ego, ego.grid_spec)
+        aligned = align_grid(msg.content, infra_to_ego, ego.grid.spec)
         return FusionOutput(grid=fuse_middle(ego.grid, aligned, fusion.reducer), tau_s=tau)
     if fusion.kind is FusionKind.MIDDLE_FLOW:
         f0, f1 = msg.content
         predicted = predict_feature(f0, f1, tau)
-        aligned = align_grid(predicted, infra_to_ego, ego.grid_spec)
+        aligned = align_grid(predicted, infra_to_ego, ego.grid.spec)
         return FusionOutput(grid=fuse_middle(ego.grid, aligned, fusion.reducer), tau_s=tau)
     raise ValueError(f"unknown fusion kind {fusion.kind}")

@@ -8,14 +8,13 @@ against stable assignments rather than per-frame re-matching churn.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .assignment import solve_assignment
-from .channel import Channel, bps, bps_raw
+from .channel import Channel, bps
 from .errors import AlignmentError
 from .scenario import TrackedObject
 
@@ -57,19 +56,12 @@ class RunReport:
 
     @staticmethod
     def csv_columns() -> List[str]:
-        return [
-            "fusion", "latency_ms", "seed", "mota", "motp_m", "ids", "fp", "fn",
-            "num_gt", "bps_pre", "bps_post", "fallback_frames", "match_gate_m",
-            "duration_s", "num_frames",
-        ]
+        return [f.name for f in fields(RunReport)]
 
     def csv_row(self) -> List[str]:
-        vals = self.to_json_dict()
-        out = []
-        for col in self.csv_columns():
-            v = vals[col]
-            out.append(f"{v:.4f}" if isinstance(v, float) else str(v))
-        return out
+        """The fields in ``csv_columns`` order, floats at 4 decimals."""
+        return [f"{v:.4f}" if isinstance(v, float) else str(v)
+                for v in self.to_json_dict().values()]
 
 
 def _positions(objects: Sequence[TrackedObject]) -> np.ndarray:
@@ -179,6 +171,7 @@ def aggregate_run(
 ) -> RunReport:
     """Attach transmission cost and run provenance to a tracking result."""
     messages = channel.messages if channel is not None else []
+    bps_pre, bps_post = bps(messages, duration_s) if messages else (0.0, 0.0)
     return RunReport(
         fusion=fusion,
         latency_ms=latency_ms,
@@ -189,18 +182,10 @@ def aggregate_run(
         fp=mot.fp,
         fn=mot.fn,
         num_gt=mot.num_gt,
-        bps_pre=bps_raw(messages, duration_s) if messages else 0.0,
-        bps_post=bps(messages, duration_s) if messages else 0.0,
+        bps_pre=bps_pre,
+        bps_post=bps_post,
         fallback_frames=fallback_frames,
         match_gate_m=match_gate_m,
         duration_s=duration_s,
         num_frames=num_frames,
     )
-
-
-def report_to_json(report: RunReport) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True)
-
-
-def report_from_json(text: str) -> RunReport:
-    return RunReport(**json.loads(text))

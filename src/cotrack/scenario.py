@@ -128,10 +128,6 @@ class Agent:
     # waypoints[k] = (t, x, y, yaw, speed) at frame k.
     waypoints: np.ndarray
 
-    def state_at(self, frame_idx: int) -> Tuple[float, float, float, float]:
-        t, x, y, yaw, speed = self.waypoints[frame_idx]
-        return x, y, yaw, speed
-
     def box_at(self, frame_idx: int) -> Box3D:
         _, x, y, yaw, _ = self.waypoints[frame_idx]
         w, l, h = self.dims

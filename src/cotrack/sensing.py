@@ -5,8 +5,9 @@ against walls and other boxes, plus uniform ground clutter. Point clouds
 rasterize into a three-channel bird's-eye-view grid (density, max height,
 mean intensity), the intermediate representation transmitted between
 roadside infrastructure and the vehicle. Grid motion is summarized by a
-first-order finite-difference flow, which lets a receiver extrapolate a
-stale grid forward in time with a linear model.
+first-order finite-difference flow, itself a grid of per-second rates,
+which lets a receiver extrapolate a stale grid forward in time with a
+linear model.
 
 All operations are pure given explicit seeds; grids are treated as
 immutable after construction.
@@ -16,13 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, OrderingError, ShapeMismatchError
+from .errors import ConfigurationError, NumericError, OrderingError, ShapeMismatchError
 from .geometry import Blockers, Box3D, inverse, segments_hit_blockers
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,18 +81,19 @@ class PointCloud:
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 4)
         if self.points.size and not np.all(np.isfinite(self.points)):
-            raise ValueError("point cloud contains non-finite values")
+            raise NumericError("point cloud contains non-finite values")
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def xyz(self) -> np.ndarray:
-        return self.points[:, :3]
-
 
 @dataclass
 class FeatureGrid:
-    """BEV raster of features; values shape (rows, cols, channels)."""
+    """BEV raster of features; values shape (rows, cols, channels).
+
+    A feature flow is a FeatureGrid too: its values are per-second rates of
+    change of the grid with the same spec, timestamp and frame.
+    """
 
     spec: GridSpec
     values: np.ndarray
@@ -105,25 +107,7 @@ class FeatureGrid:
                 f"grid values {self.values.shape} do not match spec {self.spec.shape}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
-
-
-@dataclass
-class FeatureFlow:
-    """Per-second rate of change of a FeatureGrid, same shape as its grid."""
-
-    spec: GridSpec
-    values: np.ndarray
-    timestamp: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.spec.shape:
-            raise ShapeMismatchError(
-                f"flow values {self.values.shape} do not match spec {self.spec.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("flow values must be finite")
+            raise NumericError("grid values must be finite")
 
 
 @dataclass(frozen=True)
@@ -330,8 +314,11 @@ def rasterize_bev(pc: PointCloud, spec: GridSpec, density_cap: float = 10.0) -> 
     return FeatureGrid(spec=spec, values=values, timestamp=pc.timestamp, frame=pc.frame)
 
 
-def extract_feature_flow(f_prev: FeatureGrid, f_curr: FeatureGrid) -> FeatureFlow:
-    """First-order backward difference between two grids, per second."""
+def extract_feature_flow(f_prev: FeatureGrid, f_curr: FeatureGrid) -> FeatureGrid:
+    """First-order backward difference between two grids, per second.
+
+    The flow carries ``f_curr``'s spec, timestamp and frame.
+    """
     if f_prev.spec != f_curr.spec:
         raise ShapeMismatchError("flow extraction requires identical grid specs")
     dt = f_curr.timestamp - f_prev.timestamp
@@ -339,15 +326,11 @@ def extract_feature_flow(f_prev: FeatureGrid, f_curr: FeatureGrid) -> FeatureFlo
         raise OrderingError(
             f"flow extraction requires increasing timestamps, got {f_prev.timestamp} -> {f_curr.timestamp}"
         )
-    return FeatureFlow(
-        spec=f_curr.spec,
-        values=(f_curr.values - f_prev.values) / dt,
-        timestamp=f_curr.timestamp,
-    )
+    return replace(f_curr, values=(f_curr.values - f_prev.values) / dt)
 
 
-def predict_feature(f0: FeatureGrid, f1: FeatureFlow, tau: float) -> FeatureGrid:
-    """Linearly extrapolate a grid ``tau`` seconds forward: f0 + tau * f1.
+def predict_feature(f0: FeatureGrid, f1: FeatureGrid, tau: float) -> FeatureGrid:
+    """Linearly extrapolate a grid ``tau`` seconds forward by its flow: f0 + tau * f1.
 
     The density channel is clamped at zero from below; height and intensity
     are left unclamped. With tau == 0 the result equals ``f0`` bit for bit

@@ -1,18 +1,18 @@
 import struct
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cotrack.channel import (
+    GRID_HEADER,
     Channel,
     ChannelMessage,
-    CompressionConfig,
     LatencyModel,
     MessageKind,
     bps,
-    bps_raw,
     compress_grid,
     compress_grid_pair,
     decompress_grid,
@@ -21,14 +21,14 @@ from cotrack.channel import (
     transmit,
 )
 from cotrack.detector import Detection
-from cotrack.errors import CapacityError, ConfigurationError, DecodeError, EncodeError
+from cotrack.errors import ConfigurationError, DecodeError, EncodeError
 from cotrack.geometry import Box3D, Category
-from cotrack.sensing import FeatureFlow, FeatureGrid, GridSpec, PointCloud
+from cotrack.sensing import FeatureGrid, GridSpec, PointCloud
 
 SPEC = GridSpec(x0=0.0, y0=-40.0, cell_size=0.5, cols=200, rows=160)
 SMALL = GridSpec(x0=-4.0, y0=-4.0, cell_size=0.5, cols=16, rows=16)
-RAW = CompressionConfig(enabled=False)
-COMPRESSED = CompressionConfig(enabled=True)
+RAW = False
+COMPRESSED = True
 
 
 def grid(values, spec=SPEC, t=0.0):
@@ -59,7 +59,7 @@ class TestEncode:
                      LatencyModel())
             for k in range(10)
         ]
-        assert bps(msgs, 1.0) == pytest.approx(3.3e3)
+        assert bps(msgs, 1.0) == pytest.approx((3.3e3, 3.3e3))
 
     def test_uncompressed_feature_is_exactly_raw_float32(self):
         g = grid(np.random.default_rng(0).random(SPEC.shape))
@@ -68,7 +68,7 @@ class TestEncode:
 
     def test_uncompressed_pair_is_exactly_double(self):
         g = grid(np.random.default_rng(0).random(SPEC.shape))
-        flow = FeatureFlow(SPEC, np.random.default_rng(1).standard_normal(SPEC.shape), 0.0)
+        flow = grid(np.random.default_rng(1).standard_normal(SPEC.shape))
         single = encode_message(MessageKind.FEATURE, g, RAW, 0.0)
         pair = encode_message(MessageKind.FEATURE_WITH_FLOW, (g, flow), RAW, 0.0)
         assert pair.payload_bytes == 2 * single.payload_bytes
@@ -76,7 +76,7 @@ class TestEncode:
     def test_compressed_pair_within_one_header_of_double(self):
         vals = np.random.default_rng(2).random(SPEC.shape)
         g = grid(vals)
-        flow = FeatureFlow(SPEC, vals.copy(), 0.0)
+        flow = grid(vals.copy())
         single = encode_message(MessageKind.FEATURE, g, COMPRESSED, 0.0)
         pair = encode_message(MessageKind.FEATURE_WITH_FLOW, (g, flow), COMPRESSED, 0.0)
         header_allowance = 28 + 1 + 3 * 8 + 16
@@ -86,11 +86,6 @@ class TestEncode:
         pts = np.random.default_rng(3).random((25, 4))
         msg = encode_message(MessageKind.RAW_POINTS, PointCloud(pts, "infra", 0.0), RAW, 0.0)
         assert msg.payload_bytes == 400
-
-    def test_mtu_cap(self):
-        g = grid(np.random.default_rng(0).random(SPEC.shape))
-        with pytest.raises(CapacityError):
-            encode_message(MessageKind.FEATURE, g, CompressionConfig(False, mtu_bytes=1000), 0.0)
 
     def test_compressed_content_is_what_receiver_decodes(self):
         vals = np.random.default_rng(5).random(SPEC.shape)
@@ -131,17 +126,28 @@ class TestCompression:
         assert (out.values[3:6, 3:6, :] == 0.0).all()
 
     def test_flow_roundtrip_and_kind(self):
-        flow = FeatureFlow(SMALL, np.random.default_rng(9).standard_normal(SMALL.shape), 1.5)
-        out = decompress_grid(compress_grid(flow), SMALL)
-        assert isinstance(out, FeatureFlow)
+        # A flow is a grid of per-second rates: it travels and decodes as a grid.
+        flow = grid(np.random.default_rng(9).standard_normal(SMALL.shape), spec=SMALL, t=1.5)
+        data = compress_grid(flow)
+        assert data[GRID_HEADER.size] == 0  # the one-grid payload kind
+        out = decompress_grid(data, SMALL)
+        assert isinstance(out, FeatureGrid)
         assert out.timestamp == pytest.approx(1.5, abs=1e-6)
+        assert out.frame == "infra"
+
+    def test_lone_flow_kind_byte_rejected(self):
+        data = bytearray(compress_grid(grid(np.ones(SMALL.shape), spec=SMALL)))
+        data[GRID_HEADER.size] = 1  # an older format's lone flow must not decode
+        with pytest.raises(DecodeError, match="unknown payload kind byte 1"):
+            decompress_grid(bytes(data), SMALL)
 
     def test_pair_roundtrip(self):
         g = grid(np.random.default_rng(10).random(SMALL.shape), spec=SMALL)
-        flow = FeatureFlow(SMALL, np.random.default_rng(11).standard_normal(SMALL.shape), 0.0)
+        flow = grid(np.random.default_rng(11).standard_normal(SMALL.shape), spec=SMALL)
         f0, f1 = decompress_grid(compress_grid_pair(g, flow), SMALL)
-        assert isinstance(f0, FeatureGrid) and isinstance(f1, FeatureFlow)
+        assert isinstance(f0, FeatureGrid) and isinstance(f1, FeatureGrid)
         assert f0.spec == f1.spec == SMALL
+        assert f0.timestamp == f1.timestamp and f0.frame == f1.frame == "infra"
 
     def test_malformed_streams_rejected(self):
         g = grid(np.random.default_rng(12).random(SMALL.shape), spec=SMALL)
@@ -177,6 +183,13 @@ class TestCompression:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_expected_origin_beyond_the_header_rejected(self):
+        # No header can describe a grid at 3000 km; the receiver's own spec
+        # is not an encoding error.
+        far = GridSpec(x0=3e6, y0=0.0, cell_size=1.0, cols=2, rows=2)
+        with pytest.raises(DecodeError, match="expected grid"):
+            decompress_grid(b"\0" * 40, far)
+
 
 class TestEncodeErrors:
     def test_origin_beyond_the_int32_millimetre_header(self):
@@ -191,7 +204,7 @@ class TestEncodeErrors:
         spec = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=4, rows=4)
         values = np.zeros(spec.shape)
         values[1, 2, 0] = 1e39
-        pair = (grid(np.zeros(spec.shape), spec=spec), FeatureFlow(spec, -values, 0.0))
+        pair = (grid(np.zeros(spec.shape), spec=spec), grid(-values, spec=spec))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning on the way
             with pytest.raises(EncodeError, match="float32"):
@@ -211,16 +224,16 @@ class TestEncodeErrors:
 class TestTransmit:
     def test_zero_latency(self):
         msg = encode_message(MessageKind.DETECTIONS, detections(1), RAW, 1.5)
-        out = transmit(msg, LatencyModel("constant", 0.0))
+        out = transmit(msg, LatencyModel(0.0))
         assert out.t_arrive == out.t_send == 1.5
 
     def test_constant_200ms(self):
         msg = encode_message(MessageKind.DETECTIONS, detections(1), RAW, 1.0)
-        out = transmit(msg, LatencyModel("constant", 200.0))
+        out = transmit(msg, LatencyModel(200.0))
         assert out.t_arrive == pytest.approx(1.2)
 
     def test_jitter_deterministic_per_seed_and_index(self):
-        lm = LatencyModel("uniform", 100.0, 100.0, seed=5)
+        lm = LatencyModel(100.0, 100.0, seed=5)
         msg = encode_message(MessageKind.DETECTIONS, detections(1), RAW, 0.0)
         a = transmit(msg, lm, message_index=3).t_arrive
         b = transmit(msg, lm, message_index=3).t_arrive
@@ -230,16 +243,14 @@ class TestTransmit:
         assert 0.1 <= a <= 0.2
 
     def test_arrival_never_before_send(self):
-        lm = LatencyModel("uniform", 0.0, 50.0, seed=1)
+        lm = LatencyModel(0.0, 50.0, seed=1)
         for k in range(20):
             msg = encode_message(MessageKind.DETECTIONS, detections(1), RAW, 0.1 * k)
             assert transmit(msg, lm, k).t_arrive >= msg.t_send
 
     def test_invalid_model_rejected(self):
         with pytest.raises(ConfigurationError):
-            LatencyModel("gamma", 1.0)
-        with pytest.raises(ConfigurationError):
-            LatencyModel("constant", -1.0)
+            LatencyModel(-1.0)
 
 
 def fake_message(t_send, t_arrive, payload=100):
@@ -264,19 +275,24 @@ class TestLatestAvailable:
 
 class TestBps:
     def test_empty(self):
-        assert bps([], 10.0) == 0.0
+        assert bps([], 10.0) == (0.0, 0.0)
 
     def test_det_rate(self):
         msgs = [fake_message(0.1 * k, 0.1 * k, payload=330) for k in range(10)]
-        assert bps(msgs, 1.0) == pytest.approx(3.3e3)
+        assert bps(msgs, 1.0) == pytest.approx((3.3e3, 3.3e3))
 
     def test_feature_rate(self):
         msgs = [fake_message(0.1 * k, 0.1 * k, payload=62000) for k in range(10)]
-        assert bps(msgs, 1.0) == pytest.approx(6.2e5)
+        assert bps(msgs, 1.0) == pytest.approx((6.2e5, 6.2e5))
+
+    def test_raw_and_sent_rates_apart(self):
+        msgs = [replace(fake_message(0.1 * k, 0.1 * k, payload=100), raw_bytes=400)
+                for k in range(10)]
+        assert bps(msgs, 2.0) == pytest.approx((2000.0, 500.0))
 
     def test_window_excludes_later_sends(self):
         msgs = [fake_message(0.5, 0.5, payload=100), fake_message(2.0, 2.0, payload=100)]
-        assert bps(msgs, 1.0) == pytest.approx(100.0)
+        assert bps(msgs, 1.0) == pytest.approx((100.0, 100.0))
 
     def test_invalid_duration(self):
         with pytest.raises(ValueError):
@@ -285,7 +301,7 @@ class TestBps:
 
 class TestChannelLog:
     def test_send_latest_and_export(self, tmp_path):
-        ch = Channel(latency=LatencyModel("constant", 100.0))
+        ch = Channel(latency=LatencyModel(100.0))
         for k in range(3):
             ch.send(encode_message(MessageKind.DETECTIONS, detections(2), RAW, 0.1 * k))
         assert ch.latest(0.05) is None
@@ -301,4 +317,5 @@ class TestChannelLog:
         assert rec["kind"] == "detections"
         assert rec["payload_bytes"] == 66
         assert rec["t_arrive"] == pytest.approx(0.1)
-        assert bps_raw(ch.messages, 1.0) == bps(ch.messages, 1.0)
+        raw, sent = bps(ch.messages, 1.0)
+        assert raw == sent

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from cotrack.channel import (
     Channel,
     ChannelMessage,
-    CompressionConfig,
     LatencyModel,
     MessageKind,
     bps,
-    bps_raw,
     encode_message,
     latest_available,
     transmit,
@@ -23,7 +21,7 @@ from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.geometry import Box3D, Category
 from cotrack.presets import hidden_lane_scenario
 
-RAW = CompressionConfig(enabled=False)
+RAW = False
 
 
 def one_detection():
@@ -50,7 +48,7 @@ class TestChannelMemoryBound:
     )
     def test_pruned_channel_matches_unpruned_reference(self, sizes, base_ms, jitter_ms, seed,
                                                        query_steps):
-        lm = LatencyModel("uniform" if jitter_ms > 0 else "constant", base_ms, jitter_ms, seed)
+        lm = LatencyModel(base_ms, jitter_ms, seed)
         ch = Channel(latency=lm)
         sent = [self.message(k, p, r) for k, (p, r) in enumerate(sizes)]
         reference = [transmit(m, lm, message_index=k) for k, m in enumerate(sent)]
@@ -69,13 +67,12 @@ class TestChannelMemoryBound:
             assert all(m.content is not None for m in ch.messages[newest:])
         for window in (0.5, 1.0, 10.0):
             assert bps(ch.messages, window) == bps(reference[: len(ch.messages)], window)
-            assert bps_raw(ch.messages, window) == bps_raw(reference[: len(ch.messages)], window)
         assert [(m.t_send, m.t_arrive, m.payload_bytes, m.raw_bytes) for m in ch.messages] == \
                [(m.t_send, m.t_arrive, m.payload_bytes, m.raw_bytes)
                 for m in reference[: len(ch.messages)]]
 
     def test_queries_must_not_go_back_in_time(self):
-        ch = Channel(latency=LatencyModel("constant", 100.0))
+        ch = Channel(latency=LatencyModel(100.0))
         ch.send(encode_message(MessageKind.DETECTIONS, one_detection(), RAW, 0.0))
         ch.latest(0.5)
         with pytest.raises(OrderingError):

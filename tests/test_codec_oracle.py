@@ -17,6 +17,7 @@ no -0.0, and their payloads are equal byte for byte.
 """
 
 import struct
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,6 @@ from cotrack.channel import GRID_HEADER, compress_grid, compress_grid_pair, deco
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import ScenarioConfig, generate_scenario
 from cotrack.sensing import (
-    FeatureFlow,
     FeatureGrid,
     GridSpec,
     View,
@@ -62,7 +62,7 @@ def zero_bound_signs_cleared(data: bytes, spec: GridSpec, blocks: int) -> bytes:
     return bytes(out)
 
 
-def assert_matches_dense(grid: FeatureGrid, flow: FeatureFlow):
+def assert_matches_dense(grid: FeatureGrid, flow: FeatureGrid):
     spec = grid.spec
     for encode, args, blocks in ((compress_grid, (grid,), 1), (compress_grid, (flow,), 1),
                                  (compress_grid_pair, (grid, flow), 2)):
@@ -102,7 +102,7 @@ def codec_grids(draw):
             if draw(st.booleans()):
                 values[~zero, ch] = draw(st.sampled_from([0.0, 2.5, -7.0]))
         out.append(values)
-    return FeatureGrid(spec, out[0], 0.75, "infra"), FeatureFlow(spec, out[1], 0.75)
+    return FeatureGrid(spec, out[0], 0.75, "infra"), FeatureGrid(spec, out[1], 0.75, "infra")
 
 
 @given(pair=codec_grids())
@@ -118,7 +118,7 @@ def test_first_seed_of_each_preset_matches_the_dense_codec_byte_for_byte():
             cloud = sample_point_cloud(scn, t, View.INFRA, sc.noise, 1, sc.surface_pts_per_m)
             grid = rasterize_bev(cloud, sc.infra_grid, sc.density_cap)
             flow = (extract_feature_flow(prev, grid) if prev is not None
-                    else FeatureFlow(grid.spec, np.zeros(grid.spec.shape), grid.timestamp))
+                    else replace(grid, values=np.zeros(grid.spec.shape)))
             prev = grid
             for values in (grid.values, flow.values):
                 assert not np.signbit(values[values == 0.0]).any()

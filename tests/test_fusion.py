@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cotrack.channel import Channel, CompressionConfig, LatencyModel, MessageKind, encode_message
+from cotrack.channel import Channel, LatencyModel, MessageKind, encode_message
 from cotrack.detector import Detection
 from cotrack.errors import ShapeMismatchError
 from cotrack.fusion import (
@@ -18,7 +18,7 @@ from cotrack.fusion import (
     fuse_middle,
 )
 from cotrack.geometry import Box3D, Pose
-from cotrack.sensing import FeatureFlow, FeatureGrid, GridSpec, PointCloud, rasterize_bev
+from cotrack.sensing import FeatureGrid, GridSpec, PointCloud, rasterize_bev
 
 SPEC = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=20, rows=16)
 
@@ -27,8 +27,8 @@ def grid(values, spec=SPEC, t=0.0, frame="infra"):
     return FeatureGrid(spec=spec, values=values, timestamp=t, frame=frame)
 
 
-def send(ch, kind, content, t_send, compression=CompressionConfig()):
-    return ch.send(encode_message(kind, content, compression, t_send))
+def send(ch, kind, content, t_send, compress=True):
+    return ch.send(encode_message(kind, content, compress, t_send))
 
 
 def one_hot(r, c, value=1.0, spec=SPEC):
@@ -190,7 +190,6 @@ class TestCooperativeFeature:
             cloud=PointCloud(np.zeros((0, 4)), "vehicle", 1.0),
             grid=grid(vals, t=1.0, frame="vehicle"),
             detections=[det(3.0)],
-            grid_spec=SPEC,
         )
 
     def test_vehicle_only_ignores_channel(self):
@@ -202,7 +201,7 @@ class TestCooperativeFeature:
         assert not out.used_fallback
 
     def test_fallback_before_first_arrival(self):
-        ch = Channel(latency=LatencyModel("constant", 500.0))
+        ch = Channel(latency=LatencyModel(500.0))
         send(ch, MessageKind.FEATURE, grid(np.ones(SPEC.shape)), 0.9)
         ego = self.make_ego()
         out = cooperative_feature(FusionMethod(FusionKind.MIDDLE_STATIC), ch, 1.0, ego,
@@ -211,7 +210,7 @@ class TestCooperativeFeature:
         assert np.array_equal(out.grid.values, ego.grid.values)
 
     def test_late_fallback_returns_ego_detections(self):
-        ch = Channel(latency=LatencyModel("constant", 500.0))
+        ch = Channel(latency=LatencyModel(500.0))
         ego = self.make_ego()
         out = cooperative_feature(FusionMethod(FusionKind.LATE), ch, 1.0, ego, Pose.identity())
         assert out.used_fallback
@@ -225,7 +224,7 @@ class TestCooperativeFeature:
         flow_ch = Channel(latency=LatencyModel())
         flow_vals = (at(1.0).values - at(0.9).values) / 0.1
         send(flow_ch, MessageKind.FEATURE_WITH_FLOW,
-                     (at(1.0), FeatureFlow(SPEC, flow_vals, 1.0)), 1.0)
+                     (at(1.0), grid(flow_vals, t=1.0)), 1.0)
         out_static = cooperative_feature(FusionMethod(FusionKind.MIDDLE_STATIC), static_ch,
                                          1.0, ego, Pose.identity())
         out_flow = cooperative_feature(FusionMethod(FusionKind.MIDDLE_FLOW), flow_ch,
@@ -237,10 +236,10 @@ class TestCooperativeFeature:
         at = affine_grid_maker(SPEC)
         ego = self.make_ego(np.zeros(SPEC.shape))
         # Stale capture at t=0.8 carrying its flow, arriving before t_v=1.0.
-        ch = Channel(latency=LatencyModel("constant", 200.0))
+        ch = Channel(latency=LatencyModel(200.0))
         flow_vals = (at(0.8).values - at(0.7).values) / 0.1
-        send(ch, MessageKind.FEATURE_WITH_FLOW, (at(0.8), FeatureFlow(SPEC, flow_vals, 0.8)), 0.8,
-             compression=CompressionConfig(enabled=False))
+        send(ch, MessageKind.FEATURE_WITH_FLOW, (at(0.8), grid(flow_vals, t=0.8)), 0.8,
+             compress=False)
         out = cooperative_feature(FusionMethod(FusionKind.MIDDLE_FLOW), ch, 1.0, ego,
                                   Pose.identity())
         fresh = cooperative_feature(
@@ -265,5 +264,5 @@ class TestCooperativeFeature:
 
 def _instant_channel(g):
     ch = Channel(latency=LatencyModel())
-    send(ch, MessageKind.FEATURE, g, g.timestamp, compression=CompressionConfig(enabled=False))
+    send(ch, MessageKind.FEATURE, g, g.timestamp, compress=False)
     return ch

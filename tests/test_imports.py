@@ -1,0 +1,67 @@
+"""Every name a module of the package imports is used in that module.
+
+A deletion that leaves an import behind fails here. The check reads the
+source with the standard-library ``ast`` module: a name counts as used when
+it appears as a name anywhere in the module's code, including string
+annotations such as ``"Scenario"``. ``__init__`` is exempt: its imports are
+the package's public names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cotrack"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module):
+    """(bound name, line) of every import in the module, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def used_names(tree: ast.Module) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # A string annotation names its types; other strings that happen
+            # to parse as an expression can only hide an unused import, never
+            # flag a used one.
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return [(name, line) for name, line in imported_names(tree) if name not in used]
+
+
+def test_the_package_has_modules():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_flags_an_unused_import():
+    source = ("from typing import TYPE_CHECKING, List, Optional\n"
+              "import numpy as np\nimport os.path\n"
+              "if TYPE_CHECKING:\n    from .scenario import Scenario\n"
+              "def f(s: 'Scenario') -> List[int]:\n    return np.zeros(1)\n")
+    assert unused_imports(source) == [("Optional", 1), ("os", 3)]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from cotrack.metrics import (
     RunReport,
     aggregate_run,
     evaluate_clearmot,
-    report_from_json,
-    report_to_json,
 )
 from cotrack.scenario import Provenance, TrackedObject
 
@@ -162,7 +162,7 @@ class TestAggregateRun:
         mot = MotResult(mota=0.8341, motp=0.318281828, ids=2, fp=5, fn=10, num_gt=100)
         report = aggregate_run(mot, None, 15.0, "middle_flow", 200.0, 3,
                                fallback_frames=2, match_gate_m=2.0, num_frames=151)
-        again = report_from_json(report_to_json(report))
+        again = RunReport(**json.loads(json.dumps(report.to_json_dict())))
         assert again == report
 
     def test_csv_row_four_decimals(self):

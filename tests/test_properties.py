@@ -11,7 +11,6 @@ from cotrack.assignment import solve_assignment
 from cotrack.channel import compress_grid, compress_grid_pair, decompress_grid
 from cotrack.errors import DecodeError
 from cotrack.sensing import (
-    FeatureFlow,
     FeatureGrid,
     GridSpec,
     PointCloud,
@@ -51,7 +50,7 @@ def bounded_shape(data: bytes) -> bytes:
 def real_payload(draw):
     """A compressed grid, flow or grid+flow pair of ``SPEC``."""
     grid = FeatureGrid(SPEC, draw(sparse_values()), 0.5, "infra")
-    flow = FeatureFlow(SPEC, draw(sparse_values()), 0.5)
+    flow = FeatureGrid(SPEC, draw(sparse_values()), 0.5, "infra")
     return draw(st.sampled_from([compress_grid(grid), compress_grid(flow),
                                  compress_grid_pair(grid, flow)]))
 
@@ -80,7 +79,7 @@ class TestDecoderFuzz:
             return
         parts = out if isinstance(out, tuple) else (out,)
         for part in parts:
-            assert isinstance(part, (FeatureGrid, FeatureFlow))
+            assert isinstance(part, FeatureGrid)
             assert part.values.shape == SPEC.shape
 
     @given(cols=st.integers(1, 64), rows=st.integers(1, 64))
@@ -98,10 +97,9 @@ class TestDecoderFuzz:
 
 
 class TestCompressionBound:
-    @given(values=sparse_values(), flow=st.booleans())
-    def test_error_within_span_over_255(self, values, flow):
-        g = FeatureFlow(SPEC, values, 0.0) if flow else FeatureGrid(SPEC, values, 0.0, "infra")
-        out = decompress_grid(compress_grid(g), SPEC)
+    @given(values=sparse_values())
+    def test_error_within_span_over_255(self, values):
+        out = decompress_grid(compress_grid(FeatureGrid(SPEC, values, 0.0, "infra")), SPEC)
         for ch in range(SPEC.channels):
             v = values[:, :, ch]
             lo, hi = v.min(), v.max()
@@ -138,7 +136,7 @@ class TestRaster:
     @given(pts=points(), flow=grid_values)
     def test_predict_at_zero_horizon_is_the_input_bit_for_bit(self, pts, flow):
         f0 = rasterize_bev(PointCloud(pts, "infra", 1.0), SPEC)
-        out = predict_feature(f0, FeatureFlow(SPEC, flow, 1.0), 0.0)
+        out = predict_feature(f0, FeatureGrid(SPEC, flow, 1.0, "infra"), 0.0)
         assert out.values.tobytes() == f0.values.tobytes()
         assert out.timestamp == f0.timestamp and out.spec == f0.spec
 

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cotrack.errors import OrderingError, ShapeMismatchError
+from cotrack.errors import NumericError, OrderingError, ShapeMismatchError
 from cotrack.geometry import Box3D
 from cotrack.scenario import AgentPopulation, Lane, ScenarioConfig, generate_scenario
 from cotrack.sensing import (
-    FeatureFlow,
     FeatureGrid,
     GridSpec,
     NoiseConfig,
@@ -148,11 +147,23 @@ class TestRasterize:
         assert np.array_equal(g1.values, g2.values)
 
 
+class TestNonFinite:
+    def test_grid_of_nan_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="finite"):
+            FeatureGrid(GridSpec(0, 0, 1, 2, 2), np.full((2, 2, 3), np.nan), 0.0, "x")
+
+    def test_cloud_with_inf_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="non-finite"):
+            PointCloud(np.array([[1.0, 2.0, np.inf, 0.5]]), "vehicle", 0.0)
+
+
 class TestFeatureFlow:
     def test_identical_grids_zero_flow(self):
         g = make_grid(np.ones(SPEC.shape), t=1.0)
         flow = extract_feature_flow(make_grid(np.ones(SPEC.shape), t=0.9), g)
         assert not flow.values.any()
+        # A flow is a grid of rates with its current grid's spec, time and frame.
+        assert (flow.spec, flow.timestamp, flow.frame) == (g.spec, g.timestamp, g.frame)
 
     def test_unit_step_over_tenth_second(self):
         a = make_grid(np.zeros(SPEC.shape), t=0.0)
@@ -188,14 +199,14 @@ class TestPredictFeature:
     def test_zero_horizon_is_identity(self):
         rng = np.random.default_rng(1)
         f0 = make_grid(rng.random(SPEC.shape), t=1.0)
-        f1 = FeatureFlow(SPEC, rng.standard_normal(SPEC.shape), 1.0)
+        f1 = make_grid(rng.standard_normal(SPEC.shape), t=1.0)
         out = predict_feature(f0, f1, 0.0)
         assert np.array_equal(out.values, f0.values)
         assert out.timestamp == f0.timestamp
 
     def test_zero_flow_any_horizon(self):
         f0 = make_grid(np.full(SPEC.shape, 0.7), t=1.0)
-        f1 = FeatureFlow(SPEC, np.zeros(SPEC.shape), 1.0)
+        f1 = make_grid(np.zeros(SPEC.shape), t=1.0)
         assert np.array_equal(predict_feature(f0, f1, 0.8).values, f0.values)
 
     def test_linear_arithmetic(self):
@@ -203,14 +214,14 @@ class TestPredictFeature:
         vals[2, 2, 0] = 1.0
         flow_vals = np.zeros(SPEC.shape)
         flow_vals[2, 2, 0] = 0.5
-        out = predict_feature(make_grid(vals, t=0.0), FeatureFlow(SPEC, flow_vals, 0.0), 0.2)
+        out = predict_feature(make_grid(vals, t=0.0), make_grid(flow_vals, t=0.0), 0.2)
         assert out.values[2, 2, 0] == pytest.approx(1.1)
         assert out.timestamp == pytest.approx(0.2)
 
     def test_density_clamped_nonnegative_others_not(self):
         vals = np.zeros(SPEC.shape)
         flow_vals = np.full(SPEC.shape, -5.0)
-        out = predict_feature(make_grid(vals, t=0.0), FeatureFlow(SPEC, flow_vals, 0.0), 1.0)
+        out = predict_feature(make_grid(vals, t=0.0), make_grid(flow_vals, t=0.0), 1.0)
         assert (out.values[:, :, 0] == 0.0).all()
         assert (out.values[:, :, 1] == -5.0).all()
 
@@ -238,4 +249,4 @@ class TestPredictFeature:
     def test_negative_horizon_rejected(self):
         f0 = make_grid(np.zeros(SPEC.shape))
         with pytest.raises(ValueError):
-            predict_feature(f0, FeatureFlow(SPEC, np.zeros(SPEC.shape), 0.0), -0.1)
+            predict_feature(f0, make_grid(np.zeros(SPEC.shape)), -0.1)
