@@ -13,9 +13,12 @@ the main solve, so it costs nothing when the optimum is unique.
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 import numpy as np
+
+from .errors import NumericError, ShapeMismatchError
 
 
 def solve_assignment(cost) -> List[Tuple[int, int]]:
@@ -31,16 +34,16 @@ def solve_assignment(cost) -> List[Tuple[int, int]]:
         empty assignment.
 
     Raises:
-        ValueError: on non-finite entries or a non-2D input.
+        ShapeMismatchError on a non-2D input, NumericError on non-finite entries.
     """
     matrix = np.asarray(cost, dtype=float)
     if matrix.ndim != 2:
-        raise ValueError(f"cost matrix must be 2-D, got shape {matrix.shape}")
+        raise ShapeMismatchError(f"cost matrix must be 2-D, got shape {matrix.shape}")
     n, m = matrix.shape
     if n == 0 or m == 0:
         return []
     if not np.all(np.isfinite(matrix)):
-        raise ValueError("cost matrix entries must be finite")
+        raise NumericError("cost matrix entries must be finite")
 
     k = max(n, m)
     scale = max(1.0, float(np.abs(matrix).max()))
@@ -50,61 +53,63 @@ def solve_assignment(cost) -> List[Tuple[int, int]]:
 
     col_of_row, u, v = _hungarian_square(square)
     col_of_row = _lexicographic_refine(square, col_of_row, u, v, scale, real_rows=n)
-    return [(r, int(c)) for r, c in enumerate(col_of_row) if r < n and c < m]
+    return [(r, c) for r, c in enumerate(col_of_row) if r < n and c < m]
 
 
 def _hungarian_square(a: np.ndarray):
     """Solve a square assignment problem, returning (col_of_row, u, v).
 
     Potentials satisfy a[i, j] - u[i] - v[j] >= 0 with equality on matched
-    pairs, up to floating rounding.
+    pairs, up to floating rounding. The matrices the tracker solves are
+    small, so the loops run on Python floats, which round exactly as numpy
+    float64 does.
     """
     k = a.shape[0]
+    cost = a.tolist()
     # 1-based arrays with a virtual column 0, classic formulation.
-    cost = np.zeros((k + 1, k + 1))
-    cost[1:, 1:] = a
-    u = np.zeros(k + 1)
-    v = np.zeros(k + 1)
-    match = np.zeros(k + 1, dtype=int)  # match[j] = row currently matched to column j
-    way = np.zeros(k + 1, dtype=int)
+    u = [0.0] * (k + 1)
+    v = [0.0] * (k + 1)
+    match = [0] * (k + 1)  # match[j] = row currently matched to column j
+    way = [0] * (k + 1)
 
     for i in range(1, k + 1):
         match[0] = i
         j0 = 0
-        minv = np.full(k + 1, np.inf)
-        used = np.zeros(k + 1, dtype=bool)
+        minv = [math.inf] * (k + 1)
+        used = [False] * (k + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
-            free = ~used
-            free[0] = False
-            cur = cost[i0] - u[i0] - v
-            improves = free & (cur < minv)
-            minv[improves] = cur[improves]
-            way[improves] = j0
-            candidates = np.where(free, minv, np.inf)
-            j1 = int(np.argmin(candidates))  # lowest column index wins ties
-            delta = candidates[j1]
-            u[match[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
+            row, ui = cost[i0 - 1], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, k + 1):
+                if not used[j]:
+                    cur = row[j - 1] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:  # lowest column index wins ties
+                        delta, j1 = minv[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
             j0 = j1
             if match[j0] == 0:
                 break
-        while j0 != 0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
+        while j0:
+            match[j0] = match[way[j0]]
+            j0 = way[j0]
 
-    col_of_row = np.empty(k, dtype=int)
-    col_of_row[match[1:] - 1] = np.arange(k)
-    return col_of_row, u[1:], v[1:]
+    return sorted(range(k), key=lambda col: match[col + 1]), np.array(u[1:]), np.array(v[1:])
 
 
 def _lexicographic_refine(
-    square: np.ndarray, col_of_row: np.ndarray, u, v, scale: float, real_rows: int
+    square: np.ndarray, match_col: List[int], u, v, scale: float, real_rows: int
 ):
-    """Pick the row-by-row lowest-column optimum among tied solutions.
+    """Pick the row-by-row lowest-column optimum among tied solutions, in place.
 
     Every minimum-cost assignment lives in the zero-reduced-cost subgraph of
     the final potentials, so feasibility checks are bipartite matchings
@@ -114,14 +119,12 @@ def _lexicographic_refine(
     k = square.shape[0]
     eps = 1e-9 * max(1.0, scale)
     reduced = square - u[:, None] - v[None, :]
-    zero_adj = [np.flatnonzero(reduced[r] <= eps) for r in range(k)]
+    zero_adj = [np.flatnonzero(reduced[r] <= eps).tolist() for r in range(k)]
 
-    match_col = [int(c) for c in col_of_row]
     taken = set()
     for r in range(min(real_rows, k)):
         current = match_col[r]
         for c in zero_adj[r]:
-            c = int(c)
             if c >= current:
                 break
             if c in taken:
@@ -146,7 +149,6 @@ def _perfect_matching(zero_adj, k: int, fixed_row: int, taken: set, forced_col: 
 
     def try_row(r, visited) -> bool:
         for c in zero_adj[r]:
-            c = int(c)
             if c in blocked or c in visited:
                 continue
             visited.add(c)

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DecodeError, EncodeError, OrderingError
+from .errors import ConfigurationError, DecodeError, EncodeError, OrderingError, ShapeMismatchError
 from .geometry import CATEGORY_ORDER, Box3D
 from .sensing import FeatureGrid, GridSpec, PointCloud
 
@@ -215,7 +215,7 @@ def compress_grid(g: FeatureGrid) -> bytes:
 def compress_grid_pair(f0: FeatureGrid, f1: FeatureGrid) -> bytes:
     """Serialize a grid and its flow sharing one spec header."""
     if f0.spec != f1.spec:
-        raise ValueError("grid and flow must share a spec")
+        raise ShapeMismatchError("grid and flow must share a spec")
     header = _spec_header_bytes(f0.spec, f0.timestamp)
     return (header + bytes([_KIND_GRID_WITH_FLOW]) + _compress_values(f0.values)
             + _compress_values(f1.values) + _frame_tag(f0.frame))
@@ -324,7 +324,7 @@ def encode_message(
     """
     if kind is MessageKind.RAW_POINTS:
         if not isinstance(content, PointCloud):
-            raise ValueError("raw_points content must be a PointCloud")
+            raise EncodeError("raw_points content must be a PointCloud")
         data, decoded = _encode_points(content)
         raw = len(data)
     elif kind is MessageKind.DETECTIONS:
@@ -332,7 +332,7 @@ def encode_message(
         raw = len(data)
     elif kind is MessageKind.FEATURE:
         if not isinstance(content, FeatureGrid):
-            raise ValueError("feature content must be a FeatureGrid")
+            raise EncodeError("feature content must be a FeatureGrid")
         raw = _grid_raw_bytes(content)
         if compress:
             data = compress_grid(content)
@@ -342,7 +342,7 @@ def encode_message(
     elif kind is MessageKind.FEATURE_WITH_FLOW:
         f0, f1 = content
         if f0.spec != f1.spec:
-            raise ValueError("feature and flow must share a spec")
+            raise ShapeMismatchError("feature and flow must share a spec")
         raw = _grid_raw_bytes(f0) + _grid_raw_bytes(f1)
         if compress:
             data = compress_grid_pair(f0, f1)

@@ -62,52 +62,56 @@ def detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> List[Detect
     density of the component. Boxes come out in the grid's frame.
     """
     density = g.values[:, :, DENSITY_CHANNEL]
-    mask = density > params.tau
-    labels, n_components = ndimage.label(mask, structure=_EIGHT_CONNECTED)
-    detections: List[Detection] = []
+    labels = ndimage.label(density > params.tau, structure=_EIGHT_CONNECTED)[0].ravel()
+    sizes = np.bincount(labels)
+    sizes[0] = 0  # the background; min_cells >= 1 drops it
+    kept = sizes >= params.min_cells
+    cells = np.flatnonzero(kept[labels])
+    if not len(cells):
+        return []
+    # A stable sort by label keeps each component's cells in row-major order,
+    # the order numpy's pairwise sums must see them in for bit-equal results.
+    cells = cells[np.argsort(labels[cells], kind="stable")]
+    sizes = sizes[kept]
+    starts = np.cumsum(sizes) - sizes
+    bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))
+    rows, cols = np.divmod(cells, g.spec.cols)
+    w = density.ravel()[cells]
     cell = g.spec.cell_size
-    bounding = ndimage.find_objects(labels) if n_components else []
-    for comp, slices in enumerate(bounding, start=1):
-        rows, cols = np.nonzero(labels[slices] == comp)
-        if len(rows) < params.min_cells:
-            continue
-        rows = rows + slices[0].start
-        cols = cols + slices[1].start
-        weights = density[rows, cols]
-        xs = g.spec.x0 + (cols + 0.5) * cell
-        ys = g.spec.y0 + (rows + 0.5) * cell
-        wsum = weights.sum()
-        cx = float((weights * xs).sum() / wsum)
-        cy = float((weights * ys).sum() / wsum)
+    xs = g.spec.x0 + (cols + 0.5) * cell
+    ys = g.spec.y0 + (rows + 0.5) * cell
 
-        dx = xs - cx
-        dy = ys - cy
-        cov = np.array([
-            [(weights * dx * dx).sum(), (weights * dx * dy).sum()],
-            [(weights * dx * dy).sum(), (weights * dy * dy).sum()],
-        ]) / wsum
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        major = eigvecs[:, int(np.argmax(eigvals))]
-        yaw = math.atan2(major[1], major[0])
-        if yaw > math.pi / 2:
-            yaw -= math.pi
-        elif yaw <= -math.pi / 2:
-            yaw += math.pi
+    # Each component's sums run over its contiguous slice of each row, as
+    # .sum() does; np.add.reduceat adds sequentially, which differs from
+    # numpy's pairwise sum in the last bits from three cells up.
+    moments = np.stack([w, w * xs, w * ys])
+    wsum, wx, wy = np.array([moments[:, a:b].sum(axis=1) for a, b in bounds]).T
+    cx = wx / wsum
+    cy = wy / wsum
+    dx = xs - np.repeat(cx, sizes)
+    dy = ys - np.repeat(cy, sizes)
+    moments = np.stack([w * dx * dx, w * dx * dy, w * dy * dy])
+    cov = np.array([moments[:, a:b].sum(axis=1) for a, b in bounds])
+    eigvals, eigvecs = np.linalg.eigh((cov / wsum[:, None])[:, [0, 1, 1, 2]].reshape(-1, 2, 2))
+    major = eigvecs[np.arange(len(sizes)), :, np.argmax(eigvals, axis=1)]
+    yaws = np.array([math.atan2(my, mx) for mx, my in major.tolist()])
+    yaws = np.where(yaws > math.pi / 2, yaws - math.pi,
+                    np.where(yaws <= -math.pi / 2, yaws + math.pi, yaws)).tolist()
 
-        c, s = math.cos(yaw), math.sin(yaw)
-        along = dx * c + dy * s
-        across = -dx * s + dy * c
-        length = float(np.clip(along.max() - along.min() + cell, params.min_dim_m, params.max_dim_m))
-        width = float(np.clip(across.max() - across.min() + cell, params.min_dim_m, params.max_dim_m))
+    cos_sin = [[math.cos(yaw) for yaw in yaws], [math.sin(yaw) for yaw in yaws]]
+    c, s = np.repeat(cos_sin, sizes, axis=1)
+    proj = np.stack([dx * c + dy * s, -dx * s + dy * c])  # along and across the major axis
+    spans = np.maximum.reduceat(proj, starts, axis=1) - np.minimum.reduceat(proj, starts, axis=1)
+    lengths, widths = np.clip(spans + cell, params.min_dim_m, params.max_dim_m).tolist()
+    heights = g.values.reshape(-1, g.spec.channels)[cells, HEIGHT_CHANNEL]
+    heights = heights[np.lexsort((heights, np.repeat(np.arange(len(sizes)), sizes)))]
+    # np.median's arithmetic: the mean of the middle two heights, or (a + a) / 2 == a.
+    hs = np.clip((heights[starts + (sizes - 1) // 2] + heights[starts + sizes // 2]) / 2,
+                 params.min_dim_m, params.max_height_m).tolist()
+    scores = np.clip(wsum / sizes, 0.0, 1.0).tolist()
+    return [
+        Detection(Box3D(x=x, y=y, z=0.5 * h, w=wd, l=ln, h=h, yaw=yaw, category=Category.CAR), score)
+        for x, y, wd, ln, h, yaw, score in zip(cx.tolist(), cy.tolist(), widths, lengths, hs, yaws,
+                                               scores)
+    ]
 
-        heights = g.values[rows, cols, HEIGHT_CHANNEL]
-        h = float(np.clip(np.median(heights), params.min_dim_m, params.max_height_m))
-        score = float(np.clip(weights.mean(), 0.0, 1.0))
-        detections.append(
-            Detection(
-                box=Box3D(x=cx, y=cy, z=0.5 * h, w=width, l=length, h=h, yaw=yaw,
-                          category=Category.CAR),
-                score=score,
-            )
-        )
-    return detections

@@ -23,7 +23,7 @@ import numpy as np
 from .assignment import solve_assignment
 from .channel import Channel, MessageKind
 from .detector import Detection
-from .errors import ShapeMismatchError
+from .errors import ConfigurationError, ShapeMismatchError
 from .geometry import Pose, center_distance_matrix, inverse, transform_box
 from .sensing import (
     FeatureGrid,
@@ -63,7 +63,7 @@ class FusionMethod:
 
     def __post_init__(self):
         if self.kind is FusionKind.LATE and self.late_threshold_m <= 0:
-            raise ValueError("late-fusion distance threshold must be positive")
+            raise ConfigurationError("late-fusion distance threshold must be positive")
 
 
 def align_grid(f_inf: FeatureGrid, infra_to_ego: Pose, dst_spec: GridSpec) -> FeatureGrid:

@@ -284,33 +284,27 @@ def rasterize_bev(pc: PointCloud, spec: GridSpec, density_cap: float = 10.0) -> 
     """
     values = np.zeros(spec.shape)
     pts = pc.points
-    if len(pts):
-        ix = np.floor((pts[:, 0] - spec.x0) / spec.cell_size).astype(int)
-        iy = np.floor((pts[:, 1] - spec.y0) / spec.cell_size).astype(int)
-        ok = (ix >= 0) & (ix < spec.cols) & (iy >= 0) & (iy < spec.rows)
-        if np.any(ok):
-            flat = iy[ok] * spec.cols + ix[ok]
-            z = pts[ok, 2]
-            intensity = pts[ok, 3]
-            # Sort so floating accumulation order is a pure function of the
-            # point multiset, not of input order.
-            order = np.lexsort((intensity, z, flat))
-            flat, z, intensity = flat[order], z[order], intensity[order]
+    ix = np.floor((pts[:, 0] - spec.x0) / spec.cell_size).astype(int)
+    iy = np.floor((pts[:, 1] - spec.y0) / spec.cell_size).astype(int)
+    ok = (ix >= 0) & (ix < spec.cols) & (iy >= 0) & (iy < spec.rows)
+    if np.any(ok):
+        flat = iy[ok] * spec.cols + ix[ok]
+        z = pts[ok, 2]
+        intensity = pts[ok, 3]
+        # Sort so floating accumulation order is a pure function of the
+        # point multiset, not of input order.
+        order = np.lexsort((intensity, z, flat))
+        flat, z, intensity = flat[order], z[order], intensity[order]
 
-            ncells = spec.rows * spec.cols
-            counts = np.bincount(flat, minlength=ncells).astype(float)
-            max_z = np.full(ncells, -np.inf)
-            np.maximum.at(max_z, flat, z)
-            max_z[counts == 0] = 0.0
-            sum_i = np.zeros(ncells)
-            np.add.at(sum_i, flat, intensity)
-            mean_i = np.divide(sum_i, counts, out=np.zeros(ncells), where=counts > 0)
-
-            values[:, :, DENSITY_CHANNEL] = np.minimum(counts / density_cap, 1.0).reshape(
-                spec.rows, spec.cols
-            )
-            values[:, :, HEIGHT_CHANNEL] = max_z.reshape(spec.rows, spec.cols)
-            values[:, :, INTENSITY_CHANNEL] = mean_i.reshape(spec.rows, spec.cols)
+        # Each cell's points now form one run, highest point last.
+        last = np.append(np.flatnonzero(flat[1:] != flat[:-1]), len(flat) - 1)
+        cells = flat[last]
+        counts = np.diff(last, prepend=-1)
+        sum_i = np.bincount(flat, weights=intensity)[cells]
+        out = values.reshape(-1, spec.channels)
+        out[cells, DENSITY_CHANNEL] = np.minimum(counts / density_cap, 1.0)
+        out[cells, HEIGHT_CHANNEL] = z[last]
+        out[cells, INTENSITY_CHANNEL] = sum_i / counts
     return FeatureGrid(spec=spec, values=values, timestamp=pc.timestamp, frame=pc.frame)
 
 
@@ -341,7 +335,7 @@ def predict_feature(f0: FeatureGrid, f1: FeatureGrid, tau: float) -> FeatureGrid
     if f0.spec != f1.spec:
         raise ShapeMismatchError("prediction requires identical grid specs")
     if tau < 0:
-        raise ValueError("prediction horizon must be non-negative")
+        raise ConfigurationError("prediction horizon must be non-negative")
     values = f0.values + tau * f1.values
     values[:, :, DENSITY_CHANNEL] = np.maximum(values[:, :, DENSITY_CHANNEL], 0.0)
     return FeatureGrid(

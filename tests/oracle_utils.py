@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own algorithms: assignments come
 from exhaustive permutation search, tracking scores from direct
-enumeration of gated matchings, and the grid codec from the first,
-dense implementation (every cell quantized, a boolean mask scattered).
+enumeration of gated matchings, the grid codec from the first, dense
+implementation (every cell quantized, a boolean mask scattered), and the
+detector, rasterizer and Hungarian solve from their first, per-blob,
+``ufunc.at`` and array-per-step implementations.
 """
 
 import itertools
@@ -12,9 +14,22 @@ import struct
 
 import numpy as np
 
+from typing import List
+
+from scipy import ndimage
+
 from cotrack.channel import CHANNEL_RANGE
+from cotrack.detector import Detection, DetectParams
 from cotrack.errors import DecodeError
-from cotrack.sensing import GridSpec
+from cotrack.geometry import Box3D, Category
+from cotrack.sensing import (
+    DENSITY_CHANNEL,
+    HEIGHT_CHANNEL,
+    INTENSITY_CHANNEL,
+    FeatureGrid,
+    GridSpec,
+    PointCloud,
+)
 
 _PERM_CACHE = {}
 
@@ -222,3 +237,163 @@ def dense_decompress_values(data: bytes, offset: int, spec: GridSpec):
     decoded = np.where(spans > 0, mins + codes / 255.0 * spans, mins)
     flat[mask_nonzero] = decoded
     return flat.reshape(spec.rows, spec.cols, channels), offset
+
+
+# The first per-frame kernels, kept verbatim as bit-level references for the
+# batched ones: ``detect`` looping over every component with numpy calls per
+# blob, ``rasterize_bev`` accumulating with ``ufunc.at``, and the Hungarian
+# solve as numpy array operations per augmenting step.
+
+_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+
+
+def loop_detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> List[Detection]:
+    """Fit one oriented box per connected blob of the density channel.
+
+    Cells with density above ``params.tau`` are labeled with 8-connectivity.
+    Per component, the box center is the density-weighted centroid of cell
+    centers, yaw is the principal axis of the weighted scatter folded into
+    (-pi/2, pi/2], and the planar dims are the extents along the principal
+    axes plus one cell, clamped to [min_dim_m, max_dim_m]. Height comes from
+    the median of the component's max-height cells (robust to extrapolation
+    overshoot) with the center z at half height. The score is the mean
+    density of the component. Boxes come out in the grid's frame.
+    """
+    density = g.values[:, :, DENSITY_CHANNEL]
+    mask = density > params.tau
+    labels, n_components = ndimage.label(mask, structure=_EIGHT_CONNECTED)
+    detections: List[Detection] = []
+    cell = g.spec.cell_size
+    bounding = ndimage.find_objects(labels) if n_components else []
+    for comp, slices in enumerate(bounding, start=1):
+        rows, cols = np.nonzero(labels[slices] == comp)
+        if len(rows) < params.min_cells:
+            continue
+        rows = rows + slices[0].start
+        cols = cols + slices[1].start
+        weights = density[rows, cols]
+        xs = g.spec.x0 + (cols + 0.5) * cell
+        ys = g.spec.y0 + (rows + 0.5) * cell
+        wsum = weights.sum()
+        cx = float((weights * xs).sum() / wsum)
+        cy = float((weights * ys).sum() / wsum)
+
+        dx = xs - cx
+        dy = ys - cy
+        cov = np.array([
+            [(weights * dx * dx).sum(), (weights * dx * dy).sum()],
+            [(weights * dx * dy).sum(), (weights * dy * dy).sum()],
+        ]) / wsum
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        major = eigvecs[:, int(np.argmax(eigvals))]
+        yaw = math.atan2(major[1], major[0])
+        if yaw > math.pi / 2:
+            yaw -= math.pi
+        elif yaw <= -math.pi / 2:
+            yaw += math.pi
+
+        c, s = math.cos(yaw), math.sin(yaw)
+        along = dx * c + dy * s
+        across = -dx * s + dy * c
+        length = float(np.clip(along.max() - along.min() + cell, params.min_dim_m, params.max_dim_m))
+        width = float(np.clip(across.max() - across.min() + cell, params.min_dim_m, params.max_dim_m))
+
+        heights = g.values[rows, cols, HEIGHT_CHANNEL]
+        h = float(np.clip(np.median(heights), params.min_dim_m, params.max_height_m))
+        score = float(np.clip(weights.mean(), 0.0, 1.0))
+        detections.append(
+            Detection(
+                box=Box3D(x=cx, y=cy, z=0.5 * h, w=width, l=length, h=h, yaw=yaw,
+                          category=Category.CAR),
+                score=score,
+            )
+        )
+    return detections
+
+
+def ufunc_at_rasterize_bev(pc: PointCloud, spec: GridSpec,
+                           density_cap: float = 10.0) -> FeatureGrid:
+    """Rasterize a point cloud into a (density, max height, mean intensity) grid.
+
+    Density is the per-cell point count divided by ``density_cap`` and
+    clipped at 1. Points outside the grid footprint are ignored. The result
+    is exactly invariant to point order.
+    """
+    values = np.zeros(spec.shape)
+    pts = pc.points
+    if len(pts):
+        ix = np.floor((pts[:, 0] - spec.x0) / spec.cell_size).astype(int)
+        iy = np.floor((pts[:, 1] - spec.y0) / spec.cell_size).astype(int)
+        ok = (ix >= 0) & (ix < spec.cols) & (iy >= 0) & (iy < spec.rows)
+        if np.any(ok):
+            flat = iy[ok] * spec.cols + ix[ok]
+            z = pts[ok, 2]
+            intensity = pts[ok, 3]
+            # Sort so floating accumulation order is a pure function of the
+            # point multiset, not of input order.
+            order = np.lexsort((intensity, z, flat))
+            flat, z, intensity = flat[order], z[order], intensity[order]
+
+            ncells = spec.rows * spec.cols
+            counts = np.bincount(flat, minlength=ncells).astype(float)
+            max_z = np.full(ncells, -np.inf)
+            np.maximum.at(max_z, flat, z)
+            max_z[counts == 0] = 0.0
+            sum_i = np.zeros(ncells)
+            np.add.at(sum_i, flat, intensity)
+            mean_i = np.divide(sum_i, counts, out=np.zeros(ncells), where=counts > 0)
+
+            values[:, :, DENSITY_CHANNEL] = np.minimum(counts / density_cap, 1.0).reshape(
+                spec.rows, spec.cols
+            )
+            values[:, :, HEIGHT_CHANNEL] = max_z.reshape(spec.rows, spec.cols)
+            values[:, :, INTENSITY_CHANNEL] = mean_i.reshape(spec.rows, spec.cols)
+    return FeatureGrid(spec=spec, values=values, timestamp=pc.timestamp, frame=pc.frame)
+
+
+def numpy_hungarian_square(a: np.ndarray):
+    """Solve a square assignment problem, returning (col_of_row, u, v).
+
+    Potentials satisfy a[i, j] - u[i] - v[j] >= 0 with equality on matched
+    pairs, up to floating rounding.
+    """
+    k = a.shape[0]
+    # 1-based arrays with a virtual column 0, classic formulation.
+    cost = np.zeros((k + 1, k + 1))
+    cost[1:, 1:] = a
+    u = np.zeros(k + 1)
+    v = np.zeros(k + 1)
+    match = np.zeros(k + 1, dtype=int)  # match[j] = row currently matched to column j
+    way = np.zeros(k + 1, dtype=int)
+
+    for i in range(1, k + 1):
+        match[0] = i
+        j0 = 0
+        minv = np.full(k + 1, np.inf)
+        used = np.zeros(k + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            free = ~used
+            free[0] = False
+            cur = cost[i0] - u[i0] - v
+            improves = free & (cur < minv)
+            minv[improves] = cur[improves]
+            way[improves] = j0
+            candidates = np.where(free, minv, np.inf)
+            j1 = int(np.argmin(candidates))  # lowest column index wins ties
+            delta = candidates[j1]
+            u[match[used]] += delta
+            v[used] -= delta
+            minv[free] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+
+    col_of_row = np.empty(k, dtype=int)
+    col_of_row[match[1:] - 1] = np.arange(k)
+    return col_of_row, u[1:], v[1:]

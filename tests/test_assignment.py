@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cotrack.assignment import solve_assignment
+from cotrack.errors import NumericError, ShapeMismatchError
 from oracle_utils import brute_force_assignment
 
 
@@ -19,8 +20,13 @@ class TestSolveAssignment:
         assert solve_assignment(np.zeros((3, 0))) == []
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             solve_assignment([[1.0, np.inf], [0.0, 1.0]])
+
+    def test_non_2d_rejected(self):
+        for cost in ([1.0, 2.0], np.zeros((2, 2, 2)), 3.0):
+            with pytest.raises(ShapeMismatchError):
+                solve_assignment(cost)
 
     def test_rectangular_wide(self):
         pairs = solve_assignment([[5.0, 1.0, 9.0]])

@@ -21,7 +21,7 @@ from cotrack.channel import (
     transmit,
 )
 from cotrack.detector import Detection
-from cotrack.errors import ConfigurationError, DecodeError, EncodeError
+from cotrack.errors import ConfigurationError, DecodeError, EncodeError, ShapeMismatchError
 from cotrack.geometry import Box3D, Category
 from cotrack.sensing import FeatureGrid, GridSpec, PointCloud
 
@@ -219,6 +219,21 @@ class TestEncodeErrors:
         for compression in (COMPRESSED, RAW):
             msg = encode_message(MessageKind.FEATURE, grid(values, spec=spec), compression, 0.0)
             assert msg.content.values[0, 0, 0] == values[0, 0, 0]
+
+    def test_grid_and_flow_of_different_specs(self):
+        other = replace(SMALL, rows=12)
+        pair = (grid(np.zeros(SMALL.shape), spec=SMALL), grid(np.zeros(other.shape), spec=other))
+        with pytest.raises(ShapeMismatchError):
+            compress_grid_pair(*pair)
+        for compression in (COMPRESSED, RAW):
+            with pytest.raises(ShapeMismatchError):
+                encode_message(MessageKind.FEATURE_WITH_FLOW, pair, compression, 0.0)
+
+    def test_content_of_the_wrong_type(self):
+        with pytest.raises(EncodeError, match="FeatureGrid"):
+            encode_message(MessageKind.FEATURE, [1], COMPRESSED, 0.0)
+        with pytest.raises(EncodeError, match="PointCloud"):
+            encode_message(MessageKind.RAW_POINTS, [1], RAW, 0.0)
 
 
 class TestTransmit:

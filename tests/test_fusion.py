@@ -5,7 +5,7 @@ import pytest
 
 from cotrack.channel import Channel, LatencyModel, MessageKind, encode_message
 from cotrack.detector import Detection
-from cotrack.errors import ShapeMismatchError
+from cotrack.errors import ConfigurationError, ShapeMismatchError
 from cotrack.fusion import (
     EgoInputs,
     FusionKind,
@@ -170,6 +170,11 @@ class TestFuseLate:
         assert out[0].box.x == pytest.approx(0.5)  # (0.75*0 + 0.25*2) / 1.0
         assert out[0].score == 0.75
         assert out[0].box.yaw == a.box.yaw  # higher score wins yaw
+
+    def test_nonpositive_threshold_rejected(self):
+        for threshold in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                FusionMethod(FusionKind.LATE, late_threshold_m=threshold)
 
 
 def affine_grid_maker(spec):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cotrack.errors import NumericError, OrderingError, ShapeMismatchError
+from cotrack.errors import ConfigurationError, NumericError, OrderingError, ShapeMismatchError
 from cotrack.geometry import Box3D
 from cotrack.scenario import AgentPopulation, Lane, ScenarioConfig, generate_scenario
 from cotrack.sensing import (
@@ -248,5 +248,5 @@ class TestPredictFeature:
 
     def test_negative_horizon_rejected(self):
         f0 = make_grid(np.zeros(SPEC.shape))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             predict_feature(f0, make_grid(np.zeros(SPEC.shape)), -0.1)
