@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .assignment import solve_assignment
-from .errors import UndefinedSimilarityError
+from .assignment import gated_assignment
+from .errors import DecodeError, OrderingError, UndefinedSimilarityError
 from .geometry import Box3D, Category, center_distance_matrix
 from .scenario import Provenance, TrackedObject
 
@@ -36,7 +36,7 @@ class Trajectory:
     def __post_init__(self):
         times = [t for t, _ in self.samples]
         if any(b - a <= 0 for a, b in zip(times, times[1:])):
-            raise ValueError(f"trajectory {self.track_id} times must strictly increase")
+            raise OrderingError(f"trajectory {self.track_id} times must strictly increase")
 
     def times(self) -> List[float]:
         return [t for t, _ in self.samples]
@@ -88,35 +88,29 @@ def match_and_fuse_frames(
     their side provenance.
     """
     cost = center_distance_matrix([o.box for o in boxes_v], [o.box for o in boxes_i_in_ego])
-    matched_v: Dict[int, int] = {}
-    matched_i = set()
-    if len(boxes_v) and len(boxes_i_in_ego):
-        for r, c in solve_assignment(cost):
-            if cost[r, c] <= threshold_m:
-                matched_v[r] = c
-                matched_i.add(c)
+    pairs, _, leftover = gated_assignment(cost, cost <= threshold_m)
+    partner = dict(pairs)
     out: List[FusedBox] = []
     for r, obj in enumerate(boxes_v):
-        if r in matched_v:
-            other = boxes_i_in_ego[matched_v[r]]
-            box = replace(
-                obj.box,
-                x=0.5 * (obj.box.x + other.box.x),
-                y=0.5 * (obj.box.y + other.box.y),
-                z=0.5 * (obj.box.z + other.box.z),
-            )
-            out.append(FusedBox(box=box, timestamp=obj.timestamp, provenance=Provenance.FUSED,
+        if r in partner:
+            other = boxes_i_in_ego[partner[r]]
+            out.append(FusedBox(box=_mean_center(obj.box, other.box), timestamp=obj.timestamp,
+                                provenance=Provenance.FUSED,
                                 source_vehicle_id=obj.track_id, source_infra_id=other.track_id))
         else:
             out.append(FusedBox(box=obj.box, timestamp=obj.timestamp,
                                 provenance=Provenance.VEHICLE_SIDE,
                                 source_vehicle_id=obj.track_id))
-    for c, obj in enumerate(boxes_i_in_ego):
-        if c not in matched_i:
-            out.append(FusedBox(box=obj.box, timestamp=obj.timestamp,
-                                provenance=Provenance.INFRA_SIDE,
-                                source_infra_id=obj.track_id))
+    for c in leftover:
+        obj = boxes_i_in_ego[c]
+        out.append(FusedBox(box=obj.box, timestamp=obj.timestamp,
+                            provenance=Provenance.INFRA_SIDE, source_infra_id=obj.track_id))
     return out
+
+
+def _mean_center(a: Box3D, b: Box3D) -> Box3D:
+    """``a`` moved to the midpoint of the two centers."""
+    return replace(a, x=0.5 * (a.x + b.x), y=0.5 * (a.y + b.y), z=0.5 * (a.z + b.z))
 
 
 def trajectory_similarity(a: Trajectory, b: Trajectory) -> float:
@@ -265,24 +259,21 @@ def build_cooperative_trajectories(
         candidates.append(CandidateMatch(vehicle_id=vid, infra_id=iid, similarity=sim))
     kept = filter_matches(candidates, similarity_threshold)
 
-    accepted: List[CandidateMatch] = []
-    if kept:
-        v_ids = sorted({m.vehicle_id for m in kept})
-        i_ids = sorted({m.infra_id for m in kept})
-        sim = {(m.vehicle_id, m.infra_id): m.similarity for m in kept}
-        cost = np.full((len(v_ids), len(i_ids)), 2.0)
-        for (vid, iid), s in sim.items():
-            cost[v_ids.index(vid), i_ids.index(iid)] = 1.0 - s
-        for r, c in solve_assignment(cost):
-            pair = (v_ids[r], i_ids[c])
-            if pair in sim:
-                accepted.append(CandidateMatch(pair[0], pair[1], sim[pair]))
+    v_ids = sorted({m.vehicle_id for m in kept})
+    i_ids = sorted({m.infra_id for m in kept})
+    kept_at = {(v_ids.index(m.vehicle_id), i_ids.index(m.infra_id)): m for m in kept}
+    cost = np.full((len(v_ids), len(i_ids)), 2.0)
+    is_kept = np.zeros(cost.shape, dtype=bool)
+    for (r, c), m in kept_at.items():
+        cost[r, c] = 1.0 - m.similarity
+        is_kept[r, c] = True
+    accepted = [kept_at[pair] for pair in gated_assignment(cost, is_kept)[0]]
 
     matched_v = {m.vehicle_id for m in accepted}
     matched_i = {m.infra_id for m in accepted}
     out: List[Trajectory] = []
     next_id = 1
-    for m in sorted(accepted, key=lambda c: c.vehicle_id):
+    for m in accepted:
         out.append(_fuse_pair(v_by_id[m.vehicle_id], i_by_id[m.infra_id], next_id))
         next_id += 1
     for tr in vehicle_trajs:
@@ -305,10 +296,7 @@ def _fuse_pair(v: Trajectory, i: Trajectory, coop_id: int) -> Trajectory:
         if other is None:
             samples.append((t, box))
         else:
-            samples.append((t, replace(box,
-                                       x=0.5 * (box.x + other.x),
-                                       y=0.5 * (box.y + other.y),
-                                       z=0.5 * (box.z + other.z))))
+            samples.append((t, _mean_center(box, other)))
     for t, box in i.samples:
         if round(t, 6) not in v_times:
             samples.append((t, box))
@@ -325,9 +313,66 @@ def _box_to_dict(b: Box3D) -> dict:
             "yaw": b.yaw, "category": b.category.value}
 
 
-def _box_from_dict(d: dict) -> Box3D:
-    return Box3D(x=d["x"], y=d["y"], z=d["z"], w=d["w"], l=d["l"], h=d["h"],
-                 yaw=d.get("yaw", 0.0), category=Category(d.get("category", "car")))
+@dataclass(frozen=True)
+class _TrackRecord:
+    """One line of a track file, parsed and checked."""
+
+    t: float
+    track_id: int
+    box: Box3D
+    provenance: Provenance
+    score: float
+    source_ids: Tuple[Optional[int], Optional[int]]
+
+
+def _number(d: dict, key: str, default: Optional[float] = None) -> float:
+    if key not in d and default is None:
+        raise ValueError(f"missing field {key!r}")
+    value = d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"field {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_record(rec) -> _TrackRecord:
+    """Check one decoded line; a bad field raises ValueError naming it."""
+    if not isinstance(rec, dict) or not isinstance(rec.get("box"), dict):
+        raise ValueError("a record must be a JSON object with a 'box' object")
+    if not _is_int(rec.get("track_id")):
+        raise ValueError(f"field 'track_id' must be an integer, got {rec.get('track_id')!r}")
+    source_ids = rec.get("source_ids") or [None, None]
+    if (not isinstance(source_ids, list) or len(source_ids) != 2
+            or not all(s is None or _is_int(s) for s in source_ids)):
+        raise ValueError(f"field 'source_ids' must be two integers or nulls, got {source_ids!r}")
+    b = rec["box"]
+    box = Box3D(x=_number(b, "x"), y=_number(b, "y"), z=_number(b, "z"),
+                w=_number(b, "w"), l=_number(b, "l"), h=_number(b, "h"),
+                yaw=_number(b, "yaw", 0.0), category=Category(b.get("category", "car")))
+    return _TrackRecord(t=_number(rec, "t"), track_id=rec["track_id"], box=box,
+                        provenance=Provenance(rec.get("provenance", "fused")),
+                        score=_number(rec, "score", 1.0), source_ids=tuple(source_ids))
+
+
+def _read_records(path) -> Iterator[_TrackRecord]:
+    """The records of a JSON-lines track file, blank lines skipped.
+
+    Bad JSON, a missing or non-numeric field, an unknown category or
+    provenance, or a box with non-positive dims raises DecodeError naming
+    the file and line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = _parse_record(json.loads(line))
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise DecodeError(f"{path}, line {lineno}: {exc}") from exc
+            yield record
 
 
 def write_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
@@ -345,25 +390,14 @@ def write_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
 
 def read_trajectories(path) -> List[Trajectory]:
     """Group a JSON-lines track file into time-sorted trajectories."""
-    rows: Dict[Tuple[int, str], List[dict]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            key = (int(rec["track_id"]), rec.get("provenance", "fused"))
-            rows.setdefault(key, []).append(rec)
+    rows: Dict[Tuple[int, str], List[_TrackRecord]] = {}
+    for rec in _read_records(path):
+        rows.setdefault((rec.track_id, rec.provenance.value), []).append(rec)
     out = []
     for (track_id, prov), recs in sorted(rows.items()):
-        recs.sort(key=lambda r: r["t"])
-        src = recs[0].get("source_ids") or [None, None]
-        out.append(Trajectory(
-            track_id=track_id,
-            samples=tuple((float(r["t"]), _box_from_dict(r["box"])) for r in recs),
-            provenance=Provenance(prov),
-            source_ids=(src[0], src[1]),
-        ))
+        recs.sort(key=lambda r: r.t)
+        out.append(Trajectory(track_id=track_id, samples=tuple((r.t, r.box) for r in recs),
+                              provenance=Provenance(prov), source_ids=recs[0].source_ids))
     return out
 
 
@@ -384,18 +418,9 @@ def write_tracked_objects(path, frames: Iterable[Sequence[TrackedObject]]) -> No
 def read_tracked_objects(path) -> Dict[float, List[TrackedObject]]:
     """Load a JSON-lines track file grouped by timestamp."""
     frames: Dict[float, List[TrackedObject]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            t = round(float(rec["t"]), 6)
-            frames.setdefault(t, []).append(TrackedObject(
-                box=_box_from_dict(rec["box"]),
-                track_id=int(rec["track_id"]),
-                timestamp=t,
-                provenance=Provenance(rec.get("provenance", "fused")),
-                score=float(rec.get("score", 1.0)),
-            ))
+    for rec in _read_records(path):
+        t = round(rec.t, 6)
+        frames.setdefault(t, []).append(TrackedObject(
+            box=rec.box, track_id=rec.track_id, timestamp=t,
+            provenance=rec.provenance, score=rec.score))
     return frames

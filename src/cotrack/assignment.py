@@ -56,6 +56,27 @@ def solve_assignment(cost) -> List[Tuple[int, int]]:
     return [(r, c) for r, c in enumerate(col_of_row) if r < n and c < m]
 
 
+def gated_assignment(cost, accept) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
+    """Minimum-cost assignment with a gate on which solved pairs count.
+
+    Args:
+        cost: n x m array handed to ``solve_assignment`` as it is.
+        accept: n x m booleans; a solved pair (r, c) is kept only when
+            ``accept[r, c]`` is true.
+
+    Returns:
+        (pairs, unmatched_rows, unmatched_cols): the kept pairs sorted by
+        row, then the rows and the columns in no kept pair, in index order.
+        When either side is empty the solver is not called and everything
+        is unmatched.
+    """
+    n, m = np.shape(cost)
+    pairs = [(r, c) for r, c in solve_assignment(cost) if accept[r, c]] if n and m else []
+    rows = {r for r, _ in pairs}
+    cols = {c for _, c in pairs}
+    return pairs, [r for r in range(n) if r not in rows], [c for c in range(m) if c not in cols]
+
+
 def _hungarian_square(a: np.ndarray):
     """Solve a square assignment problem, returning (col_of_row, u, v).
 

@@ -351,7 +351,7 @@ def encode_message(
             (d0, g0), (d1, g1) = _raw_grid(f0), _raw_grid(f1)
             data, decoded = d0 + d1, (g0, g1)
     else:
-        raise ValueError(f"unknown message kind {kind}")
+        raise EncodeError(f"unknown message kind {kind}")
 
     return ChannelMessage(kind=kind, payload_bytes=len(data), t_send=t_send,
                           t_arrive=None, content=decoded, raw_bytes=raw)

@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .geometry import Box3D, Category
 from .sensing import DENSITY_CHANNEL, FeatureGrid, HEIGHT_CHANNEL
 
@@ -30,7 +30,7 @@ class Detection:
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+            raise NumericError(f"score must be in [0, 1], got {self.score}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,8 @@ class DetectParams:
     def __post_init__(self):
         if self.tau < 0 or self.min_cells < 1:
             raise ConfigurationError("invalid detection parameters")
+        if not 0 < self.min_dim_m <= min(self.max_dim_m, self.max_height_m):
+            raise ConfigurationError("detection needs 0 < min_dim_m <= max_dim_m, max_height_m")
 
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .assignment import solve_assignment
+from .assignment import gated_assignment
 from .channel import Channel, MessageKind
 from .detector import Detection
 from .errors import ConfigurationError, ShapeMismatchError
@@ -163,28 +163,12 @@ def fuse_late(
     either side pass through. Output order: ego-list order with matched
     entries replaced by their merge, then leftover transmitted detections.
     """
-    if not dets_ego:
-        return list(dets_inf_ego_frame)
-    if not dets_inf_ego_frame:
-        return list(dets_ego)
     cost = center_distance_matrix([d.box for d in dets_ego], [d.box for d in dets_inf_ego_frame])
-    pairs = solve_assignment(cost)
-    matched_inf = set()
-    out: List[Detection] = []
-    merged_for_ego = {}
-    for r, c in pairs:
-        if cost[r, c] <= threshold_m:
-            merged_for_ego[r] = c
-            matched_inf.add(c)
-    for i, d in enumerate(dets_ego):
-        if i in merged_for_ego:
-            out.append(_merge_pair(d, dets_inf_ego_frame[merged_for_ego[i]]))
-        else:
-            out.append(d)
-    for j, d in enumerate(dets_inf_ego_frame):
-        if j not in matched_inf:
-            out.append(d)
-    return out
+    pairs, _, leftover = gated_assignment(cost, cost <= threshold_m)
+    partner = dict(pairs)
+    out = [_merge_pair(d, dets_inf_ego_frame[partner[i]]) if i in partner else d
+           for i, d in enumerate(dets_ego)]
+    return out + [dets_inf_ego_frame[j] for j in leftover]
 
 
 def _merge_pair(a: Detection, b: Detection) -> Detection:
@@ -271,4 +255,4 @@ def cooperative_feature(
         predicted = predict_feature(f0, f1, tau)
         aligned = align_grid(predicted, infra_to_ego, ego.grid.spec)
         return FusionOutput(grid=fuse_middle(ego.grid, aligned, fusion.reducer), tau_s=tau)
-    raise ValueError(f"unknown fusion kind {fusion.kind}")
+    raise ConfigurationError(f"unknown fusion kind {fusion.kind}")

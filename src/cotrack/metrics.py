@@ -13,9 +13,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .assignment import solve_assignment
+from .assignment import gated_assignment
 from .channel import Channel, bps
 from .errors import AlignmentError
+from .geometry import center_distance_matrix
 from .scenario import TrackedObject
 
 
@@ -64,10 +65,6 @@ class RunReport:
                 for v in self.to_json_dict().values()]
 
 
-def _positions(objects: Sequence[TrackedObject]) -> np.ndarray:
-    return np.array([[o.box.x, o.box.y, o.box.z] for o in objects]).reshape(len(objects), 3)
-
-
 def evaluate_clearmot(
     gt_frames: Sequence[Sequence[TrackedObject]],
     hyp_frames: Sequence[Sequence[TrackedObject]],
@@ -98,16 +95,10 @@ def evaluate_clearmot(
         num_gt += len(gts)
         gt_ids = [o.track_id for o in gts]
         hyp_ids = [o.track_id for o in hyps]
-        gp = _positions(gts)
-        hp = _positions(hyps)
-        if len(gts) and len(hyps):
-            dist = np.sqrt(((gp[:, None, :] - hp[None, :, :]) ** 2).sum(axis=2))
-        else:
-            dist = np.zeros((len(gts), len(hyps)))
+        dist = center_distance_matrix([o.box for o in gts], [o.box for o in hyps])
 
         hyp_index = {tid: j for j, tid in enumerate(hyp_ids)}
         matched_g: Dict[int, int] = {}
-        used_h = set()
         # Carry forward still-valid pairs from the previous frame.
         for i, gid in enumerate(gt_ids):
             hid = prev_pairs.get(gid)
@@ -116,18 +107,15 @@ def evaluate_clearmot(
             j = hyp_index[hid]
             if dist[i, j] <= gate:
                 matched_g[i] = j
-                used_h.add(j)
 
+        used_h = set(matched_g.values())
         free_g = [i for i in range(len(gts)) if i not in matched_g]
         free_h = [j for j in range(len(hyps)) if j not in used_h]
-        if free_g and free_h:
-            sub = dist[np.ix_(free_g, free_h)]
-            sentinel = (gate + 1.0) * (min(len(free_g), len(free_h)) + 1)
-            gated_cost = np.where(sub <= gate, sub, sentinel)
-            for r, c in solve_assignment(gated_cost):
-                if sub[r, c] <= gate:
-                    matched_g[free_g[r]] = free_h[c]
-                    used_h.add(free_h[c])
+        sub = dist[np.ix_(free_g, free_h)]
+        ok = sub <= gate
+        sentinel = (gate + 1.0) * (min(len(free_g), len(free_h)) + 1)
+        for r, c in gated_assignment(np.where(ok, sub, sentinel), ok)[0]:
+            matched_g[free_g[r]] = free_h[c]
 
         cur_pairs: Dict[int, int] = {}
         frame_dists = []

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .assignment import solve_assignment
+from .assignment import gated_assignment
 from .detector import Detection
 from .errors import ConfigurationError, NumericError, OrderingError
 from .geometry import Box3D, bev_iou, center_distance_matrix, wrap_angle
@@ -149,27 +149,14 @@ def associate(
     Pairs beyond the gate are unmatched even when the assignment selected
     them.
     """
-    if not tracks or not detections:
-        return [], list(range(len(tracks))), list(range(len(detections)))
     track_boxes = [t.box() for t in tracks]
     det_boxes = [d.box for d in detections]
     if metric == "distance":
         cost = center_distance_matrix(track_boxes, det_boxes)
-        gate_ok = cost <= threshold_m
-    else:
-        iou = np.array([[bev_iou(tb, db) for db in det_boxes] for tb in track_boxes])
-        cost = 1.0 - iou
-        gate_ok = iou >= iou_gate
-    matches = []
-    matched_t, matched_d = set(), set()
-    for r, c in solve_assignment(cost):
-        if gate_ok[r, c]:
-            matches.append((r, c))
-            matched_t.add(r)
-            matched_d.add(c)
-    unmatched_tracks = [i for i in range(len(tracks)) if i not in matched_t]
-    unmatched_dets = [j for j in range(len(detections)) if j not in matched_d]
-    return matches, unmatched_tracks, unmatched_dets
+        return gated_assignment(cost, cost <= threshold_m)
+    iou = np.array([[bev_iou(tb, db) for db in det_boxes] for tb in track_boxes])
+    iou = iou.reshape(len(track_boxes), len(det_boxes))
+    return gated_assignment(1.0 - iou, iou >= iou_gate)
 
 
 class Tracker:

@@ -5,23 +5,30 @@ from exhaustive permutation search, tracking scores from direct
 enumeration of gated matchings, the grid codec from the first, dense
 implementation (every cell quantized, a boolean mask scattered), and the
 detector, rasterizer and Hungarian solve from their first, per-blob,
-``ufunc.at`` and array-per-step implementations.
+``ufunc.at`` and array-per-step implementations, and late fusion, track
+association and cross-view frame matching from their versions with their
+own guards and leftover loops.
 """
 
 import itertools
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 
-from typing import List
+from typing import Dict, List, Sequence, Tuple
 
 from scipy import ndimage
 
+from cotrack.annotate import FusedBox
+from cotrack.assignment import solve_assignment
 from cotrack.channel import CHANNEL_RANGE
 from cotrack.detector import Detection, DetectParams
 from cotrack.errors import DecodeError
-from cotrack.geometry import Box3D, Category
+from cotrack.fusion import _merge_pair
+from cotrack.geometry import Box3D, Category, bev_iou, center_distance_matrix
+from cotrack.scenario import Provenance, TrackedObject
 from cotrack.sensing import (
     DENSITY_CHANNEL,
     HEIGHT_CHANNEL,
@@ -30,6 +37,7 @@ from cotrack.sensing import (
     GridSpec,
     PointCloud,
 )
+from cotrack.tracker import Track
 
 _PERM_CACHE = {}
 
@@ -397,3 +405,124 @@ def numpy_hungarian_square(a: np.ndarray):
     col_of_row = np.empty(k, dtype=int)
     col_of_row[match[1:] - 1] = np.arange(k)
     return col_of_row, u[1:], v[1:]
+
+
+# The three gated box matchers as they were before ``gated_assignment``:
+# each with its own empty-side guard, gate check and leftover loops.
+# Bodies copied verbatim; only the names differ.
+
+def guarded_fuse_late(
+    dets_ego: Sequence[Detection],
+    dets_inf_ego_frame: Sequence[Detection],
+    threshold_m: float,
+) -> List[Detection]:
+    """Merge two ego-frame detection lists by gated optimal assignment.
+
+    Matched pairs (center distance <= threshold) merge into one box whose
+    center and dims are score-weighted averages, yaw comes from the
+    higher-score member, and the score is the max. Unmatched detections on
+    either side pass through. Output order: ego-list order with matched
+    entries replaced by their merge, then leftover transmitted detections.
+    """
+    if not dets_ego:
+        return list(dets_inf_ego_frame)
+    if not dets_inf_ego_frame:
+        return list(dets_ego)
+    cost = center_distance_matrix([d.box for d in dets_ego], [d.box for d in dets_inf_ego_frame])
+    pairs = solve_assignment(cost)
+    matched_inf = set()
+    out: List[Detection] = []
+    merged_for_ego = {}
+    for r, c in pairs:
+        if cost[r, c] <= threshold_m:
+            merged_for_ego[r] = c
+            matched_inf.add(c)
+    for i, d in enumerate(dets_ego):
+        if i in merged_for_ego:
+            out.append(_merge_pair(d, dets_inf_ego_frame[merged_for_ego[i]]))
+        else:
+            out.append(d)
+    for j, d in enumerate(dets_inf_ego_frame):
+        if j not in matched_inf:
+            out.append(d)
+    return out
+
+
+def guarded_associate(
+    tracks: Sequence[Track],
+    detections: Sequence[Detection],
+    threshold_m: float,
+    metric: str = "distance",
+    iou_gate: float = 0.1,
+) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
+    """Gated optimal assignment of tracks to detections.
+
+    Returns (matches, unmatched_track_indices, unmatched_detection_indices).
+    Pairs beyond the gate are unmatched even when the assignment selected
+    them.
+    """
+    if not tracks or not detections:
+        return [], list(range(len(tracks))), list(range(len(detections)))
+    track_boxes = [t.box() for t in tracks]
+    det_boxes = [d.box for d in detections]
+    if metric == "distance":
+        cost = center_distance_matrix(track_boxes, det_boxes)
+        gate_ok = cost <= threshold_m
+    else:
+        iou = np.array([[bev_iou(tb, db) for db in det_boxes] for tb in track_boxes])
+        cost = 1.0 - iou
+        gate_ok = iou >= iou_gate
+    matches = []
+    matched_t, matched_d = set(), set()
+    for r, c in solve_assignment(cost):
+        if gate_ok[r, c]:
+            matches.append((r, c))
+            matched_t.add(r)
+            matched_d.add(c)
+    unmatched_tracks = [i for i in range(len(tracks)) if i not in matched_t]
+    unmatched_dets = [j for j in range(len(detections)) if j not in matched_d]
+    return matches, unmatched_tracks, unmatched_dets
+
+
+def guarded_match_and_fuse_frames(
+    boxes_v: Sequence[TrackedObject],
+    boxes_i_in_ego: Sequence[TrackedObject],
+    threshold_m: float,
+) -> List[FusedBox]:
+    """Match same-timestamp boxes across views and fuse the matched pairs.
+
+    Matching is minimum-cost assignment on center distance, gated at the
+    threshold. A fused box averages the two centers; dims, yaw and category
+    come from the vehicle-side member. Unmatched boxes pass through with
+    their side provenance.
+    """
+    cost = center_distance_matrix([o.box for o in boxes_v], [o.box for o in boxes_i_in_ego])
+    matched_v: Dict[int, int] = {}
+    matched_i = set()
+    if len(boxes_v) and len(boxes_i_in_ego):
+        for r, c in solve_assignment(cost):
+            if cost[r, c] <= threshold_m:
+                matched_v[r] = c
+                matched_i.add(c)
+    out: List[FusedBox] = []
+    for r, obj in enumerate(boxes_v):
+        if r in matched_v:
+            other = boxes_i_in_ego[matched_v[r]]
+            box = replace(
+                obj.box,
+                x=0.5 * (obj.box.x + other.box.x),
+                y=0.5 * (obj.box.y + other.box.y),
+                z=0.5 * (obj.box.z + other.box.z),
+            )
+            out.append(FusedBox(box=box, timestamp=obj.timestamp, provenance=Provenance.FUSED,
+                                source_vehicle_id=obj.track_id, source_infra_id=other.track_id))
+        else:
+            out.append(FusedBox(box=obj.box, timestamp=obj.timestamp,
+                                provenance=Provenance.VEHICLE_SIDE,
+                                source_vehicle_id=obj.track_id))
+    for c, obj in enumerate(boxes_i_in_ego):
+        if c not in matched_i:
+            out.append(FusedBox(box=obj.box, timestamp=obj.timestamp,
+                                provenance=Provenance.INFRA_SIDE,
+                                source_infra_id=obj.track_id))
+    return out

@@ -10,12 +10,14 @@ from cotrack.annotate import (
     filter_matches,
     fragment,
     match_and_fuse_frames,
+    read_tracked_objects,
     read_trajectories,
     score_interest,
     trajectory_similarity,
     write_trajectories,
 )
-from cotrack.errors import UndefinedSimilarityError
+from cotrack.cli import main as cli_main
+from cotrack.errors import DecodeError, OrderingError, UndefinedSimilarityError
 from cotrack.geometry import Box3D
 from cotrack.scenario import Provenance, ScenarioConfig, TrackedObject, generate_scenario
 from cotrack.sensing import View
@@ -234,3 +236,65 @@ class TestTrajectoryIO:
         assert by_id[1].provenance is Provenance.VEHICLE_SIDE
         assert by_id[2].samples[1][1].x == pytest.approx(6.0)
         assert [t for t, _ in by_id[1].samples] == [0.0, 0.1, 0.2]
+
+
+GOOD_LINE = ('{"t": 0.1, "track_id": 3, "box": {"x": 1.0, "y": 2.0, "z": 0.75, "w": 1.8, '
+             '"l": 4.5, "h": 1.5, "yaw": 0.0, "category": "car"}, "score": 0.9, '
+             '"provenance": "vehicle", "source_ids": [3, null]}')
+
+MALFORMED_LINES = {
+    "bad_json": '{"t": 0.2, "track_id": 3,',
+    "not_an_object": "[1, 2, 3]",
+    "missing_t": GOOD_LINE.replace('"t": 0.1, ', ""),
+    "missing_box_field": GOOD_LINE.replace('"x": 1.0, ', ""),
+    "missing_track_id": GOOD_LINE.replace('"track_id": 3, ', ""),
+    "non_numeric_t": GOOD_LINE.replace('"t": 0.1', '"t": "soon"'),
+    "non_numeric_box_field": GOOD_LINE.replace('"w": 1.8', '"w": "wide"'),
+    "non_numeric_score": GOOD_LINE.replace('"score": 0.9', '"score": null'),
+    "non_integer_track_id": GOOD_LINE.replace('"track_id": 3', '"track_id": "three"'),
+    "non_finite_t": GOOD_LINE.replace('"t": 0.1', '"t": NaN'),
+    "huge_integer_t": GOOD_LINE.replace('"t": 0.1', '"t": 1' + "0" * 400),
+    "unknown_category": GOOD_LINE.replace('"car"', '"tank"'),
+    "unknown_provenance": GOOD_LINE.replace('"vehicle"', '"satellite"'),
+    "bad_source_ids": GOOD_LINE.replace("[3, null]", '[3, "x"]'),
+    "zero_dims": GOOD_LINE.replace('"h": 1.5', '"h": 0.0'),
+    "negative_dims": GOOD_LINE.replace('"l": 4.5', '"l": -4.5'),
+}
+
+
+class TestMalformedTrackFiles:
+    """Every bad line fails with a DecodeError naming the file and the line."""
+
+    def write(self, tmp_path, bad_line):
+        path = tmp_path / "tracks.jsonl"
+        path.write_text(GOOD_LINE + "\n\n" + bad_line + "\n", encoding="utf-8")
+        return path
+
+    def test_the_good_line_reads(self, tmp_path):
+        path = tmp_path / "tracks.jsonl"
+        path.write_text(GOOD_LINE + "\n", encoding="utf-8")
+        (obj,) = read_tracked_objects(path)[0.1]
+        assert (obj.track_id, obj.score, obj.provenance) == (3, 0.9, Provenance.VEHICLE_SIDE)
+        (tr,) = read_trajectories(path)
+        assert tr.source_ids == (3, None)
+
+    @pytest.mark.parametrize("reader", [read_tracked_objects, read_trajectories])
+    @pytest.mark.parametrize("bad_line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+    def test_reader_raises_decode_error(self, tmp_path, reader, bad_line):
+        path = self.write(tmp_path, bad_line)
+        with pytest.raises(DecodeError, match="tracks.jsonl, line 3: "):
+            reader(path)
+
+    @pytest.mark.parametrize("bad_line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+    def test_cli_exits_2_with_an_error_line(self, tmp_path, capsys, bad_line):
+        path = self.write(tmp_path, bad_line)
+        assert cli_main(["eval", "--gt", str(path), "--hyp", str(path)]) == 2
+        assert cli_main(["annotate", "--in", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("error: ") and "line 3" in e for e in err)
+
+    def test_a_repeated_time_in_one_trajectory_is_an_ordering_error(self, tmp_path):
+        path = tmp_path / "tracks.jsonl"
+        path.write_text(GOOD_LINE + "\n" + GOOD_LINE + "\n", encoding="utf-8")
+        with pytest.raises(OrderingError, match="trajectory 3"):
+            read_trajectories(path)

@@ -229,6 +229,10 @@ class TestEncodeErrors:
             with pytest.raises(ShapeMismatchError):
                 encode_message(MessageKind.FEATURE_WITH_FLOW, pair, compression, 0.0)
 
+    def test_a_kind_that_is_not_a_message_kind(self):
+        with pytest.raises(EncodeError, match="unknown message kind feature"):
+            encode_message("feature", None, COMPRESSED, 0.0)
+
     def test_content_of_the_wrong_type(self):
         with pytest.raises(EncodeError, match="FeatureGrid"):
             encode_message(MessageKind.FEATURE, [1], COMPRESSED, 0.0)

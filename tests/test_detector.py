@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cotrack.detector import DetectParams, detect
+from cotrack.detector import Detection, DetectParams, detect
+from cotrack.errors import ConfigurationError, NumericError
+from cotrack.geometry import Box3D
 from cotrack.sensing import FeatureGrid, GridSpec
 
 SPEC = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=80, rows=40)
@@ -108,3 +110,23 @@ class TestDetect:
         d = detect(grid_from_density(density), DetectParams(min_cells=1))[0]
         assert d.box.w >= 0.5
         assert d.box.h >= 0.5
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("fields", [
+        {"min_dim_m": 0.0},
+        {"min_dim_m": -0.5},
+        {"min_dim_m": 2.0, "max_dim_m": 1.0},
+        {"min_dim_m": 2.0, "max_height_m": 1.5},
+    ])
+    def test_box_limits_rejected_at_construction(self, fields):
+        with pytest.raises(ConfigurationError, match="min_dim_m"):
+            DetectParams(**fields)
+
+    def test_equal_limits_accepted(self):
+        DetectParams(min_dim_m=1.0, max_dim_m=1.0, max_height_m=1.0)
+
+    @pytest.mark.parametrize("score", [-0.1, 1.5, math.nan])
+    def test_score_outside_unit_interval_is_a_numeric_error(self, score):
+        with pytest.raises(NumericError, match="score"):
+            Detection(Box3D(x=0.0, y=0.0, z=0.0, w=1.0, l=1.0, h=1.0), score)

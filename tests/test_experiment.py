@@ -250,6 +250,7 @@ class TestConfigParsing:
         {"scenario": {"occluders": [[1.0, 2.0, 3.0]]}},
         {"seeds": None},
         {"tracker": {"min_hits": "many"}},
+        {"detect": {"min_dim_m": 0}},
     ])
     def test_malformed_values_raise_configuration_error(self, doc):
         with pytest.raises(ConfigurationError):

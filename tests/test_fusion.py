@@ -214,6 +214,12 @@ class TestCooperativeFeature:
         assert out.used_fallback
         assert np.array_equal(out.grid.values, ego.grid.values)
 
+    def test_unknown_kind_is_a_configuration_error(self):
+        ch = Channel(latency=LatencyModel(0.0))
+        send(ch, MessageKind.FEATURE, grid(np.ones(SPEC.shape)), 0.9)
+        with pytest.raises(ConfigurationError, match="unknown fusion kind"):
+            cooperative_feature(FusionMethod("psychic"), ch, 1.0, self.make_ego(), Pose.identity())
+
     def test_late_fallback_returns_ego_detections(self):
         ch = Channel(latency=LatencyModel(500.0))
         ego = self.make_ego()

@@ -1,10 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports or keeps private is used in it.
 
-A deletion that leaves an import behind fails here. The check reads the
-source with the standard-library ``ast`` module: a name counts as used when
-it appears as a name anywhere in the module's code, including string
-annotations such as ``"Scenario"``. ``__init__`` is exempt: its imports are
-the package's public names.
+A deletion that leaves an import or a private helper behind fails here. The
+check reads the source with the standard-library ``ast`` module: a name
+counts as used when it appears as a name anywhere in the module's code,
+including string annotations such as ``"Scenario"``. A module-level
+function or class whose name starts with one underscore is private, and
+the module itself must name it somewhere. ``__init__`` is exempt: its
+imports are the package's public names.
 """
 
 import ast
@@ -50,6 +52,16 @@ def unused_imports(source: str):
     return [(name, line) for name, line in imported_names(tree) if name not in used]
 
 
+def orphan_helpers(source: str):
+    """(name, line) of each module-level private function or class never used."""
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return [(node.name, node.lineno) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in used]
+
+
 def test_the_package_has_modules():
     assert len(MODULES) >= 10
 
@@ -65,3 +77,18 @@ def test_the_check_flags_an_unused_import():
               "if TYPE_CHECKING:\n    from .scenario import Scenario\n"
               "def f(s: 'Scenario') -> List[int]:\n    return np.zeros(1)\n")
     assert unused_imports(source) == [("Optional", 1), ("os", 3)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_orphan_private_helpers(path):
+    assert orphan_helpers(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_flags_an_orphan_helper():
+    source = ("def _used():\n    return 1\n\n"
+              "def _orphan():\n    return _used()\n\n"
+              "class _Record:\n    pass\n\n"
+              "def __getattr__(name):\n    raise AttributeError(name)\n\n"
+              "def public(r: '_Kept'):\n    return _used()\n\n"
+              "class _Kept:\n    def _method(self):\n        pass\n")
+    assert orphan_helpers(source) == [("_orphan", 4), ("_Record", 7)]
