@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .assignment import gated_assignment
-from .errors import DecodeError, OrderingError, UndefinedSimilarityError
+from .errors import ConfigurationError, DecodeError, OrderingError, UndefinedSimilarityError
 from .geometry import Box3D, Category, center_distance_matrix
 from .scenario import Provenance, TrackedObject
 
@@ -41,23 +41,6 @@ class Trajectory:
     def times(self) -> List[float]:
         return [t for t, _ in self.samples]
 
-    def box_at(self, t: float) -> Optional[Box3D]:
-        for st, box in self.samples:
-            if abs(st - t) < 1e-9:
-                return box
-        return None
-
-
-@dataclass(frozen=True)
-class FusedBox:
-    """One frame-level match result with origin bookkeeping."""
-
-    box: Box3D
-    timestamp: float
-    provenance: Provenance
-    source_vehicle_id: Optional[int] = None
-    source_infra_id: Optional[int] = None
-
 
 @dataclass(frozen=True)
 class CandidateMatch:
@@ -73,39 +56,6 @@ class Segment:
     end_s: float
     full: bool
     trajectories: Tuple[Trajectory, ...]
-
-
-def match_and_fuse_frames(
-    boxes_v: Sequence[TrackedObject],
-    boxes_i_in_ego: Sequence[TrackedObject],
-    threshold_m: float,
-) -> List[FusedBox]:
-    """Match same-timestamp boxes across views and fuse the matched pairs.
-
-    Matching is minimum-cost assignment on center distance, gated at the
-    threshold. A fused box averages the two centers; dims, yaw and category
-    come from the vehicle-side member. Unmatched boxes pass through with
-    their side provenance.
-    """
-    cost = center_distance_matrix([o.box for o in boxes_v], [o.box for o in boxes_i_in_ego])
-    pairs, _, leftover = gated_assignment(cost, cost <= threshold_m)
-    partner = dict(pairs)
-    out: List[FusedBox] = []
-    for r, obj in enumerate(boxes_v):
-        if r in partner:
-            other = boxes_i_in_ego[partner[r]]
-            out.append(FusedBox(box=_mean_center(obj.box, other.box), timestamp=obj.timestamp,
-                                provenance=Provenance.FUSED,
-                                source_vehicle_id=obj.track_id, source_infra_id=other.track_id))
-        else:
-            out.append(FusedBox(box=obj.box, timestamp=obj.timestamp,
-                                provenance=Provenance.VEHICLE_SIDE,
-                                source_vehicle_id=obj.track_id))
-    for c in leftover:
-        obj = boxes_i_in_ego[c]
-        out.append(FusedBox(box=obj.box, timestamp=obj.timestamp,
-                            provenance=Provenance.INFRA_SIDE, source_infra_id=obj.track_id))
-    return out
 
 
 def _mean_center(a: Box3D, b: Box3D) -> Box3D:
@@ -150,7 +100,8 @@ def fragment(
     tails. Trajectories clip to the closed window [start, start + window].
     """
     if window_s <= overlap_s or overlap_s < 0:
-        raise ValueError("fragment requires window_s > overlap_s >= 0")
+        raise ConfigurationError(
+            f"fragment requires window_s > overlap_s >= 0, got {window_s} and {overlap_s}")
     all_times = [t for traj in traj_set for t in traj.times()]
     if not all_times:
         return []
@@ -176,20 +127,12 @@ def fragment(
     return segments
 
 
-@dataclass(frozen=True)
-class InterestWeights:
-    turning: float = 1.0
-    speed_change: float = 1.0
-    completion: float = 1.0
-
-
 def score_interest(
     t: Trajectory,
     window_s: float = 10.0,
     frame_rate_hz: int = 10,
-    weights: InterestWeights = InterestWeights(),
 ) -> float:
-    """Interest score: turning + speed change + completion, each weighted.
+    """Interest score: turning + speed change + completion.
 
     Turning is the total absolute yaw change along the track. Speed change
     is the largest absolute speed difference across a one-second gap, with
@@ -197,7 +140,7 @@ def score_interest(
     fraction of window frames the track is present, capped at 1.
     """
     if len(t.samples) < 3:
-        raise ValueError(f"interest score needs >= 3 samples, got {len(t.samples)}")
+        raise UndefinedSimilarityError(f"interest score needs >= 3 samples, got {len(t.samples)}")
     times = np.array([s for s, _ in t.samples])
     yaws = np.unwrap(np.array([b.yaw for _, b in t.samples]))
     turning = float(np.abs(np.diff(yaws)).sum())
@@ -214,8 +157,7 @@ def score_interest(
     expected_frames = int(round(window_s * frame_rate_hz))
     completion = min(1.0, len(t.samples) / expected_frames)
 
-    return (weights.turning * turning + weights.speed_change * speed_change
-            + weights.completion * completion)
+    return turning + speed_change + completion
 
 
 def build_cooperative_trajectories(
@@ -226,9 +168,11 @@ def build_cooperative_trajectories(
 ) -> Tuple[List[Trajectory], List[CandidateMatch]]:
     """Pair up cross-view trajectories and emit fused cooperative tracks.
 
-    Candidate pairs come from frame-level gated matching; pairs scoring
-    below the similarity threshold are discarded outright. Surviving
-    candidates resolve one-to-one by assignment on (1 - similarity). Fused
+    Candidate pairs are the track pairs that gated assignment on center
+    distance matches in at least one frame (times compared to the
+    microsecond); pairs scoring below the similarity threshold are
+    discarded outright. Surviving candidates resolve one-to-one by
+    assignment on (1 - similarity). Fused
     samples average the two centers on shared frames and pass single-side
     samples through. Unpaired trajectories are re-emitted with their own
     provenance. Cooperative ids are assigned sequentially from 1.
@@ -236,22 +180,20 @@ def build_cooperative_trajectories(
     v_by_id = {tr.track_id: tr for tr in vehicle_trajs}
     i_by_id = {tr.track_id: tr for tr in infra_trajs}
 
-    times = sorted({round(t, 6) for tr in list(vehicle_trajs) + list(infra_trajs) for t in tr.times()})
-    pair_frames: Dict[Tuple[int, int], int] = {}
-    for t in times:
-        bv = [TrackedObject(box=tr.box_at(t), track_id=tr.track_id, timestamp=t,
-                            provenance=Provenance.VEHICLE_SIDE)
-              for tr in vehicle_trajs if tr.box_at(t) is not None]
-        bi = [TrackedObject(box=tr.box_at(t), track_id=tr.track_id, timestamp=t,
-                            provenance=Provenance.INFRA_SIDE)
-              for tr in infra_trajs if tr.box_at(t) is not None]
-        for fused in match_and_fuse_frames(bv, bi, match_threshold_m):
-            if fused.provenance is Provenance.FUSED:
-                key = (fused.source_vehicle_id, fused.source_infra_id)
-                pair_frames[key] = pair_frames.get(key, 0) + 1
+    # Per frame time, to the microsecond: each side's (track id, box) list.
+    frames: Dict[float, Tuple[list, list]] = {}
+    for side, trajs in enumerate((vehicle_trajs, infra_trajs)):
+        for tr in trajs:
+            for t, box in {round(t, 6): box for t, box in tr.samples}.items():
+                frames.setdefault(t, ([], []))[side].append((tr.track_id, box))
+    pairs = set()
+    for bv, bi in frames.values():
+        cost = center_distance_matrix([b for _, b in bv], [b for _, b in bi])
+        matched, _, _ = gated_assignment(cost, cost <= match_threshold_m)
+        pairs.update((bv[r][0], bi[c][0]) for r, c in matched)
 
     candidates: List[CandidateMatch] = []
-    for (vid, iid), _ in sorted(pair_frames.items()):
+    for vid, iid in sorted(pairs):
         try:
             sim = trajectory_similarity(v_by_id[vid], i_by_id[iid])
         except UndefinedSimilarityError:

@@ -31,12 +31,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .detector import Detection
 from .errors import ConfigurationError, DecodeError, EncodeError, OrderingError, ShapeMismatchError
 from .geometry import CATEGORY_ORDER, Box3D
 from .sensing import FeatureGrid, GridSpec, PointCloud
 
-BOX_RECORD_BYTES = 33
-POINT_RECORD_BYTES = 16
 GRID_HEADER = struct.Struct("<5i2f")
 CHANNEL_RANGE = struct.Struct("<2f")
 
@@ -275,9 +274,7 @@ def _encode_points(pc: PointCloud) -> Tuple[bytes, PointCloud]:
     return data, decoded
 
 
-def _encode_detections(dets: Sequence) -> Tuple[bytes, list]:
-    from .detector import Detection  # local import avoids a cycle at module load
-
+def _encode_detections(dets: Sequence[Detection]) -> Tuple[bytes, List[Detection]]:
     parts = []
     decoded = []
     for d in dets:
@@ -377,7 +374,7 @@ def latest_available(messages: Sequence[ChannelMessage], t_now: float) -> Option
 def bps(messages: Sequence[ChannelMessage], duration_s: float) -> Tuple[float, float]:
     """(Pre-compression, transmitted) bytes per second over a window starting at time zero."""
     if duration_s <= 0:
-        raise ValueError("duration must be positive")
+        raise ConfigurationError(f"duration must be positive, got {duration_s}")
     raw = sent = 0
     for m in messages:
         if m.t_send <= duration_s:

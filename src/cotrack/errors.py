@@ -34,4 +34,4 @@ class AlignmentError(CotrackError):
 
 
 class UndefinedSimilarityError(CotrackError):
-    """Trajectory similarity requested on insufficient temporal overlap."""
+    """A trajectory measure requested on too few samples or too little overlap."""

@@ -38,7 +38,7 @@ from .fusion import (
     cooperative_feature,
 )
 from .geometry import Pose, compose, inverse, transform_box
-from .metrics import RunReport, aggregate_run, evaluate_clearmot
+from .metrics import RunReport, aggregate_run, check_gate, evaluate_clearmot
 from .scenario import (
     Provenance,
     Scenario,
@@ -80,6 +80,7 @@ class ExperimentConfig:
             raise ConfigurationError("seeds must be distinct")
         if any(l < 0 for l in self.latencies_ms) or self.jitter_ms < 0:
             raise ConfigurationError("latencies must be non-negative")
+        check_gate(self.eval_gate_m)
 
 
 @dataclass(frozen=True)
@@ -381,9 +382,9 @@ def emit_report(reports: Sequence[RunReport], fmt: str, out_dir) -> Path:
     lossless. An empty report list is an error and writes nothing.
     """
     if not reports:
-        raise ValueError("cannot emit an empty report list")
+        raise ConfigurationError("cannot emit an empty report list")
     if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown report format {fmt!r}")
+        raise ConfigurationError(f"unknown report format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":

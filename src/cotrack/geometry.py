@@ -122,11 +122,6 @@ def transform_box(b: Box3D, src_to_dst: Pose) -> Box3D:
     return replace(b, x=x, y=y, z=z, yaw=float(wrap_angle(b.yaw + src_to_dst.yaw)))
 
 
-def center_distance(a: Box3D, b: Box3D) -> float:
-    """Euclidean distance between box centers, in meters."""
-    return math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
-
-
 def center_distance_matrix(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> np.ndarray:
     """Pairwise center distances, shape (len(rows), len(cols))."""
     if not rows or not cols:
@@ -296,17 +291,3 @@ def segments_hit_blockers(starts: np.ndarray, ends: np.ndarray, blockers: Blocke
     exit_ = np.minimum(t_far[..., 0], t_far[..., 1])
     return (enter <= exit_) & (enter < 1.0 - _EPS_T) & (exit_ > _EPS_T)
 
-
-def segments_hit_aabb(starts: np.ndarray, ends: np.ndarray, rect) -> np.ndarray:
-    """Whether 2D segments cross the interior of an axis-aligned rectangle.
-
-    ``rect`` is (x_min, y_min, x_max, y_max). Endpoints exactly on the
-    boundary do not count as hits; the crossing must be strictly interior to
-    the segment (slab test with a small parametric margin).
-    """
-    return segments_hit_blockers(starts, ends, Blockers.of(walls=[rect]))[0]
-
-
-def segments_hit_box(starts: np.ndarray, ends: np.ndarray, box: Box3D) -> np.ndarray:
-    """Whether 2D segments cross a box footprint (oriented rectangle)."""
-    return segments_hit_blockers(starts, ends, Blockers.of([box]))[0]

@@ -8,6 +8,7 @@ against stable assignments rather than per-frame re-matching churn.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .assignment import gated_assignment
 from .channel import Channel, bps
-from .errors import AlignmentError
+from .errors import AlignmentError, ConfigurationError
 from .geometry import center_distance_matrix
 from .scenario import TrackedObject
 
@@ -65,6 +66,13 @@ class RunReport:
                 for v in self.to_json_dict().values()]
 
 
+def check_gate(gate_m: float) -> float:
+    """A CLEAR-MOT match gate in meters, which must be positive and finite."""
+    if not 0.0 < gate_m < math.inf:
+        raise ConfigurationError(f"match gate must be positive and finite, got {gate_m}")
+    return gate_m
+
+
 def evaluate_clearmot(
     gt_frames: Sequence[Sequence[TrackedObject]],
     hyp_frames: Sequence[Sequence[TrackedObject]],
@@ -78,11 +86,11 @@ def evaluate_clearmot(
     A ground-truth object matched to a different hypothesis id than its last
     known one counts one identity switch.
     """
+    gate = check_gate(match_threshold_m)
     if len(gt_frames) != len(hyp_frames):
         raise AlignmentError(
             f"gt has {len(gt_frames)} frames but hypotheses have {len(hyp_frames)}"
         )
-    gate = match_threshold_m
     fp = fn = ids = num_gt = 0
     dist_sum = 0.0
     n_matches = 0

@@ -9,7 +9,7 @@ scenarios can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Sequence, Tuple
 
@@ -102,7 +102,6 @@ class ScenarioConfig:
     infra_range_m: float = 110.0
     agents: AgentPopulation = AgentPopulation()
     occluders: Tuple[Tuple[float, float, float, float], ...] = ()
-    occlusion: bool = False
     noise: NoiseConfig = NoiseConfig()
     vehicle_grid: GridSpec = field(default_factory=_default_vehicle_grid)
     infra_grid: GridSpec = field(default_factory=_default_infra_grid)
@@ -116,6 +115,8 @@ class ScenarioConfig:
             raise ConfigurationError("frame rate must be positive")
         if self.vehicle_range_m <= 0 or self.infra_range_m <= 0:
             raise ConfigurationError("sensor ranges must be positive")
+        if self.ego_speed < 0:
+            raise ConfigurationError("ego speed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -186,20 +187,20 @@ class Scenario:
 def _integrate_track(
     start_xy: Tuple[float, float],
     yaw0: float,
-    speed0: float,
-    segments: Sequence[Tuple[float, float, float]],
+    speed: float,
+    segments: Sequence[Tuple[float, float]],
     times: np.ndarray,
 ) -> np.ndarray:
-    """Integrate unicycle motion through (duration, accel, turn_rate) segments.
+    """Integrate constant-speed unicycle motion through (duration, turn_rate) segments.
 
     Constant turn rate uses the exact arc update per frame step; straight
-    motion is exact. Speeds clamp at zero.
+    motion is exact.
     """
     x, y = start_xy
-    yaw, speed = yaw0, speed0
+    yaw = yaw0
     out = np.empty((len(times), 5))
     out[0] = (times[0], x, y, yaw, speed)
-    seg_iter = list(segments) or [(math.inf, 0.0, 0.0)]
+    seg_iter = list(segments) or [(math.inf, 0.0)]
     seg_idx = 0
     seg_left = seg_iter[0][0]
     for k in range(1, len(times)):
@@ -209,34 +210,22 @@ def _integrate_track(
             while seg_left <= 1e-12 and seg_idx + 1 < len(seg_iter):
                 seg_idx += 1
                 seg_left = seg_iter[seg_idx][0]
-            _, accel, omega = seg_iter[seg_idx]
+            _, omega = seg_iter[seg_idx]
             step = min(remaining, seg_left) if seg_left > 1e-12 else remaining
-            v_end = max(0.0, speed + accel * step)
-            v_mid = 0.5 * (speed + v_end)
             if abs(omega) < 1e-12:
-                x += v_mid * math.cos(yaw) * step
-                y += v_mid * math.sin(yaw) * step
+                x += speed * math.cos(yaw) * step
+                y += speed * math.sin(yaw) * step
             else:
                 yaw_new = yaw + omega * step
-                radius = v_mid / omega
+                radius = speed / omega
                 x += radius * (math.sin(yaw_new) - math.sin(yaw))
                 y -= radius * (math.cos(yaw_new) - math.cos(yaw))
                 yaw = yaw_new
-            speed = v_end
             seg_left -= step
             remaining -= step
         yaw = float(wrap_angle(yaw))
         out[k] = (times[k], x, y, yaw, speed)
     return out
-
-
-def _auto_occluder(config: ScenarioConfig) -> Tuple[float, float, float, float]:
-    """Wall placed to shadow the first lane from the ego start position."""
-    ex, _ = config.ego_start
-    lane = config.agents.lanes[0]
-    if lane.y >= 0:
-        return (ex + 14.0, 1.0, ex + 16.0, max(4.0, lane.y + 18.0))
-    return (ex + 14.0, min(-4.0, lane.y - 18.0), ex + 16.0, -1.0)
 
 
 def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
@@ -262,12 +251,12 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         y0 = lane.y + slot * pop.lane_slot_spacing_m * math.sin(lane.heading)
         speed = float(rng.uniform(*pop.speed_range))
         turns = rng.random() < pop.turn_fraction
-        segments: List[Tuple[float, float, float]] = []
+        segments: List[Tuple[float, float]] = []
         if turns:
             t_turn = float(rng.uniform(0.2 * config.duration_s, 0.5 * config.duration_s))
             turn_dur = (math.pi / 2) / pop.turn_rate
             omega = pop.turn_rate if rng.random() < 0.5 else -pop.turn_rate
-            segments = [(t_turn, 0.0, 0.0), (turn_dur, 0.0, omega), (math.inf, 0.0, 0.0)]
+            segments = [(t_turn, 0.0), (turn_dur, omega), (math.inf, 0.0)]
         waypoints = _integrate_track((x0, y0), lane.heading, speed, segments, times)
         agents.append(
             Agent(id=i + 1, category=category, dims=CATEGORY_DIMS[category], waypoints=waypoints)
@@ -277,8 +266,6 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         config.ego_start, config.ego_yaw, config.ego_speed, [], times
     )
     occluders = tuple(tuple(map(float, rect)) for rect in config.occluders)
-    if config.occlusion and not occluders:
-        occluders = (_auto_occluder(config),)
     for rect in occluders:
         if not (rect[0] < rect[2] and rect[1] < rect[3]):
             raise ConfigurationError(f"occluder rectangle {rect} is degenerate")
@@ -331,6 +318,4 @@ def cooperative_ground_truth(
 
 def objects_to_frame(objects: Sequence[TrackedObject], src_to_dst: Pose) -> List[TrackedObject]:
     """Re-express tracked objects in another frame."""
-    from dataclasses import replace
-
     return [replace(o, box=transform_box(o.box, src_to_dst)) for o in objects]

@@ -22,6 +22,7 @@ from .scenario import Provenance, TrackedObject
 STATE_DIM = 10
 MEAS_DIM = 7  # x, y, z, yaw, w, l, h
 _YAW = 3
+MIN_DIM_M = 0.05  # floor on a reported box dim; the filter's dims can shrink to <= 0
 
 _H = np.zeros((MEAS_DIM, STATE_DIM))
 _H[:MEAS_DIM, :MEAS_DIM] = np.eye(MEAS_DIM)
@@ -43,7 +44,6 @@ class TrackerParams:
     p0_yaw: float = 0.5
     p0_dims: float = 1.0
     p0_vel: float = 100.0
-    min_output_dim_m: float = 0.05
     # Report unconfirmed tracks during the first min_hits frames of a run,
     # so a perfect detector yields output from frame one. Disable for
     # strictly-confirmed output.
@@ -83,10 +83,10 @@ class Track:
     def position(self) -> np.ndarray:
         return self.state[:3]
 
-    def box(self, min_dim: float = 0.05) -> Box3D:
+    def box(self) -> Box3D:
         x, y, z, yaw, w, l, h = self.state[:MEAS_DIM]
-        return Box3D(x=x, y=y, z=z, w=max(w, min_dim), l=max(l, min_dim),
-                     h=max(h, min_dim), yaw=yaw)
+        return Box3D(x=x, y=y, z=z, w=max(w, MIN_DIM_M), l=max(l, MIN_DIM_M),
+                     h=max(h, MIN_DIM_M), yaw=yaw)
 
 
 def _assert_positive_definite(p: np.ndarray) -> np.ndarray:
@@ -101,7 +101,7 @@ def _assert_positive_definite(p: np.ndarray) -> np.ndarray:
 def kf_predict(t: Track, dt: float, params: TrackerParams = TrackerParams()) -> Track:
     """Advance a track by dt seconds under the constant-velocity model."""
     if dt < 0:
-        raise ValueError("dt must be non-negative")
+        raise OrderingError(f"dt must be non-negative, got {dt}")
     f = np.eye(STATE_DIM)
     f[0, 7] = f[1, 8] = f[2, 9] = dt
     state = f @ t.state
@@ -219,7 +219,7 @@ class Tracker:
             if trk.misses == 0 and (trk.confirmed(p.min_hits) or warm):
                 out.append(
                     TrackedObject(
-                        box=trk.box(p.min_output_dim_m),
+                        box=trk.box(),
                         track_id=trk.id,
                         timestamp=t,
                         provenance=self.provenance,

@@ -6,29 +6,26 @@ enumeration of gated matchings, the grid codec from the first, dense
 implementation (every cell quantized, a boolean mask scattered), and the
 detector, rasterizer and Hungarian solve from their first, per-blob,
 ``ufunc.at`` and array-per-step implementations, and late fusion, track
-association and cross-view frame matching from their versions with their
+association and cross-view trajectory pairing from their versions with their
 own guards and leftover loops.
 """
 
 import itertools
 import math
 import struct
-from dataclasses import replace
 
 import numpy as np
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from scipy import ndimage
 
-from cotrack.annotate import FusedBox
 from cotrack.assignment import solve_assignment
 from cotrack.channel import CHANNEL_RANGE
 from cotrack.detector import Detection, DetectParams
 from cotrack.errors import DecodeError
 from cotrack.fusion import _merge_pair
 from cotrack.geometry import Box3D, Category, bev_iou, center_distance_matrix
-from cotrack.scenario import Provenance, TrackedObject
 from cotrack.sensing import (
     DENSITY_CHANNEL,
     HEIGHT_CHANNEL,
@@ -484,45 +481,25 @@ def guarded_associate(
     return matches, unmatched_tracks, unmatched_dets
 
 
-def guarded_match_and_fuse_frames(
-    boxes_v: Sequence[TrackedObject],
-    boxes_i_in_ego: Sequence[TrackedObject],
-    threshold_m: float,
-) -> List[FusedBox]:
-    """Match same-timestamp boxes across views and fuse the matched pairs.
+def frame_pairs_before(vehicle_trajs, infra_trajs, threshold_m: float) -> set:
+    """(vehicle id, infra id) pairs matched in at least one frame, mined as
+    before ``gated_assignment``: frames keyed by ``round(t, 6)``, each
+    trajectory's box looked up within 1e-9 s of the key, and the matcher's
+    own empty-side guard."""
 
-    Matching is minimum-cost assignment on center distance, gated at the
-    threshold. A fused box averages the two centers; dims, yaw and category
-    come from the vehicle-side member. Unmatched boxes pass through with
-    their side provenance.
-    """
-    cost = center_distance_matrix([o.box for o in boxes_v], [o.box for o in boxes_i_in_ego])
-    matched_v: Dict[int, int] = {}
-    matched_i = set()
-    if len(boxes_v) and len(boxes_i_in_ego):
+    def box_at(tr, t):
+        return next((box for st, box in tr.samples if abs(st - t) < 1e-9), None)
+
+    times = sorted({round(t, 6) for tr in list(vehicle_trajs) + list(infra_trajs)
+                    for t, _ in tr.samples})
+    pairs = set()
+    for t in times:
+        bv = [(tr.track_id, box_at(tr, t)) for tr in vehicle_trajs if box_at(tr, t) is not None]
+        bi = [(tr.track_id, box_at(tr, t)) for tr in infra_trajs if box_at(tr, t) is not None]
+        if not bv or not bi:
+            continue
+        cost = center_distance_matrix([b for _, b in bv], [b for _, b in bi])
         for r, c in solve_assignment(cost):
             if cost[r, c] <= threshold_m:
-                matched_v[r] = c
-                matched_i.add(c)
-    out: List[FusedBox] = []
-    for r, obj in enumerate(boxes_v):
-        if r in matched_v:
-            other = boxes_i_in_ego[matched_v[r]]
-            box = replace(
-                obj.box,
-                x=0.5 * (obj.box.x + other.box.x),
-                y=0.5 * (obj.box.y + other.box.y),
-                z=0.5 * (obj.box.z + other.box.z),
-            )
-            out.append(FusedBox(box=box, timestamp=obj.timestamp, provenance=Provenance.FUSED,
-                                source_vehicle_id=obj.track_id, source_infra_id=other.track_id))
-        else:
-            out.append(FusedBox(box=obj.box, timestamp=obj.timestamp,
-                                provenance=Provenance.VEHICLE_SIDE,
-                                source_vehicle_id=obj.track_id))
-    for c, obj in enumerate(boxes_i_in_ego):
-        if c not in matched_i:
-            out.append(FusedBox(box=obj.box, timestamp=obj.timestamp,
-                                provenance=Provenance.INFRA_SIDE,
-                                source_infra_id=obj.track_id))
-    return out
+                pairs.add((bv[r][0], bi[c][0]))
+    return pairs

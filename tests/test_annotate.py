@@ -9,7 +9,6 @@ from cotrack.annotate import (
     build_cooperative_trajectories,
     filter_matches,
     fragment,
-    match_and_fuse_frames,
     read_tracked_objects,
     read_trajectories,
     score_interest,
@@ -17,7 +16,12 @@ from cotrack.annotate import (
     write_trajectories,
 )
 from cotrack.cli import main as cli_main
-from cotrack.errors import DecodeError, OrderingError, UndefinedSimilarityError
+from cotrack.errors import (
+    ConfigurationError,
+    DecodeError,
+    OrderingError,
+    UndefinedSimilarityError,
+)
 from cotrack.geometry import Box3D
 from cotrack.scenario import Provenance, ScenarioConfig, TrackedObject, generate_scenario
 from cotrack.sensing import View
@@ -38,35 +42,6 @@ def traj(track_id, positions, t0=0.0, dt=0.1, prov=Provenance.VEHICLE_SIDE, yaws
         yaw = yaws[k] if yaws is not None else 0.0
         samples.append((t0 + k * dt, box(x, y, yaw=yaw)))
     return Trajectory(track_id=track_id, samples=tuple(samples), provenance=prov)
-
-
-class TestMatchAndFuse:
-    def test_far_apart_pass_through(self):
-        out = match_and_fuse_frames([tobj(1, 0.0)], [tobj(9, 50.0, prov=Provenance.INFRA_SIDE)], 2.0)
-        assert len(out) == 2
-        assert {o.provenance for o in out} == {Provenance.VEHICLE_SIDE, Provenance.INFRA_SIDE}
-
-    def test_identical_sets_all_fused(self):
-        bv = [tobj(1, 0.0), tobj(2, 10.0)]
-        bi = [tobj(21, 0.0, prov=Provenance.INFRA_SIDE), tobj(22, 10.0, prov=Provenance.INFRA_SIDE)]
-        out = match_and_fuse_frames(bv, bi, 2.0)
-        assert all(o.provenance is Provenance.FUSED for o in out)
-        assert {(o.source_vehicle_id, o.source_infra_id) for o in out} == {(1, 21), (2, 22)}
-
-    def test_fused_center_is_average(self):
-        out = match_and_fuse_frames([tobj(1, 0.0)], [tobj(2, 1.0, prov=Provenance.INFRA_SIDE)], 2.0)
-        assert len(out) == 1
-        assert out[0].box.x == pytest.approx(0.5)
-
-    def test_crossed_costs_use_optimal_assignment(self):
-        # Distance matrix [[1, 2], [2, 4]] (realized in the plane): optimum
-        # pairs row 0 with column 1 and row 1 with column 0.
-        bv = [tobj(1, 0.0, 0.0), tobj(2, 1.5, 1.9364916731037085)]
-        bi = [tobj(11, 1.0, 0.0, prov=Provenance.INFRA_SIDE),
-              tobj(12, -2.0, 0.0, prov=Provenance.INFRA_SIDE)]
-        out = match_and_fuse_frames(bv, bi, threshold_m=5.0)
-        pairs = {(o.source_vehicle_id, o.source_infra_id) for o in out}
-        assert pairs == {(1, 12), (2, 11)}
 
 
 class TestTrajectorySimilarity:
@@ -134,8 +109,16 @@ class TestFragment:
             assert a.end_s - b.start_s == pytest.approx(5.0)
 
     def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             fragment([], window_s=5.0, overlap_s=5.0)
+
+    def test_cli_exits_2_on_a_window_not_longer_than_the_overlap(self, tmp_path, capsys):
+        path = tmp_path / "tracks.jsonl"
+        write_trajectories(path, [traj(1, [0.0, 1.0, 2.0])])
+        code = cli_main(["annotate", "--in", str(path), "--out", str(tmp_path / "o"),
+                         "--window-s", "5", "--overlap-s", "5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: fragment requires window_s > overlap_s")
 
 
 class TestScoreInterest:
@@ -169,7 +152,7 @@ class TestScoreInterest:
         assert score == pytest.approx(4.0 + 1.0, abs=1e-6)
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UndefinedSimilarityError):
             score_interest(traj(1, [0.0, 1.0]))
 
 
@@ -212,6 +195,16 @@ class TestCooperativePipeline:
         for tr in fused:
             v_id, i_id = tr.source_ids
             assert v_id == i_id  # simulator shares agent ids across views
+
+    @pytest.mark.parametrize("shift_s", [0.0, 1e-7, 1.23456789e-3])
+    def test_identical_views_pair_whatever_the_time_offset(self, shift_s):
+        # Both sides carry the same samples; frames pair by time to the
+        # microsecond, so an offset shared by both sides changes nothing.
+        v = [traj(1, [0.0, 1.0, 2.0], t0=shift_s)]
+        i = [traj(9, [0.0, 1.0, 2.0], t0=shift_s, prov=Provenance.INFRA_SIDE)]
+        coop, candidates = build_cooperative_trajectories(v, i, 2.0, 0.5)
+        assert candidates == [CandidateMatch(vehicle_id=1, infra_id=9, similarity=1.0)]
+        assert [(tr.provenance, tr.source_ids) for tr in coop] == [(Provenance.FUSED, (1, 9))]
 
     def test_unmatched_sides_pass_through(self):
         v = [traj(1, [0.0, 1.0, 2.0])]

@@ -314,7 +314,7 @@ class TestBps:
         assert bps(msgs, 1.0) == pytest.approx((100.0, 100.0))
 
     def test_invalid_duration(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             bps([], 0.0)
 
 

@@ -172,9 +172,14 @@ class TestRunSweep:
 
 class TestEmitReport:
     def test_empty_reports_error_and_no_file(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             emit_report([], "csv", tmp_path / "out")
         assert not (tmp_path / "out" / "runs.csv").exists()
+
+    def test_unknown_format_rejected(self, tmp_path):
+        report = run_single(tiny_config(), FusionMethod(FusionKind.VEHICLE_ONLY), 0.0, 1)
+        with pytest.raises(ConfigurationError, match="unknown report format"):
+            emit_report([report], "xml", tmp_path)
 
     def test_single_report_csv(self, tmp_path):
         cfg = tiny_config()
@@ -251,6 +256,9 @@ class TestConfigParsing:
         {"seeds": None},
         {"tracker": {"min_hits": "many"}},
         {"detect": {"min_dim_m": 0}},
+        {"eval_gate_m": -1},
+        {"eval_gate_m": 0.0},
+        {"scenario": {"ego": {"speed_mps": -1.0}}},
     ])
     def test_malformed_values_raise_configuration_error(self, doc):
         with pytest.raises(ConfigurationError):
@@ -319,6 +327,12 @@ class TestCli:
         assert (out_dir / "summary.csv").exists()
         assert "1 runs completed" in capsys.readouterr().out
 
+    def test_run_command_negative_eval_gate(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "eval_gate_m": -1}))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: match gate must be positive")
+
     def test_run_command_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"fusions\": [\"nope\"]}")
@@ -339,6 +353,13 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert result["mota"] == 1.0
         assert result["num_gt"] == 1
+
+    def test_eval_command_rejects_a_negative_gate(self, tmp_path, capsys):
+        path = tmp_path / "tracks.jsonl"
+        path.write_text(json.dumps({"t": 0.0, "track_id": 1, "box": {
+            "x": 1.0, "y": 2.0, "z": 0.75, "w": 1.8, "l": 4.5, "h": 1.5}}) + "\n")
+        assert cli_main(["eval", "--gt", str(path), "--hyp", str(path), "--gate", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: match gate must be positive")
 
     def test_eval_command_agrees_with_pipeline_report(self, tmp_path, capsys):
         # Exported track files scored by the standalone evaluator reproduce

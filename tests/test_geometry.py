@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from cotrack.geometry import (
+    Blockers,
     Box3D,
     Pose,
     Region,
     bev_iou,
-    center_distance,
+    center_distance_matrix,
     compose,
     inverse,
-    segments_hit_aabb,
-    segments_hit_box,
+    segments_hit_blockers,
     transform_box,
     wrap_angle,
 )
@@ -90,6 +90,11 @@ class TestTransformBox:
             assert float(wrap_angle(back.yaw - b.yaw)) == pytest.approx(0.0, abs=1e-9)
 
 
+def center_distance(a, b):
+    """One box pair's entry of the pairwise distance matrix."""
+    return center_distance_matrix([a], [b])[0, 0]
+
+
 class TestCenterDistance:
     def test_identical_boxes(self):
         b = make_box(3.0, 4.0, 5.0)
@@ -152,23 +157,26 @@ class TestRegion:
         assert not r.contains(10.0001, 0.0)
 
 
+UNIT_RECT = Blockers.of(walls=[(0, 0, 2, 1)])
+
+
 class TestSegmentHits:
     def test_segment_through_rect(self):
-        hit = segments_hit_aabb(np.array([[-1.0, 0.5]]), np.array([[3.0, 0.5]]), (0, 0, 2, 1))
+        hit = segments_hit_blockers(np.array([[-1.0, 0.5]]), np.array([[3.0, 0.5]]), UNIT_RECT)[0]
         assert hit[0]
 
     def test_segment_misses_rect(self):
-        hit = segments_hit_aabb(np.array([[-1.0, 5.0]]), np.array([[3.0, 5.0]]), (0, 0, 2, 1))
+        hit = segments_hit_blockers(np.array([[-1.0, 5.0]]), np.array([[3.0, 5.0]]), UNIT_RECT)[0]
         assert not hit[0]
 
     def test_segment_ends_on_boundary_not_hit(self):
         # Ray cast exactly to a point on the rectangle edge does not count.
-        hit = segments_hit_aabb(np.array([[-1.0, 0.5]]), np.array([[0.0, 0.5]]), (0, 0, 2, 1))
+        hit = segments_hit_blockers(np.array([[-1.0, 0.5]]), np.array([[0.0, 0.5]]), UNIT_RECT)[0]
         assert not hit[0]
 
     def test_oriented_box_hit(self):
         box = make_box(5.0, 0.0, 0.0, w=2.0, l=4.0, yaw=math.pi / 2)
         starts = np.array([[0.0, 0.0], [0.0, 10.0]])
         ends = np.array([[10.0, 0.0], [10.0, 10.0]])
-        hits = segments_hit_box(starts, ends, box)
+        hits = segments_hit_blockers(starts, ends, Blockers.of([box]))[0]
         assert hits[0] and not hits[1]

@@ -1,15 +1,18 @@
-"""Every name a module of the package imports or keeps private is used in it.
+"""Every module imports on its own, and every name a module of the package
+imports or keeps private is used in it.
 
 A deletion that leaves an import or a private helper behind fails here. The
 check reads the source with the standard-library ``ast`` module: a name
 counts as used when it appears as a name anywhere in the module's code,
 including string annotations such as ``"Scenario"``. A module-level
 function or class whose name starts with one underscore is private, and
-the module itself must name it somewhere. ``__init__`` is exempt: its
-imports are the package's public names.
+the module itself must name it somewhere. ``__init__`` is exempt: it
+re-exports ``run_single`` and loads ``presets``.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +67,27 @@ def orphan_helpers(source: str):
 
 def test_the_package_has_modules():
     assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_on_its_own(path):
+    """A fresh interpreter imports the module under an empty ``cotrack``
+    package, so no other module's import can have loaded its dependencies."""
+    code = ("import sys, types\n"
+            "package = types.ModuleType('cotrack')\n"
+            f"package.__path__ = [{str(PACKAGE)!r}]\n"
+            "sys.modules['cotrack'] = package\n"
+            f"import cotrack.{path.stem}\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_the_package_exposes_run_single():
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "import cotrack, cotrack.experiment\n"
+            "assert cotrack.run_single is cotrack.experiment.run_single\n" % str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

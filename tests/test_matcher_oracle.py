@@ -1,8 +1,9 @@
 """The gated box matchers against their versions before ``gated_assignment``.
 
-Late fusion, track association (both metrics) and cross-view frame matching
-now share one gated assignment; ``oracle_utils`` keeps each one's own copy
-with its empty-side guard and leftover loops (``guarded_*``). Box centres sit
+Late fusion, track association (both metrics) and cross-view trajectory
+pairing now share one gated assignment; ``oracle_utils`` keeps each one's own
+copy with its empty-side guard and leftover loops (``guarded_*``, and
+``frame_pairs_before`` for the pairing, whose frame times lie on a 10 Hz grid). Box centres sit
 on an integer lattice and the gates are lattice distances, so tied costs and
 distances exactly at the gate are common. Outputs are compared through
 ``repr``, which tells every float apart, -0.0 from 0.0 included.
@@ -14,14 +15,20 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cotrack.annotate import match_and_fuse_frames
+from cotrack.annotate import (
+    CandidateMatch,
+    Trajectory,
+    build_cooperative_trajectories,
+    trajectory_similarity,
+)
 from cotrack.assignment import gated_assignment, solve_assignment
 from cotrack.detector import Detection
+from cotrack.errors import UndefinedSimilarityError
 from cotrack.fusion import fuse_late
 from cotrack.geometry import Box3D, Category
-from cotrack.scenario import Provenance, TrackedObject
+from cotrack.scenario import Provenance
 from cotrack.tracker import Track, associate
-from oracle_utils import guarded_associate, guarded_fuse_late, guarded_match_and_fuse_frames
+from oracle_utils import frame_pairs_before, guarded_associate, guarded_fuse_late
 
 # Every distance between two lattice centres is sqrt of an integer up to 4+4+1.
 LATTICE_GATES = st.sampled_from([math.sqrt(k) for k in range(10)])
@@ -47,9 +54,13 @@ def track_of(i: int, box: Box3D) -> Track:
     return Track(id=i + 1, state=state, covariance=np.eye(10))
 
 
-def tracked(side: Provenance, found):
-    return [TrackedObject(box=b, track_id=10 * k + 1, timestamp=0.5, provenance=side)
-            for k, b in enumerate(found)]
+def trajectories(side: Provenance):
+    """Up to four trajectories of one to four consecutive 10 Hz frames each."""
+    starts_and_boxes = st.tuples(st.integers(0, 3), st.lists(boxes, min_size=1, max_size=4))
+    return st.lists(starts_and_boxes, max_size=4).map(lambda specs: [
+        Trajectory(track_id=10 * k + 1, provenance=side,
+                   samples=tuple((0.1 * (start + j), b) for j, b in enumerate(found)))
+        for k, (start, found) in enumerate(specs)])
 
 
 @given(st.lists(detections, max_size=8), st.lists(detections, max_size=8), LATTICE_GATES)
@@ -70,11 +81,18 @@ def test_iou_association_matches_its_guarded_version(track_boxes, dets, iou_gate
     assert new == guarded_associate(tracks, dets, 4.0, metric="iou", iou_gate=iou_gate)
 
 
-@given(st.lists(boxes, max_size=8), st.lists(boxes, max_size=8), LATTICE_GATES)
-def test_frame_matching_matches_its_guarded_version(v, i, gate):
-    bv, bi = tracked(Provenance.VEHICLE_SIDE, v), tracked(Provenance.INFRA_SIDE, i)
-    new = match_and_fuse_frames(bv, bi, gate)
-    assert repr(new) == repr(guarded_match_and_fuse_frames(bv, bi, gate))
+@given(trajectories(Provenance.VEHICLE_SIDE), trajectories(Provenance.INFRA_SIDE), LATTICE_GATES)
+def test_trajectory_pairing_matches_its_frame_by_frame_version(v, i, gate):
+    _, candidates = build_cooperative_trajectories(v, i, gate)
+    v_by_id, i_by_id = {tr.track_id: tr for tr in v}, {tr.track_id: tr for tr in i}
+    want = []
+    for vid, iid in sorted(frame_pairs_before(v, i, gate)):
+        try:
+            sim = trajectory_similarity(v_by_id[vid], i_by_id[iid])
+        except UndefinedSimilarityError:
+            continue
+        want.append(CandidateMatch(vehicle_id=vid, infra_id=iid, similarity=sim))
+    assert repr(candidates) == repr(want)
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.data())

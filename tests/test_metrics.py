@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cotrack.channel import Channel, ChannelMessage, LatencyModel, MessageKind
-from cotrack.errors import AlignmentError
+from cotrack.errors import AlignmentError, ConfigurationError
 from cotrack.geometry import Box3D
 from cotrack.metrics import (
     MotResult,
@@ -27,6 +27,12 @@ def obj(track_id, x, y=0.0, z=0.0, t=0.0):
 
 
 class TestEvaluateClearmot:
+    @pytest.mark.parametrize("gate", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_gate_must_be_positive_and_finite(self, gate):
+        frames = [[obj(1, 0.0)]]
+        with pytest.raises(ConfigurationError, match="match gate"):
+            evaluate_clearmot(frames, frames, gate)
+
     def test_perfect_tracker(self):
         frames = [[obj(1, 0.0, t=0.1 * k), obj(2, 10.0, t=0.1 * k)] for k in range(5)]
         result = evaluate_clearmot(frames, frames, 2.0)

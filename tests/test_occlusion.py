@@ -2,8 +2,8 @@
 
 ``segments_hit_blockers`` tests every segment against every wall and box in
 one slab test, and ``visible_agents`` tests every agent's probes in one call.
-The references below are the loops they replaced: one ``segments_hit_box``
-or ``segments_hit_aabb`` call per blocker, and one probe set per agent.
+The references below are the loops they replaced: one single-blocker
+``segments_hit_blockers`` call per blocker, and one probe set per agent.
 """
 
 import math
@@ -13,13 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cotrack.geometry import (
-    Blockers,
-    Box3D,
-    segments_hit_aabb,
-    segments_hit_blockers,
-    segments_hit_box,
-)
+from cotrack.geometry import Blockers, Box3D, segments_hit_blockers
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import ScenarioConfig, generate_scenario, ground_truth_at
 from cotrack.sensing import View, _clutter_field, sample_point_cloud, visible_agents
@@ -29,8 +23,8 @@ PROBE_OFFSETS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 def hits_per_blocker(starts, ends, boxes, walls):
     """Reference: one slab test per box, then one per wall, stacked as rows."""
-    rows = [segments_hit_box(starts, ends, box) for box in boxes]
-    rows += [segments_hit_aabb(starts, ends, rect) for rect in walls]
+    rows = [segments_hit_blockers(starts, ends, Blockers.of([box]))[0] for box in boxes]
+    rows += [segments_hit_blockers(starts, ends, Blockers.of(walls=[rect]))[0] for rect in walls]
     return np.array(rows, dtype=bool).reshape(len(rows), len(starts))
 
 

@@ -98,20 +98,6 @@ class TestGenerateScenario:
         gaps = np.diff(xs)
         assert (gaps > 20.0).all()
 
-    def test_auto_occluder_hides_an_agent(self):
-        cfg = ScenarioConfig(
-            duration_s=1.0,
-            ego_start=(0.0, 0.0),
-            agents=AgentPopulation(count=1, speed_range=(5.0, 5.0), lanes=(Lane(8.0),),
-                                   x_start_range=(30.0, 30.0)),
-            occlusion=True,
-            noise=NoiseConfig(sigma_m=0.0, clutter_per_m2=0.0),
-        )
-        scn = generate_scenario(cfg, 1)
-        assert scn.occluders
-        assert ground_truth_at(scn, 0.0, View.VEHICLE) == []
-        assert len(ground_truth_at(scn, 0.0, View.INFRA)) == 1
-
 
 class TestGroundTruth:
     def test_occluded_from_vehicle_visible_to_infra(self):

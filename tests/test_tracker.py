@@ -33,6 +33,10 @@ class TestKalman:
         assert np.array_equal(out.state, t.state)
         assert np.allclose(out.covariance, t.covariance)
 
+    def test_negative_dt_is_an_ordering_error(self):
+        with pytest.raises(OrderingError):
+            kf_predict(fresh_track(), -0.1)
+
     def test_velocity_advances_position(self):
         t = fresh_track()
         t.state[7] = 10.0
