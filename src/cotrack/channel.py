@@ -359,18 +359,6 @@ def transmit(m: ChannelMessage, lm: LatencyModel, message_index: int = 0) -> Cha
     return replace(m, t_arrive=m.t_send + lm.delay_s(message_index))
 
 
-def latest_available(messages: Sequence[ChannelMessage], t_now: float) -> Optional[ChannelMessage]:
-    """Most recently captured message that has arrived by ``t_now``.
-
-    ``messages`` must be sorted by send time. Among equal arrival times the
-    larger send time wins, which the reverse scan gives for free.
-    """
-    for m in reversed(messages):
-        if m.arrived_by(t_now):
-            return m
-    return None
-
-
 def bps(messages: Sequence[ChannelMessage], duration_s: float) -> Tuple[float, float]:
     """(Pre-compression, transmitted) bytes per second over a window starting at time zero."""
     if duration_s <= 0:

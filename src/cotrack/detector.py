@@ -5,16 +5,19 @@ oriented boxes to thresholded connected components of the density channel.
 The substitution keeps the pipeline contract (grid in, scored boxes out) so
 fusion and latency effects stay measurable end to end; see the README for
 the full rationale.
+
+Components are 8-connected and numbered in raster (row-major) order of
+their first cell, the numbering of ``scipy.ndimage.label`` with a 3 x 3
+structure; the order of the detections follows it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigurationError, NumericError
 from .geometry import Box3D, Category
@@ -48,7 +51,43 @@ class DetectParams:
             raise ConfigurationError("detection needs 0 < min_dim_m <= max_dim_m, max_height_m")
 
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+def _label_blobs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """8-connected components of a 2-D boolean mask, over its true cells only.
+
+    Returns the raster indices of the true cells, ascending, and each cell's
+    label: 1 for the component whose first cell comes first in raster order,
+    2 for the next, and so on. The true cells split into horizontal runs; a
+    run joins every run of the row above whose columns overlap its own
+    widened by one, and min-label hooking with pointer jumping resolves the
+    joins, so each component's root is its first run.
+    """
+    cols = mask.shape[1]
+    cells = np.flatnonzero(mask)
+    run_start = np.ones(len(cells), dtype=bool)
+    run_start[1:] = (np.diff(cells) != 1) | (cells[1:] % cols == 0)  # a gap or a row wrap
+    run_end = np.ones(len(cells), dtype=bool)
+    run_end[:-1] = run_start[1:]
+    starts, ends = cells[run_start], cells[run_end]
+    # The runs that touch [lo, hi] in the row above: runs are disjoint and in
+    # raster order, so both their starts and their ends are sorted.
+    above = (starts // cols - 1) * cols
+    lo = above + np.maximum(starts % cols - 1, 0)
+    hi = above + np.minimum(ends % cols + 1, cols - 1)
+    first = np.searchsorted(ends, lo)
+    count = np.maximum(np.searchsorted(starts, hi, side="right") - first, 0)
+    # Run k joins runs first[k], ..., first[k] + count[k] - 1.
+    run = np.repeat(np.arange(len(starts)), count)
+    other = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(len(run))
+    parent = np.arange(len(starts))
+    while True:
+        a, b = parent[run], parent[other]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
+    labels = np.cumsum(parent == np.arange(len(starts)))[parent]
+    return cells, np.repeat(labels, ends - starts + 1)
 
 
 def detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> List[Detection]:
@@ -64,16 +103,15 @@ def detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> List[Detect
     density of the component. Boxes come out in the grid's frame.
     """
     density = g.values[:, :, DENSITY_CHANNEL]
-    labels = ndimage.label(density > params.tau, structure=_EIGHT_CONNECTED)[0].ravel()
-    sizes = np.bincount(labels)
-    sizes[0] = 0  # the background; min_cells >= 1 drops it
+    cells, labels = _label_blobs(density > params.tau)
+    sizes = np.bincount(labels)  # sizes[0] == 0; min_cells >= 1 drops it
     kept = sizes >= params.min_cells
-    cells = np.flatnonzero(kept[labels])
-    if not len(cells):
+    keep = kept[labels]
+    if not keep.any():
         return []
     # A stable sort by label keeps each component's cells in row-major order,
     # the order numpy's pairwise sums must see them in for bit-equal results.
-    cells = cells[np.argsort(labels[cells], kind="stable")]
+    cells = cells[keep][np.argsort(labels[keep], kind="stable")]
     sizes = sizes[kept]
     starts = np.cumsum(sizes) - sizes
     bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))

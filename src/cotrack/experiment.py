@@ -11,7 +11,6 @@ own channel, fusion, detection, tracking and scoring.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
@@ -321,7 +320,13 @@ def run_sweep(
     """
     cells = [(fusion, lat) for fusion in cfg.fusions for lat in cfg.latencies_ms]
     by_seed = {}
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    pool_context = nullcontext()
+    if workers > 1:
+        # Imported here: loading the process pool and multiprocessing is a
+        # cost at start-up that single-process runs should not pay.
+        from concurrent.futures import ProcessPoolExecutor
+        pool_context = ProcessPoolExecutor(max_workers=workers)
+    with pool_context as pool:
         pending = {seed: pool.submit(_run_seed, cfg, seed, cells) if pool else None
                    for seed in cfg.seeds}
         for seed, future in pending.items():

@@ -13,6 +13,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .errors import ConfigurationError, NumericError
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -95,10 +97,10 @@ class Box3D:
     category: Category = Category.CAR
 
     def __post_init__(self):
-        if not (self.w > 0 and self.l > 0 and self.h > 0):
-            raise ValueError(f"box dims must be positive, got w={self.w} l={self.l} h={self.h}")
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z, self.w, self.l, self.h, self.yaw)):
-            raise ValueError("box fields must be finite")
+            raise NumericError("box fields must be finite")
+        if not (self.w > 0 and self.l > 0 and self.h > 0):
+            raise ConfigurationError(f"box dims must be positive, got w={self.w} l={self.l} h={self.h}")
         object.__setattr__(self, "yaw", float(wrap_angle(self.yaw)))
 
     @property
@@ -214,7 +216,7 @@ class Region:
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError("region must have x_min < x_max and y_min < y_max")
+            raise ConfigurationError("region must have x_min < x_max and y_min < y_max")
 
     def contains(self, x: float, y: float) -> bool:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import AlignmentError, ConfigurationError
 from .geometry import Box3D, Category, Pose, Region, transform_box, wrap_angle
 from .sensing import GridSpec, NoiseConfig, View, visible_agents
 
@@ -162,9 +162,9 @@ class Scenario:
         idx = t * self.frame_rate
         nearest = round(idx)
         if abs(idx - nearest) > 1e-6:
-            raise ValueError(f"time {t} is not on the {self.frame_rate} Hz frame grid")
+            raise AlignmentError(f"time {t} is not on the {self.frame_rate} Hz frame grid")
         if not 0 <= nearest < len(self.ego_waypoints):
-            raise ValueError(f"time {t} outside scenario duration")
+            raise AlignmentError(f"time {t} outside scenario duration")
         return int(nearest)
 
     def ego_pose(self, t: float) -> Pose:

@@ -5,9 +5,11 @@ from exhaustive permutation search, tracking scores from direct
 enumeration of gated matchings, the grid codec from the first, dense
 implementation (every cell quantized, a boolean mask scattered), and the
 detector, rasterizer and Hungarian solve from their first, per-blob,
-``ufunc.at`` and array-per-step implementations, and late fusion, track
+``ufunc.at`` and array-per-step implementations, late fusion, track
 association and cross-view trajectory pairing from their versions with their
-own guards and leftover loops.
+own guards and leftover loops, and the channel's latest arrived message from
+a reverse scan over every message sent. ``scipy`` is a test-only dependency:
+the detector's connected components are checked against ``ndimage.label``.
 """
 
 import itertools
@@ -16,12 +18,12 @@ import struct
 
 import numpy as np
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from scipy import ndimage
 
 from cotrack.assignment import solve_assignment
-from cotrack.channel import CHANNEL_RANGE
+from cotrack.channel import CHANNEL_RANGE, ChannelMessage
 from cotrack.detector import Detection, DetectParams
 from cotrack.errors import DecodeError
 from cotrack.fusion import _merge_pair
@@ -250,6 +252,11 @@ def dense_decompress_values(data: bytes, offset: int, spec: GridSpec):
 # solve as numpy array operations per augmenting step.
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+
+
+def ndimage_labels(mask: np.ndarray) -> np.ndarray:
+    """The 8-connected component label of every cell of a 2-D boolean mask."""
+    return ndimage.label(mask, structure=_EIGHT_CONNECTED)[0]
 
 
 def loop_detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> List[Detection]:
@@ -503,3 +510,15 @@ def frame_pairs_before(vehicle_trajs, infra_trajs, threshold_m: float) -> set:
             if cost[r, c] <= threshold_m:
                 pairs.add((bv[r][0], bi[c][0]))
     return pairs
+
+
+def latest_available(messages: Sequence[ChannelMessage], t_now: float) -> Optional[ChannelMessage]:
+    """Most recently captured message that has arrived by ``t_now``.
+
+    ``messages`` must be sorted by send time. Among equal arrival times the
+    larger send time wins, which the reverse scan gives for free.
+    """
+    for m in reversed(messages):
+        if m.arrived_by(t_now):
+            return m
+    return None

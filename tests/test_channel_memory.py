@@ -11,7 +11,6 @@ from cotrack.channel import (
     MessageKind,
     bps,
     encode_message,
-    latest_available,
     transmit,
 )
 from cotrack.detector import Detection
@@ -20,6 +19,7 @@ from cotrack.experiment import ExperimentConfig, run_single
 from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.geometry import Box3D, Category
 from cotrack.presets import hidden_lane_scenario
+from oracle_utils import latest_available
 
 RAW = False
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cotrack.errors import ConfigurationError, NumericError
 from cotrack.geometry import (
     Blockers,
     Box3D,
@@ -52,6 +53,19 @@ class TestPose:
     def test_wrap_angle_array(self):
         vals = wrap_angle(np.array([0.0, math.pi, -math.pi, 5 * math.pi / 2]))
         assert vals == pytest.approx([0.0, math.pi, math.pi, math.pi / 2])
+
+
+class TestBoxValidation:
+    @pytest.mark.parametrize("dims", [dict(w=0.0), dict(l=-1.0), dict(h=0.0)])
+    def test_non_positive_dims_are_a_configuration_error(self, dims):
+        with pytest.raises(ConfigurationError, match="dims must be positive"):
+            make_box(**dims)
+
+    @pytest.mark.parametrize("field", ["x", "y", "z", "w", "l", "h", "yaw"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_are_a_numeric_error(self, field, value):
+        with pytest.raises(NumericError, match="finite"):
+            make_box(**{field: value})
 
 
 class TestTransformBox:
@@ -149,6 +163,12 @@ class TestRegion:
     def test_validation(self):
         with pytest.raises(ValueError):
             Region(1.0, 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bounds", [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 1.0),
+                                        (0.0, 0.0, math.nan, 1.0)])
+    def test_bad_bounds_are_a_configuration_error(self, bounds):
+        with pytest.raises(ConfigurationError, match="x_min < x_max"):
+            Region(*bounds)
 
     def test_contains_is_closed(self):
         r = Region(0.0, -1.0, 10.0, 1.0)

@@ -1,5 +1,6 @@
-"""Every module imports on its own, and every name a module of the package
-imports or keeps private is used in it.
+"""Every module imports on its own, every name a module of the package
+imports or keeps private is used in it, and the run path loads neither
+scipy nor a process pool.
 
 A deletion that leaves an import or a private helper behind fails here. The
 check reads the source with the standard-library ``ast`` module: a name
@@ -88,6 +89,18 @@ def test_the_package_exposes_run_single():
             "assert cotrack.run_single is cotrack.experiment.run_single\n" % str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_the_run_path_loads_neither_scipy_nor_a_process_pool():
+    """``scipy`` is a test-only dependency, and a single-process run never
+    starts a pool; importing either would only lengthen every run's start-up."""
+    code = ("import sys; sys.path.insert(0, %r)\n"
+            "import cotrack.experiment, cotrack.cli\n"
+            "print(sorted(m for m in ('scipy', 'multiprocessing', 'concurrent.futures.process')\n"
+            "             if m in sys.modules))\n" % str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

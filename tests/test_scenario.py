@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cotrack.errors import ConfigurationError
+from cotrack.errors import AlignmentError, ConfigurationError
 from cotrack.geometry import Pose, Region, inverse
 from cotrack.scenario import (
     AgentPopulation,
@@ -76,6 +76,17 @@ class TestGenerateScenario:
             scn.frame_index(0.123)
         with pytest.raises(ValueError):
             scn.frame_index(99.0)
+
+    def test_a_time_off_the_frame_grid_is_an_alignment_error(self):
+        scn = generate_scenario(ScenarioConfig(duration_s=1.0), 1)
+        with pytest.raises(AlignmentError, match="frame grid"):
+            scn.frame_index(0.05)
+
+    @pytest.mark.parametrize("t", [-0.1, 1.1, 5.0])
+    def test_a_time_outside_the_duration_is_an_alignment_error(self, t):
+        scn = generate_scenario(ScenarioConfig(duration_s=1.0), 1)
+        with pytest.raises(AlignmentError, match="outside scenario duration"):
+            scn.frame_index(t)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigurationError):
