@@ -17,13 +17,15 @@ Wire formats (little-endian throughout):
 
 Compression is per-channel linear 8-bit quantization plus run-length coding
 of all-zero cells; zero cells decode to exactly 0 and constant channels
-decode exactly. A message's ``content`` holds the decoded payload, i.e.
-what the receiver would reconstruct, including quantization loss.
+decode exactly. A message's ``content`` is its wire bytes; the receiver
+rebuilds the payload from them with ``decode_message``, quantization and
+float32 rounding included.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -32,12 +34,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .detector import Detection
-from .errors import ConfigurationError, DecodeError, EncodeError, OrderingError, ShapeMismatchError
+from .errors import (ConfigurationError, DecodeError, EncodeError, NumericError, OrderingError,
+                     ShapeMismatchError)
 from .geometry import CATEGORY_ORDER, Box3D
-from .sensing import FeatureGrid, GridSpec, PointCloud
+from .sensing import FeatureGrid, GridSpec, PointCloud, View
 
 GRID_HEADER = struct.Struct("<5i2f")
 CHANNEL_RANGE = struct.Struct("<2f")
+BOX_RECORD = struct.Struct("<7fBf")
 
 _KIND_GRID = 0
 _KIND_GRID_WITH_FLOW = 2
@@ -52,18 +56,19 @@ class MessageKind(Enum):
 
 @dataclass(frozen=True)
 class ChannelMessage:
-    """A timestamped payload with exact byte accounting.
+    """A timestamped payload's wire bytes with exact byte accounting.
 
     ``payload_bytes`` is the size actually sent; ``raw_bytes`` is what the
     same content would cost uncompressed (equal when compression is off).
     ``t_arrive`` is None until the message passes through a latency model.
+    ``content`` is None once a channel has released the bytes.
     """
 
     kind: MessageKind
     payload_bytes: int
     t_send: float
     t_arrive: Optional[float]
-    content: object
+    content: Optional[bytes]
     raw_bytes: int
 
     def arrived_by(self, t_now: float) -> bool:
@@ -221,7 +226,9 @@ def compress_grid_pair(f0: FeatureGrid, f1: FeatureGrid) -> bytes:
 
 
 def _frame_tag(frame: str) -> bytes:
-    raw = frame.encode("utf-8")[:255]
+    raw = frame.encode("utf-8")
+    if len(raw) > 255:
+        raise EncodeError(f"frame tag of {len(raw)} UTF-8 bytes exceeds the 255 the wire holds")
     return bytes([len(raw)]) + raw
 
 
@@ -264,45 +271,12 @@ def decompress_grid(data: bytes, expected: GridSpec):
     return grids if kind == _KIND_GRID_WITH_FLOW else grids[0]
 
 
-def _encode_points(pc: PointCloud) -> Tuple[bytes, PointCloud]:
-    data = pc.points.astype("<f4").tobytes()
-    decoded = PointCloud(
-        points=pc.points.astype(np.float32).astype(float),
-        frame=pc.frame,
-        timestamp=pc.timestamp,
-    )
-    return data, decoded
-
-
-def _encode_detections(dets: Sequence[Detection]) -> Tuple[bytes, List[Detection]]:
-    parts = []
-    decoded = []
-    for d in dets:
-        b = d.box
-        code = CATEGORY_ORDER.index(b.category)
-        parts.append(struct.pack("<7fBf", b.x, b.y, b.z, b.w, b.l, b.h, b.yaw, code, d.score))
-        f32 = [float(np.float32(v)) for v in (b.x, b.y, b.z, b.w, b.l, b.h, b.yaw)]
-        decoded.append(
-            Detection(
-                box=Box3D(*f32, category=b.category),
-                score=float(np.float32(d.score)),
-            )
-        )
-    return b"".join(parts), decoded
-
-
-def _grid_raw_bytes(g: FeatureGrid) -> int:
-    rows, cols, channels = g.values.shape
-    return rows * cols * channels * 4
-
-
-def _raw_grid(g: FeatureGrid) -> Tuple[bytes, FeatureGrid]:
-    """Raw float32 bytes of a grid and the grid they decode to."""
+def _float32_bytes(values: np.ndarray) -> bytes:
     with np.errstate(over="ignore"):
-        values = g.values.astype("<f4")
+        values = values.astype("<f4")
     if not np.all(np.isfinite(values)):
-        raise EncodeError("grid values lie beyond the float32 range")
-    return values.tobytes(), replace(g, values=values.astype(float))
+        raise EncodeError("values lie beyond the float32 range")
+    return values.tobytes()
 
 
 def encode_message(
@@ -314,44 +288,87 @@ def encode_message(
     """Serialize content for transmission and account bytes exactly.
 
     ``compress`` selects the compressed grid format over raw float32 for
-    grid payloads. The message's ``content`` is the payload as decoded by
-    the receiver: float32-rounded for raw encodings, quantization-rounded
-    for compressed grids. Raises EncodeError if a grid's origin or values
-    do not fit the wire format.
+    grid payloads. The message's ``content`` is the wire bytes, which only
+    ``decode_message`` turns back into a payload. Raises EncodeError if a
+    value, a grid's origin or the frame tag does not fit the wire format.
     """
     if kind is MessageKind.RAW_POINTS:
         if not isinstance(content, PointCloud):
             raise EncodeError("raw_points content must be a PointCloud")
-        data, decoded = _encode_points(content)
+        data = _float32_bytes(content.points)
         raw = len(data)
     elif kind is MessageKind.DETECTIONS:
-        data, decoded = _encode_detections(content)
+        data = b"".join(BOX_RECORD.pack(d.box.x, d.box.y, d.box.z, d.box.w, d.box.l, d.box.h,
+                                        d.box.yaw, CATEGORY_ORDER.index(d.box.category), d.score)
+                        for d in content)
         raw = len(data)
     elif kind is MessageKind.FEATURE:
         if not isinstance(content, FeatureGrid):
             raise EncodeError("feature content must be a FeatureGrid")
-        raw = _grid_raw_bytes(content)
-        if compress:
-            data = compress_grid(content)
-            decoded = decompress_grid(data, content.spec)
-        else:
-            data, decoded = _raw_grid(content)
+        raw = 4 * content.values.size
+        data = compress_grid(content) if compress else _float32_bytes(content.values)
     elif kind is MessageKind.FEATURE_WITH_FLOW:
         f0, f1 = content
         if f0.spec != f1.spec:
             raise ShapeMismatchError("feature and flow must share a spec")
-        raw = _grid_raw_bytes(f0) + _grid_raw_bytes(f1)
-        if compress:
-            data = compress_grid_pair(f0, f1)
-            decoded = decompress_grid(data, f0.spec)
-        else:
-            (d0, g0), (d1, g1) = _raw_grid(f0), _raw_grid(f1)
-            data, decoded = d0 + d1, (g0, g1)
+        raw = 4 * (f0.values.size + f1.values.size)
+        data = (compress_grid_pair(f0, f1) if compress
+                else _float32_bytes(f0.values) + _float32_bytes(f1.values))
     else:
         raise EncodeError(f"unknown message kind {kind}")
 
     return ChannelMessage(kind=kind, payload_bytes=len(data), t_send=t_send,
-                          t_arrive=None, content=decoded, raw_bytes=raw)
+                          t_arrive=None, content=data, raw_bytes=raw)
+
+
+def _decode_boxes(data: bytes) -> List[Detection]:
+    if len(data) % BOX_RECORD.size:
+        raise DecodeError(f"{len(data)} bytes are not a whole number of box records")
+    dets = []
+    for *fields_, code, score in BOX_RECORD.iter_unpack(data):
+        if code >= len(CATEGORY_ORDER):
+            raise DecodeError(f"unknown category code {code}")
+        dets.append(Detection(box=Box3D(*fields_, category=CATEGORY_ORDER[code]), score=score))
+    return dets
+
+
+def decode_message(msg: ChannelMessage, expected: GridSpec, compression: bool):
+    """The payload a receiver rebuilds from a message's wire bytes.
+
+    ``expected`` is the infra grid and ``compression`` the grid format, both
+    known to the receiver from the run config. Returns a PointCloud, a list
+    of Detections, a FeatureGrid or a (grid, flow) pair, by the message's
+    kind. Points and raw grids carry no time or frame on the wire: they
+    take the message's send time and the infra frame. Raises DecodeError on
+    any malformed payload, including non-finite values, an unknown category
+    code and a grid payload of the other kind.
+    """
+    kind, data = msg.kind, msg.content
+    try:
+        if kind is MessageKind.RAW_POINTS:
+            if len(data) % 16:
+                raise DecodeError(f"{len(data)} bytes are not a whole number of point records")
+            return PointCloud(points=np.frombuffer(data, dtype="<f4"), frame=View.INFRA.value,
+                              timestamp=msg.t_send)
+        if kind is MessageKind.DETECTIONS:
+            return _decode_boxes(data)
+        if kind not in (MessageKind.FEATURE, MessageKind.FEATURE_WITH_FLOW):
+            raise DecodeError(f"unknown message kind {kind}")
+        pair = kind is MessageKind.FEATURE_WITH_FLOW
+        if compression:
+            grids = decompress_grid(data, expected)
+            if isinstance(grids, tuple) != pair:
+                raise DecodeError(f"a {kind.value} message carries the other grid payload kind")
+            return grids
+        shape = (1 + pair, *expected.shape)
+        if len(data) != 4 * math.prod(shape):
+            raise DecodeError(f"{len(data)} bytes do not hold {shape[0]} raw grids of {expected}")
+        grids = tuple(FeatureGrid(spec=expected, values=v, timestamp=msg.t_send,
+                                  frame=View.INFRA.value)
+                      for v in np.frombuffer(data, dtype="<f4").reshape(shape))
+        return grids if pair else grids[0]
+    except (ConfigurationError, NumericError) as exc:  # a field the payload types reject
+        raise DecodeError(f"{kind.value} payload: {exc}") from None
 
 
 def transmit(m: ChannelMessage, lm: LatencyModel, message_index: int = 0) -> ChannelMessage:
@@ -377,7 +394,7 @@ class Channel:
 
     Queries through ``latest`` must come at non-decreasing times. A message
     sent before one that has already arrived can never be the latest again,
-    so ``latest`` drops its decoded ``content`` (it becomes None) and keeps
+    so ``latest`` drops its wire bytes (``content`` becomes None) and keeps
     its byte and time fields: memory stays bounded by the messages still in
     flight, while ``bps`` and ``export_jsonl`` see every message.
     """

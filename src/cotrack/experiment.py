@@ -11,9 +11,9 @@ own channel, fusion, detection, tracking and scoring.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
                     get_args, get_origin, get_type_hints)
@@ -135,7 +135,7 @@ class _Frame(NamedTuple):
     world_to_ego: Pose
     infra_to_ego: Pose
     ego: EgoInputs
-    messages: Dict[MessageKind, ChannelMessage]  # encoded once, sent into every channel
+    messages: Dict[MessageKind, ChannelMessage]  # wire bytes, encoded once, sent into every channel
 
 
 def _seed_frames(cfg: ExperimentConfig, scn, seed: int,
@@ -167,49 +167,30 @@ def _seed_frames(cfg: ExperimentConfig, scn, seed: int,
 
 
 class _Sparse(NamedTuple):
-    """A FeatureGrid held without its zero cells."""
+    """An ego grid held without its zero cells."""
 
     other_fields: dict  # every field but ``values``
     index: np.ndarray  # flat indices of the cells whose bits are not all zero
     values: np.ndarray
 
 
-def _pack(obj):
-    """``obj`` (a grid or a tuple of them) with each grid held sparsely; others as they are."""
-    if isinstance(obj, FeatureGrid):
-        flat = obj.values.ravel()
-        index = np.flatnonzero(flat.view(np.uint64))  # keeps -0.0: unpacking is bit-exact
-        return _Sparse({f.name: getattr(obj, f.name) for f in fields(obj)
-                                   if f.name != "values"}, index, flat[index])
-    if isinstance(obj, tuple):
-        return tuple(_pack(o) for o in obj)
-    return obj
-
-
-def _unpack(obj):
-    if isinstance(obj, _Sparse):
-        values = np.zeros(obj.other_fields["spec"].shape)
-        values.ravel()[obj.index] = obj.values
-        return FeatureGrid(values=values, **obj.other_fields)
-    if isinstance(obj, tuple):
-        return tuple(_unpack(o) for o in obj)
-    return obj
-
-
 def _packed(frame: _Frame) -> _Frame:
-    """A frame to hold while other cells of its seed wait: grids kept sparse
-    (about 3% of their cells are nonzero)."""
-    return frame._replace(ego=replace(frame.ego, grid=_pack(frame.ego.grid)),
-                          messages={k: replace(m, content=_pack(m.content))
-                                    for k, m in frame.messages.items()})
+    """A frame to hold while other cells of its seed wait: the ego grid kept
+    sparse (about 3% of its cells are nonzero); messages are wire bytes already."""
+    grid = frame.ego.grid
+    flat = grid.values.ravel()
+    index = np.flatnonzero(flat.view(np.uint64))  # keeps -0.0: unpacking is bit-exact
+    other_fields = {f.name: getattr(grid, f.name) for f in fields(grid) if f.name != "values"}
+    return frame._replace(ego=replace(frame.ego, grid=_Sparse(other_fields, index, flat[index])))
 
 
-def _unpacked(frame: _Frame, kind: Optional[MessageKind]) -> _Frame:
-    """A held frame as one cell reads it: fresh grids, and only the message of ``kind``."""
-    messages = {}
-    if kind is not None:
-        messages[kind] = replace(frame.messages[kind], content=_unpack(frame.messages[kind].content))
-    return frame._replace(ego=replace(frame.ego, grid=_unpack(frame.ego.grid)), messages=messages)
+def _unpacked(frame: _Frame) -> _Frame:
+    """A held frame as a cell reads it, with a fresh ego grid."""
+    sparse = frame.ego.grid
+    values = np.zeros(sparse.other_fields["spec"].shape)
+    values.ravel()[sparse.index] = sparse.values
+    return frame._replace(ego=replace(frame.ego, grid=FeatureGrid(values=values,
+                                                                  **sparse.other_fields)))
 
 
 def run_single(
@@ -253,7 +234,8 @@ def run_single(
         if channel is not None:
             channel.send(frame.messages[msg_kind])
 
-        fused = cooperative_feature(fusion, channel, t, frame.ego, frame.infra_to_ego)
+        fused = cooperative_feature(fusion, channel, t, frame.ego, frame.infra_to_ego,
+                                    cfg.scenario.infra_grid, cfg.compression)
         if fused.used_fallback:
             fallback += 1
         dets = fused.detections if fused.detections is not None else detect(fused.grid, cfg.detect)
@@ -300,7 +282,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
     for key, latency_ms in runs.items():
         fusion = key[0]
         if held is not None:
-            frames = map(partial(_unpacked, kind=MESSAGE_KIND_FOR_FUSION.get(fusion.kind)), held)
+            frames = map(_unpacked, held)
         try:
             results[key] = run_single(cfg, fusion, latency_ms, seed, shared=(scn, frames))
         except Exception as exc:  # noqa: BLE001 - one cell's failure spares the rest
@@ -503,10 +485,13 @@ def _coerce(tp, value, where: str):
                     raise ValueError(f"expected at most {len(names)} values")
                 value = dict(zip(names, value))
             return _from_dict(tp, value, where)
-        return tp(value)
+        value = tp(value)
+        if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
+            raise ValueError(f"{value} is not a finite number")
+        return value
     except CotrackError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"invalid {where}: {exc}") from exc
 
 

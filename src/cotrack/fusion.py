@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .assignment import gated_assignment
-from .channel import Channel, MessageKind
+from .channel import Channel, MessageKind, decode_message
 from .detector import Detection
 from .errors import ConfigurationError, ShapeMismatchError
 from .geometry import Pose, center_distance_matrix, inverse, transform_box
@@ -221,10 +221,13 @@ def cooperative_feature(
     t_v: float,
     ego: EgoInputs,
     infra_to_ego: Pose,
+    infra_spec: GridSpec,
+    compression: bool,
 ) -> FusionOutput:
     """Produce the fused representation for one ego frame.
 
-    Strategies consuming the channel use the latest arrived message; the
+    Strategies consuming the channel decode the latest arrived message
+    against the run's infra grid and grid format (``decode_message``); the
     extrapolating variant predicts the grid forward by tau = t_v minus the
     message capture time before warping. When nothing has arrived yet the
     frame falls back to vehicle-only and is flagged.
@@ -239,19 +242,20 @@ def cooperative_feature(
         return FusionOutput(grid=ego.grid, used_fallback=True)
 
     tau = t_v - msg.t_send
+    content = decode_message(msg, infra_spec, compression)
     if fusion.kind is FusionKind.EARLY:
-        grid = fuse_early(ego.cloud, msg.content, infra_to_ego, ego.grid.spec, ego.density_cap)
+        grid = fuse_early(ego.cloud, content, infra_to_ego, ego.grid.spec, ego.density_cap)
         return FusionOutput(grid=grid, tau_s=tau)
     if fusion.kind is FusionKind.LATE:
-        moved = [replace(d, box=transform_box(d.box, infra_to_ego)) for d in msg.content]
+        moved = [replace(d, box=transform_box(d.box, infra_to_ego)) for d in content]
         return FusionOutput(
             detections=fuse_late(ego.detections, moved, fusion.late_threshold_m), tau_s=tau
         )
     if fusion.kind is FusionKind.MIDDLE_STATIC:
-        aligned = align_grid(msg.content, infra_to_ego, ego.grid.spec)
+        aligned = align_grid(content, infra_to_ego, ego.grid.spec)
         return FusionOutput(grid=fuse_middle(ego.grid, aligned, fusion.reducer), tau_s=tau)
     if fusion.kind is FusionKind.MIDDLE_FLOW:
-        f0, f1 = msg.content
+        f0, f1 = content
         predicted = predict_feature(f0, f1, tau)
         aligned = align_grid(predicted, infra_to_ego, ego.grid.spec)
         return FusionOutput(grid=fuse_middle(ego.grid, aligned, fusion.reducer), tau_s=tau)

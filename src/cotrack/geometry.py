@@ -103,10 +103,6 @@ class Box3D:
             raise ConfigurationError(f"box dims must be positive, got w={self.w} l={self.l} h={self.h}")
         object.__setattr__(self, "yaw", float(wrap_angle(self.yaw)))
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
     def corners_bev(self) -> np.ndarray:
         """Ground-plane footprint corners, (4, 2), counter-clockwise."""
         c, s = math.cos(self.yaw), math.sin(self.yaw)
@@ -138,8 +134,7 @@ def polygon_area(poly: np.ndarray) -> float:
     """Unsigned area of a simple polygon given as (N, 2) vertices."""
     if len(poly) < 3:
         return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return abs(_signed_area(poly))
 
 
 def _signed_area(poly: np.ndarray) -> float:

@@ -79,10 +79,6 @@ class Track:
     def confirmed(self, min_hits: int) -> bool:
         return self.hits >= min_hits
 
-    @property
-    def position(self) -> np.ndarray:
-        return self.state[:3]
-
     def box(self) -> Box3D:
         x, y, z, yaw, w, l, h = self.state[:MEAS_DIM]
         return Box3D(x=x, y=y, z=z, w=max(w, MIN_DIM_M), l=max(l, MIN_DIM_M),

@@ -7,14 +7,17 @@ implementation (every cell quantized, a boolean mask scattered), and the
 detector, rasterizer and Hungarian solve from their first, per-blob,
 ``ufunc.at`` and array-per-step implementations, late fusion, track
 association and cross-view trajectory pairing from their versions with their
-own guards and leftover loops, and the channel's latest arrived message from
-a reverse scan over every message sent. ``scipy`` is a test-only dependency:
+own guards and leftover loops, the channel's latest arrived message from
+a reverse scan over every message sent, and the payloads a receiver decodes
+from points, boxes and raw grids from the float32 mirrors the sender once
+built next to the wire bytes. ``scipy`` is a test-only dependency:
 the detector's connected components are checked against ``ndimage.label``.
 """
 
 import itertools
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,9 +28,9 @@ from scipy import ndimage
 from cotrack.assignment import solve_assignment
 from cotrack.channel import CHANNEL_RANGE, ChannelMessage
 from cotrack.detector import Detection, DetectParams
-from cotrack.errors import DecodeError
+from cotrack.errors import DecodeError, EncodeError
 from cotrack.fusion import _merge_pair
-from cotrack.geometry import Box3D, Category, bev_iou, center_distance_matrix
+from cotrack.geometry import CATEGORY_ORDER, Box3D, Category, bev_iou, center_distance_matrix
 from cotrack.sensing import (
     DENSITY_CHANNEL,
     HEIGHT_CHANNEL,
@@ -244,6 +247,47 @@ def dense_decompress_values(data: bytes, offset: int, spec: GridSpec):
     decoded = np.where(spans > 0, mins + codes / 255.0 * spans, mins)
     flat[mask_nonzero] = decoded
     return flat.reshape(spec.rows, spec.cols, channels), offset
+
+
+# The float32 mirrors ``channel.encode_message`` once built next to the wire
+# bytes of points, boxes and raw grids, kept verbatim as the reference for
+# what ``channel.decode_message`` rebuilds from those bytes.
+
+
+def _encode_points(pc: PointCloud) -> Tuple[bytes, PointCloud]:
+    data = pc.points.astype("<f4").tobytes()
+    decoded = PointCloud(
+        points=pc.points.astype(np.float32).astype(float),
+        frame=pc.frame,
+        timestamp=pc.timestamp,
+    )
+    return data, decoded
+
+
+def _encode_detections(dets: Sequence[Detection]) -> Tuple[bytes, List[Detection]]:
+    parts = []
+    decoded = []
+    for d in dets:
+        b = d.box
+        code = CATEGORY_ORDER.index(b.category)
+        parts.append(struct.pack("<7fBf", b.x, b.y, b.z, b.w, b.l, b.h, b.yaw, code, d.score))
+        f32 = [float(np.float32(v)) for v in (b.x, b.y, b.z, b.w, b.l, b.h, b.yaw)]
+        decoded.append(
+            Detection(
+                box=Box3D(*f32, category=b.category),
+                score=float(np.float32(d.score)),
+            )
+        )
+    return b"".join(parts), decoded
+
+
+def _raw_grid(g: FeatureGrid) -> Tuple[bytes, FeatureGrid]:
+    """Raw float32 bytes of a grid and the grid they decode to."""
+    with np.errstate(over="ignore"):
+        values = g.values.astype("<f4")
+    if not np.all(np.isfinite(values)):
+        raise EncodeError("grid values lie beyond the float32 range")
+    return values.tobytes(), replace(g, values=values.astype(float))
 
 
 # The first per-frame kernels, kept verbatim as bit-level references for the

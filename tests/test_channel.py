@@ -2,10 +2,12 @@ import struct
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from cotrack import channel
 from cotrack.channel import (
     GRID_HEADER,
     Channel,
@@ -15,6 +17,7 @@ from cotrack.channel import (
     bps,
     compress_grid,
     compress_grid_pair,
+    decode_message,
     decompress_grid,
     encode_message,
     transmit,
@@ -23,7 +26,7 @@ from cotrack.detector import Detection
 from cotrack.errors import ConfigurationError, DecodeError, EncodeError, ShapeMismatchError
 from cotrack.geometry import Box3D, Category
 from cotrack.sensing import FeatureGrid, GridSpec, PointCloud
-from oracle_utils import latest_available
+from oracle_utils import _encode_detections, _encode_points, _raw_grid, latest_available
 
 SPEC = GridSpec(x0=0.0, y0=-40.0, cell_size=0.5, cols=200, rows=160)
 SMALL = GridSpec(x0=-4.0, y0=-4.0, cell_size=0.5, cols=16, rows=16)
@@ -49,9 +52,10 @@ class TestEncode:
         assert msg.payload_bytes == 330
         assert msg.raw_bytes == 330
         # round-tripped boxes are float32-quantized but structurally equal
-        assert len(msg.content) == 10
-        assert msg.content[3].box.category is Category.VAN
-        assert msg.content[3].box.x == pytest.approx(3.0)
+        decoded = decode_message(msg, SPEC, RAW)
+        assert len(decoded) == 10
+        assert decoded[3].box.category is Category.VAN
+        assert decoded[3].box.x == pytest.approx(3.0)
 
     def test_detection_bps_at_ten_hertz(self):
         msgs = [
@@ -90,8 +94,9 @@ class TestEncode:
     def test_compressed_content_is_what_receiver_decodes(self):
         vals = np.random.default_rng(5).random(SPEC.shape)
         msg = encode_message(MessageKind.FEATURE, grid(vals), COMPRESSED, 0.0)
+        assert msg.content == compress_grid(grid(vals))
         direct = decompress_grid(compress_grid(grid(vals)), SPEC)
-        assert np.array_equal(msg.content.values, direct.values)
+        assert np.array_equal(decode_message(msg, SPEC, COMPRESSED).values, direct.values)
 
 
 class TestCompression:
@@ -191,6 +196,128 @@ class TestCompression:
             decompress_grid(b"\0" * 40, far)
 
 
+def message(kind, data, t_send=0.5):
+    return ChannelMessage(kind=kind, payload_bytes=len(data), t_send=t_send, t_arrive=t_send,
+                          content=data, raw_bytes=len(data))
+
+
+def box_bits(dets):
+    """Every float of a detection list, as bytes, and the categories."""
+    floats = [(d.box.x, d.box.y, d.box.z, d.box.w, d.box.l, d.box.h, d.box.yaw, d.score)
+              for d in dets]
+    return np.array(floats).tobytes(), [d.box.category for d in dets]
+
+
+class TestDecode:
+    """The receiver rebuilds exactly what the float32 mirrors in oracle_utils built."""
+
+    def test_points_equal_the_float32_mirror(self):
+        pts = np.random.default_rng(20).normal(0.0, 30.0, (50, 4))
+        pts[0] = [-0.0, 0.0, 1e-40, -1e-40]  # signed zeros and float32 subnormals
+        cloud = PointCloud(pts, "infra", 0.7)
+        data, ref = _encode_points(cloud)
+        msg = encode_message(MessageKind.RAW_POINTS, cloud, RAW, 0.7)
+        assert msg.content == data
+        out = decode_message(msg, SPEC, RAW)
+        assert out.points.tobytes() == ref.points.tobytes()
+        assert (out.frame, out.timestamp) == (ref.frame, ref.timestamp)
+
+    def test_boxes_equal_the_float32_mirror(self):
+        rng = np.random.default_rng(21)
+        dets = [Detection(box=Box3D(*rng.normal(0.0, 20.0, 3), *rng.uniform(0.3, 12.0, 3),
+                                    yaw=rng.uniform(-3.0, 3.0), category=category),
+                          score=rng.uniform(0.0, 1.0))
+                for category in list(Category) * 3]
+        data, ref = _encode_detections(dets)
+        msg = encode_message(MessageKind.DETECTIONS, dets, RAW, 0.0)
+        assert msg.content == data
+        assert box_bits(decode_message(msg, SPEC, RAW)) == box_bits(ref)
+
+    def test_raw_grids_equal_the_float32_mirror(self):
+        rng = np.random.default_rng(22)
+        g = grid(rng.normal(0.0, 5.0, SMALL.shape), spec=SMALL, t=0.3)
+        flow = grid(rng.normal(0.0, 5.0, SMALL.shape), spec=SMALL, t=0.3)
+        (d0, r0), (d1, r1) = _raw_grid(g), _raw_grid(flow)
+        single = decode_message(encode_message(MessageKind.FEATURE, g, RAW, 0.3), SMALL, RAW)
+        msg = encode_message(MessageKind.FEATURE_WITH_FLOW, (g, flow), RAW, 0.3)
+        assert msg.content == d0 + d1
+        pair = decode_message(msg, SMALL, RAW)
+        for out, ref in ((single, r0), (pair[0], r0), (pair[1], r1)):
+            assert out.values.tobytes() == ref.values.tobytes()
+            assert (out.spec, out.timestamp, out.frame) == (ref.spec, ref.timestamp, ref.frame)
+
+    def test_compressed_grids_decode_as_decompress_grid(self):
+        g = grid(np.random.default_rng(23).random(SMALL.shape), spec=SMALL)
+        flow = grid(np.random.default_rng(24).standard_normal(SMALL.shape), spec=SMALL)
+        msg = encode_message(MessageKind.FEATURE_WITH_FLOW, (g, flow), COMPRESSED, 0.0)
+        out, ref = decode_message(msg, SMALL, COMPRESSED), decompress_grid(msg.content, SMALL)
+        assert [x.values.tobytes() for x in out] == [x.values.tobytes() for x in ref]
+
+    def test_encoding_decodes_nothing(self):
+        g = grid(np.ones(SMALL.shape), spec=SMALL)
+        with mock.patch.object(channel, "decompress_grid", side_effect=AssertionError):
+            encode_message(MessageKind.FEATURE, g, COMPRESSED, 0.0)
+            encode_message(MessageKind.FEATURE_WITH_FLOW, (g, g), COMPRESSED, 0.0)
+
+    def test_grid_payload_of_the_other_kind(self):
+        g = grid(np.ones(SMALL.shape), spec=SMALL)
+        for compression in (COMPRESSED, RAW):
+            one = encode_message(MessageKind.FEATURE, g, compression, 0.0).content
+            two = encode_message(MessageKind.FEATURE_WITH_FLOW, (g, g), compression, 0.0).content
+            with pytest.raises(DecodeError):
+                decode_message(message(MessageKind.FEATURE, two), SMALL, compression)
+            with pytest.raises(DecodeError):
+                decode_message(message(MessageKind.FEATURE_WITH_FLOW, one), SMALL, compression)
+
+    def test_the_other_grid_format(self):
+        g = grid(np.ones(SMALL.shape), spec=SMALL)
+        for compression in (COMPRESSED, RAW):
+            msg = encode_message(MessageKind.FEATURE, g, compression, 0.0)
+            with pytest.raises(DecodeError):
+                decode_message(msg, SMALL, not compression)
+
+    def test_malformed_records(self):
+        point = struct.pack("<4f", 1.0, 2.0, 3.0, 0.5)
+        box = struct.pack("<7fBf", 1.0, 2.0, 0.75, 1.8, 4.5, 1.5, 0.0, 1, 0.5)
+        nan = struct.pack("<f", float("nan"))
+        bad = {
+            MessageKind.RAW_POINTS: [point + b"\0", point[:12] + nan],
+            MessageKind.DETECTIONS: [box[:-1], box[:28] + bytes([4]) + box[29:],
+                                     nan + box[4:], box[:29] + nan,
+                                     box[:12] + struct.pack("<f", -1.0) + box[16:]],
+        }
+        for kind, payloads in bad.items():
+            assert decode_message(message(kind, point if kind is MessageKind.RAW_POINTS else box),
+                                  SPEC, RAW)
+            for data in payloads:
+                with pytest.raises(DecodeError):
+                    decode_message(message(kind, data), SPEC, RAW)
+        with pytest.raises(DecodeError, match="unknown message kind"):
+            decode_message(message("feature", b""), SPEC, RAW)
+
+    def test_raw_grid_with_a_nan_cell(self):
+        data = bytearray(encode_message(MessageKind.FEATURE, grid(np.ones(SMALL.shape), spec=SMALL),
+                                        RAW, 0.0).content)
+        data[8:12] = struct.pack("<f", float("nan"))
+        with pytest.raises(DecodeError):
+            decode_message(message(MessageKind.FEATURE, bytes(data)), SMALL, RAW)
+
+
+class TestFrameTag:
+    @pytest.mark.parametrize("frame", ["\u00e9" * 200, "a" * 300], ids=["utf8_400", "ascii_300"])
+    def test_longer_than_255_bytes_is_an_encode_error(self, frame):
+        g = FeatureGrid(SMALL, np.ones(SMALL.shape), 0.0, frame)
+        with pytest.raises(EncodeError, match="frame tag"):
+            compress_grid(g)
+        with pytest.raises(EncodeError, match="frame tag"):
+            encode_message(MessageKind.FEATURE_WITH_FLOW, (g, g), COMPRESSED, 0.0)
+
+    @pytest.mark.parametrize("frame", ["a" * 255, "\u00e9" * 127 + "a"], ids=["ascii", "utf8"])
+    def test_255_bytes_round_trip(self, frame):
+        g = FeatureGrid(SMALL, np.ones(SMALL.shape), 0.0, frame)
+        assert decompress_grid(compress_grid(g), SMALL).frame == frame
+
+
 class TestEncodeErrors:
     def test_origin_beyond_the_int32_millimetre_header(self):
         far = GridSpec(x0=3e6, y0=0.0, cell_size=0.5, cols=4, rows=4)
@@ -211,6 +338,9 @@ class TestEncodeErrors:
                 encode_message(MessageKind.FEATURE, grid(values, spec=spec), compression, 0.0)
             with pytest.raises(EncodeError, match="float32"):
                 encode_message(MessageKind.FEATURE_WITH_FLOW, pair, compression, 0.0)
+            far = PointCloud([[1e39, 0.0, 0.0, 1.0]], "infra", 0.0)
+            with pytest.raises(EncodeError, match="float32"):
+                encode_message(MessageKind.RAW_POINTS, far, compression, 0.0)
 
     def test_largest_float32_values_still_encode(self):
         spec = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=4, rows=4)
@@ -218,7 +348,7 @@ class TestEncodeErrors:
         values[0, 0] = (float(np.finfo(np.float32).max), -float(np.finfo(np.float32).max), 1.0)
         for compression in (COMPRESSED, RAW):
             msg = encode_message(MessageKind.FEATURE, grid(values, spec=spec), compression, 0.0)
-            assert msg.content.values[0, 0, 0] == values[0, 0, 0]
+            assert decode_message(msg, spec, compression).values[0, 0, 0] == values[0, 0, 0]
 
     def test_grid_and_flow_of_different_specs(self):
         other = replace(SMALL, rows=12)

@@ -122,11 +122,11 @@ class TestRunSweep:
         clean, _ = run_sweep(cfg)
         real = experiment.cooperative_feature
 
-        def flaky(fusion, channel, t_v, ego, infra_to_ego):
+        def flaky(fusion, channel, t_v, *receiver):
             if (fusion.kind is FusionKind.LATE and channel.latency.base_ms == 100.0
                     and channel.latency.seed == 2 and t_v >= 0.5):
                 raise RuntimeError("fusion bug")
-            return real(fusion, channel, t_v, ego, infra_to_ego)
+            return real(fusion, channel, t_v, *receiver)
 
         monkeypatch.setattr(experiment, "cooperative_feature", flaky)
         reports, failures = run_sweep(cfg)
@@ -339,6 +339,23 @@ class TestCli:
         code = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        '"latencies_ms": [NaN]',
+        '"late_threshold_m": NaN',
+        '"detect": {"tau": NaN}',
+        '"scenario": {"duration_s": Infinity}',
+        '"jitter_ms": -Infinity',
+        '"seeds": [Infinity]',
+    ])
+    def test_run_command_non_finite_number(self, tmp_path, capsys, text):
+        # Python's json reads NaN and Infinity; no config field takes them.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"fusions": ["late"], ' + text + "}")
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config.") and "\n" == err[-1]
+        assert not (tmp_path / "o").exists()
 
     def test_eval_command(self, tmp_path, capsys):
         gt = tmp_path / "gt.jsonl"

@@ -27,7 +27,11 @@ def grid(values, spec=SPEC, t=0.0, frame="infra"):
     return FeatureGrid(spec=spec, values=values, timestamp=t, frame=frame)
 
 
-def send(ch, kind, content, t_send, compress=True):
+COMPRESSED = True
+RAW = False
+
+
+def send(ch, kind, content, t_send, compress=COMPRESSED):
     return ch.send(encode_message(kind, content, compress, t_send))
 
 
@@ -200,7 +204,7 @@ class TestCooperativeFeature:
     def test_vehicle_only_ignores_channel(self):
         ego = self.make_ego()
         out = cooperative_feature(FusionMethod(FusionKind.VEHICLE_ONLY), None, 1.0, ego,
-                                  Pose.identity())
+                                  Pose.identity(), SPEC, COMPRESSED)
         assert out.grid is ego.grid
         assert out.detections == ego.detections
         assert not out.used_fallback
@@ -210,7 +214,7 @@ class TestCooperativeFeature:
         send(ch, MessageKind.FEATURE, grid(np.ones(SPEC.shape)), 0.9)
         ego = self.make_ego()
         out = cooperative_feature(FusionMethod(FusionKind.MIDDLE_STATIC), ch, 1.0, ego,
-                                  Pose.identity())
+                                  Pose.identity(), SPEC, COMPRESSED)
         assert out.used_fallback
         assert np.array_equal(out.grid.values, ego.grid.values)
 
@@ -218,12 +222,14 @@ class TestCooperativeFeature:
         ch = Channel(latency=LatencyModel(0.0))
         send(ch, MessageKind.FEATURE, grid(np.ones(SPEC.shape)), 0.9)
         with pytest.raises(ConfigurationError, match="unknown fusion kind"):
-            cooperative_feature(FusionMethod("psychic"), ch, 1.0, self.make_ego(), Pose.identity())
+            cooperative_feature(FusionMethod("psychic"), ch, 1.0, self.make_ego(), Pose.identity(),
+                                SPEC, COMPRESSED)
 
     def test_late_fallback_returns_ego_detections(self):
         ch = Channel(latency=LatencyModel(500.0))
         ego = self.make_ego()
-        out = cooperative_feature(FusionMethod(FusionKind.LATE), ch, 1.0, ego, Pose.identity())
+        out = cooperative_feature(FusionMethod(FusionKind.LATE), ch, 1.0, ego, Pose.identity(),
+                                  SPEC, COMPRESSED)
         assert out.used_fallback
         assert out.detections == ego.detections
 
@@ -237,9 +243,9 @@ class TestCooperativeFeature:
         send(flow_ch, MessageKind.FEATURE_WITH_FLOW,
                      (at(1.0), grid(flow_vals, t=1.0)), 1.0)
         out_static = cooperative_feature(FusionMethod(FusionKind.MIDDLE_STATIC), static_ch,
-                                         1.0, ego, Pose.identity())
+                                         1.0, ego, Pose.identity(), SPEC, COMPRESSED)
         out_flow = cooperative_feature(FusionMethod(FusionKind.MIDDLE_FLOW), flow_ch,
-                                       1.0, ego, Pose.identity())
+                                       1.0, ego, Pose.identity(), SPEC, COMPRESSED)
         assert np.array_equal(out_static.grid.values, out_flow.grid.values)
         assert out_flow.tau_s == 0.0
 
@@ -250,12 +256,12 @@ class TestCooperativeFeature:
         ch = Channel(latency=LatencyModel(200.0))
         flow_vals = (at(0.8).values - at(0.7).values) / 0.1
         send(ch, MessageKind.FEATURE_WITH_FLOW, (at(0.8), grid(flow_vals, t=0.8)), 0.8,
-             compress=False)
+             compress=RAW)
         out = cooperative_feature(FusionMethod(FusionKind.MIDDLE_FLOW), ch, 1.0, ego,
-                                  Pose.identity())
+                                  Pose.identity(), SPEC, RAW)
         fresh = cooperative_feature(
             FusionMethod(FusionKind.MIDDLE_STATIC),
-            _instant_channel(at(1.0)), 1.0, ego, Pose.identity(),
+            _instant_channel(at(1.0)), 1.0, ego, Pose.identity(), SPEC, RAW,
         )
         assert out.tau_s == pytest.approx(0.2)
         np.testing.assert_allclose(out.grid.values, fresh.grid.values, atol=1e-6)
@@ -264,16 +270,18 @@ class TestCooperativeFeature:
         ego = self.make_ego()
         ch = Channel(latency=LatencyModel())
         send(ch, MessageKind.RAW_POINTS, PointCloud(np.array([[2.0, 2.0, 1.0, 0.5]]), "infra", 1.0), 1.0)
-        out = cooperative_feature(FusionMethod(FusionKind.EARLY), ch, 1.0, ego, Pose.identity())
+        out = cooperative_feature(FusionMethod(FusionKind.EARLY), ch, 1.0, ego, Pose.identity(),
+                                  SPEC, COMPRESSED)
         assert out.grid.values[:, :, 0].sum() > 0
 
         ch2 = Channel(latency=LatencyModel())
         send(ch2, MessageKind.DETECTIONS, [det(6.0)], 1.0)
-        out2 = cooperative_feature(FusionMethod(FusionKind.LATE), ch2, 1.0, ego, Pose.identity())
+        out2 = cooperative_feature(FusionMethod(FusionKind.LATE), ch2, 1.0, ego, Pose.identity(),
+                                   SPEC, COMPRESSED)
         assert len(out2.detections) == 2
 
 
 def _instant_channel(g):
     ch = Channel(latency=LatencyModel())
-    send(ch, MessageKind.FEATURE, g, g.timestamp, compress=False)
+    send(ch, MessageKind.FEATURE, g, g.timestamp, compress=RAW)
     return ch

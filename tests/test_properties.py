@@ -1,4 +1,4 @@
-"""Property tests of the codec, the raster, prediction and assignment."""
+"""Property tests of the codec and decoder, the raster, prediction and assignment."""
 
 import struct
 
@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cotrack.assignment import solve_assignment
-from cotrack.channel import compress_grid, compress_grid_pair, decompress_grid
+from cotrack.channel import (BOX_RECORD, ChannelMessage, MessageKind, compress_grid,
+                             compress_grid_pair, decode_message, decompress_grid)
+from cotrack.detector import Detection
 from cotrack.errors import DecodeError
 from cotrack.sensing import (
     FeatureGrid,
@@ -94,6 +96,71 @@ class TestDecoderFuzz:
             except DecodeError:
                 return
             raise AssertionError("a header for another grid must raise DecodeError")
+
+
+float32s = st.floats(width=32)  # NaN and both infinities included
+RAW = False
+
+
+@st.composite
+def record_payload(draw):
+    """Wire bytes of points, boxes or raw grids of ``SPEC`` with their message
+    kind: whole records of any float32 and any category code, maybe cut or
+    lengthened so they are no whole number of records, or arbitrary bytes."""
+    kind = draw(st.sampled_from(list(MessageKind)))
+    if draw(st.integers(0, 4)) == 0:
+        return kind, draw(st.binary(max_size=200))
+    if kind is MessageKind.RAW_POINTS:
+        values = draw(st.lists(float32s, max_size=32).map(lambda v: v[: len(v) // 4 * 4]))
+        data = struct.pack(f"<{len(values)}f", *values)
+    elif kind is MessageKind.DETECTIONS:
+        field = st.one_of(st.floats(0.25, 8.0, width=32), float32s)
+        record = st.tuples(st.lists(field, min_size=7, max_size=7),
+                           st.one_of(st.integers(0, 3), st.integers(4, 255)),
+                           st.one_of(st.floats(0.0, 1.0, width=32), float32s))
+        data = b"".join(BOX_RECORD.pack(*box, code, score)
+                        for box, code, score in draw(st.lists(record, max_size=4)))
+    else:
+        blocks = draw(st.integers(0, 3))
+        cells = hnp.arrays(np.float32, (blocks, *SPEC.shape), elements=st.one_of(
+            st.just(0.0), st.floats(-1e3, 1e3, width=32), float32s))
+        data = draw(cells).astype("<f4").tobytes()
+    op = draw(st.sampled_from(["keep", "truncate", "extend"]))
+    if op == "truncate":
+        data = data[: draw(st.integers(0, len(data)))]
+    elif op == "extend":
+        data += draw(st.binary(min_size=1, max_size=7))
+    return kind, data
+
+
+class TestRecordDecoderFuzz:
+    @given(payload=record_payload())
+    def test_value_or_decode_error(self, payload):
+        kind, data = payload
+        msg = ChannelMessage(kind=kind, payload_bytes=len(data), t_send=0.5, t_arrive=0.5,
+                             content=data, raw_bytes=len(data))
+        floats = np.frombuffer(data[: len(data) // 4 * 4], dtype="<f4")
+        grids = 1 + (kind is MessageKind.FEATURE_WITH_FLOW)
+        well_formed = np.all(np.isfinite(floats)) and {
+            MessageKind.RAW_POINTS: len(data) % 16 == 0,
+            MessageKind.DETECTIONS: False,  # validity depends on dims, codes and scores
+        }.get(kind, len(data) == 4 * grids * SPEC.rows * SPEC.cols * SPEC.channels)
+        try:
+            out = decode_message(msg, SPEC, RAW)
+        except DecodeError:
+            assert not well_formed
+            return
+        if kind is MessageKind.RAW_POINTS:
+            assert isinstance(out, PointCloud)
+            assert out.points.astype("<f4").tobytes() == data
+        elif kind is MessageKind.DETECTIONS:
+            assert len(out) == len(data) // BOX_RECORD.size
+            assert all(isinstance(d, Detection) for d in out)
+        else:
+            parts = out if isinstance(out, tuple) else (out,)
+            assert len(parts) == grids
+            assert all(isinstance(p, FeatureGrid) and p.spec == SPEC for p in parts)
+            assert b"".join(p.values.astype("<f4").tobytes() for p in parts) == data
 
 
 class TestCompressionBound:
