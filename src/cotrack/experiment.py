@@ -11,9 +11,10 @@ own channel, fusion, detection, tracking and scoring.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
                     get_args, get_origin, get_type_hints)
@@ -77,6 +78,8 @@ class ExperimentConfig:
             raise ConfigurationError("sweep lists must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seeds must be distinct")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigurationError("seeds must be non-negative")
         if any(l < 0 for l in self.latencies_ms) or self.jitter_ms < 0:
             raise ConfigurationError("latencies must be non-negative")
         check_gate(self.eval_gate_m)
@@ -434,17 +437,29 @@ def write_sweep_outputs(
 
 # ---------------------------------------------------------------------------
 # Config file parsing, driven by the config dataclasses: a JSON object sets a
-# dataclass's fields by name, values are coerced to the annotated field types,
-# and defaults live only in the dataclasses. The schema is documented in the
-# README; unknown keys are rejected so typos fail loudly.
+# dataclass's fields by name, each value must have a JSON type that its
+# annotated field type takes (``_coerce``), and defaults live only in the
+# dataclasses. The schema is documented in the README; unknown keys are
+# rejected so typos fail loudly.
 
 # Scenario keys grouped in JSON that set flat ScenarioConfig fields.
 _SCENARIO_GROUPS = {
     "ego": {"start": "ego_start", "yaw": "ego_yaw", "speed_mps": "ego_speed"},
     "infra": {"position": "infra_position", "yaw": "infra_yaw", "range_m": "infra_range_m"},
 }
+# Error messages name a grouped field by its JSON path, e.g. ``ego.start``.
+_JSON_NAMES = {flat: f"{group}.{key}" for group, names in _SCENARIO_GROUPS.items()
+               for key, flat in names.items()}
 # Top-level keys that parametrize every FusionMethod named in "fusions".
-_FUSION_KEYS = ("late_threshold_m", "reducer")
+_FUSION_KEYS = ("late_threshold_m",)
+# The JSON values each leaf type takes. JSON true and false are not numbers,
+# and json reads NaN and Infinity, which no field takes.
+_JSON_LEAVES = {
+    bool: ("a JSON bool", lambda v: isinstance(v, bool)),
+    int: ("a JSON integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite JSON number", lambda v: isinstance(v, (int, float))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+}
 
 
 def _check_keys(d: dict, allowed: set, where: str) -> None:
@@ -459,7 +474,7 @@ def _from_dict(cls, d: dict, where: str):
     """Build the dataclass ``cls`` from a JSON object of its field values."""
     _check_keys(d, {f.name for f in fields(cls) if f.init}, where)
     hints = get_type_hints(cls)
-    kwargs = {k: _coerce(hints[k], v, f"{where}.{k}") for k, v in d.items()}
+    kwargs = {k: _coerce(hints[k], v, f"{where}.{_JSON_NAMES.get(k, k)}") for k, v in d.items()}
     try:
         return cls(**kwargs)
     except CotrackError:
@@ -469,38 +484,46 @@ def _from_dict(cls, d: dict, where: str):
 
 
 def _coerce(tp, value, where: str):
-    """A JSON value as an instance of the annotated type ``tp``."""
-    try:
-        if get_origin(tp) is tuple:
-            args, items = get_args(tp), list(value)
-            if args[-1] is Ellipsis:
-                args = args[:1] * len(items)
-            if len(args) != len(items):
-                raise ValueError(f"expected {len(args)} values, got {len(items)}")
-            return tuple(_coerce(a, v, where) for a, v in zip(args, items))
-        if is_dataclass(tp):
-            if not isinstance(value, dict):  # positional, e.g. a region's four bounds
-                names = [f.name for f in fields(tp)]
-                if len(value) > len(names):
-                    raise ValueError(f"expected at most {len(names)} values")
-                value = dict(zip(names, value))
-            return _from_dict(tp, value, where)
-        value = tp(value)
-        if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
-            raise ValueError(f"{value} is not a finite number")
-        return value
-    except CotrackError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"invalid {where}: {exc}") from exc
+    """A JSON value checked against the annotated type ``tp``, never converted
+    from another JSON type: a bool only from a JSON bool, an int only from a
+    JSON integer, a float from any finite JSON number, an Enum from a string
+    naming a member, a tuple only from an array, and a dataclass from an
+    object or, positionally, an array (e.g. a region's four bounds)."""
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"invalid {where}: expected a JSON array, got {value!r}")
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(args) != len(value):
+            raise ConfigurationError(f"invalid {where}: expected {len(args)} values, got {len(value)}")
+        return tuple(_coerce(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if is_dataclass(tp):
+        if isinstance(value, list):
+            names = [f.name for f in fields(tp)]
+            if len(value) > len(names):
+                raise ConfigurationError(f"invalid {where}: expected at most {len(names)} values")
+            value = dict(zip(names, value))
+        return _from_dict(tp, value, where)
+    if issubclass(tp, Enum):
+        names = [m.value for m in tp]
+        expected, ok = f"one of {names}", isinstance(value, str) and value in names
+    else:
+        expected, accepts = _JSON_LEAVES[tp]
+        ok = accepts(value)
+    if not ok:
+        raise ConfigurationError(f"invalid {where}: expected {expected}, got {value!r}")
+    return tp(value)
 
 
 def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     fields_ = {f.name for f in fields(ExperimentConfig)}
     _check_keys(d, fields_ | set(_FUSION_KEYS), "config")
     d = dict(d)
-    method = {k: d.pop(k) for k in _FUSION_KEYS if k in d}
-    if isinstance(d.get("fusions"), list):
+    hints = get_type_hints(FusionMethod)
+    method = {k: _coerce(hints[k], d.pop(k), f"config.{k}") for k in _FUSION_KEYS if k in d}
+    d.setdefault("fusions", [f.kind.value for f in ExperimentConfig.fusions])
+    if isinstance(d["fusions"], list):
         d["fusions"] = [dict(method, kind=name) for name in d["fusions"]]
     if "scenario" in d:
         d["scenario"] = _flat_scenario(d["scenario"])

@@ -42,11 +42,6 @@ class FusionKind(Enum):
     MIDDLE_FLOW = "middle_flow"
 
 
-class GridReducer(Enum):
-    MAX = "max"
-    SUM = "sum"
-
-
 MESSAGE_KIND_FOR_FUSION = {
     FusionKind.EARLY: MessageKind.RAW_POINTS,
     FusionKind.LATE: MessageKind.DETECTIONS,
@@ -59,7 +54,6 @@ MESSAGE_KIND_FOR_FUSION = {
 class FusionMethod:
     kind: FusionKind
     late_threshold_m: float = 2.0
-    reducer: GridReducer = GridReducer.MAX
 
     def __post_init__(self):
         if self.kind is FusionKind.LATE and self.late_threshold_m <= 0:
@@ -139,14 +133,11 @@ def fuse_early(
     return rasterize_bev(cloud, spec, density_cap=density_cap)
 
 
-def fuse_middle(f_ego: FeatureGrid, f_inf_aligned: FeatureGrid, reducer: GridReducer) -> FeatureGrid:
-    """Elementwise max or sum of two ego-frame grids with equal specs."""
+def fuse_middle(f_ego: FeatureGrid, f_inf_aligned: FeatureGrid) -> FeatureGrid:
+    """Elementwise max of two ego-frame grids with equal specs."""
     if f_ego.spec != f_inf_aligned.spec:
         raise ShapeMismatchError("middle fusion requires identical grid specs")
-    if reducer is GridReducer.MAX:
-        values = np.maximum(f_ego.values, f_inf_aligned.values)
-    else:
-        values = f_ego.values + f_inf_aligned.values
+    values = np.maximum(f_ego.values, f_inf_aligned.values)
     return FeatureGrid(spec=f_ego.spec, values=values, timestamp=f_ego.timestamp, frame=f_ego.frame)
 
 
@@ -253,10 +244,10 @@ def cooperative_feature(
         )
     if fusion.kind is FusionKind.MIDDLE_STATIC:
         aligned = align_grid(content, infra_to_ego, ego.grid.spec)
-        return FusionOutput(grid=fuse_middle(ego.grid, aligned, fusion.reducer), tau_s=tau)
+        return FusionOutput(grid=fuse_middle(ego.grid, aligned), tau_s=tau)
     if fusion.kind is FusionKind.MIDDLE_FLOW:
         f0, f1 = content
         predicted = predict_feature(f0, f1, tau)
         aligned = align_grid(predicted, infra_to_ego, ego.grid.spec)
-        return FusionOutput(grid=fuse_middle(ego.grid, aligned, fusion.reducer), tau_s=tau)
+        return FusionOutput(grid=fuse_middle(ego.grid, aligned), tau_s=tau)
     raise ConfigurationError(f"unknown fusion kind {fusion.kind}")

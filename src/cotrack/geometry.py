@@ -1,4 +1,4 @@
-"""Planar poses, oriented 3D boxes, frame transforms and box overlap measures.
+"""Planar poses, oriented 3D boxes, frame transforms and box center distances.
 
 All rotations are yaw-only (about the vertical axis). Every function here is
 pure and operates on immutable values, so concurrent use is safe.
@@ -128,76 +128,6 @@ def center_distance_matrix(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> np.n
     c = np.array([[b.x, b.y, b.z] for b in cols])
     diff = a[:, None, :] - c[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
-
-
-def polygon_area(poly: np.ndarray) -> float:
-    """Unsigned area of a simple polygon given as (N, 2) vertices."""
-    if len(poly) < 3:
-        return 0.0
-    return abs(_signed_area(poly))
-
-
-def _signed_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman intersection of two convex polygons.
-
-    Returns the clipped vertex list, possibly empty. The clip polygon is
-    re-wound counter-clockwise if needed; the subject winding is free.
-    """
-    if _signed_area(clip) < 0:
-        clip = clip[::-1]
-    output = [tuple(p) for p in subject]
-    for k in range(len(clip)):
-        if not output:
-            break
-        a = clip[k]
-        b = clip[(k + 1) % len(clip)]
-        edge = (b[0] - a[0], b[1] - a[1])
-        inp = output
-        output = []
-
-        def inside(p):
-            return edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) >= 0.0
-
-        for i in range(len(inp)):
-            cur = inp[i]
-            prev = inp[i - 1]
-            cur_in = inside(cur)
-            prev_in = inside(prev)
-            if cur_in:
-                if not prev_in:
-                    output.append(_segment_line_intersection(prev, cur, a, b))
-                output.append(cur)
-            elif prev_in:
-                output.append(_segment_line_intersection(prev, cur, a, b))
-    return np.array(output) if output else np.zeros((0, 2))
-
-
-def _segment_line_intersection(p, q, a, b):
-    # Intersection of segment p-q with the infinite line a-b.
-    d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    d2 = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
-    t = d1 / (d1 - d2)
-    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-
-def bev_iou(a: Box3D, b: Box3D) -> float:
-    """Ground-plane IoU of two yaw-rotated box footprints, in [0, 1].
-
-    Degenerate intersections with near-zero area clamp to exactly 0.
-    """
-    ca, cb = a.corners_bev(), b.corners_bev()
-    inter = polygon_area(clip_convex(ca, cb))
-    if inter < 1e-12:
-        return 0.0
-    union = a.w * a.l + b.w * b.l - inter
-    if union <= 0.0:
-        return 0.0
-    return float(min(max(inter / union, 0.0), 1.0))
 
 
 @dataclass(frozen=True)

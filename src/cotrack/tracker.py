@@ -1,6 +1,6 @@
 """Multi-object tracker: per-track constant-velocity Kalman filter, gated
-optimal-assignment association, and a hit/miss birth-death lifecycle with
-unique monotone track ids.
+optimal-assignment association on center distance, and a hit/miss
+birth-death lifecycle with unique monotone track ids.
 
 Track state is the 10-vector (x, y, z, yaw, w, l, h, vx, vy, vz). Tracker
 state is strictly sequential within a run; distinct runs are independent.
@@ -16,7 +16,7 @@ import numpy as np
 from .assignment import gated_assignment
 from .detector import Detection
 from .errors import ConfigurationError, NumericError, OrderingError
-from .geometry import Box3D, bev_iou, center_distance_matrix, wrap_angle
+from .geometry import Box3D, center_distance_matrix, wrap_angle
 from .scenario import Provenance, TrackedObject
 
 STATE_DIM = 10
@@ -32,9 +32,7 @@ _H[:MEAS_DIM, :MEAS_DIM] = np.eye(MEAS_DIM)
 class TrackerParams:
     min_hits: int = 3
     max_age: int = 2
-    gate_m: float = 4.0
-    association: str = "distance"  # "distance" | "iou"
-    iou_gate: float = 0.1
+    gate_m: float = 4.0  # association gate on center distance
     q_pose: float = 0.01  # process noise density, pose and dims
     q_vel: float = 1.0  # process noise density, velocities
     r_pos: float = 0.25
@@ -44,16 +42,10 @@ class TrackerParams:
     p0_yaw: float = 0.5
     p0_dims: float = 1.0
     p0_vel: float = 100.0
-    # Report unconfirmed tracks during the first min_hits frames of a run,
-    # so a perfect detector yields output from frame one. Disable for
-    # strictly-confirmed output.
-    warmup_output: bool = True
 
     def __post_init__(self):
         if self.min_hits < 1 or self.max_age < 0 or self.gate_m <= 0:
             raise ConfigurationError("invalid tracker lifecycle parameters")
-        if self.association not in ("distance", "iou"):
-            raise ConfigurationError(f"unknown association metric {self.association!r}")
 
     def measurement_noise(self) -> np.ndarray:
         return np.diag([self.r_pos] * 3 + [self.r_yaw] + [self.r_dims] * 3)
@@ -136,23 +128,15 @@ def associate(
     tracks: Sequence[Track],
     detections: Sequence[Detection],
     threshold_m: float,
-    metric: str = "distance",
-    iou_gate: float = 0.1,
 ) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
-    """Gated optimal assignment of tracks to detections.
+    """Gated optimal assignment of tracks to detections on center distance.
 
     Returns (matches, unmatched_track_indices, unmatched_detection_indices).
-    Pairs beyond the gate are unmatched even when the assignment selected
-    them.
+    Pairs farther apart than ``threshold_m`` are unmatched even when the
+    assignment selected them.
     """
-    track_boxes = [t.box() for t in tracks]
-    det_boxes = [d.box for d in detections]
-    if metric == "distance":
-        cost = center_distance_matrix(track_boxes, det_boxes)
-        return gated_assignment(cost, cost <= threshold_m)
-    iou = np.array([[bev_iou(tb, db) for db in det_boxes] for tb in track_boxes])
-    iou = iou.reshape(len(track_boxes), len(det_boxes))
-    return gated_assignment(1.0 - iou, iou >= iou_gate)
+    cost = center_distance_matrix([t.box() for t in tracks], [d.box for d in detections])
+    return gated_assignment(cost, cost <= threshold_m)
 
 
 class Tracker:
@@ -186,8 +170,9 @@ class Tracker:
         """Advance one frame and return the current reportable tracks.
 
         Tracks updated this frame are reported once they have reached
-        min_hits, with an optional warm-up exception during the first
-        min_hits frames of a run (see TrackerParams.warmup_output).
+        min_hits. During the first min_hits frames of a run every updated
+        track is reported (warm-up), so a perfect detector yields output
+        from frame one.
         """
         if self._last_t is not None and t <= self._last_t:
             raise OrderingError(f"step times must strictly increase ({self._last_t} -> {t})")
@@ -197,9 +182,7 @@ class Tracker:
         p = self.params
 
         self.tracks = [kf_predict(trk, dt, p) for trk in self.tracks]
-        matches, unmatched_tracks, unmatched_dets = associate(
-            self.tracks, detections, p.gate_m, p.association, p.iou_gate
-        )
+        matches, unmatched_tracks, unmatched_dets = associate(self.tracks, detections, p.gate_m)
         for r, c in matches:
             self.tracks[r] = kf_update(self.tracks[r], detections[c], p)
         for r in unmatched_tracks:
@@ -210,7 +193,7 @@ class Tracker:
         self.tracks = [trk for trk in self.tracks if trk.misses <= p.max_age]
 
         out = []
-        warm = p.warmup_output and self._frame_count <= p.min_hits
+        warm = self._frame_count <= p.min_hits
         for trk in self.tracks:
             if trk.misses == 0 and (trk.confirmed(p.min_hits) or warm):
                 out.append(

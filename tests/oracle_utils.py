@@ -30,7 +30,7 @@ from cotrack.channel import CHANNEL_RANGE, ChannelMessage
 from cotrack.detector import Detection, DetectParams
 from cotrack.errors import DecodeError, EncodeError
 from cotrack.fusion import _merge_pair
-from cotrack.geometry import CATEGORY_ORDER, Box3D, Category, bev_iou, center_distance_matrix
+from cotrack.geometry import CATEGORY_ORDER, Box3D, Category, center_distance_matrix
 from cotrack.sensing import (
     DENSITY_CHANNEL,
     HEIGHT_CHANNEL,
@@ -500,8 +500,6 @@ def guarded_associate(
     tracks: Sequence[Track],
     detections: Sequence[Detection],
     threshold_m: float,
-    metric: str = "distance",
-    iou_gate: float = 0.1,
 ) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
     """Gated optimal assignment of tracks to detections.
 
@@ -513,13 +511,8 @@ def guarded_associate(
         return [], list(range(len(tracks))), list(range(len(detections)))
     track_boxes = [t.box() for t in tracks]
     det_boxes = [d.box for d in detections]
-    if metric == "distance":
-        cost = center_distance_matrix(track_boxes, det_boxes)
-        gate_ok = cost <= threshold_m
-    else:
-        iou = np.array([[bev_iou(tb, db) for db in det_boxes] for tb in track_boxes])
-        cost = 1.0 - iou
-        gate_ok = iou >= iou_gate
+    cost = center_distance_matrix(track_boxes, det_boxes)
+    gate_ok = cost <= threshold_m
     matches = []
     matched_t, matched_d = set(), set()
     for r, c in solve_assignment(cost):

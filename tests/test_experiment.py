@@ -1,11 +1,16 @@
 import importlib.util
 import json
+import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import cotrack.experiment as experiment
 from cotrack.cli import main as cli_main
@@ -21,6 +26,7 @@ from cotrack.experiment import (
     write_sweep_outputs,
 )
 from cotrack.fusion import FusionKind, FusionMethod
+from cotrack.geometry import Category
 from cotrack.scenario import AgentPopulation, Lane, ScenarioConfig
 from cotrack.sensing import NoiseConfig
 
@@ -43,6 +49,87 @@ def tiny_config(**kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+# Values of a JSON type that their field does not take.
+WRONG_TYPED_DOCS = [
+    {"compression": "false"},
+    {"seeds": [1.7]},
+    {"seeds": [True, 2]},
+    {"latencies_ms": "12"},
+    {"latencies_ms": {"5": 1}},
+    {"scenario": {"ego": {"start": "12"}}},
+    {"scenario": {"frame_rate_hz": 10.5}},
+    {"scenario": {"agents": {"count": "6"}}},
+    {"jitter_ms": "3"},
+    {"tracker": {"warmup_output": "no"}},  # an unknown key as well
+    {"tracker": {"min_hits": True}},
+]
+
+
+def _leaf_fields(cls, path):
+    """(JSON path, type) of each bool, int, float and Enum field under ``cls``."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        tp = hints[f.name]
+        sub = path + tuple(experiment._JSON_NAMES.get(f.name, f.name).split("."))
+        if is_dataclass(tp):
+            yield from _leaf_fields(tp, sub)
+        elif tp in (bool, int, float) or (isinstance(tp, type) and issubclass(tp, Enum)):
+            yield sub, tp
+
+
+# Every leaf a config file sets: the dataclass fields, the top-level fusion
+# keys, and one element of each list of leaves.
+LEAVES = sorted(_leaf_fields(ExperimentConfig, ()), key=repr) + [
+    (("late_threshold_m",), float),
+    (("fusions", 0), FusionKind),
+    (("latencies_ms", 0), float),
+    (("seeds", 0), int),
+    (("scenario", "agents", "categories", 0), Category),
+    (("scenario", "agents", "lanes", 0, "y"), float),
+]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([m.value for m in FusionKind] + [m.value for m in Category]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def takes(tp, value) -> bool:
+    """Whether a leaf of type ``tp`` takes the JSON value, as the README states."""
+    if tp is bool:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if tp is int:
+        return isinstance(value, int)
+    if tp is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, str) and value in {m.value for m in tp}
+
+
+def right_typed(tp):
+    if tp is bool:
+        return st.booleans()
+    if tp is int:
+        return st.integers()
+    if tp is float:
+        return st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**60, 2**60)
+    return st.sampled_from([m.value for m in tp])
+
+
+def doc_at(path, value):
+    """A config document that sets only the leaf at ``path``."""
+    for key in reversed(path):
+        value = [value] if isinstance(key, int) else {key: value}
+    return value
+
+
+def key_path(path) -> str:
+    return "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
 
 
 class TestRunSingle:
@@ -247,6 +334,16 @@ class TestConfigParsing:
             experiment_config_from_dict({"scenario": {"durations": 3.0}})
 
     @pytest.mark.parametrize("doc", [
+        {"reducer": "max"},
+        {"tracker": {"association": "distance"}},
+        {"tracker": {"iou_gate": 0.1}},
+        {"tracker": {"warmup_output": True}},
+    ], ids=json.dumps)
+    def test_removed_option_keys_are_unknown(self, doc):
+        with pytest.raises(ConfigurationError, match="unknown keys"):
+            experiment_config_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [
         {"scenario": 3},
         {"scenario": {"region": [0.0, 1.0]}},
         {"scenario": {"vehicle_grid": {"x0": 0.0}}},
@@ -259,10 +356,27 @@ class TestConfigParsing:
         {"eval_gate_m": -1},
         {"eval_gate_m": 0.0},
         {"scenario": {"ego": {"speed_mps": -1.0}}},
+        *WRONG_TYPED_DOCS,
+        {"seeds": [-1]},
     ])
     def test_malformed_values_raise_configuration_error(self, doc):
         with pytest.raises(ConfigurationError):
             experiment_config_from_dict(doc)
+
+    @given(st.sampled_from(LEAVES), JSON_VALUES)
+    def test_a_leaf_rejects_a_value_of_a_json_type_it_does_not_take(self, leaf, value):
+        path, tp = leaf
+        assume(not takes(tp, value))
+        with pytest.raises(ConfigurationError) as err:
+            experiment_config_from_dict(doc_at(path, value))
+        assert key_path(path) in str(err.value)
+
+    @given(st.sampled_from(LEAVES).flatmap(
+        lambda leaf: st.tuples(st.just(leaf), right_typed(leaf[1]))))
+    def test_a_leaf_keeps_a_value_of_a_json_type_it_takes(self, drawn):
+        (path, tp), value = drawn
+        out = experiment._coerce(tp, value, key_path(path))
+        assert type(out) is tp and out == tp(value)
 
     def test_every_dataclass_field_is_settable(self):
         cfg = experiment_config_from_dict({
@@ -274,6 +388,13 @@ class TestConfigParsing:
         assert cfg.scenario.ego_speed == 3.0
         assert cfg.detect.max_dim_m == 9.0
         assert cfg.tracker.q_vel == 2.0
+
+    def test_fusion_keys_apply_to_the_default_fusions(self):
+        cfg = experiment_config_from_dict({"late_threshold_m": 0.5})
+        assert [f.kind for f in cfg.fusions] == list(FusionKind)
+        assert {f.late_threshold_m for f in cfg.fusions} == {0.5}
+        with pytest.raises(ConfigurationError):
+            experiment_config_from_dict({"late_threshold_m": -1.0})
 
     def test_unknown_fusion_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -290,6 +411,70 @@ class TestConfigParsing:
         assert cfg.seeds == (3,)
         with pytest.raises(ConfigurationError):
             load_experiment_config(tmp_path / "missing.json")
+
+
+class TestReadmeSchema:
+    def test_the_readme_config_block_loads(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```jsonc\n(.*?)```", text, flags=re.S)
+        assert len(blocks) == 1
+        doc = json.loads(re.sub(r"//[^\n]*", "", blocks[0]))
+        cfg = experiment_config_from_dict(doc)
+        assert cfg.seeds == tuple(doc["seeds"])
+        assert [f.kind.value for f in cfg.fusions] == doc["fusions"]
+
+
+# README schema keys that no shipped config, preset or benchmark workload sets
+# to a value other than its default, each with the keys its effect needs and
+# the fusion that shows it: (key, its dependencies, fusion).
+_SCHEMA_KEY_EFFECTS = [
+    ({"scenario": {"frame_rate_hz": 5}}, {}, "vehicle_only"),
+    ({"scenario": {"region": [0.0, -20.0, 60.0, 20.0]}}, {}, "vehicle_only"),
+    ({"scenario": {"ego": {"yaw": 0.3}}}, {}, "vehicle_only"),
+    ({"scenario": {"ego": {"speed_mps": 5.0}}}, {}, "vehicle_only"),
+    ({"scenario": {"infra": {"yaw": 0.3}}}, {}, "middle_static"),
+    ({"scenario": {"agents": {"turn_fraction": 1.0}}}, {}, "vehicle_only"),
+    ({"scenario": {"agents": {"turn_rate": 0.6}}},
+     {"scenario": {"agents": {"turn_fraction": 1.0}}}, "vehicle_only"),
+    ({"scenario": {"agents": {"lane_slot_spacing_m": 10.0}}}, {}, "vehicle_only"),
+    ({"scenario": {"noise": {"dropout_p": 0.5}}}, {}, "vehicle_only"),
+    ({"scenario": {"vehicle_grid": {"x0": 0.0, "y0": -40.0, "cell_size": 0.4,
+                                    "cols": 250, "rows": 200}}}, {}, "vehicle_only"),
+    ({"scenario": {"infra_grid": {"x0": -50.0, "y0": -40.0, "cell_size": 0.4,
+                                  "cols": 250, "rows": 200}}}, {}, "middle_static"),
+    ({"scenario": {"density_cap": 3.0}}, {}, "vehicle_only"),
+    ({"scenario": {"surface_pts_per_m": 2.0}}, {}, "vehicle_only"),
+    ({"compression": False}, {}, "middle_static"),
+    ({"jitter_ms": 80.0}, {}, "late"),
+    ({"eval_gate_m": 0.2}, {}, "vehicle_only"),
+    ({"late_threshold_m": 0.5}, {}, "late"),
+    ({"detect": {"tau": 0.5}}, {}, "vehicle_only"),
+    ({"detect": {"min_cells": 12}}, {}, "vehicle_only"),
+    ({"tracker": {"min_hits": 1}}, {}, "vehicle_only"),
+    ({"tracker": {"max_age": 0}}, {}, "vehicle_only"),
+    ({"tracker": {"gate_m": 0.5}}, {}, "vehicle_only"),
+]
+
+
+def _merged(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = _merged(out[k], v) if isinstance(v, dict) and isinstance(out.get(k), dict) else v
+    return out
+
+
+class TestSchemaKeyEffects:
+    @pytest.mark.parametrize("key,needs,fusion", _SCHEMA_KEY_EFFECTS,
+                             ids=[json.dumps(k) for k, _, _ in _SCHEMA_KEY_EFFECTS])
+    def test_setting_the_key_changes_a_one_cell_run(self, key, needs, fusion):
+        base = _merged({"scenario": {"duration_s": 1.0}, "fusions": [fusion],
+                        "latencies_ms": [100], "seeds": [1]}, needs)
+
+        def report(doc):
+            cfg = experiment_config_from_dict(doc)
+            return run_single(cfg, cfg.fusions[0], cfg.latencies_ms[0], cfg.seeds[0])
+
+        assert report(_merged(base, key)) != report(base)
 
 
 class TestShippedConfigs:
@@ -332,6 +517,21 @@ class TestCli:
         cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "eval_gate_m": -1}))
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: match gate must be positive")
+
+    def test_run_command_wrong_typed_compression(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "compression": "false"}))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "config.compression" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("doc", [*WRONG_TYPED_DOCS, {"seeds": [-1]}], ids=json.dumps)
+    def test_run_command_exits_2_on_a_bad_value(self, tmp_path, capsys, doc):
+        cfg = self._write_config(tmp_path)  # a one-cell sweep, should the value load
+        cfg.write_text(json.dumps(_merged(json.loads(cfg.read_text()), doc)))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_run_command_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -10,7 +10,6 @@ from cotrack.fusion import (
     EgoInputs,
     FusionKind,
     FusionMethod,
-    GridReducer,
     align_grid,
     cooperative_feature,
     fuse_early,
@@ -113,33 +112,25 @@ class TestFuseMiddle:
     def test_zero_infra_max_keeps_ego(self):
         ego = grid(np.random.default_rng(1).random(SPEC.shape), frame="vehicle")
         inf = grid(np.zeros(SPEC.shape), frame="vehicle")
-        assert np.array_equal(fuse_middle(ego, inf, GridReducer.MAX).values, ego.values)
+        assert np.array_equal(fuse_middle(ego, inf).values, ego.values)
 
     def test_max_idempotent_commutative_associative(self):
         a = grid(np.random.default_rng(2).random(SPEC.shape), frame="vehicle")
         b = grid(np.random.default_rng(3).random(SPEC.shape), frame="vehicle")
         c = grid(np.random.default_rng(4).random(SPEC.shape), frame="vehicle")
-        assert np.array_equal(fuse_middle(a, a, GridReducer.MAX).values, a.values)
-        ab = fuse_middle(a, b, GridReducer.MAX)
-        ba = fuse_middle(b, a, GridReducer.MAX)
+        assert np.array_equal(fuse_middle(a, a).values, a.values)
+        ab = fuse_middle(a, b)
+        ba = fuse_middle(b, a)
         assert np.array_equal(ab.values, ba.values)
-        left = fuse_middle(ab, c, GridReducer.MAX).values
-        right = fuse_middle(a, fuse_middle(b, c, GridReducer.MAX), GridReducer.MAX).values
+        left = fuse_middle(ab, c).values
+        right = fuse_middle(a, fuse_middle(b, c)).values
         assert np.array_equal(left, right)
-
-    def test_sum_of_one_hots(self):
-        a = grid(one_hot(2, 3), frame="vehicle")
-        b = grid(one_hot(8, 9), frame="vehicle")
-        out = fuse_middle(a, b, GridReducer.SUM)
-        assert out.values[2, 3, 0] == 1.0 and out.values[8, 9, 0] == 1.0
-        assert out.values.sum() == pytest.approx(a.values.sum() + b.values.sum())
 
     def test_spec_mismatch_rejected(self):
         other = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=10, rows=16)
         with pytest.raises(ShapeMismatchError):
             fuse_middle(grid(np.zeros(SPEC.shape)),
-                        FeatureGrid(other, np.zeros(other.shape), 0.0, "vehicle"),
-                        GridReducer.MAX)
+                        FeatureGrid(other, np.zeros(other.shape), 0.0, "vehicle"))
 
 
 def det(x, y=0.0, score=0.5):

@@ -9,7 +9,6 @@ from cotrack.geometry import (
     Box3D,
     Pose,
     Region,
-    bev_iou,
     center_distance_matrix,
     compose,
     inverse,
@@ -125,38 +124,6 @@ class TestCenterDistance:
         for _ in range(300):
             a, b, c = (make_box(*rng.uniform(-100, 100, size=3)) for _ in range(3))
             assert center_distance(a, c) <= center_distance(a, b) + center_distance(b, c) + 1e-9
-
-
-class TestBevIou:
-    def test_identical(self):
-        b = make_box(2.0, 3.0, yaw=0.7)
-        assert bev_iou(b, b) == pytest.approx(1.0)
-
-    def test_disjoint(self):
-        assert bev_iou(make_box(0, 0), make_box(100, 0)) == 0.0
-
-    def test_offset_squares(self):
-        # Two 2x2 squares offset by one meter: intersection 2, union 6.
-        a = Box3D(0, 0, 0, w=2, l=2, h=1)
-        b = Box3D(1, 0, 0, w=2, l=2, h=1)
-        assert bev_iou(a, b) == pytest.approx(1.0 / 3.0)
-
-    def test_symmetry_and_bounds(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            a = make_box(*rng.uniform(-5, 5, size=2), 0.0, w=rng.uniform(0.5, 4), l=rng.uniform(0.5, 6), yaw=rng.uniform(-math.pi, math.pi))
-            b = make_box(*rng.uniform(-5, 5, size=2), 0.0, w=rng.uniform(0.5, 4), l=rng.uniform(0.5, 6), yaw=rng.uniform(-math.pi, math.pi))
-            ab = bev_iou(a, b)
-            assert ab == pytest.approx(bev_iou(b, a), abs=1e-12)
-            assert 0.0 <= ab <= 1.0
-
-    def test_rotated_self_overlap(self):
-        # A square rotated by 45 degrees about its own center: intersection is
-        # the regular octagon, area 8*(sqrt(2)-1) for a 2x2 square.
-        a = Box3D(0, 0, 0, w=2, l=2, h=1, yaw=0.0)
-        b = Box3D(0, 0, 0, w=2, l=2, h=1, yaw=math.pi / 4)
-        inter = 8 * (math.sqrt(2) - 1)
-        assert bev_iou(a, b) == pytest.approx(inter / (8 - inter))
 
 
 class TestRegion:

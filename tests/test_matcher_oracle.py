@@ -1,6 +1,6 @@
 """The gated box matchers against their versions before ``gated_assignment``.
 
-Late fusion, track association (both metrics) and cross-view trajectory
+Late fusion, track association and cross-view trajectory
 pairing now share one gated assignment; ``oracle_utils`` keeps each one's own
 copy with its empty-side guard and leftover loops (``guarded_*``, and
 ``frame_pairs_before`` for the pairing, whose frame times lie on a 10 Hz grid). Box centres sit
@@ -32,7 +32,6 @@ from oracle_utils import frame_pairs_before, guarded_associate, guarded_fuse_lat
 
 # Every distance between two lattice centres is sqrt of an integer up to 4+4+1.
 LATTICE_GATES = st.sampled_from([math.sqrt(k) for k in range(10)])
-IOU_GATES = st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0])
 
 boxes = st.builds(
     Box3D,
@@ -72,13 +71,6 @@ def test_fuse_late_matches_its_guarded_version(ego, inf, gate):
 def test_distance_association_matches_its_guarded_version(track_boxes, dets, gate):
     tracks = [track_of(i, b) for i, b in enumerate(track_boxes)]
     assert associate(tracks, dets, gate) == guarded_associate(tracks, dets, gate)
-
-
-@given(st.lists(boxes, max_size=8), st.lists(detections, max_size=8), IOU_GATES)
-def test_iou_association_matches_its_guarded_version(track_boxes, dets, iou_gate):
-    tracks = [track_of(i, b) for i, b in enumerate(track_boxes)]
-    new = associate(tracks, dets, 4.0, metric="iou", iou_gate=iou_gate)
-    assert new == guarded_associate(tracks, dets, 4.0, metric="iou", iou_gate=iou_gate)
 
 
 @given(trajectories(Provenance.VEHICLE_SIDE), trajectories(Provenance.INFRA_SIDE), LATTICE_GATES)

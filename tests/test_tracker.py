@@ -128,13 +128,6 @@ class TestAssociate:
         matches, _, _ = associate([t0, t1], [d0, d1], threshold_m=4.0)
         assert sorted(matches) == [(0, 1), (1, 0)]
 
-    def test_iou_metric_available(self):
-        t = fresh_track(0.0, 0.0)
-        matches, _, _ = associate([t], [det(0.5)], 4.0, metric="iou", iou_gate=0.1)
-        assert matches == [(0, 0)]
-        matches, _, _ = associate([t], [det(30.0)], 4.0, metric="iou", iou_gate=0.1)
-        assert matches == []
-
 
 class TestTrackerLifecycle:
     def test_first_frame_outputs_under_warmup(self):
@@ -143,16 +136,16 @@ class TestTrackerLifecycle:
         assert len(out) == 2
         assert all(not trk.confirmed(3) for trk in tracker.tracks)
 
-    def test_first_frame_silent_without_warmup(self):
-        tracker = Tracker(TrackerParams(min_hits=3, warmup_output=False))
-        assert tracker.step([det(0.0)], 0.0) == []
-        assert len(tracker.tracks) == 1
-
     def test_confirmation_after_min_hits(self):
-        tracker = Tracker(TrackerParams(min_hits=3, warmup_output=False))
-        tracker.step([det(0.0)], 0.0)
-        tracker.step([det(0.5)], 0.1)
-        out = tracker.step([det(1.0)], 0.2)
+        # A track born after the min_hits warm-up frames is reported from
+        # its min_hits-th hit on, not before.
+        tracker = Tracker(TrackerParams(min_hits=3))
+        for k in range(3):
+            assert tracker.step([], 0.1 * k) == []
+        assert tracker.step([det(0.0)], 0.3) == []
+        assert tracker.step([det(0.5)], 0.4) == []
+        assert len(tracker.tracks) == 1
+        out = tracker.step([det(1.0)], 0.5)
         assert len(out) == 1
         assert out[0].track_id == 1
 
