@@ -524,6 +524,9 @@ def experiment_config_from_dict(d: dict) -> ExperimentConfig:
     method = {k: _coerce(hints[k], d.pop(k), f"config.{k}") for k in _FUSION_KEYS if k in d}
     d.setdefault("fusions", [f.kind.value for f in ExperimentConfig.fusions])
     if isinstance(d["fusions"], list):
+        # Check each name under its own path before it becomes a "kind" key.
+        for i, name in enumerate(d["fusions"]):
+            _coerce(FusionKind, name, f"config.fusions[{i}]")
         d["fusions"] = [dict(method, kind=name) for name in d["fusions"]]
     if "scenario" in d:
         d["scenario"] = _flat_scenario(d["scenario"])

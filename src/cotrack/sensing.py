@@ -9,22 +9,34 @@ first-order finite-difference flow, itself a grid of per-second rates,
 which lets a receiver extrapolate a stale grid forward in time with a
 linear model.
 
+Ground clutter is static: its draw depends only on (seed, view, noise,
+range), and a still sensor sees it at the same sensor-frame points every
+frame; only its intensities are drawn anew. ``static_returns`` caches, per
+(seed, view, noise, range) and the latest sensor pose, the clutter's
+sensor-frame points and, per GridSpec, their (cell, z) sort. A sampled
+cloud ends with those rows, and ``rasterize_bev`` takes every cell that no
+agent point hits and where no two clutter points tie on z from the cached
+sort; only the points of the other (dirty) cells are sorted per frame. The
+first cloud of a pose misses the cache and is rasterized whole, and so is
+every cloud of a moving ego, whose pose is new every frame. Grids are bit
+for bit what sorting the whole cloud gives.
+
 All operations are pure given explicit seeds; grids are treated as
 immutable after construction.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import InitVar, dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, OrderingError, ShapeMismatchError
-from .geometry import Blockers, Box3D, inverse, segments_hit_blockers
+from .geometry import Blockers, Box3D, Pose, inverse, segments_hit_blockers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -72,15 +84,26 @@ class GridSpec:
 
 @dataclass
 class PointCloud:
-    """Points as an (N, 4) array of x, y, z, intensity."""
+    """Points as an (N, 4) array of x, y, z, intensity.
+
+    A sampled cloud also holds ``static_rows`` (the init-only ``static``): its
+    last rows are the ground clutter of a cached :class:`StaticReturns`,
+    which :func:`rasterize_bev` reads instead of re-sorting them. Such a
+    cloud's points are read-only. A cloud built from new points (``replace``,
+    a merged or decoded cloud) has none.
+    """
 
     points: np.ndarray
     frame: str
     timestamp: float
+    static: InitVar[Optional["StaticRows"]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, static):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 4)
-        if self.points.size and not np.all(np.isfinite(self.points)):
+        self.static_rows: Optional[StaticRows] = static
+        # Static rows were checked once, when their returns were cached.
+        own = self.points if static is None else self.points[:len(self) - static.count]
+        if own.size and not np.all(np.isfinite(own)):
             raise NumericError("point cloud contains non-finite values")
 
     def __len__(self) -> int:
@@ -175,9 +198,105 @@ def visible_agents(
     return in_range & (~hits.any(axis=0)).any(axis=1)
 
 
-@functools.lru_cache(maxsize=2)
+def _frozen(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
+def _grid_cells(spec: GridSpec, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat cell index of each point inside the grid, and the inside mask."""
+    ix = np.floor((points[:, 0] - spec.x0) / spec.cell_size).astype(int)
+    iy = np.floor((points[:, 1] - spec.y0) / spec.cell_size).astype(int)
+    ok = (ix >= 0) & (ix < spec.cols) & (iy >= 0) & (iy < spec.rows)
+    return iy[ok] * spec.cols + ix[ok], ok
+
+
+def _run_ends(flat: np.ndarray) -> np.ndarray:
+    """Index of the last point of each cell's run in cell-sorted points."""
+    return np.append(np.flatnonzero(flat[1:] != flat[:-1]), len(flat) - 1)
+
+
+class StaticGrid(NamedTuple):
+    """In-grid clutter of one StaticReturns on one GridSpec, sorted by (cell, z)."""
+
+    rows: np.ndarray  # clutter row of each sorted point
+    flat: np.ndarray  # its cell
+    z: np.ndarray  # its height
+    last: np.ndarray  # run ends: each cell's count and last (highest) z
+    ties: np.ndarray  # (rows * cols,) bool: cells where two clutter points tie on z
+
+
+class StaticReturns:
+    """Ground clutter of one (seed, view, noise, range) seen from one sensor pose.
+
+    ``field`` is the seed's draw relative to the sensor position: offsets
+    (C, 2), jitter (C, 2) or None, and z (C,). ``points`` (C, 4) is the
+    clutter in the sensor frame, computed and checked finite once, with zero
+    intensity (each frame draws its own); ``Pose.apply_to_points`` works row
+    by row, so it is bitwise what transforming a whole cloud gives. Its
+    :class:`StaticGrid` on a GridSpec is built on first use. ``reused`` turns
+    true when the cache returns it again: only then does a sampled cloud
+    hold it, so a pose seen once (a moving ego's) costs no sort and no memory
+    beyond the cache entry. Every array is read-only.
+    """
+
+    def __init__(self, field, pose: Pose):
+        self.field = field
+        self.pose_key = _pose_key(pose)
+        offsets, jitter, z = field
+        cx = pose.x + offsets[:, 0]
+        cy = pose.y + offsets[:, 1]
+        if jitter is not None:
+            cx, cy = cx + jitter[:, 0], cy + jitter[:, 1]
+        self.points = np.zeros((len(z), 4))
+        self.points[:, :3] = inverse(pose).apply_to_points(np.column_stack([cx, cy, z]))
+        if not np.all(np.isfinite(self.points)):
+            raise NumericError("point cloud contains non-finite values")
+        _frozen(self.points)
+        self.reused = False
+        self._grids = {}
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def grid(self, spec: GridSpec) -> StaticGrid:
+        cached = self._grids.get(spec)
+        if cached is None:
+            flat, ok = _grid_cells(spec, self.points)
+            rows = np.flatnonzero(ok)
+            z = self.points[rows, 2]
+            order = np.lexsort((z, flat))
+            rows, flat, z = rows[order], flat[order], z[order]
+            ties = np.zeros(spec.rows * spec.cols, dtype=bool)
+            ties[flat[1:][(flat[1:] == flat[:-1]) & (z[1:] == z[:-1])]] = True
+            cached = StaticGrid(rows, flat, z, _run_ends(flat), ties)
+            _frozen(*cached)
+            if len(self._grids) >= _STATIC_GRIDS_PER_POSE:
+                self._grids.pop(next(iter(self._grids)))
+            self._grids[spec] = cached
+        return cached
+
+
+class StaticRows(NamedTuple):
+    """The static rows that end a sampled cloud: the clutter rows of
+    ``returns`` left after dropout (``kept`` is None when none dropped)."""
+
+    returns: StaticReturns
+    kept: Optional[np.ndarray]
+    count: int
+
+
+_STATIC_CACHE_SIZE = 2  # one seed's two views
+_STATIC_GRIDS_PER_POSE = 2  # grid specs one pose's clutter is rasterized on
+_static_cache: "OrderedDict[tuple, StaticReturns]" = OrderedDict()
+
+
+def _pose_key(pose: Pose) -> bytes:
+    return np.array([pose.x, pose.y, pose.z, pose.yaw]).tobytes()  # -0.0 differs from 0.0
+
+
 def _clutter_field(rng_seed: int, sensor: View, noise: NoiseConfig, range_m: float):
-    """Static ground-clutter field of one (seed, sensor), relative to the sensor.
+    """Ground-clutter draw of one (seed, sensor), relative to the sensor.
 
     Returns read-only (offsets (C, 2), jitter (C, 2) or None, z (C,)); the
     same asphalt returns every frame, with position noise baked in once so
@@ -194,10 +313,31 @@ def _clutter_field(rng_seed: int, sensor: View, noise: NoiseConfig, range_m: flo
         j = clutter_rng.normal(0.0, noise.sigma_m, size=(count, 3))
         jitter = np.ascontiguousarray(j[:, :2])
         z = z + j[:, 2]
-    for arr in (offsets, jitter, z):
-        if arr is not None:
-            arr.setflags(write=False)
+        _frozen(jitter)
+    _frozen(offsets, z)
     return offsets, jitter, z
+
+
+def static_returns(rng_seed: int, sensor: View, noise: NoiseConfig, range_m: float,
+                   pose: Pose) -> StaticReturns:
+    """The cached StaticReturns of (seed, sensor, noise, range) at ``pose``.
+
+    The cache holds the latest pose of the last two (seed, sensor, noise,
+    range) keys. A new pose (a moving ego, every frame) keeps the clutter
+    draw and recomputes the sensor-frame points and their grids.
+    """
+    key = (int(rng_seed), sensor, noise, range_m)
+    cached = _static_cache.pop(key, None)
+    if cached is None or cached.pose_key != _pose_key(pose):
+        field = (cached.field if cached is not None
+                 else _clutter_field(rng_seed, sensor, noise, range_m))
+        cached = StaticReturns(field, pose)
+    else:
+        cached.reused = True
+    _static_cache[key] = cached
+    while len(_static_cache) > _STATIC_CACHE_SIZE:
+        _static_cache.popitem(last=False)
+    return cached
 
 
 def sample_point_cloud(
@@ -218,7 +358,9 @@ def sample_point_cloud(
     not ray-tested. Gaussian position noise and Bernoulli dropout apply
     last. Deterministic for a fixed (scenario, frame, sensor, rng_seed).
 
-    The returned cloud is expressed in the sensor's own frame.
+    The returned cloud is expressed in the sensor's own frame, agent rows
+    first and the clutter rows last; they are its ``static_rows`` once the
+    sensor's pose repeats (see :class:`StaticReturns`).
     """
     if rng_seed < 0:
         raise ConfigurationError("rng_seed must be non-negative")
@@ -256,23 +398,48 @@ def sample_point_cloud(
     if noise.sigma_m > 0 and len(pts):
         pts[:, :3] += rng.normal(0.0, noise.sigma_m, size=(len(pts), 3))
 
-    offsets, jitter, cz = _clutter_field(rng_seed, sensor, noise, range_m)
-    if len(cz):
-        cx = sensor_xy[0] + offsets[:, 0]
-        cy = sensor_xy[1] + offsets[:, 1]
-        if jitter is not None:
-            cx, cy = cx + jitter[:, 0], cy + jitter[:, 1]
-        # Only the clutter intensities redraw per frame.
-        clutter = np.column_stack([cx, cy, cz, rng.random(len(cz))])
-        pts = np.concatenate([pts, clutter], axis=0) if len(pts) else clutter
+    static = static_returns(rng_seed, sensor, noise, range_m, pose)
+    # Only the clutter intensities redraw per frame.
+    clutter = static.points
+    clutter_i = rng.random(len(static)) if len(static) else np.zeros(0)
+    kept = None
+    if noise.dropout_p > 0 and len(pts) + len(static):
+        keep = rng.random(len(pts) + len(static)) >= noise.dropout_p
+        pts, kept = pts[keep[:len(pts)]], keep[len(pts):]
+        clutter, clutter_i = clutter[kept], clutter_i[kept]
 
-    if noise.dropout_p > 0 and len(pts):
-        pts = pts[rng.random(len(pts)) >= noise.dropout_p]
-
-    local = pts.copy()
+    local = np.empty((len(pts) + len(clutter), 4))
     if len(pts):
-        local[:, :3] = inverse(pose).apply_to_points(pts[:, :3])
-    return PointCloud(points=local, frame=sensor.value, timestamp=t)
+        local[:len(pts), :3] = inverse(pose).apply_to_points(pts[:, :3])
+        local[:len(pts), 3] = pts[:, 3]
+    local[len(pts):] = clutter
+    local[len(pts):, 3] = clutter_i
+    _frozen(local)
+    return PointCloud(points=local, frame=sensor.value, timestamp=t,
+                      static=StaticRows(static, kept, len(clutter)) if static.reused else None)
+
+
+def _rasterize_sorted(out: np.ndarray, flat: np.ndarray, z: np.ndarray, intensity: np.ndarray,
+                      last: np.ndarray, density_cap: float) -> None:
+    """Write the cells of points sorted by (cell, z, intensity), ``last`` their run ends."""
+    cells = flat[last]
+    counts = np.diff(last, prepend=-1)
+    sum_i = np.bincount(flat, weights=intensity)[cells]
+    out[cells, DENSITY_CHANNEL] = np.minimum(counts / density_cap, 1.0)
+    out[cells, HEIGHT_CHANNEL] = z[last]
+    out[cells, INTENSITY_CHANNEL] = sum_i / counts
+
+
+def _rasterize_points(out: np.ndarray, flat: np.ndarray, z: np.ndarray, intensity: np.ndarray,
+                      density_cap: float) -> None:
+    """Write the cells of in-grid points given in any order."""
+    if len(flat):
+        # Sort so floating accumulation order is a pure function of the
+        # point multiset, not of input order.
+        order = np.lexsort((intensity, z, flat))
+        flat = flat[order]
+        # Each cell's points now form one run, highest point last.
+        _rasterize_sorted(out, flat, z[order], intensity[order], _run_ends(flat), density_cap)
 
 
 def rasterize_bev(pc: PointCloud, spec: GridSpec, density_cap: float = 10.0) -> FeatureGrid:
@@ -281,30 +448,40 @@ def rasterize_bev(pc: PointCloud, spec: GridSpec, density_cap: float = 10.0) -> 
     Density is the per-cell point count divided by ``density_cap`` and
     clipped at 1. Points outside the grid footprint are ignored. The result
     is exactly invariant to point order.
+
+    The cells of a sampled cloud's static rows that no other point hits and
+    where no two clutter points tie on z (the clean cells) take their order
+    from the cached StaticGrid, which is the order the (cell, z, intensity)
+    sort gives there; the points of all other cells (the dirty cells) are
+    sorted as in a cloud without static rows. The grid is bit for bit the same.
     """
     values = np.zeros(spec.shape)
+    out = values.reshape(-1, spec.channels)
     pts = pc.points
-    ix = np.floor((pts[:, 0] - spec.x0) / spec.cell_size).astype(int)
-    iy = np.floor((pts[:, 1] - spec.y0) / spec.cell_size).astype(int)
-    ok = (ix >= 0) & (ix < spec.cols) & (iy >= 0) & (iy < spec.rows)
-    if np.any(ok):
-        flat = iy[ok] * spec.cols + ix[ok]
-        z = pts[ok, 2]
-        intensity = pts[ok, 3]
-        # Sort so floating accumulation order is a pure function of the
-        # point multiset, not of input order.
-        order = np.lexsort((intensity, z, flat))
-        flat, z, intensity = flat[order], z[order], intensity[order]
-
-        # Each cell's points now form one run, highest point last.
-        last = np.append(np.flatnonzero(flat[1:] != flat[:-1]), len(flat) - 1)
-        cells = flat[last]
-        counts = np.diff(last, prepend=-1)
-        sum_i = np.bincount(flat, weights=intensity)[cells]
-        out = values.reshape(-1, spec.channels)
-        out[cells, DENSITY_CHANNEL] = np.minimum(counts / density_cap, 1.0)
-        out[cells, HEIGHT_CHANNEL] = z[last]
-        out[cells, INTENSITY_CHANNEL] = sum_i / counts
+    static = pc.static_rows
+    own = pts if static is None else pts[:len(pts) - static.count]
+    flat, ok = _grid_cells(spec, own)
+    z, intensity = own[ok, 2], own[ok, 3]
+    if static is not None:
+        g = static.returns.grid(spec)
+        rows, s_flat, s_z, last = g.rows + len(own), g.flat, g.z, g.last
+        if static.kept is not None:
+            # Cloud row of each clutter row after dropout; the sort still holds.
+            kept = static.kept[g.rows]
+            rows = (np.cumsum(static.kept) - 1 + len(own))[g.rows[kept]]
+            s_flat, s_z = s_flat[kept], s_z[kept]
+            last = _run_ends(s_flat)
+        s_i = pts[rows, 3]
+        if len(s_flat):
+            _rasterize_sorted(out, s_flat, s_z, s_i, last, density_cap)
+        # Dirty cells are written again below, from all of their points.
+        dirty = g.ties.copy()
+        dirty[flat] = True
+        redo = dirty[s_flat]
+        flat = np.concatenate([flat, s_flat[redo]])
+        z = np.concatenate([z, s_z[redo]])
+        intensity = np.concatenate([intensity, s_i[redo]])
+    _rasterize_points(out, flat, z, intensity, density_cap)
     return FeatureGrid(spec=spec, values=values, timestamp=pc.timestamp, frame=pc.frame)
 
 

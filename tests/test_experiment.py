@@ -526,6 +526,14 @@ class TestCli:
         assert err.startswith("error: ") and "config.compression" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name", [3, "nope", {"kind": "late"}], ids=json.dumps)
+    def test_run_command_bad_fusion_name_names_its_json_path(self, tmp_path, capsys, name):
+        cfg = self._write_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "fusions": ["late", name]}))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config.fusions[1]: ") and ".kind" not in err
+
     @pytest.mark.parametrize("doc", [*WRONG_TYPED_DOCS, {"seeds": [-1]}], ids=json.dumps)
     def test_run_command_exits_2_on_a_bad_value(self, tmp_path, capsys, doc):
         cfg = self._write_config(tmp_path)  # a one-cell sweep, should the value load

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cotrack.geometry import Blockers, Box3D, segments_hit_blockers
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import ScenarioConfig, generate_scenario, ground_truth_at
-from cotrack.sensing import View, _clutter_field, sample_point_cloud, visible_agents
+from cotrack.sensing import View, sample_point_cloud, static_returns, visible_agents
 
 PROBE_OFFSETS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -179,12 +179,12 @@ class TestBatchedVisibility:
 class TestClutterField:
     def test_field_is_cached_and_read_only(self):
         cfg = ScenarioConfig()
-        args = (7, View.INFRA, cfg.noise, cfg.infra_range_m)
-        field = _clutter_field(*args)
-        assert _clutter_field(*args) is field
-        offsets, jitter, z = field
+        args = (7, View.INFRA, cfg.noise, cfg.infra_range_m, generate_scenario(cfg, seed=7).infra_pose)
+        returns = static_returns(*args)
+        assert static_returns(*args) is returns
+        offsets, jitter, z = returns.field
         assert len(offsets) > 0
-        for arr in field:
+        for arr in (*returns.field, returns.points):
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             offsets[0, 0] = 1.0
@@ -192,7 +192,7 @@ class TestClutterField:
     def test_same_field_every_frame_with_fresh_intensities(self):
         cfg = ScenarioConfig(duration_s=1.0)
         s = generate_scenario(cfg, seed=2)
-        n = len(_clutter_field(5, View.INFRA, cfg.noise, cfg.infra_range_m)[2])
+        n = len(static_returns(5, View.INFRA, cfg.noise, cfg.infra_range_m, s.infra_pose))
         a, b = (sample_point_cloud(s, t, View.INFRA, cfg.noise, 5).points[-n:] for t in (0.0, 0.5))
         # The roadside sensor does not move, so its clutter sits still in its frame.
         assert np.array_equal(a[:, :3], b[:, :3])

@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cotrack import sensing
 from cotrack.errors import ConfigurationError, NumericError, OrderingError, ShapeMismatchError
+from cotrack.experiment import ExperimentConfig, run_sweep
+from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.geometry import Box3D
 from cotrack.scenario import AgentPopulation, Lane, ScenarioConfig, generate_scenario
 from cotrack.sensing import (
@@ -16,6 +20,7 @@ from cotrack.sensing import (
     predict_feature,
     rasterize_bev,
     sample_point_cloud,
+    static_returns,
 )
 
 SPEC = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=20, rows=10)
@@ -101,6 +106,53 @@ class TestSamplePointCloud:
         # Agent at world (20, 5); infra sensor at (50, 0): local x ~ -30.
         assert abs(np.mean(pc.points[:, 0]) + 30.0) < 3.0
         assert pc.frame == "infra"
+
+
+class TestStaticReturns:
+    def test_cache_stays_bounded_and_read_only_after_a_multi_seed_sweep(self):
+        cfg = ExperimentConfig(scenario=ScenarioConfig(duration_s=1.0), seeds=(1, 2, 3),
+                               latencies_ms=(100.0,),
+                               fusions=(FusionMethod(FusionKind.VEHICLE_ONLY),
+                                        FusionMethod(FusionKind.MIDDLE_STATIC)))
+        reports, failures = run_sweep(cfg)
+        assert not failures and len(reports) == 6
+        assert len(sensing._static_cache) == 2
+        assert {key[:2] for key in sensing._static_cache} == {(3, View.INFRA), (3, View.VEHICLE)}
+        for returns in sensing._static_cache.values():
+            grids = list(returns._grids.values())
+            assert len(grids) == 1
+            arrays = [a for a in (*returns.field, returns.points, *grids[0]) if a is not None]
+            assert len(arrays) == 9
+            for arr in arrays:
+                assert not arr.flags.writeable
+
+    def test_a_moving_ego_keeps_its_draw_and_its_clouds_hold_no_static_rows(self):
+        cfg = ScenarioConfig(duration_s=1.0, ego_speed=5.0)
+        scn = generate_scenario(cfg, 4)
+        sensing._static_cache.clear()  # no pose seen before
+        seen = []
+        for t in (0.0, 0.1):
+            assert sample_point_cloud(scn, t, View.VEHICLE, cfg.noise, 4).static_rows is None
+            seen.append(sensing._static_cache[(4, View.VEHICLE, cfg.noise, cfg.vehicle_range_m)])
+        a, b = seen
+        assert a is not b and a.field is b.field and not b.reused
+        assert not np.array_equal(a.points, b.points)
+
+    def test_a_still_sensor_holds_its_static_rows_from_the_second_frame(self):
+        cfg = ScenarioConfig(duration_s=1.0, noise=NoiseConfig(dropout_p=0.2))
+        scn = generate_scenario(cfg, 5)
+        sensing._static_cache.clear()  # no pose seen before
+        first, pc = (sample_point_cloud(scn, t, View.INFRA, cfg.noise, 5) for t in (0.0, 0.5))
+        assert first.static_rows is None and not first.points.flags.writeable
+        rows = pc.static_rows
+        assert rows.count == rows.kept.sum() and 0 < rows.count < len(pc)
+        assert np.array_equal(pc.points[-rows.count:, :3], rows.returns.points[rows.kept, :3])
+        assert not pc.points.flags.writeable
+        copy = replace(pc, points=pc.points.copy())
+        assert copy.static_rows is None
+        grid = rasterize_bev(pc, cfg.infra_grid).values
+        assert np.array_equal(grid.view(np.uint64),
+                              rasterize_bev(copy, cfg.infra_grid).values.view(np.uint64))
 
 
 class TestRasterize:
