@@ -348,8 +348,8 @@ def decode_message(msg: ChannelMessage, expected: GridSpec, compression: bool):
         if kind is MessageKind.RAW_POINTS:
             if len(data) % 16:
                 raise DecodeError(f"{len(data)} bytes are not a whole number of point records")
-            return PointCloud(points=np.frombuffer(data, dtype="<f4"), frame=View.INFRA.value,
-                              timestamp=msg.t_send)
+            return PointCloud(points=np.frombuffer(data, dtype="<f4").reshape(-1, 4),
+                              frame=View.INFRA.value, timestamp=msg.t_send)
         if kind is MessageKind.DETECTIONS:
             return _decode_boxes(data)
         if kind not in (MessageKind.FEATURE, MessageKind.FEATURE_WITH_FLOW):

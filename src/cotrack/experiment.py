@@ -103,7 +103,7 @@ class RunArtifacts:
     fallback_frames: int
 
 
-def _infra_payloads(scn, t: float, seed: int, cfg: ExperimentConfig, kinds, prev_grid):
+def _infra_payloads(scn, t: float, cfg: ExperimentConfig, kinds, prev_grid):
     """This frame's infra-side payload for each MessageKind in ``kinds``.
 
     Returns the payloads by kind and the infra grid the next frame's flow
@@ -111,7 +111,7 @@ def _infra_payloads(scn, t: float, seed: int, cfg: ExperimentConfig, kinds, prev
     first frame's flow is zero.
     """
     sc = scn.config
-    cloud = sample_point_cloud(scn, t, View.INFRA, sc.noise, seed, sc.surface_pts_per_m)
+    cloud = sample_point_cloud(scn, t, View.INFRA)
     grid = prev_grid
     if kinds != [MessageKind.RAW_POINTS]:
         grid = rasterize_bev(cloud, sc.infra_grid, sc.density_cap)
@@ -141,7 +141,7 @@ class _Frame(NamedTuple):
     messages: Dict[MessageKind, ChannelMessage]  # wire bytes, encoded once, sent into every channel
 
 
-def _seed_frames(cfg: ExperimentConfig, scn, seed: int,
+def _seed_frames(cfg: ExperimentConfig, scn,
                  fusions: Sequence[FusionMethod]) -> Iterator[_Frame]:
     """The frames of one scenario seed as every cell using ``fusions`` reads them.
 
@@ -157,9 +157,9 @@ def _seed_frames(cfg: ExperimentConfig, scn, seed: int,
     for t in scn.frame_times():
         messages = {}
         if kinds:
-            payloads, prev_inf_grid = _infra_payloads(scn, t, seed, cfg, kinds, prev_inf_grid)
+            payloads, prev_inf_grid = _infra_payloads(scn, t, cfg, kinds, prev_inf_grid)
             messages = {k: encode_message(k, payloads[k], cfg.compression, t) for k in kinds}
-        pc_ego = sample_point_cloud(scn, t, View.VEHICLE, sc.noise, seed, sc.surface_pts_per_m)
+        pc_ego = sample_point_cloud(scn, t, View.VEHICLE)
         ego_grid = rasterize_bev(pc_ego, sc.vehicle_grid, sc.density_cap)
         ego = EgoInputs(cloud=pc_ego, grid=ego_grid,
                         detections=detect(ego_grid, cfg.detect) if needs_dets else [],
@@ -214,7 +214,7 @@ def run_single(
     """
     if shared is None:
         scn = generate_scenario(cfg.scenario, seed)
-        shared = (scn, _seed_frames(cfg, scn, seed, [fusion]))
+        shared = (scn, _seed_frames(cfg, scn, [fusion]))
     scn, frames = shared
     msg_kind = MESSAGE_KIND_FOR_FUSION.get(fusion.kind)
     channel = None
@@ -277,7 +277,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
         runs.setdefault(key, latency_ms)
     try:
         scn = generate_scenario(cfg.scenario, seed)
-        frames = _seed_frames(cfg, scn, seed, [fusion for fusion, _ in runs])
+        frames = _seed_frames(cfg, scn, [fusion for fusion, _ in runs])
         held = [_packed(frame) for frame in frames] if len(runs) > 1 else None
     except Exception as exc:  # noqa: BLE001 - shared work failed: every cell fails
         return [exc] * len(cells)

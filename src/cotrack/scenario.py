@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigurationError
 from .geometry import Box3D, Category, Pose, Region, transform_box, wrap_angle
-from .sensing import GridSpec, NoiseConfig, View, visible_agents
+from .sensing import Clutter, GridSpec, NoiseConfig, View, scenario_clutter, visible_agents
 
 
 class Provenance(Enum):
@@ -117,6 +117,9 @@ class ScenarioConfig:
             raise ConfigurationError("sensor ranges must be positive")
         if self.ego_speed < 0:
             raise ConfigurationError("ego speed must be non-negative")
+        if self.vehicle_grid.channels != 3 or self.infra_grid.channels != 3:
+            raise ConfigurationError(
+                "vehicle_grid and infra_grid need 3 channels (density, height, intensity)")
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,18 @@ class Agent:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable generated world plus sensor configuration."""
+    """Immutable generated world plus sensor configuration.
+
+    ``clutter`` holds each view's ground clutter, drawn once from the seed
+    (see :class:`~cotrack.sensing.Clutter`): its points in the frame of the
+    sensor at its frame-0 pose, and their (cell, z) sort on the view's grid
+    unless two clutter heights tie in a cell. Every cloud sampled at that
+    pose without dropout carries it, so rasterizing sorts only the cells its
+    agent points hit. A moving ego's clouds after frame 0 move the clutter to
+    the new pose and are sorted whole. With dropout every cloud is sorted
+    whole. With tied heights, as with zero position noise, the view's clouds
+    are sorted whole.
+    """
 
     config: ScenarioConfig
     seed: int
@@ -145,6 +159,7 @@ class Scenario:
     ego_waypoints: np.ndarray  # (K, 5): t, x, y, yaw, speed
     infra_pose: Pose
     occluders: Tuple[Tuple[float, float, float, float], ...]
+    clutter: Dict[View, Clutter]
 
     @property
     def region(self) -> Region:
@@ -233,7 +248,8 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
 
     Agents cycle through the configured lanes and categories; start
     positions and speeds draw from the configured ranges. A fraction of
-    agents receives a single constant-turn-rate segment mid-run.
+    agents receives a single constant-turn-rate segment mid-run. Each
+    view's ground clutter is drawn and sorted here (``Scenario.clutter``).
     """
     if seed < 0:
         raise ConfigurationError("seed must be non-negative")
@@ -270,14 +286,17 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         if not (rect[0] < rect[2] and rect[1] < rect[3]):
             raise ConfigurationError(f"occluder rectangle {rect} is degenerate")
 
-    return Scenario(
+    scn = Scenario(
         config=config,
         seed=seed,
         agents=tuple(agents),
         ego_waypoints=ego_waypoints,
         infra_pose=Pose(config.infra_position[0], config.infra_position[1], 0.0, config.infra_yaw),
         occluders=occluders,
+        clutter={},
     )
+    grids = {View.VEHICLE: config.vehicle_grid, View.INFRA: config.infra_grid}
+    return replace(scn, clutter={view: scenario_clutter(scn, view, grids[view]) for view in View})
 
 
 def ground_truth_at(s: Scenario, t: float, view: View) -> List[TrackedObject]:

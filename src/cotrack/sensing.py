@@ -9,17 +9,18 @@ first-order finite-difference flow, itself a grid of per-second rates,
 which lets a receiver extrapolate a stale grid forward in time with a
 linear model.
 
-Ground clutter is static: its draw depends only on (seed, view, noise,
-range), and a still sensor sees it at the same sensor-frame points every
-frame; only its intensities are drawn anew. ``static_returns`` caches, per
-(seed, view, noise, range) and the latest sensor pose, the clutter's
-sensor-frame points and, per GridSpec, their (cell, z) sort. A sampled
-cloud ends with those rows, and ``rasterize_bev`` takes every cell that no
-agent point hits and where no two clutter points tie on z from the cached
-sort; only the points of the other (dirty) cells are sorted per frame. The
-first cloud of a pose misses the cache and is rasterized whole, and so is
-every cloud of a moving ego, whose pose is new every frame. Grids are bit
-for bit what sorting the whole cloud gives.
+Ground clutter belongs to the scenario: ``generate_scenario`` draws each
+view's clutter once, from (seed, view, noise, range), as a :class:`Clutter`
+holding its sensor-frame points at the sensor's frame-0 pose and their
+(cell, z) sort on the view's grid. A cloud sampled at that pose with no
+dropout carries the clutter, and ``rasterize_bev`` takes every cell that no
+agent point hits from the cached sort and sorts only the points of the
+other cells. Every other cloud is sorted whole, in three cases. A moving
+ego's clouds after frame 0 do not carry the clutter, which is moved to each
+new pose. Clouds with dropout do not carry it, as their clutter thins anew
+each frame. A view with two clutter heights tied in a cell, as all of them
+are with zero position noise, has no cached sort, since its order would need
+the intensity key. Grids are bit for bit what sorting the whole cloud gives.
 
 All operations are pure given explicit seeds; grids are treated as
 immutable after construction.
@@ -28,8 +29,7 @@ immutable after construction.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, astuple, dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -86,23 +86,26 @@ class GridSpec:
 class PointCloud:
     """Points as an (N, 4) array of x, y, z, intensity.
 
-    A sampled cloud also holds ``static_rows`` (the init-only ``static``): its
-    last rows are the ground clutter of a cached :class:`StaticReturns`,
-    which :func:`rasterize_bev` reads instead of re-sorting them. Such a
-    cloud's points are read-only. A cloud built from new points (``replace``,
-    a merged or decoded cloud) has none.
+    A sampled cloud may also carry its scenario's ``clutter`` (the init-only
+    ``carry``, see :func:`sample_point_cloud`): its last rows are then that
+    :class:`Clutter`'s points with fresh intensities, and
+    :func:`rasterize_bev` reads their cached sort. Such a cloud's points are
+    read-only. A cloud built from new points (``replace``, a merged or
+    decoded cloud) carries none.
     """
 
     points: np.ndarray
     frame: str
     timestamp: float
-    static: InitVar[Optional["StaticRows"]] = None
+    carry: InitVar[Optional["Clutter"]] = None
 
-    def __post_init__(self, static):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 4)
-        self.static_rows: Optional[StaticRows] = static
-        # Static rows were checked once, when their returns were cached.
-        own = self.points if static is None else self.points[:len(self) - static.count]
+    def __post_init__(self, carry):
+        self.points = np.asarray(self.points, dtype=float)
+        if self.points.ndim != 2 or self.points.shape[1] != 4:
+            raise ShapeMismatchError(f"points {self.points.shape} are not an (N, 4) array")
+        self.clutter: Optional[Clutter] = carry
+        # Carried clutter was checked once, when its scenario was made.
+        own = self.points if carry is None else self.points[:len(self) - len(carry.xyz)]
         if own.size and not np.all(np.isfinite(own)):
             raise NumericError("point cloud contains non-finite values")
 
@@ -198,11 +201,6 @@ def visible_agents(
     return in_range & (~hits.any(axis=0)).any(axis=1)
 
 
-def _frozen(*arrays: np.ndarray) -> None:
-    for arr in arrays:
-        arr.setflags(write=False)
-
-
 def _grid_cells(spec: GridSpec, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Flat cell index of each point inside the grid, and the inside mask."""
     ix = np.floor((points[:, 0] - spec.x0) / spec.cell_size).astype(int)
@@ -217,137 +215,85 @@ def _run_ends(flat: np.ndarray) -> np.ndarray:
 
 
 class StaticGrid(NamedTuple):
-    """In-grid clutter of one StaticReturns on one GridSpec, sorted by (cell, z)."""
+    """A view's in-grid clutter on ``spec``, sorted by (cell, z)."""
 
+    spec: GridSpec
     rows: np.ndarray  # clutter row of each sorted point
     flat: np.ndarray  # its cell
     z: np.ndarray  # its height
     last: np.ndarray  # run ends: each cell's count and last (highest) z
-    ties: np.ndarray  # (rows * cols,) bool: cells where two clutter points tie on z
 
 
-class StaticReturns:
-    """Ground clutter of one (seed, view, noise, range) seen from one sensor pose.
+class Clutter:
+    """Ground clutter of one scenario view, made once by ``generate_scenario``.
 
     ``field`` is the seed's draw relative to the sensor position: offsets
-    (C, 2), jitter (C, 2) or None, and z (C,). ``points`` (C, 4) is the
-    clutter in the sensor frame, computed and checked finite once, with zero
-    intensity (each frame draws its own); ``Pose.apply_to_points`` works row
-    by row, so it is bitwise what transforming a whole cloud gives. Its
-    :class:`StaticGrid` on a GridSpec is built on first use. ``reused`` turns
-    true when the cache returns it again: only then does a sampled cloud
-    hold it, so a pose seen once (a moving ego's) costs no sort and no memory
-    beyond the cache entry. Every array is read-only.
+    (C, 2), jitter (C, 2) or None, and z (C,). ``xyz`` (C, 3) is the clutter
+    in the frame of the sensor at its frame-0 ``pose``, checked finite.
+    ``grid`` is its sort on the view's grid, or None when two clutter
+    heights tie in a cell. Every array is read-only.
+
+    A plain object, not a tuple or dataclass, so that the benchmark's tracer
+    digests a scenario's clutter (about 0.5 MB per view) by identity rather
+    than hashing it on every traced call that takes the scenario.
     """
 
-    def __init__(self, field, pose: Pose):
-        self.field = field
-        self.pose_key = _pose_key(pose)
-        offsets, jitter, z = field
-        cx = pose.x + offsets[:, 0]
-        cy = pose.y + offsets[:, 1]
-        if jitter is not None:
-            cx, cy = cx + jitter[:, 0], cy + jitter[:, 1]
-        self.points = np.zeros((len(z), 4))
-        self.points[:, :3] = inverse(pose).apply_to_points(np.column_stack([cx, cy, z]))
-        if not np.all(np.isfinite(self.points)):
-            raise NumericError("point cloud contains non-finite values")
-        _frozen(self.points)
-        self.reused = False
-        self._grids = {}
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def grid(self, spec: GridSpec) -> StaticGrid:
-        cached = self._grids.get(spec)
-        if cached is None:
-            flat, ok = _grid_cells(spec, self.points)
-            rows = np.flatnonzero(ok)
-            z = self.points[rows, 2]
-            order = np.lexsort((z, flat))
-            rows, flat, z = rows[order], flat[order], z[order]
-            ties = np.zeros(spec.rows * spec.cols, dtype=bool)
-            ties[flat[1:][(flat[1:] == flat[:-1]) & (z[1:] == z[:-1])]] = True
-            cached = StaticGrid(rows, flat, z, _run_ends(flat), ties)
-            _frozen(*cached)
-            if len(self._grids) >= _STATIC_GRIDS_PER_POSE:
-                self._grids.pop(next(iter(self._grids)))
-            self._grids[spec] = cached
-        return cached
+    def __init__(self, field, pose: Pose, xyz: np.ndarray, grid: Optional[StaticGrid]):
+        self.field, self.pose, self.xyz, self.grid = field, pose, xyz, grid
 
 
-class StaticRows(NamedTuple):
-    """The static rows that end a sampled cloud: the clutter rows of
-    ``returns`` left after dropout (``kept`` is None when none dropped)."""
+def _clutter_xyz(field, pose: Pose) -> np.ndarray:
+    """The clutter ``field`` in the frame of its sensor at ``pose``.
 
-    returns: StaticReturns
-    kept: Optional[np.ndarray]
-    count: int
-
-
-_STATIC_CACHE_SIZE = 2  # one seed's two views
-_STATIC_GRIDS_PER_POSE = 2  # grid specs one pose's clutter is rasterized on
-_static_cache: "OrderedDict[tuple, StaticReturns]" = OrderedDict()
-
-
-def _pose_key(pose: Pose) -> bytes:
-    return np.array([pose.x, pose.y, pose.z, pose.yaw]).tobytes()  # -0.0 differs from 0.0
-
-
-def _clutter_field(rng_seed: int, sensor: View, noise: NoiseConfig, range_m: float):
-    """Ground-clutter draw of one (seed, sensor), relative to the sensor.
-
-    Returns read-only (offsets (C, 2), jitter (C, 2) or None, z (C,)); the
-    same asphalt returns every frame, with position noise baked in once so
-    the raster background does not flicker frame to frame.
+    ``Pose.apply_to_points`` works row by row, so these rows are bitwise
+    what transforming a whole cloud gives.
     """
-    clutter_rng = np.random.default_rng([int(rng_seed), 0xC1, _VIEW_CODE[sensor]])
-    count = clutter_rng.poisson(noise.clutter_per_m2 * math.pi * range_m**2)
-    radius = range_m * np.sqrt(clutter_rng.random(count))
-    theta = 2.0 * math.pi * clutter_rng.random(count)
+    offsets, jitter, z = field
+    cx = pose.x + offsets[:, 0]
+    cy = pose.y + offsets[:, 1]
+    if jitter is not None:
+        cx, cy = cx + jitter[:, 0], cy + jitter[:, 1]
+    return inverse(pose).apply_to_points(np.column_stack([cx, cy, z]))
+
+
+def scenario_clutter(s: "Scenario", sensor: View, spec: GridSpec) -> Clutter:
+    """The ground clutter ``sensor`` sees in ``s``, sorted on ``spec``.
+
+    The draw depends only on (seed, sensor, noise, range) and is relative to
+    the sensor: the same asphalt returns every frame, with position noise
+    baked in once so the raster background does not flicker frame to frame.
+    """
+    noise, range_m = s.config.noise, s.sensor_range(sensor)
+    rng = np.random.default_rng([s.seed, 0xC1, _VIEW_CODE[sensor]])
+    count = rng.poisson(noise.clutter_per_m2 * math.pi * range_m**2)
+    radius = range_m * np.sqrt(rng.random(count))
+    theta = 2.0 * math.pi * rng.random(count)
     offsets = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
-    jitter = None
-    z = np.zeros(count)
+    jitter, z = None, np.zeros(count)
     if noise.sigma_m > 0:
-        j = clutter_rng.normal(0.0, noise.sigma_m, size=(count, 3))
+        j = rng.normal(0.0, noise.sigma_m, size=(count, 3))
         jitter = np.ascontiguousarray(j[:, :2])
         z = z + j[:, 2]
-        _frozen(jitter)
-    _frozen(offsets, z)
-    return offsets, jitter, z
+    pose = s.sensor_pose(sensor, 0.0)
+    xyz = _clutter_xyz((offsets, jitter, z), pose)
+    if not np.all(np.isfinite(xyz)):
+        raise NumericError("point cloud contains non-finite values")
+
+    flat, ok = _grid_cells(spec, xyz)
+    rows = np.flatnonzero(ok)
+    order = np.lexsort((xyz[rows, 2], flat))
+    rows, flat = rows[order], flat[order]
+    cz = xyz[rows, 2]
+    # Heights that tie in a cell are ordered by intensity alone: no cached sort.
+    tied = np.any((flat[1:] == flat[:-1]) & (cz[1:] == cz[:-1]))
+    grid = None if tied else StaticGrid(spec, rows, flat, cz, _run_ends(flat))
+    for arr in (offsets, jitter, z, xyz, *(grid[1:] if grid else ())):
+        if arr is not None:
+            arr.setflags(write=False)
+    return Clutter((offsets, jitter, z), pose, xyz, grid)
 
 
-def static_returns(rng_seed: int, sensor: View, noise: NoiseConfig, range_m: float,
-                   pose: Pose) -> StaticReturns:
-    """The cached StaticReturns of (seed, sensor, noise, range) at ``pose``.
-
-    The cache holds the latest pose of the last two (seed, sensor, noise,
-    range) keys. A new pose (a moving ego, every frame) keeps the clutter
-    draw and recomputes the sensor-frame points and their grids.
-    """
-    key = (int(rng_seed), sensor, noise, range_m)
-    cached = _static_cache.pop(key, None)
-    if cached is None or cached.pose_key != _pose_key(pose):
-        field = (cached.field if cached is not None
-                 else _clutter_field(rng_seed, sensor, noise, range_m))
-        cached = StaticReturns(field, pose)
-    else:
-        cached.reused = True
-    _static_cache[key] = cached
-    while len(_static_cache) > _STATIC_CACHE_SIZE:
-        _static_cache.popitem(last=False)
-    return cached
-
-
-def sample_point_cloud(
-    s: "Scenario",
-    t: float,
-    sensor: View,
-    noise: NoiseConfig,
-    rng_seed: int,
-    surface_pts_per_m: float = 6.0,
-) -> PointCloud:
+def sample_point_cloud(s: "Scenario", t: float, sensor: View) -> PointCloud:
     """Sample one sensor frame: agent surface hits plus ground clutter.
 
     Surface points lie on the box footprint outline with heights uniform in
@@ -356,16 +302,20 @@ def sample_point_cloud(
     thin out proportionally and fully hidden boxes contribute nothing.
     Clutter points model ground returns inside the sensor range disc and are
     not ray-tested. Gaussian position noise and Bernoulli dropout apply
-    last. Deterministic for a fixed (scenario, frame, sensor, rng_seed).
+    last. The noise, the seed and the surface point density are the
+    scenario's; the cloud is deterministic for a fixed (scenario, frame,
+    sensor).
 
     The returned cloud is expressed in the sensor's own frame, agent rows
-    first and the clutter rows last; they are its ``static_rows`` once the
-    sensor's pose repeats (see :class:`StaticReturns`).
+    first and the scenario's clutter rows last. It carries the
+    :class:`Clutter` when the sensor is at its frame-0 pose, compared bit for
+    bit, and the noise has no dropout. A moving ego's cloud after frame 0
+    carries none: its clutter is moved to the new pose. A cloud with dropout
+    carries none: its clutter rows are thinned.
     """
-    if rng_seed < 0:
-        raise ConfigurationError("rng_seed must be non-negative")
+    noise = s.config.noise
     frame_idx = s.frame_index(t)
-    rng = np.random.default_rng([int(rng_seed), frame_idx, _VIEW_CODE[sensor]])
+    rng = np.random.default_rng([s.seed, frame_idx, _VIEW_CODE[sensor]])
 
     pose = s.sensor_pose(sensor, t)
     range_m = s.sensor_range(sensor)
@@ -382,7 +332,7 @@ def sample_point_cloud(
         # Edge order around corners_bev() is (w, l, w, l). Even spacing with a
         # random phase per edge: stable per-cell coverage so blobs do not
         # fragment, while the raster stays seed-dependent.
-        counts = [max(1, int(round(surface_pts_per_m * edge)))
+        counts = [max(1, int(round(s.config.surface_pts_per_m * edge)))
                   for edge in (box.w, box.l, box.w, box.l)]
         pts2d = _perimeter_samples(box, [(np.arange(n) + rng.random()) / n for n in counts])
         hits = segments_hit_blockers(np.broadcast_to(sensor_xy, pts2d.shape), pts2d, blockers)
@@ -398,25 +348,24 @@ def sample_point_cloud(
     if noise.sigma_m > 0 and len(pts):
         pts[:, :3] += rng.normal(0.0, noise.sigma_m, size=(len(pts), 3))
 
-    static = static_returns(rng_seed, sensor, noise, range_m, pose)
+    clutter = s.clutter[sensor]
+    at_rest = np.array(astuple(pose)).tobytes() == np.array(astuple(clutter.pose)).tobytes()
+    xyz = clutter.xyz if at_rest else _clutter_xyz(clutter.field, pose)
     # Only the clutter intensities redraw per frame.
-    clutter = static.points
-    clutter_i = rng.random(len(static)) if len(static) else np.zeros(0)
-    kept = None
-    if noise.dropout_p > 0 and len(pts) + len(static):
-        keep = rng.random(len(pts) + len(static)) >= noise.dropout_p
+    clutter_i = rng.random(len(xyz))
+    if noise.dropout_p > 0:
+        keep = rng.random(len(pts) + len(xyz)) >= noise.dropout_p
         pts, kept = pts[keep[:len(pts)]], keep[len(pts):]
-        clutter, clutter_i = clutter[kept], clutter_i[kept]
+        xyz, clutter_i = xyz[kept], clutter_i[kept]
 
-    local = np.empty((len(pts) + len(clutter), 4))
-    if len(pts):
-        local[:len(pts), :3] = inverse(pose).apply_to_points(pts[:, :3])
-        local[:len(pts), 3] = pts[:, 3]
-    local[len(pts):] = clutter
+    local = np.empty((len(pts) + len(xyz), 4))
+    local[:len(pts), :3] = inverse(pose).apply_to_points(pts[:, :3])
+    local[:len(pts), 3] = pts[:, 3]
+    local[len(pts):, :3] = xyz
     local[len(pts):, 3] = clutter_i
-    _frozen(local)
-    return PointCloud(points=local, frame=sensor.value, timestamp=t,
-                      static=StaticRows(static, kept, len(clutter)) if static.reused else None)
+    local.setflags(write=False)
+    carried = clutter if at_rest and noise.dropout_p == 0 else None
+    return PointCloud(points=local, frame=sensor.value, timestamp=t, carry=carried)
 
 
 def _rasterize_sorted(out: np.ndarray, flat: np.ndarray, z: np.ndarray, intensity: np.ndarray,
@@ -430,18 +379,6 @@ def _rasterize_sorted(out: np.ndarray, flat: np.ndarray, z: np.ndarray, intensit
     out[cells, INTENSITY_CHANNEL] = sum_i / counts
 
 
-def _rasterize_points(out: np.ndarray, flat: np.ndarray, z: np.ndarray, intensity: np.ndarray,
-                      density_cap: float) -> None:
-    """Write the cells of in-grid points given in any order."""
-    if len(flat):
-        # Sort so floating accumulation order is a pure function of the
-        # point multiset, not of input order.
-        order = np.lexsort((intensity, z, flat))
-        flat = flat[order]
-        # Each cell's points now form one run, highest point last.
-        _rasterize_sorted(out, flat, z[order], intensity[order], _run_ends(flat), density_cap)
-
-
 def rasterize_bev(pc: PointCloud, spec: GridSpec, density_cap: float = 10.0) -> FeatureGrid:
     """Rasterize a point cloud into a (density, max height, mean intensity) grid.
 
@@ -449,39 +386,40 @@ def rasterize_bev(pc: PointCloud, spec: GridSpec, density_cap: float = 10.0) -> 
     clipped at 1. Points outside the grid footprint are ignored. The result
     is exactly invariant to point order.
 
-    The cells of a sampled cloud's static rows that no other point hits and
-    where no two clutter points tie on z (the clean cells) take their order
-    from the cached StaticGrid, which is the order the (cell, z, intensity)
-    sort gives there; the points of all other cells (the dirty cells) are
-    sorted as in a cloud without static rows. The grid is bit for bit the same.
+    A cloud that carries clutter sorted on ``spec`` (see
+    :func:`sample_point_cloud`) takes the cells that no other point hits (the
+    clean cells) from that sort, which is the (cell, z, intensity) order
+    there because no two of their heights tie; the points of the other
+    (dirty) cells are sorted with those three keys. Every other cloud is
+    sorted whole. The grid is bit for bit the same either way.
     """
     values = np.zeros(spec.shape)
     out = values.reshape(-1, spec.channels)
     pts = pc.points
-    static = pc.static_rows
-    own = pts if static is None else pts[:len(pts) - static.count]
-    flat, ok = _grid_cells(spec, own)
-    z, intensity = own[ok, 2], own[ok, 3]
-    if static is not None:
-        g = static.returns.grid(spec)
-        rows, s_flat, s_z, last = g.rows + len(own), g.flat, g.z, g.last
-        if static.kept is not None:
-            # Cloud row of each clutter row after dropout; the sort still holds.
-            kept = static.kept[g.rows]
-            rows = (np.cumsum(static.kept) - 1 + len(own))[g.rows[kept]]
-            s_flat, s_z = s_flat[kept], s_z[kept]
-            last = _run_ends(s_flat)
-        s_i = pts[rows, 3]
-        if len(s_flat):
-            _rasterize_sorted(out, s_flat, s_z, s_i, last, density_cap)
+    g = pc.clutter.grid if pc.clutter is not None else None
+    if g is not None and g.spec == spec:
+        own = pts[:len(pts) - len(pc.clutter.xyz)]
+        s_i = pts[g.rows + len(own), 3]
+        if len(g.flat):
+            _rasterize_sorted(out, g.flat, g.z, s_i, g.last, density_cap)
+        flat, ok = _grid_cells(spec, own)
         # Dirty cells are written again below, from all of their points.
-        dirty = g.ties.copy()
+        dirty = np.zeros(spec.rows * spec.cols, dtype=bool)
         dirty[flat] = True
-        redo = dirty[s_flat]
-        flat = np.concatenate([flat, s_flat[redo]])
-        z = np.concatenate([z, s_z[redo]])
-        intensity = np.concatenate([intensity, s_i[redo]])
-    _rasterize_points(out, flat, z, intensity, density_cap)
+        redo = dirty[g.flat]
+        flat = np.concatenate([flat, g.flat[redo]])
+        z = np.concatenate([own[ok, 2], g.z[redo]])
+        intensity = np.concatenate([own[ok, 3], s_i[redo]])
+    else:
+        flat, ok = _grid_cells(spec, pts)
+        z, intensity = pts[ok, 2], pts[ok, 3]
+    if len(flat):
+        # Sort so floating accumulation order is a pure function of the
+        # point multiset, not of input order.
+        order = np.lexsort((intensity, z, flat))
+        flat = flat[order]
+        # Each cell's points now form one run, highest point last.
+        _rasterize_sorted(out, flat, z[order], intensity[order], _run_ends(flat), density_cap)
     return FeatureGrid(spec=spec, values=values, timestamp=pc.timestamp, frame=pc.frame)
 
 

@@ -115,7 +115,7 @@ def test_first_seed_of_each_preset_matches_the_dense_codec_byte_for_byte():
         scn = generate_scenario(sc, 1)
         prev = None
         for t in scn.frame_times():
-            cloud = sample_point_cloud(scn, t, View.INFRA, sc.noise, 1, sc.surface_pts_per_m)
+            cloud = sample_point_cloud(scn, t, View.INFRA)
             grid = rasterize_bev(cloud, sc.infra_grid, sc.density_cap)
             flow = (extract_feature_flow(prev, grid) if prev is not None
                     else replace(grid, values=np.zeros(grid.spec.shape)))

@@ -191,10 +191,10 @@ class TestRunSweep:
         clean, _ = run_sweep(cfg)
         real = experiment.sample_point_cloud
 
-        def broken_sensor(scn, t, sensor, noise, rng_seed, surface_pts_per_m=6.0):
-            if rng_seed == 2 and t >= 0.5:
+        def broken_sensor(scn, t, sensor):
+            if scn.seed == 2 and t >= 0.5:
                 raise RuntimeError("sensor down")
-            return real(scn, t, sensor, noise, rng_seed, surface_pts_per_m)
+            return real(scn, t, sensor)
 
         monkeypatch.setattr(experiment, "sample_point_cloud", broken_sensor)
         reports, failures = run_sweep(cfg)
@@ -540,6 +540,22 @@ class TestCli:
         cfg.write_text(json.dumps(_merged(json.loads(cfg.read_text()), doc)))
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("grid", ["vehicle_grid", "infra_grid"])
+    @pytest.mark.parametrize("channels", [2, 4])
+    def test_run_command_exits_2_on_a_grid_without_three_channels(self, tmp_path, capsys,
+                                                                  grid, channels):
+        """A 2-channel grid has no intensity channel to write and a 4-channel
+        one would send a channel nothing writes; the codec itself stays
+        generic over the channel count."""
+        cfg = self._write_config(tmp_path)
+        spec = {"x0": 0.0, "y0": -40.0, "cell_size": 0.5, "cols": 200, "rows": 160,
+                "channels": channels}
+        cfg.write_text(json.dumps(_merged(json.loads(cfg.read_text()), {"scenario": {grid: spec}})))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "3 channels" in err
+        assert not (tmp_path / "o").exists()
 
     def test_run_command_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,8 +1,9 @@
 """The batched per-frame kernels against the loops they replaced.
 
 ``detect`` groups every kept component's cells in one pass, ``rasterize_bev``
-reads each cell's run of sorted points (on a sampled cloud, taking the clutter
-cells that nothing else hits from a cached sort) and ``_hungarian_square``
+reads each cell's run of sorted points (on a cloud that carries its
+scenario's clutter, taking the clutter cells that nothing else hits from the
+clutter's cached sort) and ``_hungarian_square``
 runs on Python floats; ``oracle_utils`` keeps the first implementations of all three
 (``loop_detect``, ``ufunc_at_rasterize_bev``, ``numpy_hungarian_square``).
 Every float must be bit-identical, which the tests compare through
@@ -21,19 +22,9 @@ from cotrack.assignment import solve_assignment
 from cotrack.detector import DetectParams, detect
 from cotrack.experiment import ExperimentConfig, run_single
 from cotrack.fusion import FusionKind, FusionMethod
-from cotrack.geometry import Pose
 from cotrack.presets import clean_straight_scenario, hidden_lane_scenario
-from cotrack.scenario import ScenarioConfig
-from cotrack.sensing import (
-    FeatureGrid,
-    GridSpec,
-    NoiseConfig,
-    PointCloud,
-    StaticRows,
-    View,
-    rasterize_bev,
-    static_returns,
-)
+from cotrack.scenario import AgentPopulation, ScenarioConfig, generate_scenario
+from cotrack.sensing import FeatureGrid, GridSpec, NoiseConfig, PointCloud, View, rasterize_bev
 from oracle_utils import loop_detect, numpy_hungarian_square, ufunc_at_rasterize_bev
 
 SPEC = GridSpec(x0=-3.0, y0=1.5, cell_size=0.5, cols=48, rows=40)
@@ -160,23 +151,27 @@ def test_rasterize_keeps_the_sign_of_a_tied_zero_height():
 @st.composite
 def static_clouds(draw):
     """Clouds laid out as ``sample_point_cloud`` lays them out: agent rows, then
-    the rows of cached clutter that survive dropout, with fresh intensities.
+    the rows of a scenario's clutter that survive dropout, with fresh
+    intensities. Only a cloud with no dropout carries the clutter.
 
-    The clutter disc is centred on the sensor origin, so it covers part of SPEC
-    and spills out of it. Position noise may be zero, which ties every clutter
-    height at 0.0. Agent points sit on a clutter point (at its height or not),
-    anywhere around the grid, or nowhere; either part may be empty.
+    The clutter is sorted on SPEC or on SECOND_SPEC. Its disc is centred on
+    the sensor origin, so it covers part of both and spills out of them.
+    Position noise may be zero, which ties every clutter height at 0.0 and
+    leaves no cached sort. Agent points sit on a clutter point (at its height
+    or not), anywhere around the grid, or nowhere; either part may be empty.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     noise = NoiseConfig(sigma_m=draw(st.sampled_from([0.0, 0.05, 0.5])),
                         dropout_p=draw(st.sampled_from([0.0, 0.1, 0.5])),
                         clutter_per_m2=draw(st.sampled_from([0.0, 0.5, 4.0])))
-    pose = Pose(float(rng.uniform(-50.0, 50.0)), float(rng.uniform(-50.0, 50.0)), 0.0,
-                draw(st.sampled_from([0.0, 0.5, -2.0])))
-    returns = static_returns(draw(st.integers(0, 20)), View.INFRA, noise,
-                             draw(st.sampled_from([6.0, 15.0])), pose)
-    clutter = returns.points.copy()
-    clutter[:, 3] = rng.random(len(clutter))
+    range_m = draw(st.sampled_from([6.0, 15.0]))
+    scenario = ScenarioConfig(
+        duration_s=0.1, agents=AgentPopulation(count=0), noise=noise,
+        infra_position=(float(rng.uniform(-50.0, 50.0)), float(rng.uniform(-50.0, 50.0))),
+        infra_yaw=draw(st.sampled_from([0.0, 0.5, -2.0])), infra_range_m=range_m,
+        vehicle_range_m=range_m, infra_grid=draw(st.sampled_from([SPEC, SECOND_SPEC])))
+    returns = generate_scenario(scenario, draw(st.integers(0, 20))).clutter[View.INFRA]
+    clutter = np.column_stack([returns.xyz, rng.random(len(returns.xyz))])
 
     n = draw(st.integers(0, 60))
     agents = np.column_stack([rng.uniform(-20.0, 30.0, (n, 2)), rng.choice([-0.0, 0.0, 0.5], n),
@@ -187,20 +182,18 @@ def static_clouds(draw):
         if draw(st.booleans()):
             agents[:, 2] = clutter[on, 2]
 
-    kept = None
     if noise.dropout_p > 0:
         keep = rng.random(n + len(clutter)) >= noise.dropout_p
-        agents, kept = agents[keep[:n]], keep[n:]
-        clutter = clutter[kept]
-    return PointCloud(np.concatenate([agents, clutter]), "infra", 0.5,
-                      static=StaticRows(returns, kept, len(clutter)))
+        agents, clutter = agents[keep[:n]], clutter[keep[n:]]
+        returns = None
+    return PointCloud(np.concatenate([agents, clutter]), "infra", 0.5, carry=returns)
 
 
 @given(cloud=static_clouds(), cap=st.sampled_from([1.0, 3.0, 10.0]))
-def test_rasterize_over_static_returns_matches_ufunc_at(cloud, cap):
-    """Two specs share one StaticReturns; each is read twice, the second time
-    from the StaticGrid that the first call built."""
-    for spec in (SPEC, SECOND_SPEC, SPEC, SECOND_SPEC):
+def test_rasterize_over_scenario_clutter_matches_ufunc_at(cloud, cap):
+    """Each cloud goes on both specs: the one its clutter is sorted on, if it
+    carries a sorted clutter, and the other, where it is sorted whole."""
+    for spec in (SPEC, SECOND_SPEC):
         assert_grids_equal(rasterize_bev(cloud, spec, cap), ufunc_at_rasterize_bev(cloud, spec, cap))
 
 
@@ -251,9 +244,10 @@ def detect_checked(grid, params=DetectParams()):
 def test_every_kernel_call_of_seed_one_matches_its_oracle(scenario):
     """Late fusion solves assignments on ego and infra boxes; middle_flow
     detects on fused, extrapolated grids; early fusion rasterizes the merged
-    cloud, which holds no static rows. Between them every rasterized,
+    cloud, which carries no clutter. Between them every rasterized,
     detected and assigned input of seed 1 goes through both versions. A
-    moving ego's clutter is new each frame; clean_straight has none."""
+    moving ego's clouds carry their clutter only at frame 0; clean_straight
+    has none."""
     cfg = ExperimentConfig(scenario=scenario, seeds=(1,), latencies_ms=(200.0,))
     with mock.patch.object(experiment, "rasterize_bev", rasterize_checked), \
             mock.patch.object(fusion, "rasterize_bev", rasterize_checked), \

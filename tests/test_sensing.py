@@ -4,11 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cotrack import sensing
 from cotrack.errors import ConfigurationError, NumericError, OrderingError, ShapeMismatchError
-from cotrack.experiment import ExperimentConfig, run_sweep
-from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.geometry import Box3D
+from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import AgentPopulation, Lane, ScenarioConfig, generate_scenario
 from cotrack.sensing import (
     FeatureGrid,
@@ -20,8 +18,8 @@ from cotrack.sensing import (
     predict_feature,
     rasterize_bev,
     sample_point_cloud,
-    static_returns,
 )
+from oracle_utils import ufunc_at_rasterize_bev
 
 SPEC = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=20, rows=10)
 
@@ -61,7 +59,7 @@ class TestSamplePointCloud:
             noise=NoiseConfig(sigma_m=0.0, clutter_per_m2=0.0),
         )
         scn = generate_scenario(cfg, 3)
-        pc = sample_point_cloud(scn, 0.0, View.VEHICLE, cfg.noise, 3)
+        pc = sample_point_cloud(scn, 0.0, View.VEHICLE)
         assert len(pc) == 0
 
     def test_fully_occluded_agent_has_no_points(self):
@@ -74,16 +72,16 @@ class TestSamplePointCloud:
             noise=NoiseConfig(sigma_m=0.0, clutter_per_m2=0.0),
         )
         scn = generate_scenario(cfg, 1)
-        pc = sample_point_cloud(scn, 0.0, View.VEHICLE, cfg.noise, 1)
+        pc = sample_point_cloud(scn, 0.0, View.VEHICLE)
         assert len(pc) == 0
         # Same agent seen from the roadside sensor across the wall direction.
-        pc_inf = sample_point_cloud(scn, 0.0, View.INFRA, cfg.noise, 1)
+        pc_inf = sample_point_cloud(scn, 0.0, View.INFRA)
         assert len(pc_inf) > 0
 
     def test_noiseless_points_lie_on_perimeter(self):
         cfg = single_agent_config(sigma_m=0.0, dropout_p=0.0, clutter_per_m2=0.0)
         scn = generate_scenario(cfg, 7)
-        pc = sample_point_cloud(scn, 0.0, View.VEHICLE, cfg.noise, 7)
+        pc = sample_point_cloud(scn, 0.0, View.VEHICLE)
         assert len(pc) > 40
         _, box = scn.agent_boxes_at(0.0)[0]
         for pt in pc.points:
@@ -92,67 +90,98 @@ class TestSamplePointCloud:
 
     def test_deterministic_for_fixed_seed(self):
         cfg = single_agent_config(sigma_m=0.1, dropout_p=0.1, clutter_per_m2=0.5)
-        scn = generate_scenario(cfg, 5)
-        a = sample_point_cloud(scn, 0.5, View.INFRA, cfg.noise, 11)
-        b = sample_point_cloud(scn, 0.5, View.INFRA, cfg.noise, 11)
+        a = sample_point_cloud(generate_scenario(cfg, 11), 0.5, View.INFRA)
+        b = sample_point_cloud(generate_scenario(cfg, 11), 0.5, View.INFRA)
         assert np.array_equal(a.points, b.points)
-        c = sample_point_cloud(scn, 0.5, View.INFRA, cfg.noise, 12)
+        c = sample_point_cloud(generate_scenario(cfg, 12), 0.5, View.INFRA)
         assert not np.array_equal(a.points, c.points)
 
     def test_cloud_in_sensor_frame(self):
         cfg = single_agent_config(sigma_m=0.0, clutter_per_m2=0.0)
         scn = generate_scenario(cfg, 2)
-        pc = sample_point_cloud(scn, 0.0, View.INFRA, cfg.noise, 2)
+        pc = sample_point_cloud(scn, 0.0, View.INFRA)
         # Agent at world (20, 5); infra sensor at (50, 0): local x ~ -30.
         assert abs(np.mean(pc.points[:, 0]) + 30.0) < 3.0
         assert pc.frame == "infra"
 
 
-class TestStaticReturns:
-    def test_cache_stays_bounded_and_read_only_after_a_multi_seed_sweep(self):
-        cfg = ExperimentConfig(scenario=ScenarioConfig(duration_s=1.0), seeds=(1, 2, 3),
-                               latencies_ms=(100.0,),
-                               fusions=(FusionMethod(FusionKind.VEHICLE_ONLY),
-                                        FusionMethod(FusionKind.MIDDLE_STATIC)))
-        reports, failures = run_sweep(cfg)
-        assert not failures and len(reports) == 6
-        assert len(sensing._static_cache) == 2
-        assert {key[:2] for key in sensing._static_cache} == {(3, View.INFRA), (3, View.VEHICLE)}
-        for returns in sensing._static_cache.values():
-            grids = list(returns._grids.values())
-            assert len(grids) == 1
-            arrays = [a for a in (*returns.field, returns.points, *grids[0]) if a is not None]
-            assert len(arrays) == 9
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def assert_matches_ufunc_at(cloud, spec):
+    assert np.array_equal(bits(rasterize_bev(cloud, spec).values),
+                          bits(ufunc_at_rasterize_bev(cloud, spec).values))
+
+
+class TestScenarioClutter:
+    def test_clutter_is_made_once_per_scenario_and_read_only(self):
+        scn = generate_scenario(ScenarioConfig(duration_s=1.0), 3)
+        for view in View:
+            clutter = scn.clutter[view]
+            arrays = [a for a in (*clutter.field, clutter.xyz, *clutter.grid[1:]) if a is not None]
+            assert len(arrays) == 8 and len(clutter.xyz) > 0
             for arr in arrays:
                 assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                clutter.xyz[0, 0] = 1.0
 
-    def test_a_moving_ego_keeps_its_draw_and_its_clouds_hold_no_static_rows(self):
+    @pytest.mark.parametrize("scenario", [ScenarioConfig(), hidden_lane_scenario()],
+                             ids=["default", "hidden_lane"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_cloud_of_a_benchmark_scene_carries_its_sorted_clutter(self, scenario, seed):
+        """The benchmark workloads run on these scenes: a change that sends
+        them to the whole-cloud sort fails here, not only in the timings."""
+        scn = generate_scenario(scenario, seed)
+        grids = {View.VEHICLE: scenario.vehicle_grid, View.INFRA: scenario.infra_grid}
+        for view in View:
+            clutter = scn.clutter[view]
+            assert clutter.grid is not None and clutter.grid.spec == grids[view]
+            for t in scn.frame_times():
+                pc = sample_point_cloud(scn, t, view)
+                assert pc.clutter is clutter
+                assert np.array_equal(bits(pc.points[-len(clutter.xyz):, :3]), bits(clutter.xyz))
+
+    def test_a_moving_ego_carries_its_clutter_only_at_frame_zero(self):
         cfg = ScenarioConfig(duration_s=1.0, ego_speed=5.0)
         scn = generate_scenario(cfg, 4)
-        sensing._static_cache.clear()  # no pose seen before
-        seen = []
-        for t in (0.0, 0.1):
-            assert sample_point_cloud(scn, t, View.VEHICLE, cfg.noise, 4).static_rows is None
-            seen.append(sensing._static_cache[(4, View.VEHICLE, cfg.noise, cfg.vehicle_range_m)])
-        a, b = seen
-        assert a is not b and a.field is b.field and not b.reused
-        assert not np.array_equal(a.points, b.points)
+        n = len(scn.clutter[View.VEHICLE].xyz)
+        first, later = (sample_point_cloud(scn, t, View.VEHICLE) for t in (0.0, 0.1))
+        assert first.clutter is scn.clutter[View.VEHICLE] and later.clutter is None
+        # The draw is kept: it sits still in the sensor frame but for rounding,
+        # as its points are moved to the new pose and back.
+        assert not np.array_equal(first.points[-n:, :3], later.points[-n:, :3])
+        assert np.allclose(first.points[-n:, :3], later.points[-n:, :3], rtol=0.0, atol=1e-9)
+        assert_matches_ufunc_at(later, cfg.vehicle_grid)
 
-    def test_a_still_sensor_holds_its_static_rows_from_the_second_frame(self):
+    def test_dropout_clouds_carry_no_clutter(self):
         cfg = ScenarioConfig(duration_s=1.0, noise=NoiseConfig(dropout_p=0.2))
         scn = generate_scenario(cfg, 5)
-        sensing._static_cache.clear()  # no pose seen before
-        first, pc = (sample_point_cloud(scn, t, View.INFRA, cfg.noise, 5) for t in (0.0, 0.5))
-        assert first.static_rows is None and not first.points.flags.writeable
-        rows = pc.static_rows
-        assert rows.count == rows.kept.sum() and 0 < rows.count < len(pc)
-        assert np.array_equal(pc.points[-rows.count:, :3], rows.returns.points[rows.kept, :3])
-        assert not pc.points.flags.writeable
+        assert scn.clutter[View.INFRA].grid is not None
+        for t in (0.0, 0.5):
+            pc = sample_point_cloud(scn, t, View.INFRA)
+            assert pc.clutter is None and not pc.points.flags.writeable
+            assert 0 < len(pc) < len(scn.clutter[View.INFRA].xyz)
+            assert_matches_ufunc_at(pc, cfg.infra_grid)
+
+    def test_noiseless_clutter_ties_and_has_no_cached_sort(self):
+        cfg = ScenarioConfig(duration_s=1.0, noise=NoiseConfig(sigma_m=0.0))
+        scn = generate_scenario(cfg, 6)
+        for view, spec in ((View.VEHICLE, cfg.vehicle_grid), (View.INFRA, cfg.infra_grid)):
+            assert scn.clutter[view].grid is None
+            pc = sample_point_cloud(scn, 0.5, view)
+            assert pc.clutter is scn.clutter[view]
+            assert_matches_ufunc_at(pc, spec)
+
+    def test_a_copy_of_a_carrying_cloud_carries_nothing_and_rasterizes_the_same(self):
+        cfg = ScenarioConfig(duration_s=1.0)
+        pc = sample_point_cloud(generate_scenario(cfg, 5), 0.5, View.INFRA)
+        assert pc.clutter is not None and not pc.points.flags.writeable
         copy = replace(pc, points=pc.points.copy())
-        assert copy.static_rows is None
-        grid = rasterize_bev(pc, cfg.infra_grid).values
-        assert np.array_equal(grid.view(np.uint64),
-                              rasterize_bev(copy, cfg.infra_grid).values.view(np.uint64))
+        assert copy.clutter is None
+        assert np.array_equal(bits(rasterize_bev(pc, cfg.infra_grid).values),
+                              bits(rasterize_bev(copy, cfg.infra_grid).values))
+        assert_matches_ufunc_at(pc, cfg.infra_grid)
 
 
 class TestRasterize:
@@ -207,6 +236,18 @@ class TestNonFinite:
     def test_cloud_with_inf_is_a_numeric_error(self):
         with pytest.raises(NumericError, match="non-finite"):
             PointCloud(np.array([[1.0, 2.0, np.inf, 0.5]]), "vehicle", 0.0)
+
+
+class TestPointCloudShape:
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 3), (12,), (0,), (2, 4, 1)])
+    def test_anything_but_n_by_4_is_a_shape_mismatch(self, shape):
+        with pytest.raises(ShapeMismatchError, match=r"\(N, 4\)"):
+            PointCloud(np.arange(float(np.prod(shape))).reshape(shape), "vehicle", 0.0)
+
+    def test_n_by_4_is_kept_as_given(self):
+        pts = np.arange(12.0).reshape(3, 4)
+        assert np.array_equal(PointCloud(pts, "vehicle", 0.0).points, pts)
+        assert PointCloud(np.zeros((0, 4)), "vehicle", 0.0).points.shape == (0, 4)
 
 
 class TestFeatureFlow:
