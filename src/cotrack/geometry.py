@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -103,16 +103,6 @@ class Box3D:
             raise ConfigurationError(f"box dims must be positive, got w={self.w} l={self.l} h={self.h}")
         object.__setattr__(self, "yaw", float(wrap_angle(self.yaw)))
 
-    def corners_bev(self) -> np.ndarray:
-        """Ground-plane footprint corners, (4, 2), counter-clockwise."""
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        half_l, half_w = 0.5 * self.l, 0.5 * self.w
-        local = np.array(
-            [[half_l, -half_w], [half_l, half_w], [-half_l, half_w], [-half_l, -half_w]]
-        )
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.array([self.x, self.y])
-
 
 def transform_box(b: Box3D, src_to_dst: Pose) -> Box3D:
     """Re-express a box in another frame; dims are unchanged."""
@@ -156,40 +146,18 @@ class Blockers:
 
     ``(point - centre[k]) @ rot_t[k]`` maps world points into blocker ``k``'s
     frame, where it is the rectangle ``[lo[k], hi[k]]``. Shapes are (K, 2, 2)
-    and (K, 1, 2). A wall's rotation is the identity and its centre zero, so
-    its frame is the world bitwise: x * 1 + y * 0 == x, up to the sign of a
-    zero, which no comparison in the slab test sees.
+    and (K, 1, 2). A box's ``rot_t`` is ((c, s), (-s, c)) with c, s the cosine
+    and sine of minus its yaw, its centre is its position and ``hi`` is
+    (l / 2, w / 2) = -``lo``. A wall's rotation is the identity and its centre
+    zero, so its frame is the world bitwise: x * 1 + y * 0 == x, up to the
+    sign of a zero, which no comparison in the slab test sees. A scenario
+    stacks every frame's blockers once (``scenario.FrameGeometry``).
     """
 
     rot_t: np.ndarray
     centre: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-
-    @classmethod
-    def of(
-        cls,
-        boxes: Sequence[Box3D] = (),
-        walls: Sequence[Tuple[float, float, float, float]] = (),
-    ) -> "Blockers":
-        """Box footprints, then axis-aligned walls (x_min, y_min, x_max, y_max)."""
-        nb = len(boxes)
-        walls = np.asarray(walls, dtype=float).reshape(-1, 4)
-        k = nb + len(walls)
-        rot_t = np.empty((k, 2, 2))
-        centre = np.zeros((k, 1, 2))
-        lo = np.empty((k, 1, 2))
-        hi = np.empty((k, 1, 2))
-        for b, box in enumerate(boxes):
-            c, s = math.cos(-box.yaw), math.sin(-box.yaw)
-            rot_t[b] = ((c, s), (-s, c))
-            centre[b] = (box.x, box.y)
-            hi[b] = (0.5 * box.l, 0.5 * box.w)
-        lo[:nb] = -hi[:nb]
-        rot_t[nb:] = np.eye(2)
-        lo[nb:, 0] = walls[:, :2]
-        hi[nb:, 0] = walls[:, 2:]
-        return cls(rot_t, centre, lo, hi)
 
 
 def segments_hit_blockers(starts: np.ndarray, ends: np.ndarray, blockers: Blockers) -> np.ndarray:

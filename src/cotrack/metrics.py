@@ -53,8 +53,9 @@ class RunReport:
     num_frames: int
 
     def to_json_dict(self) -> dict:
-        # Every field is a scalar, so asdict's recursive copy is not needed.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # Every field is a scalar that __init__ sets in field order, so the
+        # instance dict is the report; asdict's recursive copy is not needed.
+        return dict(vars(self))
 
     @staticmethod
     def csv_columns() -> List[str]:

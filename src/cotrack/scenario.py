@@ -9,15 +9,16 @@ scenarios can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigurationError
-from .geometry import Box3D, Category, Pose, Region, transform_box, wrap_angle
-from .sensing import Clutter, GridSpec, NoiseConfig, View, scenario_clutter, visible_agents
+from .geometry import (
+    Blockers, Box3D, Category, Pose, Region, segments_hit_blockers, transform_box, wrap_angle)
+from .sensing import Clutter, GridSpec, NoiseConfig, View, scenario_clutter
 
 
 class Provenance(Enum):
@@ -78,14 +79,6 @@ class AgentPopulation:
             raise ConfigurationError("turn_fraction must be in [0, 1]")
 
 
-def _default_vehicle_grid() -> GridSpec:
-    return GridSpec(x0=0.0, y0=-40.0, cell_size=0.5, cols=200, rows=160)
-
-
-def _default_infra_grid() -> GridSpec:
-    return GridSpec(x0=-50.0, y0=-40.0, cell_size=0.5, cols=200, rows=160)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Declarative description of a synthetic scene. See README for the schema."""
@@ -103,8 +96,8 @@ class ScenarioConfig:
     agents: AgentPopulation = AgentPopulation()
     occluders: Tuple[Tuple[float, float, float, float], ...] = ()
     noise: NoiseConfig = NoiseConfig()
-    vehicle_grid: GridSpec = field(default_factory=_default_vehicle_grid)
-    infra_grid: GridSpec = field(default_factory=_default_infra_grid)
+    vehicle_grid: GridSpec = GridSpec(x0=0.0, y0=-40.0, cell_size=0.5, cols=200, rows=160)
+    infra_grid: GridSpec = GridSpec(x0=-50.0, y0=-40.0, cell_size=0.5, cols=200, rows=160)
     density_cap: float = 10.0
     surface_pts_per_m: float = 6.0
 
@@ -117,6 +110,10 @@ class ScenarioConfig:
             raise ConfigurationError("sensor ranges must be positive")
         if self.ego_speed < 0:
             raise ConfigurationError("ego speed must be non-negative")
+        if self.density_cap <= 0:
+            raise ConfigurationError("density_cap must be positive")
+        if self.surface_pts_per_m <= 0:
+            raise ConfigurationError("surface_pts_per_m must be positive")
         if self.vehicle_grid.channels != 3 or self.infra_grid.channels != 3:
             raise ConfigurationError(
                 "vehicle_grid and infra_grid need 3 channels (density, height, intensity)")
@@ -138,6 +135,36 @@ class Agent:
         return Box3D(x=x, y=y, z=0.5 * h, w=w, l=l, h=h, yaw=yaw, category=self.category)
 
 
+class FrameGeometry:
+    """Every frame's agent footprints and ray blockers, and what each view sees.
+
+    Made once by ``generate_scenario``. For F frames, A agents and K = A +
+    walls blockers:
+
+    - ``centres`` (F, A, 2) and ``yaws`` (F, A), wrapped as ``Box3D`` wraps;
+    - ``corners`` (F, A, 4, 2), each box's ground-plane footprint
+      counter-clockwise from (l/2, -w/2) in its own frame;
+    - ``rot_t`` (F, K, 2, 2), ``centre`` (F, K, 1, 2), ``lo`` and ``hi``
+      (K, 1, 2): frame f's agent boxes, then the walls, as ``blockers(f)``;
+    - ``visible[view]`` (F, A), the ground-truth visibility table.
+
+    Each value is bitwise what building one frame's boxes, corners and
+    blockers one box at a time and ray-testing them gives
+    (``tests/oracle_utils.py`` keeps that path). Every array is read-only. A
+    plain object, not a tuple or dataclass, so that the benchmark's tracer
+    digests it by identity rather than hashing it on every traced call that
+    takes the scenario.
+    """
+
+    def __init__(self, centres, yaws, corners, rot_t, centre, lo, hi, visible):
+        self.centres, self.yaws, self.corners = centres, yaws, corners
+        self.rot_t, self.centre, self.lo, self.hi = rot_t, centre, lo, hi
+        self.visible = visible
+
+    def blockers(self, f: int) -> Blockers:
+        return Blockers(self.rot_t[f], self.centre[f], self.lo, self.hi)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Immutable generated world plus sensor configuration.
@@ -151,6 +178,10 @@ class Scenario:
     the new pose and are sorted whole. With dropout every cloud is sorted
     whole. With tied heights, as with zero position noise, the view's clouds
     are sorted whole.
+
+    ``geometry`` holds every frame's agent corners and ray blockers and each
+    view's visibility table (:class:`FrameGeometry`), so ground truth is a
+    table read and the point sampler builds no boxes.
     """
 
     config: ScenarioConfig
@@ -159,6 +190,7 @@ class Scenario:
     ego_waypoints: np.ndarray  # (K, 5): t, x, y, yaw, speed
     infra_pose: Pose
     occluders: Tuple[Tuple[float, float, float, float], ...]
+    geometry: FrameGeometry
     clutter: Dict[View, Clutter]
 
     @property
@@ -193,10 +225,6 @@ class Scenario:
         if view is View.VEHICLE:
             return self.config.vehicle_range_m
         return self.config.infra_range_m
-
-    def agent_boxes_at(self, t: float) -> List[Tuple[int, Box3D]]:
-        idx = self.frame_index(t)
-        return [(a.id, a.box_at(idx)) for a in self.agents]
 
 
 def _integrate_track(
@@ -243,13 +271,102 @@ def _integrate_track(
     return out
 
 
+# Visibility probes sit strictly inside each edge so that touching corners of
+# neighboring footprints do not flip the answer.
+_PROBE_OFFSETS = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+
+
+# Frames per visibility block: the ray test's temporaries stay a few hundred
+# kB however long the scenario runs.
+_BLOCK_FRAMES = 16
+
+
+def _visible(geo: FrameGeometry, frames: slice, sensor_xy: np.ndarray,
+             range_m: float) -> np.ndarray:
+    """Ray-model visibility of each agent in a block of frames, (B, A).
+
+    An agent is visible when its center is within sensor range (``sensor_xy``
+    is (B, 2)) and at least one of its 20 perimeter probe points has a 2D ray
+    from the sensor that no wall and no other box crosses. All probes of the
+    block go through one batched ray test; a box never blocks its own probes.
+    Each frame's probes form one (N, 2) matrix per blocker, as a frame alone
+    gives them, so the rotations into blocker frames are bitwise a single
+    frame's.
+    """
+    corners = geo.corners[frames]
+    n_frames, n_agents = corners.shape[:2]
+    a = corners[:, :, :, None, :]
+    b = np.roll(corners, -1, axis=2)[:, :, :, None, :]
+    probes = (a + _PROBE_OFFSETS[:, None] * (b - a)).reshape(n_frames, 1, -1, 2)
+    blockers = Blockers(geo.rot_t[frames], geo.centre[frames], geo.lo, geo.hi)
+    hits = segments_hit_blockers(np.broadcast_to(sensor_xy[:, None, None, :], probes.shape),
+                                 probes, blockers).reshape(n_frames, len(geo.lo), n_agents, -1)
+    own = np.arange(n_agents)
+    hits[:, own, own] = False
+    centres = geo.centres[frames].tolist()
+    in_range = np.array([[math.hypot(x - sx, y - sy) <= range_m for x, y in row]
+                         for row, (sx, sy) in zip(centres, sensor_xy.tolist())])
+    return in_range & (~hits.any(axis=1)).any(axis=2)
+
+
+def _frame_geometry(agents: Sequence[Agent], sensor_xy: Dict[View, np.ndarray],
+                    ranges: Dict[View, float],
+                    occluders: Sequence[Tuple[float, float, float, float]]) -> FrameGeometry:
+    """Every frame's footprints, blockers and visibility tables in array passes.
+
+    ``sensor_xy[view]`` is (F, 2). Angles go through ``math.cos`` and
+    ``math.sin`` one at a time, never ``np.cos``, whose rounding may differ
+    between CPUs, and each box's corners through its own 2 × 2 product of a
+    stacked matmul, so every value is bitwise what one box at a time gives.
+    """
+    n_frames, n_agents = len(sensor_xy[View.VEHICLE]), len(agents)
+    way = np.array([a.waypoints for a in agents]).reshape(n_agents, n_frames, 5)
+    centres = np.ascontiguousarray(way[:, :, 1:3].transpose(1, 0, 2))
+    yaws = wrap_angle(way[:, :, 3].T)
+    angles = yaws.ravel().tolist()
+
+    def each(fn, values):
+        return np.array([fn(v) for v in values]).reshape(yaws.shape)
+
+    c, s = each(math.cos, angles), each(math.sin, angles)
+    rot = np.stack([c, -s, s, c], axis=-1).reshape(n_frames, n_agents, 2, 2)
+    half = 0.5 * np.array([(a.dims[1], a.dims[0]) for a in agents]).reshape(n_agents, 2)
+    hl, hw = half[:, :1], half[:, 1:]
+    local = np.concatenate([hl, -hw, hl, hw, -hl, hw, -hl, -hw], axis=1).reshape(n_agents, 4, 2)
+    local = np.ascontiguousarray(np.broadcast_to(local, (n_frames, n_agents, 4, 2)))
+    corners = local @ rot.swapaxes(-1, -2) + centres[:, :, None, :]
+
+    walls = np.asarray(occluders, dtype=float).reshape(-1, 4)
+    negated = [-yaw for yaw in angles]
+    c, s = each(math.cos, negated), each(math.sin, negated)
+    rot_t = np.empty((n_frames, n_agents + len(walls), 2, 2))
+    rot_t[:, :n_agents] = np.stack([c, s, -s, c], axis=-1).reshape(n_frames, n_agents, 2, 2)
+    rot_t[:, n_agents:] = np.eye(2)
+    centre = np.zeros((n_frames, n_agents + len(walls), 1, 2))
+    centre[:, :n_agents, 0] = centres
+    hi = np.concatenate([half, walls[:, 2:]])[:, None, :]
+    lo = np.concatenate([-half, walls[:, :2]])[:, None, :]
+
+    geo = FrameGeometry(centres, yaws, corners, rot_t, centre, lo, hi, {})
+    for view, xy in sensor_xy.items():
+        geo.visible[view] = np.zeros((n_frames, n_agents), dtype=bool)
+        if n_agents:
+            for f in range(0, n_frames, _BLOCK_FRAMES):
+                block = slice(f, f + _BLOCK_FRAMES)
+                geo.visible[view][block] = _visible(geo, block, xy[block], ranges[view])
+    for arr in (centres, yaws, corners, rot_t, centre, lo, hi, *geo.visible.values()):
+        arr.setflags(write=False)
+    return geo
+
+
 def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     """Build a deterministic scenario from a config and a seed.
 
     Agents cycle through the configured lanes and categories; start
     positions and speeds draw from the configured ranges. A fraction of
-    agents receives a single constant-turn-rate segment mid-run. Each
-    view's ground clutter is drawn and sorted here (``Scenario.clutter``).
+    agents receives a single constant-turn-rate segment mid-run. Every
+    frame's geometry and visibility (``Scenario.geometry``) and each view's
+    ground clutter (``Scenario.clutter``) are made here.
     """
     if seed < 0:
         raise ConfigurationError("seed must be non-negative")
@@ -286,13 +403,19 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         if not (rect[0] < rect[2] and rect[1] < rect[3]):
             raise ConfigurationError(f"occluder rectangle {rect} is degenerate")
 
+    infra_pose = Pose(config.infra_position[0], config.infra_position[1], 0.0, config.infra_yaw)
+    infra_xy = np.array([infra_pose.x, infra_pose.y])
+    sensor_xy = {View.VEHICLE: ego_waypoints[:, 1:3],
+                 View.INFRA: np.broadcast_to(infra_xy, (len(times), 2))}
+    ranges = {View.VEHICLE: config.vehicle_range_m, View.INFRA: config.infra_range_m}
     scn = Scenario(
         config=config,
         seed=seed,
         agents=tuple(agents),
         ego_waypoints=ego_waypoints,
-        infra_pose=Pose(config.infra_position[0], config.infra_position[1], 0.0, config.infra_yaw),
+        infra_pose=infra_pose,
         occluders=occluders,
+        geometry=_frame_geometry(agents, sensor_xy, ranges, occluders),
         clutter={},
     )
     grids = {View.VEHICLE: config.vehicle_grid, View.INFRA: config.infra_grid}
@@ -304,18 +427,15 @@ def ground_truth_at(s: Scenario, t: float, view: View) -> List[TrackedObject]:
 
     An agent appears when its center is within the sensor range and at
     least one perimeter probe point has an unobstructed 2D ray from the
-    sensor (walls and other agent boxes block rays).
+    sensor (walls and other agent boxes block rays). The scenario's
+    visibility table holds the answer (``FrameGeometry.visible``); only the
+    visible agents' boxes are built.
     """
     idx = s.frame_index(t)
-    pose = s.sensor_pose(view, t)
     provenance = Provenance.VEHICLE_SIDE if view is View.VEHICLE else Provenance.INFRA_SIDE
-    boxes = [a.box_at(idx) for a in s.agents]
-    visible = visible_agents((pose.x, pose.y), boxes, s.occluders, s.sensor_range(view))
-    return [
-        TrackedObject(box=box, track_id=a.id, timestamp=t, provenance=provenance)
-        for a, box, seen in zip(s.agents, boxes, visible)
-        if seen
-    ]
+    agents = [s.agents[i] for i in np.flatnonzero(s.geometry.visible[view][idx])]
+    return [TrackedObject(box=a.box_at(idx), track_id=a.id, timestamp=t, provenance=provenance)
+            for a in agents]
 
 
 def cooperative_ground_truth(

@@ -31,12 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, astuple, dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, OrderingError, ShapeMismatchError
-from .geometry import Blockers, Box3D, Pose, inverse, segments_hit_blockers
+from .geometry import Pose, inverse, segments_hit_blockers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -149,58 +149,6 @@ class NoiseConfig:
             raise ConfigurationError("invalid noise configuration")
 
 
-def _perimeter_samples(box: Box3D, offsets: Sequence[np.ndarray]) -> np.ndarray:
-    """Points on the footprint outline at given per-edge parametric offsets.
-
-    ``offsets`` holds four 1-D arrays, the fractions along each edge of
-    ``corners_bev()`` in order; their lengths may differ. Returns the (N, 2)
-    world coordinates, edge by edge.
-    """
-    corners = box.corners_bev()
-    out = []
-    for e in range(4):
-        a = corners[e]
-        b = corners[(e + 1) % 4]
-        out.append(a[None, :] + offsets[e][:, None] * (b - a)[None, :])
-    return np.concatenate(out, axis=0)
-
-
-# Visibility probes sit strictly inside each edge so that touching corners of
-# neighboring footprints do not flip the answer.
-_PROBE_OFFSETS = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-
-
-def visible_agents(
-    sensor_xy,
-    boxes: Sequence[Box3D],
-    occluders: Sequence[Tuple[float, float, float, float]],
-    range_m: float,
-) -> np.ndarray:
-    """Ray-model visibility of each agent box from a sensor position.
-
-    A box is visible when its center is within sensor range and at least one
-    of its 20 perimeter probe points has a 2D ray from the sensor that no wall
-    and no other box crosses. All probes of all boxes go through one batched
-    ray test; a box never blocks its own probes.
-    """
-    sensor_xy = np.asarray(sensor_xy, dtype=float)
-    if not boxes:
-        return np.zeros(0, dtype=bool)
-    corners = np.stack([box.corners_bev() for box in boxes])
-    a = corners[:, :, None, :]
-    b = np.roll(corners, -1, axis=1)[:, :, None, :]
-    probes = (a + _PROBE_OFFSETS[:, None] * (b - a)).reshape(-1, 2)
-    hits = segments_hit_blockers(
-        np.broadcast_to(sensor_xy, probes.shape), probes, Blockers.of(boxes, occluders)
-    ).reshape(len(boxes) + len(occluders), len(boxes), -1)
-    own = np.arange(len(boxes))
-    hits[own, own] = False
-    in_range = np.array(
-        [math.hypot(box.x - sensor_xy[0], box.y - sensor_xy[1]) <= range_m for box in boxes]
-    )
-    return in_range & (~hits.any(axis=0)).any(axis=1)
-
-
 def _grid_cells(spec: GridSpec, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Flat cell index of each point inside the grid, and the inside mask."""
     ix = np.floor((points[:, 0] - spec.x0) / spec.cell_size).astype(int)
@@ -306,6 +254,9 @@ def sample_point_cloud(s: "Scenario", t: float, sensor: View) -> PointCloud:
     scenario's; the cloud is deterministic for a fixed (scenario, frame,
     sensor).
 
+    Footprint corners and ray blockers come from the scenario's frame
+    geometry (``Scenario.geometry``), made once per scenario.
+
     The returned cloud is expressed in the sensor's own frame, agent rows
     first and the scenario's clutter rows last. It carries the
     :class:`Clutter` when the sensor is at its frame-0 pose, compared bit for
@@ -320,27 +271,31 @@ def sample_point_cloud(s: "Scenario", t: float, sensor: View) -> PointCloud:
     pose = s.sensor_pose(sensor, t)
     range_m = s.sensor_range(sensor)
     sensor_xy = np.array([pose.x, pose.y])
-    boxes = [box for _, box in s.agent_boxes_at(t)]
-    blockers = Blockers.of(boxes, s.occluders)
+    geo = s.geometry
+    blockers = geo.blockers(frame_idx)
 
     chunks: List[np.ndarray] = []
     # One loop per target box: the draws below depend on each box's kept
     # point count, so batching targets would reorder the random stream.
-    for idx, box in enumerate(boxes):
-        if math.hypot(box.x - sensor_xy[0], box.y - sensor_xy[1]) > range_m:
+    for idx, agent in enumerate(s.agents):
+        x, y = geo.centres[frame_idx, idx]
+        if math.hypot(x - sensor_xy[0], y - sensor_xy[1]) > range_m:
             continue
-        # Edge order around corners_bev() is (w, l, w, l). Even spacing with a
+        # Edge order around the corners is (w, l, w, l). Even spacing with a
         # random phase per edge: stable per-cell coverage so blobs do not
         # fragment, while the raster stays seed-dependent.
-        counts = [max(1, int(round(s.config.surface_pts_per_m * edge)))
-                  for edge in (box.w, box.l, box.w, box.l)]
-        pts2d = _perimeter_samples(box, [(np.arange(n) + rng.random()) / n for n in counts])
+        w, l, h = agent.dims
+        counts = [max(1, int(round(s.config.surface_pts_per_m * edge))) for edge in (w, l, w, l)]
+        offsets = [(np.arange(n) + rng.random()) / n for n in counts]
+        c = geo.corners[frame_idx, idx]
+        pts2d = np.concatenate([c[e] + offsets[e][:, None] * (c[(e + 1) % 4] - c[e])
+                                for e in range(4)])
         hits = segments_hit_blockers(np.broadcast_to(sensor_xy, pts2d.shape), pts2d, blockers)
         hits[idx] = False  # a box never blocks its own outline
         pts2d = pts2d[~hits.any(axis=0)]
         if len(pts2d) == 0:
             continue
-        z = rng.random(len(pts2d)) * box.h
+        z = rng.random(len(pts2d)) * h
         intensity = rng.random(len(pts2d))
         chunks.append(np.column_stack([pts2d, z, intensity]))
 

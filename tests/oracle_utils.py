@@ -30,7 +30,14 @@ from cotrack.channel import CHANNEL_RANGE, ChannelMessage
 from cotrack.detector import Detection, DetectParams
 from cotrack.errors import DecodeError, EncodeError
 from cotrack.fusion import _merge_pair
-from cotrack.geometry import CATEGORY_ORDER, Box3D, Category, center_distance_matrix
+from cotrack.geometry import (
+    CATEGORY_ORDER,
+    Blockers,
+    Box3D,
+    Category,
+    center_distance_matrix,
+    segments_hit_blockers,
+)
 from cotrack.sensing import (
     DENSITY_CHANNEL,
     HEIGHT_CHANNEL,
@@ -38,6 +45,7 @@ from cotrack.sensing import (
     FeatureGrid,
     GridSpec,
     PointCloud,
+    View,
 )
 from cotrack.tracker import Track
 
@@ -559,3 +567,91 @@ def latest_available(messages: Sequence[ChannelMessage], t_now: float) -> Option
         if m.arrived_by(t_now):
             return m
     return None
+
+
+def corners_bev(box: Box3D) -> np.ndarray:
+    """Ground-plane footprint corners of one box, (4, 2), counter-clockwise."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    half_l, half_w = 0.5 * box.l, 0.5 * box.w
+    local = np.array(
+        [[half_l, -half_w], [half_l, half_w], [-half_l, half_w], [-half_l, -half_w]]
+    )
+    rot = np.array([[c, -s], [s, c]])
+    return local @ rot.T + np.array([box.x, box.y])
+
+
+def blockers_of(
+    boxes: Sequence[Box3D] = (),
+    walls: Sequence[Tuple[float, float, float, float]] = (),
+) -> Blockers:
+    """Box footprints, then axis-aligned walls (x_min, y_min, x_max, y_max),
+    stacked one box at a time."""
+    nb = len(boxes)
+    walls = np.asarray(walls, dtype=float).reshape(-1, 4)
+    k = nb + len(walls)
+    rot_t = np.empty((k, 2, 2))
+    centre = np.zeros((k, 1, 2))
+    lo = np.empty((k, 1, 2))
+    hi = np.empty((k, 1, 2))
+    for b, box in enumerate(boxes):
+        c, s = math.cos(-box.yaw), math.sin(-box.yaw)
+        rot_t[b] = ((c, s), (-s, c))
+        centre[b] = (box.x, box.y)
+        hi[b] = (0.5 * box.l, 0.5 * box.w)
+    lo[:nb] = -hi[:nb]
+    rot_t[nb:] = np.eye(2)
+    lo[nb:, 0] = walls[:, :2]
+    hi[nb:, 0] = walls[:, 2:]
+    return Blockers(rot_t, centre, lo, hi)
+
+
+# Visibility probes sit strictly inside each edge.
+PROBE_OFFSETS = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+
+
+def visible_agents(
+    sensor_xy,
+    boxes: Sequence[Box3D],
+    occluders: Sequence[Tuple[float, float, float, float]],
+    range_m: float,
+) -> np.ndarray:
+    """Ray-model visibility of each agent box from a sensor position.
+
+    A box is visible when its center is within sensor range and at least one
+    of its 20 perimeter probe points has a 2D ray from the sensor that no wall
+    and no other box crosses. All probes of all boxes go through one batched
+    ray test; a box never blocks its own probes. Ground truth called this
+    every frame, for every view and every run.
+    """
+    sensor_xy = np.asarray(sensor_xy, dtype=float)
+    if not boxes:
+        return np.zeros(0, dtype=bool)
+    corners = np.stack([corners_bev(box) for box in boxes])
+    a = corners[:, :, None, :]
+    b = np.roll(corners, -1, axis=1)[:, :, None, :]
+    probes = (a + PROBE_OFFSETS[:, None] * (b - a)).reshape(-1, 2)
+    hits = segments_hit_blockers(
+        np.broadcast_to(sensor_xy, probes.shape), probes, blockers_of(boxes, occluders)
+    ).reshape(len(boxes) + len(occluders), len(boxes), -1)
+    own = np.arange(len(boxes))
+    hits[own, own] = False
+    in_range = np.array(
+        [math.hypot(box.x - sensor_xy[0], box.y - sensor_xy[1]) <= range_m for box in boxes]
+    )
+    return in_range & (~hits.any(axis=0)).any(axis=1)
+
+
+def per_call_frame(s, f: int):
+    """Frame ``f`` of scenario ``s`` as the per-call path built it.
+
+    Returns the agents' boxes, their stacked ``corners_bev`` (A, 4, 2),
+    ``blockers_of(boxes, walls)`` and, by view, the ``visible_agents`` row.
+    """
+    boxes = [agent.box_at(f) for agent in s.agents]
+    corners = np.array([corners_bev(box) for box in boxes]).reshape(len(boxes), 4, 2)
+    t = s.frame_times()[f]
+    visible = {}
+    for view in View:
+        pose = s.sensor_pose(view, t)
+        visible[view] = visible_agents((pose.x, pose.y), boxes, s.occluders, s.sensor_range(view))
+    return boxes, corners, blockers_of(boxes, s.occluders), visible

@@ -557,6 +557,19 @@ class TestCli:
         assert err.startswith("error: ") and "3 channels" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["density_cap", "surface_pts_per_m"])
+    @pytest.mark.parametrize("value", [0, -1.0])
+    def test_run_command_exits_2_on_a_nonpositive_point_density(self, tmp_path, capsys,
+                                                                key, value):
+        """A zero density cap divided every cell by zero, and a negative cap or
+        a nonpositive surface density scored every run as if nothing was seen."""
+        cfg = self._write_config(tmp_path)
+        cfg.write_text(json.dumps(_merged(json.loads(cfg.read_text()), {"scenario": {key: value}})))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key} must be positive" in err
+        assert not (tmp_path / "o").exists()
+
     def test_run_command_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"fusions\": [\"nope\"]}")

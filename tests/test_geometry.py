@@ -5,7 +5,6 @@ import pytest
 
 from cotrack.errors import ConfigurationError, NumericError
 from cotrack.geometry import (
-    Blockers,
     Box3D,
     Pose,
     Region,
@@ -16,6 +15,7 @@ from cotrack.geometry import (
     transform_box,
     wrap_angle,
 )
+from oracle_utils import blockers_of
 
 
 def make_box(x=0.0, y=0.0, z=0.0, w=2.0, l=4.0, h=1.5, yaw=0.0):
@@ -144,7 +144,7 @@ class TestRegion:
         assert not r.contains(10.0001, 0.0)
 
 
-UNIT_RECT = Blockers.of(walls=[(0, 0, 2, 1)])
+UNIT_RECT = blockers_of(walls=[(0, 0, 2, 1)])
 
 
 class TestSegmentHits:
@@ -165,5 +165,5 @@ class TestSegmentHits:
         box = make_box(5.0, 0.0, 0.0, w=2.0, l=4.0, yaw=math.pi / 2)
         starts = np.array([[0.0, 0.0], [0.0, 10.0]])
         ends = np.array([[10.0, 0.0], [10.0, 10.0]])
-        hits = segments_hit_blockers(starts, ends, Blockers.of([box]))[0]
+        hits = segments_hit_blockers(starts, ends, blockers_of([box]))[0]
         assert hits[0] and not hits[1]

@@ -1,4 +1,6 @@
 import json
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +172,9 @@ class TestAggregateRun:
                                fallback_frames=2, match_gate_m=2.0, num_frames=151)
         again = RunReport(**json.loads(json.dumps(report.to_json_dict())))
         assert again == report
+        # csv_row reads the dict's values as csv_columns, also after replace or pickling.
+        for r in (report, replace(report, latency_ms=0.0), pickle.loads(pickle.dumps(report))):
+            assert list(r.to_json_dict()) == RunReport.csv_columns()
 
     def test_csv_row_four_decimals(self):
         mot = MotResult(mota=0.83415, motp=0.3, ids=0, fp=0, fn=0, num_gt=10)

@@ -1,9 +1,11 @@
 """The batched ray-occlusion kernel against one-blocker-at-a-time references.
 
 ``segments_hit_blockers`` tests every segment against every wall and box in
-one slab test, and ``visible_agents`` tests every agent's probes in one call.
-The references below are the loops they replaced: one single-blocker
-``segments_hit_blockers`` call per blocker, and one probe set per agent.
+one slab test, and the visibility test (``oracle_utils.visible_agents``,
+which a scenario's tables are checked against) tests every agent's probes in
+one call. The references below are the loops they replaced: one
+single-blocker ``segments_hit_blockers`` call per blocker, and one probe set
+per agent.
 """
 
 import math
@@ -13,18 +15,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cotrack.geometry import Blockers, Box3D, segments_hit_blockers
+from cotrack.geometry import Box3D, segments_hit_blockers
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import ScenarioConfig, generate_scenario, ground_truth_at
-from cotrack.sensing import View, sample_point_cloud, visible_agents
+from cotrack.sensing import View, sample_point_cloud
+from oracle_utils import blockers_of, corners_bev, visible_agents
 
 PROBE_OFFSETS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
 def hits_per_blocker(starts, ends, boxes, walls):
     """Reference: one slab test per box, then one per wall, stacked as rows."""
-    rows = [segments_hit_blockers(starts, ends, Blockers.of([box]))[0] for box in boxes]
-    rows += [segments_hit_blockers(starts, ends, Blockers.of(walls=[rect]))[0] for rect in walls]
+    rows = [segments_hit_blockers(starts, ends, blockers_of([box]))[0] for box in boxes]
+    rows += [segments_hit_blockers(starts, ends, blockers_of(walls=[rect]))[0] for rect in walls]
     return np.array(rows, dtype=bool).reshape(len(rows), len(starts))
 
 
@@ -35,7 +38,7 @@ def visible_per_agent(sensor_xy, boxes, walls, range_m):
         if math.hypot(box.x - sensor_xy[0], box.y - sensor_xy[1]) > range_m:
             out.append(False)
             continue
-        corners = box.corners_bev()
+        corners = corners_bev(box)
         probes = np.concatenate([
             corners[e] + np.array(PROBE_OFFSETS)[:, None] * (corners[(e + 1) % 4] - corners[e])
             for e in range(4)
@@ -101,7 +104,7 @@ class TestBatchedSlabTest:
     @given(seg=segments(), boxes=boxes_st, walls=walls_st)
     def test_equals_one_blocker_at_a_time(self, seg, boxes, walls):
         starts, ends = seg
-        got = segments_hit_blockers(starts, ends, Blockers.of(boxes, walls))
+        got = segments_hit_blockers(starts, ends, blockers_of(boxes, walls))
         assert got.shape == (len(boxes) + len(walls), len(ends))
         assert np.array_equal(got, hits_per_blocker(starts, ends, boxes, walls))
 
@@ -118,7 +121,7 @@ class TestBatchedSlabTest:
         want = [[slab_hit([p - c for p, c in zip(s, centre)], [p - c for p, c in zip(e, centre)],
                           lo, hi) for s, e in zip(starts.tolist(), ends.tolist())]
                 for centre, lo, hi in frames]
-        got = segments_hit_blockers(starts, ends, Blockers.of(boxes, walls))
+        got = segments_hit_blockers(starts, ends, blockers_of(boxes, walls))
         assert got.tolist() == want
 
     def test_every_lattice_segment_equals_scalar_slab_test(self):
@@ -130,7 +133,7 @@ class TestBatchedSlabTest:
         starts = np.repeat(pts, len(pts), axis=0)
         ends = np.tile(pts, (len(pts), 1))
         box = Box3D(x=1.0, y=0.5, z=0.5, w=1.0, l=2.0, h=1.0)
-        got = segments_hit_blockers(starts, ends, Blockers.of([box], [(0.0, 0.0, 2.0, 1.0)]))
+        got = segments_hit_blockers(starts, ends, blockers_of([box], [(0.0, 0.0, 2.0, 1.0)]))
         box_frame = [[slab_hit((s[0] - 1.0, s[1] - 0.5), (e[0] - 1.0, e[1] - 0.5),
                                (-1.0, -0.5), (1.0, 0.5)) for s, e in zip(starts, ends)]]
         wall_frame = [[slab_hit(s, e, (0.0, 0.0), (2.0, 1.0)) for s, e in zip(starts, ends)]]
@@ -143,7 +146,7 @@ class TestBatchedSlabTest:
         box = Box3D(x=0.0, y=0.0, z=0.5, w=0.2, l=10.0, h=1.0, yaw=math.pi / 4)
         mirrored = Box3D(x=0.0, y=0.0, z=0.5, w=0.2, l=10.0, h=1.0, yaw=-math.pi / 4)
         starts, ends = np.array([[3.0, 4.0]] * 2), np.array([[4.0, 3.0]] * 2)
-        got = segments_hit_blockers(starts, ends, Blockers.of([box, mirrored]))
+        got = segments_hit_blockers(starts, ends, blockers_of([box, mirrored]))
         assert got.tolist() == [[True, True], [False, False]]
 
     def test_rays_ending_exactly_on_an_edge_are_not_hits(self):
@@ -151,7 +154,7 @@ class TestBatchedSlabTest:
         box = Box3D(x=1.0, y=0.5, z=0.5, w=1.0, l=2.0, h=1.0)  # the same rectangle
         starts = np.array([[-1.0, 0.5], [1.0, -1.0], [-1.0, 0.5]])
         ends = np.array([[0.0, 0.5], [1.0, 0.0], [3.0, 0.5]])
-        got = segments_hit_blockers(starts, ends, Blockers.of([box], [wall]))
+        got = segments_hit_blockers(starts, ends, blockers_of([box], [wall]))
         assert got.tolist() == [[False, False, True]] * 2
 
 
@@ -166,8 +169,8 @@ class TestBatchedVisibility:
         for cfg in (hidden_lane_scenario(duration_s=2.0), ScenarioConfig(duration_s=2.0)):
             s = generate_scenario(cfg, seed=3)
             for t in s.frame_times()[::4]:
-                boxes = [box for _, box in s.agent_boxes_at(t)]
-                ids = [agent_id for agent_id, _ in s.agent_boxes_at(t)]
+                boxes = [agent.box_at(s.frame_index(t)) for agent in s.agents]
+                ids = [agent.id for agent in s.agents]
                 for view in View:
                     pose = s.sensor_pose(view, t)
                     seen = visible_per_agent((pose.x, pose.y), boxes, s.occluders,

@@ -98,6 +98,12 @@ class TestGenerateScenario:
         with pytest.raises(ConfigurationError):
             generate_scenario(ScenarioConfig(), seed=-1)
 
+    @pytest.mark.parametrize("key", ["density_cap", "surface_pts_per_m"])
+    @pytest.mark.parametrize("value", [0.0, -0.5])
+    def test_nonpositive_point_densities_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"{key} must be positive"):
+            ScenarioConfig(**{key: value})
+
     def test_lane_slots_keep_agents_apart(self):
         cfg = ScenarioConfig(
             duration_s=1.0,

@@ -19,7 +19,7 @@ from cotrack.sensing import (
     rasterize_bev,
     sample_point_cloud,
 )
-from oracle_utils import ufunc_at_rasterize_bev
+from oracle_utils import corners_bev, ufunc_at_rasterize_bev
 
 SPEC = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=20, rows=10)
 
@@ -41,7 +41,7 @@ def single_agent_config(**noise_kw):
 
 def perimeter_distance(box: Box3D, pt):
     """2D distance from a point to the box outline."""
-    corners = box.corners_bev()
+    corners = corners_bev(box)
     best = math.inf
     for e in range(4):
         a, b = corners[e], corners[(e + 1) % 4]
@@ -83,7 +83,7 @@ class TestSamplePointCloud:
         scn = generate_scenario(cfg, 7)
         pc = sample_point_cloud(scn, 0.0, View.VEHICLE)
         assert len(pc) > 40
-        _, box = scn.agent_boxes_at(0.0)[0]
+        box = scn.agents[0].box_at(0)
         for pt in pc.points:
             assert perimeter_distance(box, pt[:2]) < 1e-9
             assert 0.0 <= pt[2] <= box.h
