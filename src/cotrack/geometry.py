@@ -160,29 +160,39 @@ class Blockers:
     hi: np.ndarray
 
 
-def segments_hit_blockers(starts: np.ndarray, ends: np.ndarray, blockers: Blockers) -> np.ndarray:
-    """Whether 2D segments cross the interior of each blocker, shape (K, N).
+def rays_hit_blockers(origin: np.ndarray, x: np.ndarray, y: np.ndarray,
+                      blockers: Blockers) -> np.ndarray:
+    """Whether the 2D segments from ``origin`` to (``x``, ``y``) cross each blocker.
 
-    One broadcast slab test in every blocker's frame. The rotation into each
-    frame stays a (stacked) matrix product, so each row is bitwise what a
-    test against that blocker alone gives.
+    ``origin`` is (..., 2), ``x`` and ``y`` are (..., N) and the blockers'
+    arrays carry the same leading dimensions (or none); the answer is (...,
+    K, N), one row per blocker. The ends and the origin, as one extra column,
+    are moved into every blocker's frame by one stacked product, ``rot_t``
+    transposed times the (2, N + 1) coordinate rows, which is bitwise the row
+    by row ``(point - centre) @ rot_t`` (``tests/test_occlusion.py`` pins
+    this). The slab test then runs on (K, 2, N) arrays with N innermost.
     """
-    starts = (np.asarray(starts, dtype=float) - blockers.centre) @ blockers.rot_t
-    ends = (np.asarray(ends, dtype=float) - blockers.centre) @ blockers.rot_t
-    lo, hi = blockers.lo, blockers.hi
-    d = ends - starts
+    c = blockers.centre[..., 0, :]
+    n = x.shape[-1]
+    p = np.empty(c.shape[:-1] + (2, n + 1))
+    np.subtract(x[..., None, :], c[..., 0, None], out=p[..., 0, :n])
+    np.subtract(y[..., None, :], c[..., 1, None], out=p[..., 1, :n])
+    np.subtract(origin[..., None, :], c, out=p[..., n])
+    q = blockers.rot_t.swapaxes(-1, -2) @ p
+    start = q[..., n:]
+    lo, hi = blockers.lo.swapaxes(-1, -2), blockers.hi.swapaxes(-1, -2)
+    d = q[..., :n] - start
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - starts) / d
-        t2 = (hi - starts) / d
+        t1 = (lo - start) / d
+        t2 = (hi - start) / d
     t_near = np.minimum(t1, t2)
     t_far = np.maximum(t1, t2)
     # Axis-parallel segments: hit only if within the slab on that axis.
     parallel = d == 0.0
     if parallel.any():
-        inside = (starts >= lo) & (starts <= hi)
+        inside = (start >= lo) & (start <= hi)
         t_near = np.where(parallel, np.where(inside, -np.inf, np.inf), t_near)
         t_far = np.where(parallel, np.where(inside, np.inf, -np.inf), t_far)
-    enter = np.maximum(t_near[..., 0], t_near[..., 1])
-    exit_ = np.minimum(t_far[..., 0], t_far[..., 1])
+    enter = np.maximum(t_near[..., 0, :], t_near[..., 1, :])
+    exit_ = np.minimum(t_far[..., 0, :], t_far[..., 1, :])
     return (enter <= exit_) & (enter < 1.0 - _EPS_T) & (exit_ > _EPS_T)
-

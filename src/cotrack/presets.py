@@ -17,6 +17,27 @@ from .scenario import AgentPopulation, Lane, ScenarioConfig
 from .sensing import NoiseConfig
 
 
+# Each preset's agents and noise are frozen, so every call shares them and
+# builds only its ScenarioConfig: benchmarks build a preset in untraced set-up.
+_CLEAN_STRAIGHT_AGENTS = AgentPopulation(
+    count=5,
+    speed_range=(3.0, 5.0),
+    lanes=(Lane(-12.0), Lane(-6.0), Lane(0.0), Lane(6.0), Lane(12.0)),
+    x_start_range=(8.0, 12.0),
+    categories=(Category.CAR,),
+)
+_CLEAN_STRAIGHT_NOISE = NoiseConfig(sigma_m=0.0, dropout_p=0.0, clutter_per_m2=0.0)
+_HIDDEN_LANE_AGENTS = AgentPopulation(
+    count=4,
+    speed_range=(10.5, 11.5),
+    lanes=(Lane(8.0), Lane(-8.0)),
+    x_start_range=(20.0, 34.0),
+    categories=(Category.CAR,),
+    lane_slot_spacing_m=40.0,
+)
+_HIDDEN_LANE_NOISE = NoiseConfig(sigma_m=0.05, dropout_p=0.0, clutter_per_m2=0.1)
+
+
 def clean_straight_scenario(duration_s: float = 15.0) -> ScenarioConfig:
     """Noiseless, occlusion-free straight traffic that never leaves the region.
 
@@ -31,14 +52,8 @@ def clean_straight_scenario(duration_s: float = 15.0) -> ScenarioConfig:
         infra_position=(50.0, 0.0),
         vehicle_range_m=120.0,
         infra_range_m=120.0,
-        agents=AgentPopulation(
-            count=5,
-            speed_range=(3.0, 5.0),
-            lanes=(Lane(-12.0), Lane(-6.0), Lane(0.0), Lane(6.0), Lane(12.0)),
-            x_start_range=(8.0, 12.0),
-            categories=(Category.CAR,),
-        ),
-        noise=NoiseConfig(sigma_m=0.0, dropout_p=0.0, clutter_per_m2=0.0),
+        agents=_CLEAN_STRAIGHT_AGENTS,
+        noise=_CLEAN_STRAIGHT_NOISE,
     )
 
 
@@ -57,14 +72,7 @@ def hidden_lane_scenario(duration_s: float = 15.0) -> ScenarioConfig:
         infra_position=(50.0, 20.0),
         vehicle_range_m=120.0,
         infra_range_m=120.0,
-        agents=AgentPopulation(
-            count=4,
-            speed_range=(10.5, 11.5),
-            lanes=(Lane(8.0), Lane(-8.0)),
-            x_start_range=(20.0, 34.0),
-            categories=(Category.CAR,),
-            lane_slot_spacing_m=40.0,
-        ),
+        agents=_HIDDEN_LANE_AGENTS,
         occluders=((14.0, 0.5, 16.0, 26.0),),
-        noise=NoiseConfig(sigma_m=0.05, dropout_p=0.0, clutter_per_m2=0.1),
+        noise=_HIDDEN_LANE_NOISE,
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigurationError
 from .geometry import (
-    Blockers, Box3D, Category, Pose, Region, segments_hit_blockers, transform_box, wrap_angle)
+    Blockers, Box3D, Category, Pose, Region, rays_hit_blockers, transform_box, wrap_angle)
 from .sensing import Clutter, GridSpec, NoiseConfig, View, scenario_clutter
 
 
@@ -79,6 +79,12 @@ class AgentPopulation:
             raise ConfigurationError("turn_fraction must be in [0, 1]")
 
 
+# Largest runs, outline densities and clutter fields a config may ask for.
+MAX_FRAME_INTERVALS = 100_000  # duration_s * frame_rate_hz
+MAX_PTS_PER_M = 1_000  # surface_pts_per_m: at most 27,000 points on a bus outline
+MAX_CLUTTER_PER_VIEW = 1_000_000  # clutter_per_m2 times the longer sensor range's disc
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Declarative description of a synthetic scene. See README for the schema."""
@@ -117,6 +123,16 @@ class ScenarioConfig:
         if self.vehicle_grid.channels != 3 or self.infra_grid.channels != 3:
             raise ConfigurationError(
                 "vehicle_grid and infra_grid need 3 channels (density, height, intensity)")
+        if not self.duration_s * self.frame_rate_hz <= MAX_FRAME_INTERVALS:
+            raise ConfigurationError(
+                f"duration_s * frame_rate_hz must be at most {MAX_FRAME_INTERVALS:,}")
+        if self.surface_pts_per_m > MAX_PTS_PER_M:
+            raise ConfigurationError(f"surface_pts_per_m must be at most {MAX_PTS_PER_M:,}")
+        range_m = max(self.vehicle_range_m, self.infra_range_m)
+        if self.noise.clutter_per_m2 * math.pi * range_m * range_m > MAX_CLUTTER_PER_VIEW:
+            raise ConfigurationError(
+                f"noise.clutter_per_m2 expects more than {MAX_CLUTTER_PER_VIEW:,} clutter "
+                f"points in a {range_m} m sensor range")
 
 
 @dataclass(frozen=True)
@@ -135,6 +151,39 @@ class Agent:
         return Box3D(x=x, y=y, z=0.5 * h, w=w, l=l, h=h, yaw=yaw, category=self.category)
 
 
+class Outlines:
+    """Where the point sampler samples each agent's outline, S samples in all.
+
+    Each edge, in the order (w, l, w, l) from a box's first corner, holds
+    ``max(1, round(pts_per_m * length))`` evenly spaced samples, shifted by a
+    phase the sampler draws per edge and frame: stable per-cell coverage so
+    blobs do not fragment, while the raster stays seed-dependent. Samples
+    are ordered by agent, then edge, then index along the edge. Per sample:
+
+    - ``edge`` (S,), its agent times 4 plus its edge: a row of
+      ``FrameGeometry.corners[f].reshape(-1, 2)``;
+    - ``agent`` (S,) and ``side`` (S,), that agent and that edge (0-3);
+    - ``index`` and ``count`` (S,), its index along the edge and the edge's
+      sample count, as floats.
+
+    Per agent: ``size`` (A,), its sample count, and ``height`` (A,). Every
+    array is read-only.
+    """
+
+    def __init__(self, agents: Sequence[Agent], pts_per_m: float):
+        counts = np.array([max(1, int(round(pts_per_m * edge)))
+                           for a in agents for edge in (a.dims[0], a.dims[1]) * 2], dtype=np.int64)
+        first = np.cumsum(counts) - counts
+        self.edge = np.repeat(np.arange(len(counts)), counts)
+        self.agent, self.side = self.edge // 4, self.edge % 4
+        self.index = (np.arange(len(self.edge)) - np.repeat(first, counts)).astype(float)
+        self.count = np.repeat(counts, counts).astype(float)
+        self.size = counts.reshape(-1, 4).sum(axis=1)
+        self.height = np.array([a.dims[2] for a in agents], dtype=float)
+        for arr in vars(self).values():
+            arr.setflags(write=False)
+
+
 class FrameGeometry:
     """Every frame's agent footprints and ray blockers, and what each view sees.
 
@@ -146,20 +195,22 @@ class FrameGeometry:
       counter-clockwise from (l/2, -w/2) in its own frame;
     - ``rot_t`` (F, K, 2, 2), ``centre`` (F, K, 1, 2), ``lo`` and ``hi``
       (K, 1, 2): frame f's agent boxes, then the walls, as ``blockers(f)``;
-    - ``visible[view]`` (F, A), the ground-truth visibility table.
+    - ``visible[view]`` (F, A), the ground-truth visibility table;
+    - ``outlines``, where the point sampler's outline samples sit on each
+      box (:class:`Outlines`).
 
-    Each value is bitwise what building one frame's boxes, corners and
-    blockers one box at a time and ray-testing them gives
+    Each geometry value is bitwise what building one frame's boxes, corners
+    and blockers one box at a time and ray-testing them gives
     (``tests/oracle_utils.py`` keeps that path). Every array is read-only. A
     plain object, not a tuple or dataclass, so that the benchmark's tracer
     digests it by identity rather than hashing it on every traced call that
     takes the scenario.
     """
 
-    def __init__(self, centres, yaws, corners, rot_t, centre, lo, hi, visible):
+    def __init__(self, centres, yaws, corners, rot_t, centre, lo, hi, visible, outlines):
         self.centres, self.yaws, self.corners = centres, yaws, corners
         self.rot_t, self.centre, self.lo, self.hi = rot_t, centre, lo, hi
-        self.visible = visible
+        self.visible, self.outlines = visible, outlines
 
     def blockers(self, f: int) -> Blockers:
         return Blockers(self.rot_t[f], self.centre[f], self.lo, self.hi)
@@ -288,19 +339,17 @@ def _visible(geo: FrameGeometry, frames: slice, sensor_xy: np.ndarray,
     An agent is visible when its center is within sensor range (``sensor_xy``
     is (B, 2)) and at least one of its 20 perimeter probe points has a 2D ray
     from the sensor that no wall and no other box crosses. All probes of the
-    block go through one batched ray test; a box never blocks its own probes.
-    Each frame's probes form one (N, 2) matrix per blocker, as a frame alone
-    gives them, so the rotations into blocker frames are bitwise a single
-    frame's.
+    block go through one batched ray test from each frame's sensor; a box
+    never blocks its own probes.
     """
     corners = geo.corners[frames]
     n_frames, n_agents = corners.shape[:2]
     a = corners[:, :, :, None, :]
     b = np.roll(corners, -1, axis=2)[:, :, :, None, :]
-    probes = (a + _PROBE_OFFSETS[:, None] * (b - a)).reshape(n_frames, 1, -1, 2)
+    probes = (a + _PROBE_OFFSETS[:, None] * (b - a)).reshape(n_frames, -1, 2)
     blockers = Blockers(geo.rot_t[frames], geo.centre[frames], geo.lo, geo.hi)
-    hits = segments_hit_blockers(np.broadcast_to(sensor_xy[:, None, None, :], probes.shape),
-                                 probes, blockers).reshape(n_frames, len(geo.lo), n_agents, -1)
+    hits = rays_hit_blockers(sensor_xy, probes[..., 0], probes[..., 1],
+                             blockers).reshape(n_frames, len(geo.lo), n_agents, -1)
     own = np.arange(n_agents)
     hits[:, own, own] = False
     centres = geo.centres[frames].tolist()
@@ -311,8 +360,10 @@ def _visible(geo: FrameGeometry, frames: slice, sensor_xy: np.ndarray,
 
 def _frame_geometry(agents: Sequence[Agent], sensor_xy: Dict[View, np.ndarray],
                     ranges: Dict[View, float],
-                    occluders: Sequence[Tuple[float, float, float, float]]) -> FrameGeometry:
-    """Every frame's footprints, blockers and visibility tables in array passes.
+                    occluders: Sequence[Tuple[float, float, float, float]],
+                    pts_per_m: float) -> FrameGeometry:
+    """Every frame's footprints, blockers, visibility tables and the agents'
+    outline samples, in array passes.
 
     ``sensor_xy[view]`` is (F, 2). Angles go through ``math.cos`` and
     ``math.sin`` one at a time, never ``np.cos``, whose rounding may differ
@@ -347,7 +398,8 @@ def _frame_geometry(agents: Sequence[Agent], sensor_xy: Dict[View, np.ndarray],
     hi = np.concatenate([half, walls[:, 2:]])[:, None, :]
     lo = np.concatenate([-half, walls[:, :2]])[:, None, :]
 
-    geo = FrameGeometry(centres, yaws, corners, rot_t, centre, lo, hi, {})
+    geo = FrameGeometry(centres, yaws, corners, rot_t, centre, lo, hi, {},
+                        Outlines(agents, pts_per_m))
     for view, xy in sensor_xy.items():
         geo.visible[view] = np.zeros((n_frames, n_agents), dtype=bool)
         if n_agents:
@@ -415,7 +467,7 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         ego_waypoints=ego_waypoints,
         infra_pose=infra_pose,
         occluders=occluders,
-        geometry=_frame_geometry(agents, sensor_xy, ranges, occluders),
+        geometry=_frame_geometry(agents, sensor_xy, ranges, occluders, config.surface_pts_per_m),
         clutter={},
     )
     grids = {View.VEHICLE: config.vehicle_grid, View.INFRA: config.infra_grid}

@@ -9,18 +9,28 @@ first-order finite-difference flow, itself a grid of per-second rates,
 which lets a receiver extrapolate a stale grid forward in time with a
 linear model.
 
+A frame's agent outlines are sampled in a few array passes: every in-range
+box's outline samples, placed by the scenario's outline table, go through
+one ray test from the sensor (``geometry.rays_hit_blockers``). Each box's
+random draws (edge phases, then a height and an intensity per kept sample)
+start where the boxes before it left the stream, so the frame's uniforms are
+drawn once, for every sample kept, and replayed until each box's kept count
+is known; the generator then continues from where drawing box by box leaves
+it. Clouds are byte for byte the box-by-box sampler's.
+
 Ground clutter belongs to the scenario: ``generate_scenario`` draws each
 view's clutter once, from (seed, view, noise, range), as a :class:`Clutter`
-holding its sensor-frame points at the sensor's frame-0 pose and their
-(cell, z) sort on the view's grid. A cloud sampled at that pose with no
-dropout carries the clutter, and ``rasterize_bev`` takes every cell that no
-agent point hits from the cached sort and sorts only the points of the
-other cells. Every other cloud is sorted whole, in three cases. A moving
-ego's clouds after frame 0 do not carry the clutter, which is moved to each
-new pose. Clouds with dropout do not carry it, as their clutter thins anew
-each frame. A view with two clutter heights tied in a cell, as all of them
-are with zero position noise, has no cached sort, since its order would need
-the intensity key. Grids are bit for bit what sorting the whole cloud gives.
+holding its sensor-frame points at the sensor's frame-0 pose, as a (C, 4)
+block a cloud copies whole, and their (cell, z) sort on the view's grid. A
+cloud sampled at that pose with no dropout carries the clutter, and
+``rasterize_bev`` takes every cell that no agent point hits from the cached
+sort and sorts only the points of the other cells. Every other cloud is
+sorted whole, in three cases. A moving ego's clouds after frame 0 do not
+carry the clutter, which is moved to each new pose. Clouds with dropout do
+not carry it, as their clutter thins anew each frame. A view with two
+clutter heights tied in a cell, as all of them are with zero position noise,
+has no cached sort, since its order would need the intensity key. Grids are
+bit for bit what sorting the whole cloud gives.
 
 All operations are pure given explicit seeds; grids are treated as
 immutable after construction.
@@ -29,17 +39,18 @@ immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, astuple, dataclass, replace
+import struct
+from dataclasses import InitVar, dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError, OrderingError, ShapeMismatchError
-from .geometry import Pose, inverse, segments_hit_blockers
+from .geometry import Pose, inverse, rays_hit_blockers
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .scenario import Scenario
+    from .scenario import FrameGeometry, Scenario
 
 
 class View(Enum):
@@ -52,6 +63,9 @@ _VIEW_CODE = {View.VEHICLE: 0, View.INFRA: 1}
 DENSITY_CHANNEL = 0
 HEIGHT_CHANNEL = 1
 INTENSITY_CHANNEL = 2
+
+# Largest grid a config may ask for, in cells (rows * cols).
+MAX_GRID_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,9 @@ class GridSpec:
             raise ConfigurationError("cell_size must be positive")
         if self.cols <= 0 or self.rows <= 0 or self.channels <= 0:
             raise ConfigurationError("grid shape must be positive")
+        if self.cols * self.rows > MAX_GRID_CELLS:
+            raise ConfigurationError(
+                f"a grid of {self.cols} x {self.rows} cells exceeds {MAX_GRID_CELLS:,} cells")
 
     @property
     def shape(self) -> Tuple[int, int, int]:
@@ -176,18 +193,20 @@ class Clutter:
     """Ground clutter of one scenario view, made once by ``generate_scenario``.
 
     ``field`` is the seed's draw relative to the sensor position: offsets
-    (C, 2), jitter (C, 2) or None, and z (C,). ``xyz`` (C, 3) is the clutter
-    in the frame of the sensor at its frame-0 ``pose``, checked finite.
-    ``grid`` is its sort on the view's grid, or None when two clutter
-    heights tie in a cell. Every array is read-only.
+    (C, 2), jitter (C, 2) or None, and z (C,). ``points`` (C, 4) holds the
+    clutter in the frame of the sensor at its frame-0 ``pose``, checked
+    finite, and a zero intensity; ``xyz`` is a view of its first three
+    columns. ``grid`` is its sort on the view's grid, or None when two
+    clutter heights tie in a cell. Every array is read-only.
 
     A plain object, not a tuple or dataclass, so that the benchmark's tracer
     digests a scenario's clutter (about 0.5 MB per view) by identity rather
     than hashing it on every traced call that takes the scenario.
     """
 
-    def __init__(self, field, pose: Pose, xyz: np.ndarray, grid: Optional[StaticGrid]):
-        self.field, self.pose, self.xyz, self.grid = field, pose, xyz, grid
+    def __init__(self, field, pose: Pose, points: np.ndarray, grid: Optional[StaticGrid]):
+        self.field, self.pose, self.points, self.grid = field, pose, points, grid
+        self.xyz = points[:, :3]
 
 
 def _clutter_xyz(field, pose: Pose) -> np.ndarray:
@@ -223,7 +242,8 @@ def scenario_clutter(s: "Scenario", sensor: View, spec: GridSpec) -> Clutter:
         jitter = np.ascontiguousarray(j[:, :2])
         z = z + j[:, 2]
     pose = s.sensor_pose(sensor, 0.0)
-    xyz = _clutter_xyz((offsets, jitter, z), pose)
+    points = np.zeros((count, 4))
+    points[:, :3] = xyz = _clutter_xyz((offsets, jitter, z), pose)
     if not np.all(np.isfinite(xyz)):
         raise NumericError("point cloud contains non-finite values")
 
@@ -235,10 +255,98 @@ def scenario_clutter(s: "Scenario", sensor: View, spec: GridSpec) -> Clutter:
     # Heights that tie in a cell are ordered by intensity alone: no cached sort.
     tied = np.any((flat[1:] == flat[:-1]) & (cz[1:] == cz[:-1]))
     grid = None if tied else StaticGrid(spec, rows, flat, cz, _run_ends(flat))
-    for arr in (offsets, jitter, z, xyz, *(grid[1:] if grid else ())):
+    for arr in (offsets, jitter, z, points, *(grid[1:] if grid else ())):
         if arr is not None:
             arr.setflags(write=False)
-    return Clutter((offsets, jitter, z), pose, xyz, grid)
+    return Clutter((offsets, jitter, z), pose, points, grid)
+
+
+def _pose_bytes(p: Pose) -> bytes:
+    return struct.pack("4d", p.x, p.y, p.z, p.yaw)
+
+
+# Each footprint corner's successor counter-clockwise: the far end of its edge.
+_NEXT_CORNER = [1, 2, 3, 0]
+
+
+def _outline_points(geo: "FrameGeometry", f: int, pose: Pose, range_m: float,
+                    rng: np.random.Generator) -> np.ndarray:
+    """The agent outline points a sensor at ``pose`` keeps in frame ``f``, (M, 4).
+
+    Each in-range box, in agent order, takes from ``rng`` 4 edge phases (its
+    samples sit at ``(index + phase) / count`` along each edge), then a
+    uniform height fraction and an intensity for each sample whose ray from
+    the sensor no wall and no other box crosses: 4 + 2 * kept draws. So box
+    k's draws start where the kept counts of the boxes before it put them,
+    and are drawn here in one pass and replayed. ``u`` holds the most the
+    boxes can take, every sample kept. The first round guesses that every
+    box keeps all its samples and ray-tests them all at once; the first box
+    whose kept count differs from its guess fixes where the next box starts,
+    so the boxes after it are tested again with this round's counts as the
+    guess, until every guess holds. Heights and intensities are then read
+    from ``u``, and ``rng`` is left where drawing box by box leaves it.
+    """
+    sx, sy = pose.x, pose.y
+    near = [math.hypot(x - sx, y - sy) <= range_m for x, y in geo.centres[f].tolist()]
+    if not any(near):
+        return np.zeros((0, 4))
+    ol = geo.outlines
+    edge, agent, side, index, count = ol.edge, ol.agent, ol.side, ol.index, ol.count
+    size, height = ol.size, ol.height
+    if all(near):
+        box = agent
+    else:
+        near = np.array(near)
+        pick = near[agent]
+        edge, agent, side, index, count = (a[pick] for a in (edge, agent, side, index, count))
+        box = (np.cumsum(near) - 1)[agent]
+        size, height = size[near], height[near]
+    c = geo.corners[f]
+    d = (c[:, _NEXT_CORNER] - c).reshape(-1, 2)
+    c = c.reshape(-1, 2)
+    ax, ay, dx, dy = c[edge, 0], c[edge, 1], d[edge, 0], d[edge, 1]
+    origin = np.array([sx, sy])
+    blockers = geo.blockers(f)
+
+    state = rng.bit_generator.state
+    u = rng.random(4 * len(size) + 2 * int(size.sum()))
+    first = np.cumsum(size) - size  # each box's first sample
+    kept = size.copy()
+    x, y = np.empty(len(edge)), np.empty(len(edge))
+    keep = np.empty(len(edge), dtype=bool)
+    k = 0
+    while True:
+        takes = 4 + 2 * kept
+        start = np.cumsum(takes) - takes
+        j = first[k]
+        rest = box[j:]
+        offset = (index[j:] + u[start[rest] + side[j:]]) / count[j:]
+        x[j:] = ax[j:] + offset * dx[j:]
+        y[j:] = ay[j:] + offset * dy[j:]
+        hits = rays_hit_blockers(origin, x[j:], y[j:], blockers)
+        hits[agent[j:], np.arange(len(rest))] = False  # a box never blocks its own outline
+        keep[j:] = ~hits.any(axis=0)
+        got = np.bincount(rest[keep[j:]], minlength=len(size))[k:]
+        wrong = np.flatnonzero(got != kept[k:])
+        kept[k:] = got
+        if not len(wrong):
+            break
+        k += int(wrong[0]) + 1
+        if k == len(size):
+            break
+
+    takes = 4 + 2 * kept
+    start = np.cumsum(takes) - takes
+    box = box[keep]
+    rank = np.arange(len(box)) - np.repeat(np.cumsum(kept) - kept, kept)
+    z_at = start[box] + 4 + rank
+    pts = np.empty((len(box), 4))
+    pts[:, 0], pts[:, 1] = x[keep], y[keep]
+    pts[:, 2] = u[z_at] * height[box]
+    pts[:, 3] = u[z_at + kept[box]]
+    rng.bit_generator.state = state
+    rng.bit_generator.advance(int(takes.sum()))
+    return pts
 
 
 def sample_point_cloud(s: "Scenario", t: float, sensor: View) -> PointCloud:
@@ -254,8 +362,10 @@ def sample_point_cloud(s: "Scenario", t: float, sensor: View) -> PointCloud:
     scenario's; the cloud is deterministic for a fixed (scenario, frame,
     sensor).
 
-    Footprint corners and ray blockers come from the scenario's frame
-    geometry (``Scenario.geometry``), made once per scenario.
+    Footprint corners, ray blockers and outline samples come from the
+    scenario's frame geometry (``Scenario.geometry``), made once per
+    scenario, and every in-range box is sampled in a few array passes
+    (:func:`_outline_points`), bitwise as sampling one box at a time gives.
 
     The returned cloud is expressed in the sensor's own frame, agent rows
     first and the scenario's clutter rows last. It carries the
@@ -267,44 +377,14 @@ def sample_point_cloud(s: "Scenario", t: float, sensor: View) -> PointCloud:
     noise = s.config.noise
     frame_idx = s.frame_index(t)
     rng = np.random.default_rng([s.seed, frame_idx, _VIEW_CODE[sensor]])
-
     pose = s.sensor_pose(sensor, t)
-    range_m = s.sensor_range(sensor)
-    sensor_xy = np.array([pose.x, pose.y])
-    geo = s.geometry
-    blockers = geo.blockers(frame_idx)
-
-    chunks: List[np.ndarray] = []
-    # One loop per target box: the draws below depend on each box's kept
-    # point count, so batching targets would reorder the random stream.
-    for idx, agent in enumerate(s.agents):
-        x, y = geo.centres[frame_idx, idx]
-        if math.hypot(x - sensor_xy[0], y - sensor_xy[1]) > range_m:
-            continue
-        # Edge order around the corners is (w, l, w, l). Even spacing with a
-        # random phase per edge: stable per-cell coverage so blobs do not
-        # fragment, while the raster stays seed-dependent.
-        w, l, h = agent.dims
-        counts = [max(1, int(round(s.config.surface_pts_per_m * edge))) for edge in (w, l, w, l)]
-        offsets = [(np.arange(n) + rng.random()) / n for n in counts]
-        c = geo.corners[frame_idx, idx]
-        pts2d = np.concatenate([c[e] + offsets[e][:, None] * (c[(e + 1) % 4] - c[e])
-                                for e in range(4)])
-        hits = segments_hit_blockers(np.broadcast_to(sensor_xy, pts2d.shape), pts2d, blockers)
-        hits[idx] = False  # a box never blocks its own outline
-        pts2d = pts2d[~hits.any(axis=0)]
-        if len(pts2d) == 0:
-            continue
-        z = rng.random(len(pts2d)) * h
-        intensity = rng.random(len(pts2d))
-        chunks.append(np.column_stack([pts2d, z, intensity]))
-
-    pts = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 4))
+    pts = _outline_points(s.geometry, frame_idx, pose, s.sensor_range(sensor), rng)
     if noise.sigma_m > 0 and len(pts):
         pts[:, :3] += rng.normal(0.0, noise.sigma_m, size=(len(pts), 3))
 
     clutter = s.clutter[sensor]
-    at_rest = np.array(astuple(pose)).tobytes() == np.array(astuple(clutter.pose)).tobytes()
+    at_rest = _pose_bytes(pose) == _pose_bytes(clutter.pose)
+    carried = clutter if at_rest and noise.dropout_p == 0 else None
     xyz = clutter.xyz if at_rest else _clutter_xyz(clutter.field, pose)
     # Only the clutter intensities redraw per frame.
     clutter_i = rng.random(len(xyz))
@@ -313,13 +393,16 @@ def sample_point_cloud(s: "Scenario", t: float, sensor: View) -> PointCloud:
         pts, kept = pts[keep[:len(pts)]], keep[len(pts):]
         xyz, clutter_i = xyz[kept], clutter_i[kept]
 
-    local = np.empty((len(pts) + len(xyz), 4))
-    local[:len(pts), :3] = inverse(pose).apply_to_points(pts[:, :3])
-    local[:len(pts), 3] = pts[:, 3]
-    local[len(pts):, :3] = xyz
-    local[len(pts):, 3] = clutter_i
+    n = len(pts)
+    local = np.empty((n + len(xyz), 4))
+    local[:n, :3] = inverse(pose).apply_to_points(pts[:, :3])
+    local[:n, 3] = pts[:, 3]
+    if carried is not None:
+        local[n:] = clutter.points
+    else:
+        local[n:, :3] = xyz
+    local[n:, 3] = clutter_i
     local.setflags(write=False)
-    carried = clutter if at_rest and noise.dropout_p == 0 else None
     return PointCloud(points=local, frame=sensor.value, timestamp=t, carry=carried)
 
 

@@ -17,7 +17,7 @@ the detector's connected components are checked against ``ndimage.label``.
 import itertools
 import math
 import struct
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -31,12 +31,13 @@ from cotrack.detector import Detection, DetectParams
 from cotrack.errors import DecodeError, EncodeError
 from cotrack.fusion import _merge_pair
 from cotrack.geometry import (
+    _EPS_T,
     CATEGORY_ORDER,
     Blockers,
     Box3D,
     Category,
     center_distance_matrix,
-    segments_hit_blockers,
+    inverse,
 )
 from cotrack.sensing import (
     DENSITY_CHANNEL,
@@ -46,6 +47,8 @@ from cotrack.sensing import (
     GridSpec,
     PointCloud,
     View,
+    _VIEW_CODE,
+    _clutter_xyz,
 )
 from cotrack.tracker import Track
 
@@ -605,6 +608,35 @@ def blockers_of(
     return Blockers(rot_t, centre, lo, hi)
 
 
+def segments_hit_blockers(starts: np.ndarray, ends: np.ndarray, blockers: Blockers) -> np.ndarray:
+    """Whether 2D segments cross the interior of each blocker, shape (K, N).
+
+    The general-start kernel that ``geometry.rays_hit_blockers`` (one shared
+    origin) replaced: one broadcast slab test in every blocker's frame, on
+    (K, N, 2) arrays. The rotation into each frame stays a (stacked) matrix
+    product, so each row is bitwise what a test against that blocker alone
+    gives.
+    """
+    starts = (np.asarray(starts, dtype=float) - blockers.centre) @ blockers.rot_t
+    ends = (np.asarray(ends, dtype=float) - blockers.centre) @ blockers.rot_t
+    lo, hi = blockers.lo, blockers.hi
+    d = ends - starts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - starts) / d
+        t2 = (hi - starts) / d
+    t_near = np.minimum(t1, t2)
+    t_far = np.maximum(t1, t2)
+    # Axis-parallel segments: hit only if within the slab on that axis.
+    parallel = d == 0.0
+    if parallel.any():
+        inside = (starts >= lo) & (starts <= hi)
+        t_near = np.where(parallel, np.where(inside, -np.inf, np.inf), t_near)
+        t_far = np.where(parallel, np.where(inside, np.inf, -np.inf), t_far)
+    enter = np.maximum(t_near[..., 0], t_near[..., 1])
+    exit_ = np.minimum(t_far[..., 0], t_far[..., 1])
+    return (enter <= exit_) & (enter < 1.0 - _EPS_T) & (exit_ > _EPS_T)
+
+
 # Visibility probes sit strictly inside each edge.
 PROBE_OFFSETS = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
 
@@ -655,3 +687,64 @@ def per_call_frame(s, f: int):
         pose = s.sensor_pose(view, t)
         visible[view] = visible_agents((pose.x, pose.y), boxes, s.occluders, s.sensor_range(view))
     return boxes, corners, blockers_of(boxes, s.occluders), visible
+
+
+def per_box_sample_point_cloud(s, t: float, sensor: View) -> PointCloud:
+    """``sensing.sample_point_cloud`` as it sampled one target box at a time.
+
+    Each in-range box draws its four edge phases, is ray-tested alone with
+    the general-start kernel, and then draws a height and an intensity for
+    each point it keeps, so where the next box's draws start depends on how
+    many points this box kept. Noise, clutter intensities and dropout follow.
+    """
+    noise = s.config.noise
+    frame_idx = s.frame_index(t)
+    rng = np.random.default_rng([s.seed, frame_idx, _VIEW_CODE[sensor]])
+
+    pose = s.sensor_pose(sensor, t)
+    range_m = s.sensor_range(sensor)
+    sensor_xy = np.array([pose.x, pose.y])
+    geo = s.geometry
+    blockers = geo.blockers(frame_idx)
+
+    chunks = []
+    for idx, agent in enumerate(s.agents):
+        x, y = geo.centres[frame_idx, idx]
+        if math.hypot(x - sensor_xy[0], y - sensor_xy[1]) > range_m:
+            continue
+        w, l, h = agent.dims
+        counts = [max(1, int(round(s.config.surface_pts_per_m * edge))) for edge in (w, l, w, l)]
+        offsets = [(np.arange(n) + rng.random()) / n for n in counts]
+        c = geo.corners[frame_idx, idx]
+        pts2d = np.concatenate([c[e] + offsets[e][:, None] * (c[(e + 1) % 4] - c[e])
+                                for e in range(4)])
+        hits = segments_hit_blockers(np.broadcast_to(sensor_xy, pts2d.shape), pts2d, blockers)
+        hits[idx] = False  # a box never blocks its own outline
+        pts2d = pts2d[~hits.any(axis=0)]
+        if len(pts2d) == 0:
+            continue
+        z = rng.random(len(pts2d)) * h
+        intensity = rng.random(len(pts2d))
+        chunks.append(np.column_stack([pts2d, z, intensity]))
+
+    pts = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 4))
+    if noise.sigma_m > 0 and len(pts):
+        pts[:, :3] += rng.normal(0.0, noise.sigma_m, size=(len(pts), 3))
+
+    clutter = s.clutter[sensor]
+    at_rest = np.array(astuple(pose)).tobytes() == np.array(astuple(clutter.pose)).tobytes()
+    xyz = clutter.xyz if at_rest else _clutter_xyz(clutter.field, pose)
+    clutter_i = rng.random(len(xyz))
+    if noise.dropout_p > 0:
+        keep = rng.random(len(pts) + len(xyz)) >= noise.dropout_p
+        pts, kept = pts[keep[:len(pts)]], keep[len(pts):]
+        xyz, clutter_i = xyz[kept], clutter_i[kept]
+
+    local = np.empty((len(pts) + len(xyz), 4))
+    local[:len(pts), :3] = inverse(pose).apply_to_points(pts[:, :3])
+    local[:len(pts), 3] = pts[:, 3]
+    local[len(pts):, :3] = xyz
+    local[len(pts):, 3] = clutter_i
+    local.setflags(write=False)
+    carried = clutter if at_rest and noise.dropout_p == 0 else None
+    return PointCloud(points=local, frame=sensor.value, timestamp=t, carry=carried)

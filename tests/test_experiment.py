@@ -570,6 +570,22 @@ class TestCli:
         assert err.startswith("error: ") and f"{key} must be positive" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"scenario": {"surface_pts_per_m": 1e12}}, "surface_pts_per_m must be at most"),
+        ({"scenario": {"noise": {"clutter_per_m2": 1e12}}}, "clutter points"),
+        ({"scenario": {"infra_grid": {"x0": 0.0, "y0": 0.0, "cell_size": 0.5,
+                                      "cols": 10**8, "rows": 10**8}}}, "cells"),
+        ({"scenario": {"duration_s": 1e9}}, "frame_rate_hz must be at most"),
+    ], ids=["surface_pts_per_m", "clutter_per_m2", "grid_cells", "duration_s"])
+    def test_run_command_exits_2_on_a_size_past_its_cap(self, tmp_path, capsys, doc, message):
+        """Each of these loaded and then failed its cell with a MemoryError."""
+        cfg = self._write_config(tmp_path)
+        cfg.write_text(json.dumps(_merged(json.loads(cfg.read_text()), doc)))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_run_command_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"fusions\": [\"nope\"]}")

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cotrack.geometry import Category
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import AgentPopulation, ScenarioConfig, generate_scenario
 from cotrack.sensing import View
@@ -83,6 +84,25 @@ class TestFrameGeometry:
                 arr[(0,) * arr.ndim] = 1
         with pytest.raises(ValueError):
             geo.blockers(0).rot_t[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("pts_per_m", [6.0, 0.1, 20.0])
+    def test_outline_table_is_each_edge_evenly_sampled(self, pts_per_m):
+        cfg = ScenarioConfig(duration_s=1.0, surface_pts_per_m=pts_per_m,
+                             agents=AgentPopulation(count=5, categories=tuple(Category)))
+        s = generate_scenario(cfg, 1)
+        ol = s.geometry.outlines
+        rows = []
+        for a, agent in enumerate(s.agents):
+            w, l, h = agent.dims
+            counts = [max(1, int(round(pts_per_m * edge))) for edge in (w, l, w, l)]
+            assert ol.size[a] == sum(counts) and ol.height[a] == h
+            rows += [(4 * a + e, a, e, float(i), float(n))
+                     for e, n in enumerate(counts) for i in range(n)]
+        table = list(zip(ol.edge.tolist(), ol.agent.tolist(), ol.side.tolist(),
+                         ol.index.tolist(), ol.count.tolist()))
+        assert table == rows
+        for arr in vars(ol).values():
+            assert not arr.flags.writeable
 
     def test_same_config_and_seed_give_equal_tables(self):
         cfg = SCENES["moving_rotated_ego"]

@@ -11,7 +11,7 @@ from cotrack.geometry import (
     center_distance_matrix,
     compose,
     inverse,
-    segments_hit_blockers,
+    rays_hit_blockers,
     transform_box,
     wrap_angle,
 )
@@ -147,23 +147,27 @@ class TestRegion:
 UNIT_RECT = blockers_of(walls=[(0, 0, 2, 1)])
 
 
+def hits_from(origin, ends, blockers):
+    ends = np.asarray(ends, dtype=float)
+    return rays_hit_blockers(np.asarray(origin, dtype=float), ends[:, 0], ends[:, 1], blockers)
+
+
 class TestSegmentHits:
     def test_segment_through_rect(self):
-        hit = segments_hit_blockers(np.array([[-1.0, 0.5]]), np.array([[3.0, 0.5]]), UNIT_RECT)[0]
+        hit = hits_from([-1.0, 0.5], [[3.0, 0.5]], UNIT_RECT)[0]
         assert hit[0]
 
     def test_segment_misses_rect(self):
-        hit = segments_hit_blockers(np.array([[-1.0, 5.0]]), np.array([[3.0, 5.0]]), UNIT_RECT)[0]
+        hit = hits_from([-1.0, 5.0], [[3.0, 5.0]], UNIT_RECT)[0]
         assert not hit[0]
 
     def test_segment_ends_on_boundary_not_hit(self):
         # Ray cast exactly to a point on the rectangle edge does not count.
-        hit = segments_hit_blockers(np.array([[-1.0, 0.5]]), np.array([[0.0, 0.5]]), UNIT_RECT)[0]
+        hit = hits_from([-1.0, 0.5], [[0.0, 0.5]], UNIT_RECT)[0]
         assert not hit[0]
 
     def test_oriented_box_hit(self):
         box = make_box(5.0, 0.0, 0.0, w=2.0, l=4.0, yaw=math.pi / 2)
-        starts = np.array([[0.0, 0.0], [0.0, 10.0]])
-        ends = np.array([[10.0, 0.0], [10.0, 10.0]])
-        hits = segments_hit_blockers(starts, ends, blockers_of([box]))[0]
-        assert hits[0] and not hits[1]
+        blockers = blockers_of([box])
+        assert hits_from([0.0, 0.0], [[10.0, 0.0]], blockers)[0, 0]
+        assert not hits_from([0.0, 10.0], [[10.0, 10.0]], blockers)[0, 0]

@@ -1,11 +1,14 @@
-"""The batched ray-occlusion kernel against one-blocker-at-a-time references.
+"""The ray-occlusion kernels against one-blocker-at-a-time references.
 
-``segments_hit_blockers`` tests every segment against every wall and box in
-one slab test, and the visibility test (``oracle_utils.visible_agents``,
-which a scenario's tables are checked against) tests every agent's probes in
-one call. The references below are the loops they replaced: one
-single-blocker ``segments_hit_blockers`` call per blocker, and one probe set
-per agent.
+``geometry.rays_hit_blockers`` tests the rays from one origin (a sensor)
+against every wall and box; it is checked against the general-start kernel
+it replaced, ``oracle_utils.segments_hit_blockers``, on random blockers and
+rays and on blocks of frames as the visibility tables call it. That kernel
+tests every segment against every blocker in one slab test, and the
+visibility test (``oracle_utils.visible_agents``, which a scenario's tables
+are checked against) tests every agent's probes in one call. The references
+for those are the loops they replaced: one single-blocker call per blocker,
+and one probe set per agent.
 """
 
 import math
@@ -15,11 +18,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cotrack.geometry import Box3D, segments_hit_blockers
+from cotrack.geometry import Blockers, Box3D, rays_hit_blockers
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import ScenarioConfig, generate_scenario, ground_truth_at
 from cotrack.sensing import View, sample_point_cloud
-from oracle_utils import blockers_of, corners_bev, visible_agents
+from oracle_utils import blockers_of, corners_bev, segments_hit_blockers, visible_agents
 
 PROBE_OFFSETS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -156,6 +159,106 @@ class TestBatchedSlabTest:
         ends = np.array([[0.0, 0.5], [1.0, 0.0], [3.0, 0.5]])
         got = segments_hit_blockers(starts, ends, blockers_of([box], [wall]))
         assert got.tolist() == [[False, False, True]] * 2
+
+
+def bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+@st.composite
+def shared_origin_rays(draw, blockers_at):
+    """(origin, ends): ends on the lattice or free, some axis-parallel to the
+    origin, some on a blocker's corner or edge midpoint; the origin free, at
+    a blocker's centre, or on one of its corners (``blockers_at`` lists
+    each blocker's (centre, corners))."""
+    marks = [p for centre, corners in blockers_at for p in (centre, *corners)]
+    marks += [tuple((np.array(a) + np.array(b)) / 2)
+              for _, corners in blockers_at for a, b in zip(corners, corners[1:] + corners[:1])]
+    spot = st.sampled_from(marks) if marks else point
+    origin = np.array(draw(st.one_of(point, spot)), dtype=float)
+    ends = np.array(draw(st.lists(st.one_of(point, spot), min_size=1, max_size=12)), dtype=float)
+    for axis in (0, 1):
+        flat = np.array(draw(st.lists(st.booleans(), min_size=len(ends), max_size=len(ends))))
+        ends[flat, axis] = origin[axis]
+    return origin, ends
+
+
+def corners_of(boxes, walls):
+    out = [((b.x, b.y), [tuple(c) for c in corners_bev(b)]) for b in boxes]
+    out += [(((x0 + x1) / 2, (y0 + y1) / 2), [(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+            for x0, y0, x1, y1 in walls]
+    return out
+
+
+class TestSharedOriginKernel:
+    @given(data=st.data(), boxes=boxes_st, walls=walls_st)
+    def test_equals_general_start_kernel(self, data, boxes, walls):
+        origin, ends = data.draw(shared_origin_rays(corners_of(boxes, walls)))
+        blockers = blockers_of(boxes, walls)
+        got = rays_hit_blockers(origin, ends[:, 0], ends[:, 1], blockers)
+        want = segments_hit_blockers(np.broadcast_to(origin, ends.shape), ends, blockers)
+        assert got.shape == want.shape == (len(boxes) + len(walls), len(ends))
+        assert np.array_equal(got, want)
+
+    @given(data=st.data(), n_frames=st.integers(1, 4), n_boxes=st.integers(0, 4), walls=walls_st)
+    def test_a_block_of_frames_equals_each_frame_alone(self, data, n_frames, n_boxes, walls):
+        # As the visibility tables call it: per frame one origin and one set
+        # of ends, blockers stacked (frames, K, ...) with shared extents.
+        dims = [(data.draw(size), data.draw(size)) for _ in range(n_boxes)]
+        frames = []
+        for _ in range(n_frames):
+            boxes = [Box3D(x=data.draw(coord), y=data.draw(coord), z=0.75, w=w, l=l, h=1.5,
+                           yaw=data.draw(yaw)) for w, l in dims]
+            frames.append((boxes, blockers_of(boxes, walls)))
+        n = data.draw(st.integers(1, 8))
+        rays = []
+        for boxes, _ in frames:
+            origin, ends = data.draw(shared_origin_rays(corners_of(boxes, walls)))
+            rays.append((origin, np.resize(ends, (n, 2))))
+        stack = Blockers(np.stack([b.rot_t for _, b in frames]),
+                         np.stack([b.centre for _, b in frames]), frames[0][1].lo, frames[0][1].hi)
+        origins = np.array([o for o, _ in rays])
+        ends = np.array([e for _, e in rays])
+        got = rays_hit_blockers(origins, ends[..., 0], ends[..., 1], stack)
+        assert got.shape == (n_frames, n_boxes + len(walls), n)
+        for f, ((origin, e), (_, blockers)) in enumerate(zip(rays, frames)):
+            want = segments_hit_blockers(np.broadcast_to(origin, e.shape), e, blockers)
+            assert np.array_equal(got[f], want)
+
+    def test_identity_rotation_walls_and_a_sensor_inside_a_box(self):
+        wall = (0.0, 0.0, 2.0, 1.0)
+        box = Box3D(x=5.0, y=0.5, z=0.5, w=1.0, l=2.0, h=1.0)
+        blockers = blockers_of([box], [wall])
+        ends = np.array([[-1.0, 0.5], [1.0, 0.5], [3.0, 0.5], [5.0, 3.0], [2.0, 1.0], [1.0, 4.0]])
+        for origin in ([1.0, 0.5], [5.0, 0.5], [0.0, 0.0], [-2.0, 0.5]):
+            origin = np.array(origin)
+            got = rays_hit_blockers(origin, ends[:, 0], ends[:, 1], blockers)
+            want = segments_hit_blockers(np.broadcast_to(origin, ends.shape), ends, blockers)
+            assert np.array_equal(got, want), origin
+        # From outside the wall: the rays that end inside it, cross it, or
+        # cross it to end on its far corner are hit; the ones that stop short
+        # of it or pass it by are not.
+        assert got[1].tolist() == [False, True, True, False, True, False]
+
+    def test_transposed_rotation_is_the_row_by_row_product_bit_for_bit(self):
+        # rays_hit_blockers moves points into blocker frames as rot_t
+        # transposed times (2, N) coordinate rows; the general kernel, and so
+        # every pinned reference, used (N, 2) rows times rot_t. The two must
+        # agree bit for bit: a host whose matrix kernels round them
+        # differently fails here rather than in a benchmark reference.
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            k, n = int(rng.integers(1, 12)), int(rng.integers(1, 700))
+            p = rng.normal(0.0, 60.0, (n, 2))
+            centre = rng.normal(0.0, 60.0, (k, 1, 2))
+            angles = rng.uniform(-math.pi, math.pi, k).tolist()
+            c = np.array([math.cos(-a) for a in angles])
+            s = np.array([math.sin(-a) for a in angles])
+            rot_t = np.stack([c, s, -s, c], axis=-1).reshape(k, 2, 2)
+            rows = (p - centre) @ rot_t
+            cols = rot_t.swapaxes(-1, -2) @ np.stack([p[:, 0] - centre[..., 0],
+                                                      p[:, 1] - centre[..., 1]], axis=1)
+            assert np.array_equal(bits(rows.swapaxes(-1, -2)), bits(cols))
 
 
 class TestBatchedVisibility:

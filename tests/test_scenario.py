@@ -1,9 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cotrack.errors import AlignmentError, ConfigurationError
-from cotrack.geometry import Pose, Region, inverse
+from cotrack.geometry import Category, Pose, Region, inverse
 from cotrack.scenario import (
+    MAX_CLUTTER_PER_VIEW,
+    MAX_FRAME_INTERVALS,
+    MAX_PTS_PER_M,
     AgentPopulation,
     Lane,
     Provenance,
@@ -14,7 +20,7 @@ from cotrack.scenario import (
     ground_truth_at,
     objects_to_frame,
 )
-from cotrack.sensing import NoiseConfig, View
+from cotrack.sensing import MAX_GRID_CELLS, GridSpec, NoiseConfig, View
 
 
 def one_agent_config(speed=10.0, lane_y=0.0, x0=0.0, duration=3.0):
@@ -103,6 +109,39 @@ class TestGenerateScenario:
     def test_nonpositive_point_densities_rejected(self, key, value):
         with pytest.raises(ConfigurationError, match=f"{key} must be positive"):
             ScenarioConfig(**{key: value})
+
+    def test_sizes_past_their_caps_rejected(self):
+        """Each of these once loaded and then failed its cell with a MemoryError."""
+        with pytest.raises(ConfigurationError, match="surface_pts_per_m must be at most"):
+            ScenarioConfig(surface_pts_per_m=1e12)
+        with pytest.raises(ConfigurationError, match="clutter points"):
+            ScenarioConfig(noise=NoiseConfig(clutter_per_m2=1e12))
+        with pytest.raises(ConfigurationError, match="cells"):
+            GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=10**8, rows=10**8)
+        for duration in (1e300, float(MAX_FRAME_INTERVALS)):
+            with pytest.raises(ConfigurationError, match="frame_rate_hz must be at most"):
+                ScenarioConfig(duration_s=duration)
+
+    def test_sizes_at_their_caps_load(self):
+        cfg = ScenarioConfig(surface_pts_per_m=MAX_PTS_PER_M,
+                             agents=AgentPopulation(categories=tuple(Category)))
+        outlines = generate_scenario(replace(cfg, duration_s=0.1), 1).geometry.outlines
+        assert max(outlines.size) == 27_000  # a bus's
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(surface_pts_per_m=MAX_PTS_PER_M + 0.5)
+        # The longer of the two sensor ranges sets the clutter a sensor expects.
+        disc = math.pi * 110.0 * 110.0
+        ScenarioConfig(noise=NoiseConfig(clutter_per_m2=0.999 * MAX_CLUTTER_PER_VIEW / disc))
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(infra_range_m=111.0,
+                           noise=NoiseConfig(clutter_per_m2=0.999 * MAX_CLUTTER_PER_VIEW / disc))
+        GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=1000, rows=MAX_GRID_CELLS // 1000)
+        with pytest.raises(ConfigurationError):
+            GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=1001, rows=MAX_GRID_CELLS // 1000)
+        cfg = ScenarioConfig(duration_s=MAX_FRAME_INTERVALS / 10)
+        assert cfg.duration_s * cfg.frame_rate_hz == MAX_FRAME_INTERVALS
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(duration_s=MAX_FRAME_INTERVALS / 10 + 0.01)
 
     def test_lane_slots_keep_agents_apart(self):
         cfg = ScenarioConfig(

@@ -126,6 +126,13 @@ class TestScenarioClutter:
             with pytest.raises(ValueError):
                 clutter.xyz[0, 0] = 1.0
 
+    def test_clutter_points_hold_xyz_without_a_copy(self):
+        clutter = generate_scenario(ScenarioConfig(duration_s=1.0), 3).clutter[View.INFRA]
+        assert clutter.points.shape == (len(clutter.xyz), 4)
+        assert np.shares_memory(clutter.points, clutter.xyz)
+        assert np.array_equal(clutter.points[:, :3], clutter.xyz) and not clutter.points[:, 3].any()
+        assert not clutter.points.flags.writeable and not clutter.xyz.flags.writeable
+
     @pytest.mark.parametrize("scenario", [ScenarioConfig(), hidden_lane_scenario()],
                              ids=["default", "hidden_lane"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
