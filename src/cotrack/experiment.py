@@ -30,13 +30,7 @@ from .channel import (
 )
 from .detector import DetectParams, detect
 from .errors import ConfigurationError, CotrackError
-from .fusion import (
-    MESSAGE_KIND_FOR_FUSION,
-    EgoInputs,
-    FusionKind,
-    FusionMethod,
-    cooperative_feature,
-)
+from .fusion import STRATEGIES, EgoInputs, FusionKind, FusionMethod, cooperative_feature
 from .geometry import Pose, compose, inverse, transform_box
 from .metrics import RunReport, aggregate_run, check_gate, evaluate_clearmot
 from .scenario import (
@@ -49,22 +43,14 @@ from .scenario import (
     ground_truth_at,
     objects_to_frame,
 )
-from .sensing import (
-    FeatureGrid,
-    View,
-    extract_feature_flow,
-    rasterize_bev,
-    sample_point_cloud,
-)
+from .sensing import FeatureGrid, View, rasterize_bev, sample_point_cloud
 from .tracker import Tracker, TrackerParams
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: ScenarioConfig = ScenarioConfig()
-    fusions: Tuple[FusionMethod, ...] = tuple(
-        FusionMethod(kind) for kind in FusionKind
-    )
+    fusions: Tuple[FusionMethod, ...] = tuple(map(FusionMethod, FusionKind))
     latencies_ms: Tuple[float, ...] = (0.0, 100.0, 200.0, 300.0, 400.0, 500.0)
     seeds: Tuple[int, ...] = tuple(range(1, 21))
     compression: bool = True
@@ -100,34 +86,6 @@ class RunArtifacts:
     gt_frames: List[List[TrackedObject]]
     hyp_frames: List[List[TrackedObject]]
     channel: Optional[Channel]
-    fallback_frames: int
-
-
-def _infra_payloads(scn, t: float, cfg: ExperimentConfig, kinds, prev_grid):
-    """This frame's infra-side payload for each MessageKind in ``kinds``.
-
-    Returns the payloads by kind and the infra grid the next frame's flow
-    differences against (``prev_grid`` when only raw points are sent). The
-    first frame's flow is zero.
-    """
-    sc = scn.config
-    cloud = sample_point_cloud(scn, t, View.INFRA)
-    grid = prev_grid
-    if kinds != [MessageKind.RAW_POINTS]:
-        grid = rasterize_bev(cloud, sc.infra_grid, sc.density_cap)
-    payloads = {}
-    for kind in kinds:
-        if kind is MessageKind.RAW_POINTS:
-            payloads[kind] = cloud
-        elif kind is MessageKind.DETECTIONS:
-            payloads[kind] = detect(grid, cfg.detect)
-        elif kind is MessageKind.FEATURE:
-            payloads[kind] = grid
-        else:
-            flow = (extract_feature_flow(prev_grid, grid) if prev_grid is not None
-                    else replace(grid, values=np.zeros(grid.spec.shape)))
-            payloads[kind] = (grid, flow)
-    return payloads, grid
 
 
 class _Frame(NamedTuple):
@@ -146,19 +104,27 @@ def _seed_frames(cfg: ExperimentConfig, scn,
     """The frames of one scenario seed as every cell using ``fusions`` reads them.
 
     Per frame: the ego cloud, grid and (if a fusion needs them) detections,
-    and the infra payload of each MessageKind the fusions consume, encoded
-    once. Frames are made one at a time, as they are read.
+    and the infra payload of each MessageKind the fusions send, encoded once.
+    The infra grid is rasterized only when a payload is made from it. Frames
+    are made one at a time, as they are read.
     """
     sc = cfg.scenario
-    kinds = list(dict.fromkeys(MESSAGE_KIND_FOR_FUSION[f.kind] for f in fusions
-                               if f.kind in MESSAGE_KIND_FOR_FUSION))
-    needs_dets = any(f.kind in (FusionKind.VEHICLE_ONLY, FusionKind.LATE) for f in fusions)
-    prev_inf_grid = None
+    strategies = [STRATEGIES[f.kind] for f in fusions]
+    senders = {s.message: s for s in strategies if s.message is not None}
+    needs_grid = any(s.infra_grid for s in senders.values())
+    needs_dets = any(s.ego_detections for s in strategies)
+    inf_grid = None
     for t in scn.frame_times():
         messages = {}
-        if kinds:
-            payloads, prev_inf_grid = _infra_payloads(scn, t, cfg, kinds, prev_inf_grid)
-            messages = {k: encode_message(k, payloads[k], cfg.compression, t) for k in kinds}
+        if senders:
+            pc_inf = sample_point_cloud(scn, t, View.INFRA)
+            prev_inf_grid = inf_grid
+            if needs_grid:
+                inf_grid = rasterize_bev(pc_inf, sc.infra_grid, sc.density_cap)
+            messages = {kind: encode_message(kind, s.payload(pc_inf, inf_grid, prev_inf_grid,
+                                                             cfg.detect), cfg.compression, t)
+                        for kind, s in senders.items()}
+            del pc_inf, prev_inf_grid  # not held while the cells read the frame
         pc_ego = sample_point_cloud(scn, t, View.VEHICLE)
         ego_grid = rasterize_bev(pc_ego, sc.vehicle_grid, sc.density_cap)
         ego = EgoInputs(cloud=pc_ego, grid=ego_grid,
@@ -216,10 +182,8 @@ def run_single(
         scn = generate_scenario(cfg.scenario, seed)
         shared = (scn, _seed_frames(cfg, scn, [fusion]))
     scn, frames = shared
-    msg_kind = MESSAGE_KIND_FOR_FUSION.get(fusion.kind)
-    channel = None
-    if msg_kind is not None:
-        channel = Channel(latency=LatencyModel(latency_ms, cfg.jitter_ms, seed))
+    msg_kind = STRATEGIES[fusion.kind].message
+    channel = None if msg_kind is None else Channel(LatencyModel(latency_ms, cfg.jitter_ms, seed))
     provenance = Provenance.VEHICLE_SIDE if channel is None else Provenance.FUSED
     tracker = Tracker(cfg.tracker, provenance=provenance)
     region = scn.region
@@ -239,8 +203,7 @@ def run_single(
 
         fused = cooperative_feature(fusion, channel, t, frame.ego, frame.infra_to_ego,
                                     cfg.scenario.infra_grid, cfg.compression)
-        if fused.used_fallback:
-            fallback += 1
+        fallback += fused.used_fallback
         dets = fused.detections if fused.detections is not None else detect(fused.grid, cfg.detect)
 
         dets_world = [replace(d, box=transform_box(d.box, frame.ego_pose)) for d in dets]
@@ -255,7 +218,7 @@ def run_single(
         fallback_frames=fallback, match_gate_m=cfg.eval_gate_m, num_frames=len(gt_frames),
     )
     if keep_artifacts:
-        return report, RunArtifacts(gt_frames, hyp_frames, channel, fallback)
+        return report, RunArtifacts(gt_frames, hyp_frames, channel)
     return report
 
 
@@ -271,7 +234,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
     so one of its runs serves all latencies. A failure in the shared work
     fails every cell; a failure in one run fails only the cells it serves.
     """
-    keys = [(f, lat if f.kind in MESSAGE_KIND_FOR_FUSION else None) for f, lat in cells]
+    keys = [(f, lat if STRATEGIES[f.kind].message is not None else None) for f, lat in cells]
     runs: Dict[tuple, float] = {}  # distinct run -> the latency it runs at
     for key, (_, latency_ms) in zip(keys, cells):
         runs.setdefault(key, latency_ms)

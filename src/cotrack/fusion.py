@@ -9,6 +9,14 @@ Four cooperative variants plus a no-cooperation baseline:
   the ego timestamp using its transmitted flow before warping
 
 With zero effective latency middle_flow reduces exactly to middle_static.
+
+A strategy is one ``Strategy`` record in ``STRATEGIES``; the runner and
+``cooperative_feature`` read nothing else of it. A new strategy supplies its
+``MessageKind`` (the wire codec stays in ``channel``), whether the receiver
+uses ego detections, whether its payload is made from the infra grid, how
+the sender builds that payload and how the receiver fuses it. The record's
+functions call pipeline stages as module globals, never as stored values,
+so a tracer that rebinds those globals sees every call.
 """
 
 from __future__ import annotations
@@ -16,22 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .assignment import gated_assignment
 from .channel import Channel, MessageKind, decode_message
-from .detector import Detection
+from .detector import Detection, detect
 from .errors import ConfigurationError, ShapeMismatchError
 from .geometry import Pose, center_distance_matrix, inverse, transform_box
-from .sensing import (
-    FeatureGrid,
-    GridSpec,
-    PointCloud,
-    predict_feature,
-    rasterize_bev,
-)
+from .sensing import (FeatureGrid, GridSpec, PointCloud, extract_feature_flow, predict_feature,
+                      rasterize_bev)
 
 
 class FusionKind(Enum):
@@ -42,21 +45,15 @@ class FusionKind(Enum):
     MIDDLE_FLOW = "middle_flow"
 
 
-MESSAGE_KIND_FOR_FUSION = {
-    FusionKind.EARLY: MessageKind.RAW_POINTS,
-    FusionKind.LATE: MessageKind.DETECTIONS,
-    FusionKind.MIDDLE_STATIC: MessageKind.FEATURE,
-    FusionKind.MIDDLE_FLOW: MessageKind.FEATURE_WITH_FLOW,
-}
-
-
 @dataclass(frozen=True)
 class FusionMethod:
     kind: FusionKind
     late_threshold_m: float = 2.0
 
     def __post_init__(self):
-        if self.kind is FusionKind.LATE and self.late_threshold_m <= 0:
+        if not isinstance(self.kind, FusionKind):
+            raise ConfigurationError(f"unknown fusion kind {self.kind!r}")
+        if self.kind is FusionKind.LATE and not self.late_threshold_m > 0:
             raise ConfigurationError("late-fusion distance threshold must be positive")
 
 
@@ -206,6 +203,57 @@ class FusionOutput:
     tau_s: float = 0.0
 
 
+class Strategy(NamedTuple):
+    """What one fusion kind sends and how the receiver fuses it."""
+
+    message: Optional[MessageKind]  # the payload's wire kind; None sends nothing
+    ego_detections: bool  # the receiver uses detections made on the ego grid
+    infra_grid: bool  # the payload is made from the infra grid
+    # (infra cloud, infra grid, previous infra grid or None, DetectParams) -> payload
+    payload: Optional[Callable] = None
+    # (FusionMethod, decoded payload, tau, EgoInputs, infra_to_ego) -> FusionOutput
+    fuse: Optional[Callable] = None
+
+
+def _grid_and_flow(cloud, grid, prev_grid, params):
+    """The grid and its flow since the previous frame's; the first frame's flow is zero."""
+    return grid, (extract_feature_flow(prev_grid, grid) if prev_grid is not None
+                  else replace(grid, values=np.zeros(grid.spec.shape)))
+
+
+def _fuse_boxes(fusion, dets, tau, ego, infra_to_ego):
+    moved = [replace(d, box=transform_box(d.box, infra_to_ego)) for d in dets]
+    return FusionOutput(detections=fuse_late(ego.detections, moved, fusion.late_threshold_m),
+                        tau_s=tau)
+
+
+def _fuse_grid(fusion, f_inf, tau, ego, infra_to_ego):
+    aligned = align_grid(f_inf, infra_to_ego, ego.grid.spec)
+    return FusionOutput(grid=fuse_middle(ego.grid, aligned), tau_s=tau)
+
+
+STRATEGIES = {
+    FusionKind.VEHICLE_ONLY: Strategy(None, ego_detections=True, infra_grid=False),
+    FusionKind.EARLY: Strategy(
+        MessageKind.RAW_POINTS, ego_detections=False, infra_grid=False,
+        payload=lambda cloud, grid, prev_grid, params: cloud,
+        fuse=lambda fusion, points, tau, ego, infra_to_ego: FusionOutput(
+            grid=fuse_early(ego.cloud, points, infra_to_ego, ego.grid.spec, ego.density_cap),
+            tau_s=tau)),
+    FusionKind.LATE: Strategy(
+        MessageKind.DETECTIONS, ego_detections=True, infra_grid=True,
+        payload=lambda cloud, grid, prev_grid, params: detect(grid, params), fuse=_fuse_boxes),
+    FusionKind.MIDDLE_STATIC: Strategy(
+        MessageKind.FEATURE, ego_detections=False, infra_grid=True,
+        payload=lambda cloud, grid, prev_grid, params: grid, fuse=_fuse_grid),
+    FusionKind.MIDDLE_FLOW: Strategy(
+        MessageKind.FEATURE_WITH_FLOW, ego_detections=False, infra_grid=True,
+        payload=_grid_and_flow,
+        fuse=lambda fusion, pair, tau, *rest: _fuse_grid(fusion, predict_feature(*pair, tau),
+                                                          tau, *rest)),
+}
+
+
 def cooperative_feature(
     fusion: FusionMethod,
     channel: Optional[Channel],
@@ -217,37 +265,17 @@ def cooperative_feature(
 ) -> FusionOutput:
     """Produce the fused representation for one ego frame.
 
-    Strategies consuming the channel decode the latest arrived message
-    against the run's infra grid and grid format (``decode_message``); the
-    extrapolating variant predicts the grid forward by tau = t_v minus the
-    message capture time before warping. When nothing has arrived yet the
-    frame falls back to vehicle-only and is flagged.
+    A strategy that sends a message decodes the latest arrived one against
+    the run's infra grid and grid format (``decode_message``) and fuses it
+    with tau = t_v minus the message capture time. With no message (always
+    for ``vehicle_only``) the frame is the ego frame alone, flagged as a
+    fallback when the strategy sends one.
     """
-    if fusion.kind is FusionKind.VEHICLE_ONLY:
-        return FusionOutput(grid=ego.grid, detections=ego.detections)
-
-    msg = channel.latest(t_v) if channel is not None else None
+    strategy = STRATEGIES[fusion.kind]
+    sends = strategy.message is not None
+    msg = channel.latest(t_v) if sends and channel is not None else None
     if msg is None:
-        if fusion.kind is FusionKind.LATE:
-            return FusionOutput(detections=list(ego.detections), used_fallback=True)
-        return FusionOutput(grid=ego.grid, used_fallback=True)
-
-    tau = t_v - msg.t_send
+        return FusionOutput(grid=ego.grid, used_fallback=sends,
+                            detections=ego.detections if strategy.ego_detections else None)
     content = decode_message(msg, infra_spec, compression)
-    if fusion.kind is FusionKind.EARLY:
-        grid = fuse_early(ego.cloud, content, infra_to_ego, ego.grid.spec, ego.density_cap)
-        return FusionOutput(grid=grid, tau_s=tau)
-    if fusion.kind is FusionKind.LATE:
-        moved = [replace(d, box=transform_box(d.box, infra_to_ego)) for d in content]
-        return FusionOutput(
-            detections=fuse_late(ego.detections, moved, fusion.late_threshold_m), tau_s=tau
-        )
-    if fusion.kind is FusionKind.MIDDLE_STATIC:
-        aligned = align_grid(content, infra_to_ego, ego.grid.spec)
-        return FusionOutput(grid=fuse_middle(ego.grid, aligned), tau_s=tau)
-    if fusion.kind is FusionKind.MIDDLE_FLOW:
-        f0, f1 = content
-        predicted = predict_feature(f0, f1, tau)
-        aligned = align_grid(predicted, infra_to_ego, ego.grid.spec)
-        return FusionOutput(grid=fuse_middle(ego.grid, aligned), tau_s=tau)
-    raise ConfigurationError(f"unknown fusion kind {fusion.kind}")
+    return strategy.fuse(fusion, content, t_v - msg.t_send, ego, infra_to_ego)
