@@ -33,15 +33,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .detector import Detection
 from .errors import (ConfigurationError, DecodeError, EncodeError, NumericError, OrderingError,
                      ShapeMismatchError)
-from .geometry import CATEGORY_ORDER, Box3D
+from .geometry import CATEGORY_ORDER, Boxes, wrap_angle
 from .sensing import FeatureGrid, GridSpec, PointCloud, View
 
 GRID_HEADER = struct.Struct("<5i2f")
 CHANNEL_RANGE = struct.Struct("<2f")
-BOX_RECORD = struct.Struct("<7fBf")
+# One packed "<7fBf" record per box: the whole payload is one array of these.
+BOX_RECORD = np.dtype([("box", "<f4", (7,)), ("category", "u1"), ("score", "<f4")])
 
 _KIND_GRID = 0
 _KIND_GRID_WITH_FLOW = 2
@@ -271,12 +271,12 @@ def decompress_grid(data: bytes, expected: GridSpec):
     return grids if kind == _KIND_GRID_WITH_FLOW else grids[0]
 
 
-def _float32_bytes(values: np.ndarray) -> bytes:
+def _float32(values: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         values = values.astype("<f4")
     if not np.all(np.isfinite(values)):
         raise EncodeError("values lie beyond the float32 range")
-    return values.tobytes()
+    return values
 
 
 def encode_message(
@@ -295,25 +295,28 @@ def encode_message(
     if kind is MessageKind.RAW_POINTS:
         if not isinstance(content, PointCloud):
             raise EncodeError("raw_points content must be a PointCloud")
-        data = _float32_bytes(content.points)
+        data = _float32(content.points).tobytes()
         raw = len(data)
     elif kind is MessageKind.DETECTIONS:
-        data = b"".join(BOX_RECORD.pack(d.box.x, d.box.y, d.box.z, d.box.w, d.box.l, d.box.h,
-                                        d.box.yaw, CATEGORY_ORDER.index(d.box.category), d.score)
-                        for d in content)
+        if not isinstance(content, Boxes):
+            raise EncodeError("detections content must be Boxes")
+        records = np.empty(len(content), dtype=BOX_RECORD)
+        records["box"], records["category"], records["score"] = (
+            _float32(content.values), content.category, _float32(content.score))
+        data = records.tobytes()
         raw = len(data)
     elif kind is MessageKind.FEATURE:
         if not isinstance(content, FeatureGrid):
             raise EncodeError("feature content must be a FeatureGrid")
         raw = 4 * content.values.size
-        data = compress_grid(content) if compress else _float32_bytes(content.values)
+        data = compress_grid(content) if compress else _float32(content.values).tobytes()
     elif kind is MessageKind.FEATURE_WITH_FLOW:
         f0, f1 = content
         if f0.spec != f1.spec:
             raise ShapeMismatchError("feature and flow must share a spec")
         raw = 4 * (f0.values.size + f1.values.size)
         data = (compress_grid_pair(f0, f1) if compress
-                else _float32_bytes(f0.values) + _float32_bytes(f1.values))
+                else _float32(f0.values).tobytes() + _float32(f1.values).tobytes())
     else:
         raise EncodeError(f"unknown message kind {kind}")
 
@@ -321,23 +324,25 @@ def encode_message(
                           t_arrive=None, content=data, raw_bytes=raw)
 
 
-def _decode_boxes(data: bytes) -> List[Detection]:
-    if len(data) % BOX_RECORD.size:
+def _decode_boxes(data: bytes) -> Boxes:
+    if len(data) % BOX_RECORD.itemsize:
         raise DecodeError(f"{len(data)} bytes are not a whole number of box records")
-    dets = []
-    for *fields_, code, score in BOX_RECORD.iter_unpack(data):
-        if code >= len(CATEGORY_ORDER):
-            raise DecodeError(f"unknown category code {code}")
-        dets.append(Detection(box=Box3D(*fields_, category=CATEGORY_ORDER[code]), score=score))
-    return dets
+    records = np.frombuffer(data, dtype=BOX_RECORD)
+    codes = records["category"]
+    if (codes >= len(CATEGORY_ORDER)).any():
+        raise DecodeError(f"unknown category code {codes.max()}")
+    values = records["box"].astype(float)
+    with np.errstate(invalid="ignore"):  # a non-finite yaw fails the record's check
+        values[:, 6] = wrap_angle(values[:, 6])
+    return Boxes(values, codes.copy(), records["score"].astype(float))
 
 
 def decode_message(msg: ChannelMessage, expected: GridSpec, compression: bool):
     """The payload a receiver rebuilds from a message's wire bytes.
 
     ``expected`` is the infra grid and ``compression`` the grid format, both
-    known to the receiver from the run config. Returns a PointCloud, a list
-    of Detections, a FeatureGrid or a (grid, flow) pair, by the message's
+    known to the receiver from the run config. Returns a PointCloud, the
+    detected Boxes, a FeatureGrid or a (grid, flow) pair, by the message's
     kind. Points and raw grids carry no time or frame on the wire: they
     take the message's send time and the infra frame. Raises DecodeError on
     any malformed payload, including non-finite values, an unknown category

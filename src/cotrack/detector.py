@@ -15,25 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
-from .geometry import Box3D, Category
+from .errors import ConfigurationError
+from .geometry import Boxes, wrap_angle
 from .sensing import DENSITY_CHANNEL, FeatureGrid, HEIGHT_CHANNEL
-
-
-@dataclass(frozen=True)
-class Detection:
-    """A detected box with a confidence score in [0, 1]."""
-
-    box: Box3D
-    score: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise NumericError(f"score must be in [0, 1], got {self.score}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +33,7 @@ class DetectParams:
     max_height_m: float = 5.0
 
     def __post_init__(self):
-        if self.tau < 0 or self.min_cells < 1:
+        if not 0 <= self.tau < math.inf or self.min_cells < 1:
             raise ConfigurationError("invalid detection parameters")
         if not 0 < self.min_dim_m <= min(self.max_dim_m, self.max_height_m):
             raise ConfigurationError("detection needs 0 < min_dim_m <= max_dim_m, max_height_m")
@@ -90,7 +78,7 @@ def _label_blobs(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return cells, np.repeat(labels, ends - starts + 1)
 
 
-def detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> List[Detection]:
+def detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> Boxes:
     """Fit one oriented box per connected blob of the density channel.
 
     Cells with density above ``params.tau`` are labeled with 8-connectivity.
@@ -100,7 +88,7 @@ def detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> List[Detect
     axes plus one cell, clamped to [min_dim_m, max_dim_m]. Height comes from
     the median of the component's max-height cells (robust to extrapolation
     overshoot) with the center z at half height. The score is the mean
-    density of the component. Boxes come out in the grid's frame.
+    density of the component. Boxes are cars, in the grid's frame.
     """
     density = g.values[:, :, DENSITY_CHANNEL]
     cells, labels = _label_blobs(density > params.tau)
@@ -108,7 +96,7 @@ def detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> List[Detect
     kept = sizes >= params.min_cells
     keep = kept[labels]
     if not keep.any():
-        return []
+        return Boxes.of([])
     # A stable sort by label keeps each component's cells in row-major order,
     # the order numpy's pairwise sums must see them in for bit-equal results.
     cells = cells[keep][np.argsort(labels[keep], kind="stable")]
@@ -136,22 +124,17 @@ def detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> List[Detect
     major = eigvecs[np.arange(len(sizes)), :, np.argmax(eigvals, axis=1)]
     yaws = np.array([math.atan2(my, mx) for mx, my in major.tolist()])
     yaws = np.where(yaws > math.pi / 2, yaws - math.pi,
-                    np.where(yaws <= -math.pi / 2, yaws + math.pi, yaws)).tolist()
+                    np.where(yaws <= -math.pi / 2, yaws + math.pi, yaws))
 
-    cos_sin = [[math.cos(yaw) for yaw in yaws], [math.sin(yaw) for yaw in yaws]]
+    cos_sin = [[f(yaw) for yaw in yaws.tolist()] for f in (math.cos, math.sin)]
     c, s = np.repeat(cos_sin, sizes, axis=1)
     proj = np.stack([dx * c + dy * s, -dx * s + dy * c])  # along and across the major axis
     spans = np.maximum.reduceat(proj, starts, axis=1) - np.minimum.reduceat(proj, starts, axis=1)
-    lengths, widths = np.clip(spans + cell, params.min_dim_m, params.max_dim_m).tolist()
+    lengths, widths = np.clip(spans + cell, params.min_dim_m, params.max_dim_m)
     heights = g.values.reshape(-1, g.spec.channels)[cells, HEIGHT_CHANNEL]
     heights = heights[np.lexsort((heights, np.repeat(np.arange(len(sizes)), sizes)))]
     # np.median's arithmetic: the mean of the middle two heights, or (a + a) / 2 == a.
     hs = np.clip((heights[starts + (sizes - 1) // 2] + heights[starts + sizes // 2]) / 2,
-                 params.min_dim_m, params.max_height_m).tolist()
-    scores = np.clip(wsum / sizes, 0.0, 1.0).tolist()
-    return [
-        Detection(Box3D(x=x, y=y, z=0.5 * h, w=wd, l=ln, h=h, yaw=yaw, category=Category.CAR), score)
-        for x, y, wd, ln, h, yaw, score in zip(cx.tolist(), cy.tolist(), widths, lengths, hs, yaws,
-                                               scores)
-    ]
-
+                 params.min_dim_m, params.max_height_m)
+    values = np.stack([cx, cy, 0.5 * hs, widths, lengths, hs, wrap_angle(yaws)], axis=1)
+    return Boxes(values, np.zeros(len(sizes), dtype=np.uint8), np.clip(wsum / sizes, 0.0, 1.0))

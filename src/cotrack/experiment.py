@@ -31,7 +31,7 @@ from .channel import (
 from .detector import DetectParams, detect
 from .errors import ConfigurationError, CotrackError
 from .fusion import STRATEGIES, EgoInputs, FusionKind, FusionMethod, cooperative_feature
-from .geometry import Pose, compose, inverse, transform_box
+from .geometry import Pose, compose, inverse
 from .metrics import RunReport, aggregate_run, check_gate, evaluate_clearmot
 from .scenario import (
     Provenance,
@@ -42,6 +42,7 @@ from .scenario import (
     generate_scenario,
     ground_truth_at,
     objects_to_frame,
+    tracked_objects,
 )
 from .sensing import FeatureGrid, View, rasterize_bev, sample_point_cloud
 from .tracker import Tracker, TrackerParams
@@ -128,7 +129,7 @@ def _seed_frames(cfg: ExperimentConfig, scn,
         pc_ego = sample_point_cloud(scn, t, View.VEHICLE)
         ego_grid = rasterize_bev(pc_ego, sc.vehicle_grid, sc.density_cap)
         ego = EgoInputs(cloud=pc_ego, grid=ego_grid,
-                        detections=detect(ego_grid, cfg.detect) if needs_dets else [],
+                        detections=detect(ego_grid, cfg.detect) if needs_dets else None,
                         density_cap=sc.density_cap)
         ego_pose = scn.ego_pose(t)
         world_to_ego = inverse(ego_pose)
@@ -185,7 +186,7 @@ def run_single(
     msg_kind = STRATEGIES[fusion.kind].message
     channel = None if msg_kind is None else Channel(LatencyModel(latency_ms, cfg.jitter_ms, seed))
     provenance = Provenance.VEHICLE_SIDE if channel is None else Provenance.FUSED
-    tracker = Tracker(cfg.tracker, provenance=provenance)
+    tracker = Tracker(cfg.tracker)
     region = scn.region
 
     gt_frames: List[List[TrackedObject]] = []
@@ -194,9 +195,9 @@ def run_single(
 
     for frame in frames:
         t = frame.t
-        gt_v = objects_to_frame(ground_truth_at(scn, t, View.VEHICLE), frame.world_to_ego)
-        gt_i = objects_to_frame(ground_truth_at(scn, t, View.INFRA), frame.world_to_ego)
-        gt_frames.append(cooperative_ground_truth(gt_v, gt_i, region))
+        gt_v = ground_truth_at(scn, t, View.VEHICLE)
+        gt_both = objects_to_frame(gt_v + ground_truth_at(scn, t, View.INFRA), frame.world_to_ego)
+        gt_frames.append(cooperative_ground_truth(gt_both[:len(gt_v)], gt_both[len(gt_v):], region))
 
         if channel is not None:
             channel.send(frame.messages[msg_kind])
@@ -206,11 +207,10 @@ def run_single(
         fallback += fused.used_fallback
         dets = fused.detections if fused.detections is not None else detect(fused.grid, cfg.detect)
 
-        dets_world = [replace(d, box=transform_box(d.box, frame.ego_pose)) for d in dets]
-        tracked_world = tracker.step(dets_world, t)
-        hyp = [o for o in objects_to_frame(tracked_world, frame.world_to_ego)
-               if region.contains(o.box.x, o.box.y)]
-        hyp_frames.append(hyp)
+        boxes, ids = tracker.step(dets.transformed(frame.ego_pose), t)
+        boxes = boxes.transformed(frame.world_to_ego)
+        inside = region.contains(boxes.values[:, 0], boxes.values[:, 1])
+        hyp_frames.append(tracked_objects(boxes.take(inside), ids[inside], t, provenance))
 
     mot = evaluate_clearmot(gt_frames, hyp_frames, cfg.eval_gate_m)
     report = aggregate_run(
@@ -298,34 +298,22 @@ def run_sweep(
 def summarize(reports: Sequence[RunReport]) -> List[dict]:
     """Per (fusion, latency) means over seeds, in first-seen order."""
     groups: Dict[Tuple[str, float], List[RunReport]] = {}
-    order: List[Tuple[str, float]] = []
     for r in reports:
-        key = (r.fusion, r.latency_ms)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
-    rows = []
-    for key in order:
-        rs = groups[key]
-        rows.append({
-            "fusion": key[0],
-            "latency_ms": key[1],
-            "n_seeds": len(rs),
-            "mean_mota": float(np.mean([r.mota for r in rs])),
-            "mean_motp_m": float(np.mean([r.motp_m for r in rs])),
-            "mean_ids": float(np.mean([r.ids for r in rs])),
-            "mean_fp": float(np.mean([r.fp for r in rs])),
-            "mean_fn": float(np.mean([r.fn for r in rs])),
-            "mean_bps_pre": float(np.mean([r.bps_pre for r in rs])),
-            "mean_bps_post": float(np.mean([r.bps_post for r in rs])),
-            "mean_fallback_frames": float(np.mean([r.fallback_frames for r in rs])),
-        })
-    return rows
+        groups.setdefault((r.fusion, r.latency_ms), []).append(r)
+    means = ("mota", "motp_m", "ids", "fp", "fn", "bps_pre", "bps_post", "fallback_frames")
+    return [{"fusion": fusion, "latency_ms": latency_ms, "n_seeds": len(rs),
+             **{f"mean_{name}": float(np.mean([getattr(r, name) for r in rs])) for name in means}}
+            for (fusion, latency_ms), rs in groups.items()]
 
 
 def _format_cell(v) -> str:
     return f"{v:.4f}" if isinstance(v, float) else str(v)
+
+
+def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> Path:
+    lines = [",".join(columns)] + [",".join(_format_cell(row[c]) for c in columns) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 def emit_report(reports: Sequence[RunReport], fmt: str, out_dir) -> Path:
@@ -366,27 +354,14 @@ def write_sweep_outputs(
     paths = {"runs": emit_report(reports, fmt, out)}
 
     rows = summarize(reports)
-    columns = list(rows[0])
-    lines = [",".join(columns)]
-    lines += [",".join(_format_cell(row[c]) for c in columns) for row in rows]
-    summary = out / "summary.csv"
-    summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths["summary"] = summary
-
+    paths["summary"] = _write_csv(out / "summary.csv", list(rows[0]), rows)
     by_fusion: Dict[str, List[dict]] = {}
     for row in rows:
         by_fusion.setdefault(row["fusion"], []).append(row)
+    curve = ("latency_ms", "mean_mota", "mean_motp_m", "mean_ids")
     for fusion, frows in by_fusion.items():
-        frows = sorted(frows, key=lambda r: r["latency_ms"])
-        curve = out / f"latency_curve_{fusion}.csv"
-        lines = ["latency_ms,mean_mota,mean_motp_m,mean_ids"]
-        lines += [
-            f"{_format_cell(r['latency_ms'])},{_format_cell(r['mean_mota'])},"
-            f"{_format_cell(r['mean_motp_m'])},{_format_cell(r['mean_ids'])}"
-            for r in frows
-        ]
-        curve.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths[f"curve_{fusion}"] = curve
+        paths[f"curve_{fusion}"] = _write_csv(out / f"latency_curve_{fusion}.csv", curve,
+                                              sorted(frows, key=lambda r: r["latency_ms"]))
 
     if failures:
         fail_path = out / "failures.json"

@@ -24,15 +24,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .assignment import gated_assignment
 from .channel import Channel, MessageKind, decode_message
-from .detector import Detection, detect
+from .detector import detect
 from .errors import ConfigurationError, ShapeMismatchError
-from .geometry import Pose, center_distance_matrix, inverse, transform_box
+from .geometry import Boxes, Pose, center_distances, inverse, wrap_angle
 from .sensing import (FeatureGrid, GridSpec, PointCloud, extract_feature_flow, predict_feature,
                       rasterize_bev)
 
@@ -138,49 +138,31 @@ def fuse_middle(f_ego: FeatureGrid, f_inf_aligned: FeatureGrid) -> FeatureGrid:
     return FeatureGrid(spec=f_ego.spec, values=values, timestamp=f_ego.timestamp, frame=f_ego.frame)
 
 
-def fuse_late(
-    dets_ego: Sequence[Detection],
-    dets_inf_ego_frame: Sequence[Detection],
-    threshold_m: float,
-) -> List[Detection]:
-    """Merge two ego-frame detection lists by gated optimal assignment.
+def fuse_late(ego: Boxes, inf: Boxes, threshold_m: float) -> Boxes:
+    """Merge two ego-frame box records by gated optimal assignment.
 
     Matched pairs (center distance <= threshold) merge into one box whose
-    center and dims are score-weighted averages, yaw comes from the
-    higher-score member, and the score is the max. Unmatched detections on
-    either side pass through. Output order: ego-list order with matched
-    entries replaced by their merge, then leftover transmitted detections.
+    center and dims are score-weighted averages, yaw and category come from
+    the higher-score member (the ego box on a tie), and the score is the max.
+    Unmatched boxes pass through. Output order: ego order with matched
+    entries replaced by their merge, then leftover transmitted boxes.
     """
-    cost = center_distance_matrix([d.box for d in dets_ego], [d.box for d in dets_inf_ego_frame])
+    cost = center_distances(ego.values[:, :3], inf.values[:, :3])
     pairs, _, leftover = gated_assignment(cost, cost <= threshold_m)
-    partner = dict(pairs)
-    out = [_merge_pair(d, dets_inf_ego_frame[partner[i]]) if i in partner else d
-           for i, d in enumerate(dets_ego)]
-    return out + [dets_inf_ego_frame[j] for j in leftover]
-
-
-def _merge_pair(a: Detection, b: Detection) -> Detection:
-    wa, wb = a.score, b.score
-    if wa + wb <= 0:
-        wa = wb = 1.0
-    total = wa + wb
-
-    def avg(fa, fb):
-        return (wa * fa + wb * fb) / total
-
-    lead = a if a.score >= b.score else b
-    box = replace(
-        a.box,
-        x=avg(a.box.x, b.box.x),
-        y=avg(a.box.y, b.box.y),
-        z=avg(a.box.z, b.box.z),
-        w=avg(a.box.w, b.box.w),
-        l=avg(a.box.l, b.box.l),
-        h=avg(a.box.h, b.box.h),
-        yaw=lead.box.yaw,
-        category=lead.box.category,
-    )
-    return Detection(box=box, score=max(a.score, b.score))
+    values, category, score = ego.values.copy(), ego.category.copy(), ego.score.copy()
+    if pairs:
+        r, c = np.array(pairs).T
+        a, b = ego.values[r], inf.values[c]
+        sa, sb = ego.score[r], inf.score[c]
+        wa, wb = (np.where(sa + sb <= 0, 1.0, w)[:, None] for w in (sa, sb))
+        values[r, :6] = (wa * a[:, :6] + wb * b[:, :6]) / (wa + wb)
+        ego_leads = sa >= sb
+        values[r, 6] = wrap_angle(np.where(ego_leads, a[:, 6], b[:, 6]))
+        category[r] = np.where(ego_leads, ego.category[r], inf.category[c])
+        score[r] = np.where(sb > sa, sb, sa)
+    return Boxes(np.concatenate([values, inf.values[leftover]]),
+                 np.concatenate([category, inf.category[leftover]]),
+                 np.concatenate([score, inf.score[leftover]]))
 
 
 @dataclass
@@ -189,7 +171,7 @@ class EgoInputs:
 
     cloud: PointCloud  # ego frame
     grid: FeatureGrid  # ego frame
-    detections: List[Detection]  # ego frame
+    detections: Optional[Boxes]  # ego frame; None when no strategy uses them
     density_cap: float = 10.0
 
 
@@ -198,7 +180,7 @@ class FusionOutput:
     """Either a fused grid (grid-level strategies) or fused detections."""
 
     grid: Optional[FeatureGrid] = None
-    detections: Optional[List[Detection]] = None
+    detections: Optional[Boxes] = None
     used_fallback: bool = False
     tau_s: float = 0.0
 
@@ -221,10 +203,9 @@ def _grid_and_flow(cloud, grid, prev_grid, params):
                   else replace(grid, values=np.zeros(grid.spec.shape)))
 
 
-def _fuse_boxes(fusion, dets, tau, ego, infra_to_ego):
-    moved = [replace(d, box=transform_box(d.box, infra_to_ego)) for d in dets]
-    return FusionOutput(detections=fuse_late(ego.detections, moved, fusion.late_threshold_m),
-                        tau_s=tau)
+def _fuse_boxes(fusion, boxes, tau, ego, infra_to_ego):
+    return FusionOutput(detections=fuse_late(ego.detections, boxes.transformed(infra_to_ego),
+                                             fusion.late_threshold_m), tau_s=tau)
 
 
 def _fuse_grid(fusion, f_inf, tau, ego, infra_to_ego):

@@ -1,15 +1,17 @@
 """Planar poses, oriented 3D boxes, frame transforms and box center distances.
 
-All rotations are yaw-only (about the vertical axis). Every function here is
-pure and operates on immutable values, so concurrent use is safe.
+All rotations are yaw-only (about the vertical axis). A run carries each
+frame's boxes as one ``Boxes`` record; ``Box3D`` is one box, made where a box
+leaves the run (tracked objects, track files). Every function here is pure
+and operates on immutable values, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -104,20 +106,76 @@ class Box3D:
         object.__setattr__(self, "yaw", float(wrap_angle(self.yaw)))
 
 
-def transform_box(b: Box3D, src_to_dst: Pose) -> Box3D:
-    """Re-express a box in another frame; dims are unchanged."""
-    x, y, z = src_to_dst.apply_to_point(b.x, b.y, b.z)
-    return replace(b, x=x, y=y, z=z, yaw=float(wrap_angle(b.yaw + src_to_dst.yaw)))
+@dataclass(frozen=True, eq=False)
+class Boxes:
+    """A frame's boxes as one record: row i of each array is one box.
+
+    ``values`` is (N, 7): x, y, z, w, l, h, yaw, as in ``Box3D``; ``category``
+    holds ``CATEGORY_ORDER`` codes and ``score`` confidences in [0, 1]. A new
+    record checks its rows as ``Box3D`` checks a box, and the scores, but
+    wraps no yaw: ``wrap_angle`` is not idempotent next to -pi, so each stage
+    wraps exactly where the per-box path built a ``Box3D``.
+    """
+
+    values: np.ndarray
+    category: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self):
+        values, score = self.values, self.score
+        if not np.isfinite(values).all():
+            raise NumericError("box fields must be finite")
+        if not values[:, 3:6].min(initial=math.inf) > 0:
+            raise ConfigurationError(f"box dims must be positive, got {values[:, 3:6].tolist()}")
+        if not (score.min(initial=0.0) >= 0.0 and score.max(initial=1.0) <= 1.0):
+            raise NumericError(f"scores must be in [0, 1], got {score.tolist()}")
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @classmethod
+    def of(cls, boxes: Sequence[Box3D], scores: Optional[Sequence[float]] = None) -> "Boxes":
+        """The record of ``boxes``, fields as they are; scores default to 1."""
+        return cls(np.array([(b.x, b.y, b.z, b.w, b.l, b.h, b.yaw) for b in boxes]).reshape(-1, 7),
+                   np.array([CATEGORY_ORDER.index(b.category) for b in boxes], dtype=np.uint8),
+                   np.ones(len(boxes)) if scores is None else np.array(scores, dtype=float))
+
+    def take(self, index) -> "Boxes":
+        return Boxes(self.values[index], self.category[index], self.score[index])
+
+    def transformed(self, src_to_dst: Pose) -> "Boxes":
+        """The boxes re-expressed in another frame; dims are unchanged.
+
+        Centres move by ``Pose.apply_to_points`` (``apply_to_point``'s
+        arithmetic); each yaw turns by the pose's and wraps twice, as
+        ``transform_box`` did and the ``Box3D`` it made.
+        """
+        values = self.values.copy()
+        values[:, :3] = src_to_dst.apply_to_points(self.values[:, :3])
+        values[:, 6] = wrap_angle(wrap_angle(self.values[:, 6] + src_to_dst.yaw))
+        return Boxes(values, self.category, self.score)
+
+    def rows(self) -> List[Box3D]:
+        """One ``Box3D`` per row, fields as they are: the rows were checked and
+        wrapped when the record was built, and one more wrap could move a yaw
+        next to -pi, so the boxes skip ``Box3D.__post_init__``."""
+        boxes = [object.__new__(Box3D) for _ in range(len(self))]
+        for box, row, code in zip(boxes, self.values.tolist(), self.category.tolist()):
+            box.__dict__.update(zip(("x", "y", "z", "w", "l", "h", "yaw"), row),
+                                category=CATEGORY_ORDER[code])
+        return boxes
+
+
+def center_distances(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Pairwise distances between (N, 3) and (M, 3) centres, shape (N, M)."""
+    diff = a[:, None, :] - c[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
 
 
 def center_distance_matrix(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> np.ndarray:
-    """Pairwise center distances, shape (len(rows), len(cols))."""
-    if not rows or not cols:
-        return np.zeros((len(rows), len(cols)))
-    a = np.array([[b.x, b.y, b.z] for b in rows])
-    c = np.array([[b.x, b.y, b.z] for b in cols])
-    diff = a[:, None, :] - c[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    """Pairwise center distances of two box lists, shape (len(rows), len(cols))."""
+    return center_distances(*(np.array([(b.x, b.y, b.z) for b in boxes]).reshape(-1, 3)
+                              for boxes in (rows, cols)))
 
 
 @dataclass(frozen=True)
@@ -133,8 +191,9 @@ class Region:
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ConfigurationError("region must have x_min < x_max and y_min < y_max")
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
+    def contains(self, x, y):
+        """Whether (x, y) lies in the region; elementwise for arrays."""
+        return (self.x_min <= x) & (x <= self.x_max) & (self.y_min <= y) & (y <= self.y_max)
 
 
 _EPS_T = 1e-9

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigurationError
 from .geometry import (
-    Blockers, Box3D, Category, Pose, Region, rays_hit_blockers, transform_box, wrap_angle)
+    Blockers, Box3D, Boxes, Category, Pose, Region, rays_hit_blockers, wrap_angle)
 from .sensing import Clutter, GridSpec, NoiseConfig, View, scenario_clutter
 
 
@@ -508,5 +508,13 @@ def cooperative_ground_truth(
 
 
 def objects_to_frame(objects: Sequence[TrackedObject], src_to_dst: Pose) -> List[TrackedObject]:
-    """Re-express tracked objects in another frame."""
-    return [replace(o, box=transform_box(o.box, src_to_dst)) for o in objects]
+    """Re-express tracked objects in another frame, all boxes in one array transform."""
+    boxes = Boxes.of([o.box for o in objects]).transformed(src_to_dst).rows()
+    return [TrackedObject(b, o.track_id, o.timestamp, o.provenance, o.score)
+            for o, b in zip(objects, boxes)]
+
+
+def tracked_objects(boxes: Boxes, ids, t: float, provenance: Provenance) -> List[TrackedObject]:
+    """One TrackedObject per row of ``boxes``, with its track id and score."""
+    return [TrackedObject(b, i, t, provenance, s)
+            for b, i, s in zip(boxes.rows(), ids.tolist(), boxes.score.tolist())]

@@ -1,31 +1,36 @@
-"""Multi-object tracker: per-track constant-velocity Kalman filter, gated
-optimal-assignment association on center distance, and a hit/miss
-birth-death lifecycle with unique monotone track ids.
+"""Multi-object tracker: a constant-velocity Kalman filter run over every live
+track at once, gated optimal-assignment association on center distance, and
+a hit/miss birth-death lifecycle with unique monotone track ids.
 
-Track state is the 10-vector (x, y, z, yaw, w, l, h, vx, vy, vz). Tracker
-state is strictly sequential within a run; distinct runs are independent.
+Track state is the 10-vector (x, y, z, yaw, w, l, h, vx, vy, vz). The live
+tracks are stacked (``Tracks``), so a frame's predict and update are each one
+array expression over all of them; each matches the filter run one track at
+a time bit for bit (``tests/oracle_utils.py`` keeps that filter as the
+oracle). Tracker state is strictly sequential within a run; distinct runs are
+independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass, fields
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .assignment import gated_assignment
-from .detector import Detection
 from .errors import ConfigurationError, NumericError, OrderingError
-from .geometry import Box3D, center_distance_matrix, wrap_angle
-from .scenario import Provenance, TrackedObject
+from .geometry import Boxes, center_distances, wrap_angle
 
 STATE_DIM = 10
 MEAS_DIM = 7  # x, y, z, yaw, w, l, h
 _YAW = 3
 MIN_DIM_M = 0.05  # floor on a reported box dim; the filter's dims can shrink to <= 0
 
-_H = np.zeros((MEAS_DIM, STATE_DIM))
-_H[:MEAS_DIM, :MEAS_DIM] = np.eye(MEAS_DIM)
+_H = np.eye(MEAS_DIM, STATE_DIM)
+# Columns of a ``Boxes`` row (x, y, z, w, l, h, yaw) in measurement order, and back.
+_MEAS_OF_BOX = [0, 1, 2, 6, 3, 4, 5]
+_BOX_OF_MEAS = [0, 1, 2, 4, 5, 6, 3]
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,12 @@ class TrackerParams:
     p0_vel: float = 100.0
 
     def __post_init__(self):
-        if self.min_hits < 1 or self.max_age < 0 or self.gate_m <= 0:
+        if self.min_hits < 1 or self.max_age < 0:
             raise ConfigurationError("invalid tracker lifecycle parameters")
+        for f in fields(self)[2:]:  # the gate, noise densities and initial variances
+            value = getattr(self, f.name)
+            if not 0.0 < value < math.inf:
+                raise ConfigurationError(f"tracker {f.name} must be finite and > 0, got {value}")
 
     def measurement_noise(self) -> np.ndarray:
         return np.diag([self.r_pos] * 3 + [self.r_yaw] + [self.r_dims] * 3)
@@ -59,26 +68,27 @@ class TrackerParams:
         )
 
 
-@dataclass
-class Track:
-    id: int
-    state: np.ndarray  # (10,)
-    covariance: np.ndarray  # (10, 10)
-    hits: int = 1
-    misses: int = 0
-    score: float = 1.0
+@dataclass(frozen=True, eq=False)
+class Tracks:
+    """The live tracks, stacked: row i of every array is one track."""
 
-    def confirmed(self, min_hits: int) -> bool:
-        return self.hits >= min_hits
+    state: np.ndarray  # (T, 10)
+    covariance: np.ndarray  # (T, 10, 10)
+    ids: np.ndarray  # (T,)
+    hits: np.ndarray  # (T,)
+    misses: np.ndarray  # (T,)
+    score: np.ndarray  # (T,) the score of the track's last detection
 
-    def box(self) -> Box3D:
-        x, y, z, yaw, w, l, h = self.state[:MEAS_DIM]
-        return Box3D(x=x, y=y, z=z, w=max(w, MIN_DIM_M), l=max(l, MIN_DIM_M),
-                     h=max(h, MIN_DIM_M), yaw=yaw)
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, index) -> "Tracks":
+        return Tracks(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def _assert_positive_definite(p: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (p + p.T)
+def _positive_definite(p: np.ndarray) -> np.ndarray:
+    """The symmetric part of each (10, 10) covariance, checked positive definite."""
+    sym = 0.5 * (p + p.swapaxes(-1, -2))
     try:
         np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
@@ -86,93 +96,58 @@ def _assert_positive_definite(p: np.ndarray) -> np.ndarray:
     return sym
 
 
-def kf_predict(t: Track, dt: float, params: TrackerParams = TrackerParams()) -> Track:
-    """Advance a track by dt seconds under the constant-velocity model."""
+def predict(state: np.ndarray, p: np.ndarray, dt: float, q: np.ndarray):
+    """(T, 10) states and covariances advanced dt seconds at constant velocity; ``q`` is
+    ``TrackerParams.process_noise_density()``."""
     if dt < 0:
         raise OrderingError(f"dt must be non-negative, got {dt}")
     f = np.eye(STATE_DIM)
     f[0, 7] = f[1, 8] = f[2, 9] = dt
-    state = f @ t.state
-    state[_YAW] = float(wrap_angle(state[_YAW]))
-    cov = f @ t.covariance @ f.T + params.process_noise_density() * dt
-    return replace(t, state=state, covariance=_assert_positive_definite(cov))
+    state = (f @ state[:, :, None])[:, :, 0]
+    state[:, _YAW] = wrap_angle(state[:, _YAW])
+    return state, _positive_definite(f @ p @ f.T + q * dt)
 
 
-def kf_update(t: Track, d: Detection, params: TrackerParams = TrackerParams()) -> Track:
-    """Standard linear Kalman measurement update on (x, y, z, yaw, w, l, h).
+def update(state: np.ndarray, p: np.ndarray, z: np.ndarray, r: np.ndarray):
+    """Kalman update of (M, 10) states and covariances on (M, 7) measurements
+    (x, y, z, yaw, w, l, h) with noise ``r`` (``TrackerParams.measurement_noise()``).
 
     The yaw innovation wraps into (-pi, pi]. Uses the Joseph-form covariance
-    update, then symmetrizes and asserts positive definiteness.
+    update, then symmetrizes and checks positive definiteness.
     """
-    z = np.array([d.box.x, d.box.y, d.box.z, d.box.yaw, d.box.w, d.box.l, d.box.h])
-    r = params.measurement_noise()
-    innovation = z - _H @ t.state
-    innovation[_YAW] = float(wrap_angle(innovation[_YAW]))
-    s = _H @ t.covariance @ _H.T + r
-    gain = t.covariance @ _H.T @ np.linalg.inv(s)
-    state = t.state + gain @ innovation
-    state[_YAW] = float(wrap_angle(state[_YAW]))
+    innovation = z - (_H @ state[:, :, None])[:, :, 0]
+    innovation[:, _YAW] = wrap_angle(innovation[:, _YAW])
+    s = _H @ p @ _H.T + r
+    gain = p @ _H.T @ np.linalg.inv(s)
+    state = state + (gain @ innovation[:, :, None])[:, :, 0]
+    state[:, _YAW] = wrap_angle(state[:, _YAW])
     ikh = np.eye(STATE_DIM) - gain @ _H
-    cov = ikh @ t.covariance @ ikh.T + gain @ r @ gain.T
-    return replace(
-        t,
-        state=state,
-        covariance=_assert_positive_definite(cov),
-        hits=t.hits + 1,
-        misses=0,
-        score=d.score,
-    )
-
-
-def associate(
-    tracks: Sequence[Track],
-    detections: Sequence[Detection],
-    threshold_m: float,
-) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
-    """Gated optimal assignment of tracks to detections on center distance.
-
-    Returns (matches, unmatched_track_indices, unmatched_detection_indices).
-    Pairs farther apart than ``threshold_m`` are unmatched even when the
-    assignment selected them.
-    """
-    cost = center_distance_matrix([t.box() for t in tracks], [d.box for d in detections])
-    return gated_assignment(cost, cost <= threshold_m)
+    cov = ikh @ p @ ikh.swapaxes(-1, -2) + gain @ r @ gain.swapaxes(-1, -2)
+    return state, _positive_definite(cov)
 
 
 class Tracker:
     """Stateful per-run tracker; call step() with strictly increasing times."""
 
-    def __init__(
-        self,
-        params: TrackerParams = TrackerParams(),
-        provenance: Provenance = Provenance.FUSED,
-    ):
+    def __init__(self, params: TrackerParams = TrackerParams()):
         self.params = params
-        self.provenance = provenance
-        self.tracks: List[Track] = []
+        self._r = params.measurement_noise()
+        self._q = params.process_noise_density()
+        self._p0 = params.initial_covariance()
+        self.tracks = Tracks(np.zeros((0, STATE_DIM)), np.zeros((0, STATE_DIM, STATE_DIM)),
+                             *np.zeros((3, 0), dtype=int), np.zeros(0))
         self._next_id = 1
         self._frame_count = 0
         self._last_t: Optional[float] = None
 
-    def _new_track(self, d: Detection) -> Track:
-        state = np.zeros(STATE_DIM)
-        state[:MEAS_DIM] = (d.box.x, d.box.y, d.box.z, d.box.yaw, d.box.w, d.box.l, d.box.h)
-        track = Track(
-            id=self._next_id,
-            state=state,
-            covariance=self.params.initial_covariance(),
-            score=d.score,
-        )
-        self._next_id += 1
-        return track
-
-    def step(self, detections: Sequence[Detection], t: float) -> List[TrackedObject]:
-        """Advance one frame and return the current reportable tracks.
+    def step(self, detections: Boxes, t: float) -> Tuple[Boxes, np.ndarray]:
+        """Advance one frame; return the reportable tracks' boxes and their ids.
 
         Tracks updated this frame are reported once they have reached
         min_hits. During the first min_hits frames of a run every updated
         track is reported (warm-up), so a perfect detector yields output
-        from frame one.
+        from frame one. Reported boxes are cars scored by the track's last
+        detection, in track order.
         """
         if self._last_t is not None and t <= self._last_t:
             raise OrderingError(f"step times must strictly increase ({self._last_t} -> {t})")
@@ -181,28 +156,38 @@ class Tracker:
         self._frame_count += 1
         p = self.params
 
-        self.tracks = [kf_predict(trk, dt, p) for trk in self.tracks]
-        matches, unmatched_tracks, unmatched_dets = associate(self.tracks, detections, p.gate_m)
-        for r, c in matches:
-            self.tracks[r] = kf_update(self.tracks[r], detections[c], p)
-        for r in unmatched_tracks:
-            trk = self.tracks[r]
-            self.tracks[r] = replace(trk, misses=trk.misses + 1)
-        for c in unmatched_dets:
-            self.tracks.append(self._new_track(detections[c]))
-        self.tracks = [trk for trk in self.tracks if trk.misses <= p.max_age]
+        trk = self.tracks
+        state, cov = predict(trk.state, trk.covariance, dt, self._q)
+        if not np.isfinite(state).all():
+            raise NumericError("track state is not finite")
+        det = detections.values
+        cost = center_distances(state[:, :3], det[:, :3])
+        matches, _, births = gated_assignment(cost, cost <= p.gate_m)
+        misses, hits, score = trk.misses + 1, trk.hits.copy(), trk.score.copy()
+        if matches:
+            rows, cols = np.array(matches).T
+            state[rows], cov[rows] = update(state[rows], cov[rows], det[cols][:, _MEAS_OF_BOX],
+                                            self._r)
+            misses[rows] = 0
+            hits[rows] += 1
+            score[rows] = detections.score[cols]
 
-        out = []
+        n = len(births)
+        born = np.hstack([det[births][:, _MEAS_OF_BOX], np.zeros((n, STATE_DIM - MEAS_DIM))])
+        live = Tracks(
+            np.concatenate([state, born]),
+            np.concatenate([cov, np.broadcast_to(self._p0, (n, STATE_DIM, STATE_DIM))]),
+            np.concatenate([trk.ids, self._next_id + np.arange(n)]),
+            np.concatenate([hits, np.ones(n, dtype=int)]),
+            np.concatenate([misses, np.zeros(n, dtype=int)]),
+            np.concatenate([score, detections.score[births]]),
+        )
+        self._next_id += n
+        self.tracks = live = live.take(live.misses <= p.max_age)
+
         warm = self._frame_count <= p.min_hits
-        for trk in self.tracks:
-            if trk.misses == 0 and (trk.confirmed(p.min_hits) or warm):
-                out.append(
-                    TrackedObject(
-                        box=trk.box(),
-                        track_id=trk.id,
-                        timestamp=t,
-                        provenance=self.provenance,
-                        score=trk.score,
-                    )
-                )
-        return out
+        out = live.take((live.misses == 0) & ((live.hits >= p.min_hits) | warm))
+        values = out.state[:, _BOX_OF_MEAS]
+        np.maximum(values[:, 3:6], MIN_DIM_M, out=values[:, 3:6])
+        values[:, 6] = wrap_angle(values[:, 6])  # as Box3D wraps
+        return Boxes(values, np.zeros(len(out), dtype=np.uint8), out.score), out.ids

@@ -10,14 +10,20 @@ association and cross-view trajectory pairing from their versions with their
 own guards and leftover loops, the channel's latest arrived message from
 a reverse scan over every message sent, and the payloads a receiver decodes
 from points, boxes and raw grids from the float32 mirrors the sender once
-built next to the wire bytes. ``scipy`` is a test-only dependency:
-the detector's connected components are checked against ``ndimage.label``.
+built next to the wire bytes. The per-box path the run once took is kept
+too: ``Detection`` lists, ``transform_box``, late fusion's ``_merge_pair``
+and the tracker that filtered one ``Track`` at a time (``kf_predict``,
+``kf_update``, ``PerTrackTracker``), the references for the ``Boxes`` record
+and the stacked filter. ``scipy`` is a test-only dependency: the detector's
+connected components are checked against ``ndimage.label``.
 """
+
+from __future__ import annotations
 
 import itertools
 import math
 import struct
-from dataclasses import astuple, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -25,20 +31,23 @@ from typing import List, Optional, Sequence, Tuple
 
 from scipy import ndimage
 
-from cotrack.assignment import solve_assignment
+from cotrack.assignment import gated_assignment, solve_assignment
 from cotrack.channel import CHANNEL_RANGE, ChannelMessage
-from cotrack.detector import Detection, DetectParams
-from cotrack.errors import DecodeError, EncodeError
-from cotrack.fusion import _merge_pair
+from cotrack.detector import DetectParams
+from cotrack.errors import DecodeError, EncodeError, NumericError, OrderingError
 from cotrack.geometry import (
     _EPS_T,
     CATEGORY_ORDER,
     Blockers,
     Box3D,
+    Boxes,
     Category,
+    Pose,
     center_distance_matrix,
     inverse,
+    wrap_angle,
 )
+from cotrack.scenario import Provenance, TrackedObject
 from cotrack.sensing import (
     DENSITY_CHANNEL,
     HEIGHT_CHANNEL,
@@ -50,7 +59,7 @@ from cotrack.sensing import (
     _VIEW_CODE,
     _clutter_xyz,
 )
-from cotrack.tracker import Track
+from cotrack.tracker import MEAS_DIM, MIN_DIM_M, STATE_DIM, TrackerParams, _H, _YAW
 
 _PERM_CACHE = {}
 
@@ -748,3 +757,201 @@ def per_box_sample_point_cloud(s, t: float, sensor: View) -> PointCloud:
     local.setflags(write=False)
     carried = clutter if at_rest and noise.dropout_p == 0 else None
     return PointCloud(points=local, frame=sensor.value, timestamp=t, carry=carried)
+
+
+# The per-box path, as the run took it before boxes and tracks became arrays.
+# Bodies copied verbatim; ``PerTrackTracker`` is the old ``Tracker``.
+
+
+@dataclass(frozen=True)
+class Detection:
+    """A detected box with a confidence score in [0, 1]."""
+
+    box: Box3D
+    score: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.score <= 1.0:
+            raise NumericError(f"score must be in [0, 1], got {self.score}")
+
+
+def boxes_of(dets: Sequence[Detection]) -> Boxes:
+    """The ``Boxes`` record of a Detection list."""
+    return Boxes.of([d.box for d in dets], [d.score for d in dets])
+
+
+def detections_of(boxes: Boxes) -> List[Detection]:
+    """A ``Boxes`` record as a Detection list, fields as they are."""
+    return [Detection(box=b, score=s) for b, s in zip(boxes.rows(), boxes.score.tolist())]
+
+
+def transform_box(b: Box3D, src_to_dst: Pose) -> Box3D:
+    """Re-express a box in another frame; dims are unchanged."""
+    x, y, z = src_to_dst.apply_to_point(b.x, b.y, b.z)
+    return replace(b, x=x, y=y, z=z, yaw=float(wrap_angle(b.yaw + src_to_dst.yaw)))
+
+
+def _merge_pair(a: Detection, b: Detection) -> Detection:
+    wa, wb = a.score, b.score
+    if wa + wb <= 0:
+        wa = wb = 1.0
+    total = wa + wb
+
+    def avg(fa, fb):
+        return (wa * fa + wb * fb) / total
+
+    lead = a if a.score >= b.score else b
+    box = replace(
+        a.box,
+        x=avg(a.box.x, b.box.x),
+        y=avg(a.box.y, b.box.y),
+        z=avg(a.box.z, b.box.z),
+        w=avg(a.box.w, b.box.w),
+        l=avg(a.box.l, b.box.l),
+        h=avg(a.box.h, b.box.h),
+        yaw=lead.box.yaw,
+        category=lead.box.category,
+    )
+    return Detection(box=box, score=max(a.score, b.score))
+
+
+@dataclass
+class Track:
+    id: int
+    state: np.ndarray  # (10,)
+    covariance: np.ndarray  # (10, 10)
+    hits: int = 1
+    misses: int = 0
+    score: float = 1.0
+
+    def confirmed(self, min_hits: int) -> bool:
+        return self.hits >= min_hits
+
+    def box(self) -> Box3D:
+        x, y, z, yaw, w, l, h = self.state[:MEAS_DIM]
+        return Box3D(x=x, y=y, z=z, w=max(w, MIN_DIM_M), l=max(l, MIN_DIM_M),
+                     h=max(h, MIN_DIM_M), yaw=yaw)
+
+
+def _assert_positive_definite(p: np.ndarray) -> np.ndarray:
+    sym = 0.5 * (p + p.T)
+    try:
+        np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("track covariance is not positive definite") from exc
+    return sym
+
+
+def kf_predict(t: Track, dt: float, params: TrackerParams = TrackerParams()) -> Track:
+    """Advance a track by dt seconds under the constant-velocity model."""
+    if dt < 0:
+        raise OrderingError(f"dt must be non-negative, got {dt}")
+    f = np.eye(STATE_DIM)
+    f[0, 7] = f[1, 8] = f[2, 9] = dt
+    state = f @ t.state
+    state[_YAW] = float(wrap_angle(state[_YAW]))
+    cov = f @ t.covariance @ f.T + params.process_noise_density() * dt
+    return replace(t, state=state, covariance=_assert_positive_definite(cov))
+
+
+def kf_update(t: Track, d: Detection, params: TrackerParams = TrackerParams()) -> Track:
+    """Standard linear Kalman measurement update on (x, y, z, yaw, w, l, h).
+
+    The yaw innovation wraps into (-pi, pi]. Uses the Joseph-form covariance
+    update, then symmetrizes and asserts positive definiteness.
+    """
+    z = np.array([d.box.x, d.box.y, d.box.z, d.box.yaw, d.box.w, d.box.l, d.box.h])
+    r = params.measurement_noise()
+    innovation = z - _H @ t.state
+    innovation[_YAW] = float(wrap_angle(innovation[_YAW]))
+    s = _H @ t.covariance @ _H.T + r
+    gain = t.covariance @ _H.T @ np.linalg.inv(s)
+    state = t.state + gain @ innovation
+    state[_YAW] = float(wrap_angle(state[_YAW]))
+    ikh = np.eye(STATE_DIM) - gain @ _H
+    cov = ikh @ t.covariance @ ikh.T + gain @ r @ gain.T
+    return replace(
+        t,
+        state=state,
+        covariance=_assert_positive_definite(cov),
+        hits=t.hits + 1,
+        misses=0,
+        score=d.score,
+    )
+
+
+def associate(
+    tracks: Sequence[Track],
+    detections: Sequence[Detection],
+    threshold_m: float,
+) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
+    """Gated optimal assignment of tracks to detections on center distance.
+
+    Returns (matches, unmatched_track_indices, unmatched_detection_indices).
+    Pairs farther apart than ``threshold_m`` are unmatched even when the
+    assignment selected them.
+    """
+    cost = center_distance_matrix([t.box() for t in tracks], [d.box for d in detections])
+    return gated_assignment(cost, cost <= threshold_m)
+
+
+class PerTrackTracker:
+    """The tracker filtering one ``Track`` at a time; call step() with strictly increasing times."""
+
+    def __init__(
+        self,
+        params: TrackerParams = TrackerParams(),
+        provenance: Provenance = Provenance.FUSED,
+    ):
+        self.params = params
+        self.provenance = provenance
+        self.tracks: List[Track] = []
+        self._next_id = 1
+        self._frame_count = 0
+        self._last_t: Optional[float] = None
+
+    def _new_track(self, d: Detection) -> Track:
+        state = np.zeros(STATE_DIM)
+        state[:MEAS_DIM] = (d.box.x, d.box.y, d.box.z, d.box.yaw, d.box.w, d.box.l, d.box.h)
+        track = Track(
+            id=self._next_id,
+            state=state,
+            covariance=self.params.initial_covariance(),
+            score=d.score,
+        )
+        self._next_id += 1
+        return track
+
+    def step(self, detections: Sequence[Detection], t: float) -> List[TrackedObject]:
+        if self._last_t is not None and t <= self._last_t:
+            raise OrderingError(f"step times must strictly increase ({self._last_t} -> {t})")
+        dt = 0.0 if self._last_t is None else t - self._last_t
+        self._last_t = t
+        self._frame_count += 1
+        p = self.params
+
+        self.tracks = [kf_predict(trk, dt, p) for trk in self.tracks]
+        matches, unmatched_tracks, unmatched_dets = associate(self.tracks, detections, p.gate_m)
+        for r, c in matches:
+            self.tracks[r] = kf_update(self.tracks[r], detections[c], p)
+        for r in unmatched_tracks:
+            trk = self.tracks[r]
+            self.tracks[r] = replace(trk, misses=trk.misses + 1)
+        for c in unmatched_dets:
+            self.tracks.append(self._new_track(detections[c]))
+        self.tracks = [trk for trk in self.tracks if trk.misses <= p.max_age]
+
+        out = []
+        warm = self._frame_count <= p.min_hits
+        for trk in self.tracks:
+            if trk.misses == 0 and (trk.confirmed(p.min_hits) or warm):
+                out.append(
+                    TrackedObject(
+                        box=trk.box(),
+                        track_id=trk.id,
+                        timestamp=t,
+                        provenance=self.provenance,
+                        score=trk.score,
+                    )
+                )
+        return out

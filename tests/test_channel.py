@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 import warnings
@@ -22,11 +23,11 @@ from cotrack.channel import (
     encode_message,
     transmit,
 )
-from cotrack.detector import Detection
 from cotrack.errors import ConfigurationError, DecodeError, EncodeError, ShapeMismatchError
-from cotrack.geometry import Box3D, Category
+from cotrack.geometry import Box3D, Boxes, Category
 from cotrack.sensing import FeatureGrid, GridSpec, PointCloud
-from oracle_utils import _encode_detections, _encode_points, _raw_grid, latest_available
+from oracle_utils import (Detection, _encode_detections, _encode_points, _raw_grid, boxes_of,
+                          detections_of, latest_available)
 
 SPEC = GridSpec(x0=0.0, y0=-40.0, cell_size=0.5, cols=200, rows=160)
 SMALL = GridSpec(x0=-4.0, y0=-4.0, cell_size=0.5, cols=16, rows=16)
@@ -39,11 +40,8 @@ def grid(values, spec=SPEC, t=0.0):
 
 
 def detections(n):
-    return [
-        Detection(box=Box3D(x=float(i), y=0.0, z=0.75, w=1.8, l=4.5, h=1.5,
-                            category=Category.VAN), score=0.5)
-        for i in range(n)
-    ]
+    return Boxes.of([Box3D(x=float(i), y=0.0, z=0.75, w=1.8, l=4.5, h=1.5, category=Category.VAN)
+                     for i in range(n)], [0.5] * n)
 
 
 class TestEncode:
@@ -52,10 +50,29 @@ class TestEncode:
         assert msg.payload_bytes == 330
         assert msg.raw_bytes == 330
         # round-tripped boxes are float32-quantized but structurally equal
-        decoded = decode_message(msg, SPEC, RAW)
+        decoded = decode_message(msg, SPEC, RAW).rows()
         assert len(decoded) == 10
-        assert decoded[3].box.category is Category.VAN
-        assert decoded[3].box.x == pytest.approx(3.0)
+        assert decoded[3].category is Category.VAN
+        assert decoded[3].x == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("column", range(7))
+    @pytest.mark.parametrize("value", [1e39, -3.5e38])
+    def test_a_box_field_beyond_float32_is_an_encode_error(self, column, value):
+        boxes = detections(3)
+        boxes.values[1, column] = value
+        with pytest.raises(EncodeError, match="float32 range"):
+            encode_message(MessageKind.DETECTIONS, boxes, RAW, 0.0)
+
+    def test_the_largest_float32_box_field_encodes(self):
+        boxes = detections(1)
+        boxes.values[0, 0] = float(np.finfo(np.float32).max)
+        msg = encode_message(MessageKind.DETECTIONS, boxes, RAW, 0.0)
+        assert decode_message(msg, SPEC, RAW).values[0, 0] == boxes.values[0, 0]
+
+    def test_detections_content_must_be_boxes(self):
+        with pytest.raises(EncodeError, match="Boxes"):
+            encode_message(MessageKind.DETECTIONS, [Detection(Box3D(0, 0, 0, 1, 1, 1), 0.5)],
+                           RAW, 0.0)
 
     def test_detection_bps_at_ten_hertz(self):
         msgs = [
@@ -228,10 +245,14 @@ class TestDecode:
                                     yaw=rng.uniform(-3.0, 3.0), category=category),
                           score=rng.uniform(0.0, 1.0))
                 for category in list(Category) * 3]
+        # Signed zeros, a float32 subnormal, yaws at +-pi and a float32 rounding tie.
+        dets.append(Detection(Box3D(-0.0, 1e-40, 0.0, 1.0 + 2.0 ** -24, 1.0, 1.0, yaw=-math.pi),
+                              0.0))
+        dets.append(Detection(Box3D(0.0, -0.0, -1e-45, 1.0, 1.0, 1.0, yaw=math.pi), 1.0))
         data, ref = _encode_detections(dets)
-        msg = encode_message(MessageKind.DETECTIONS, dets, RAW, 0.0)
+        msg = encode_message(MessageKind.DETECTIONS, boxes_of(dets), RAW, 0.0)
         assert msg.content == data
-        assert box_bits(decode_message(msg, SPEC, RAW)) == box_bits(ref)
+        assert box_bits(detections_of(decode_message(msg, SPEC, RAW))) == box_bits(ref)
 
     def test_raw_grids_equal_the_float32_mirror(self):
         rng = np.random.default_rng(22)

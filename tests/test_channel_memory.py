@@ -13,11 +13,10 @@ from cotrack.channel import (
     encode_message,
     transmit,
 )
-from cotrack.detector import Detection
 from cotrack.errors import OrderingError
 from cotrack.experiment import ExperimentConfig, run_single
 from cotrack.fusion import FusionKind, FusionMethod
-from cotrack.geometry import Box3D, Category
+from cotrack.geometry import Box3D, Boxes, Category
 from cotrack.presets import hidden_lane_scenario
 from oracle_utils import latest_available
 
@@ -25,8 +24,8 @@ RAW = False
 
 
 def one_detection():
-    return [Detection(box=Box3D(x=0.0, y=0.0, z=0.75, w=1.8, l=4.5, h=1.5,
-                                category=Category.VAN), score=0.5)]
+    return Boxes.of([Box3D(x=0.0, y=0.0, z=0.75, w=1.8, l=4.5, h=1.5, category=Category.VAN)],
+                    [0.5])
 
 
 class TestChannelMemoryBound:

@@ -586,6 +586,19 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key,value", [("gate_m", 0), ("gate_m", -4.0), ("r_pos", -0.5),
+                                           ("q_vel", 0), ("p0_vel", -100.0)])
+    def test_run_command_exits_2_on_a_nonpositive_tracker_value(self, tmp_path, capsys, key,
+                                                                value):
+        """A non-positive gate births a track per detection; a negative noise
+        failed the cell mid-run with a covariance that is not positive definite."""
+        cfg = self._write_config(tmp_path)
+        cfg.write_text(json.dumps(_merged(json.loads(cfg.read_text()), {"tracker": {key: value}})))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"tracker {key} must be finite and > 0" in err
+        assert not (tmp_path / "o").exists()
+
     def test_run_command_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"fusions\": [\"nope\"]}")

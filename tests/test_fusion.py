@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cotrack.channel import Channel, LatencyModel, MessageKind, encode_message
-from cotrack.detector import Detection
 from cotrack.errors import ConfigurationError, ShapeMismatchError
 from cotrack.fusion import (
     EgoInputs,
@@ -16,7 +15,7 @@ from cotrack.fusion import (
     fuse_late,
     fuse_middle,
 )
-from cotrack.geometry import Box3D, Pose
+from cotrack.geometry import Box3D, Boxes, Category, Pose
 from cotrack.sensing import FeatureGrid, GridSpec, PointCloud, rasterize_bev
 
 SPEC = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=20, rows=16)
@@ -133,38 +132,46 @@ class TestFuseMiddle:
                         FeatureGrid(other, np.zeros(other.shape), 0.0, "vehicle"))
 
 
-def det(x, y=0.0, score=0.5):
-    return Detection(box=Box3D(x=x, y=y, z=0.75, w=1.8, l=4.5, h=1.5), score=score)
+def dets(*xs, scores=None):
+    """Cars at (x, 0, 0.75), each scored 0.5 unless ``scores`` says otherwise."""
+    return Boxes.of([Box3D(x=x, y=0.0, z=0.75, w=1.8, l=4.5, h=1.5) for x in xs],
+                    [0.5] * len(xs) if scores is None else scores)
+
+
+def same(a: Boxes, b: Boxes) -> bool:
+    return a.rows() == b.rows() and a.score.tolist() == b.score.tolist()
 
 
 class TestFuseLate:
     def test_one_side_empty_passthrough(self):
-        dets = [det(1.0), det(5.0)]
-        assert fuse_late(dets, [], 2.0) == dets
-        assert fuse_late([], dets, 2.0) == dets
+        both = dets(1.0, 5.0)
+        assert same(fuse_late(both, Boxes.of([]), 2.0), both)
+        assert same(fuse_late(Boxes.of([]), both, 2.0), both)
 
     def test_identical_singletons_merge(self):
-        out = fuse_late([det(1.0, score=0.5)], [det(1.0, score=0.5)], 2.0)
+        out = fuse_late(dets(1.0), dets(1.0), 2.0)
         assert len(out) == 1
-        assert out[0].box.x == pytest.approx(1.0)
-        assert out[0].score == 0.5
+        assert out.values[0, 0] == pytest.approx(1.0)
+        assert out.score[0] == 0.5
 
     def test_far_apart_kept_separate(self):
-        out = fuse_late([det(0.0)], [det(10.0)], 2.0)
+        out = fuse_late(dets(0.0), dets(10.0), 2.0)
         assert len(out) == 2
 
     def test_zero_threshold_concatenates_distinct_centers(self):
-        out = fuse_late([det(0.0), det(4.0)], [det(1.0), det(5.0)], 0.0)
-        assert len(out) == 4
+        out = fuse_late(dets(0.0, 4.0), dets(1.0, 5.0), 0.0)
+        assert out.values[:, 0].tolist() == [0.0, 4.0, 1.0, 5.0]
 
     def test_score_weighted_average_and_max_score(self):
-        a = det(0.0, score=0.75)
-        b = det(2.0, score=0.25)
-        out = fuse_late([a], [b], 3.0)
+        a = Boxes.of([Box3D(0.0, 0.0, 0.75, 1.8, 4.5, 1.5, yaw=0.3)], [0.75])
+        b = Boxes.of([Box3D(2.0, 0.0, 0.75, 1.8, 4.5, 1.5, yaw=-0.2, category=Category.BUS)],
+                     [0.25])
+        out = fuse_late(a, b, 3.0)
         assert len(out) == 1
-        assert out[0].box.x == pytest.approx(0.5)  # (0.75*0 + 0.25*2) / 1.0
-        assert out[0].score == 0.75
-        assert out[0].box.yaw == a.box.yaw  # higher score wins yaw
+        assert out.values[0, 0] == pytest.approx(0.5)  # (0.75*0 + 0.25*2) / 1.0
+        assert out.score[0] == 0.75
+        assert out.values[0, 6] == 0.3  # higher score wins yaw
+        assert out.rows()[0].category is Category.CAR  # and category
 
     def test_nonpositive_threshold_rejected(self):
         for threshold in (0.0, -1.0, math.nan):
@@ -189,7 +196,7 @@ class TestCooperativeFeature:
         return EgoInputs(
             cloud=PointCloud(np.zeros((0, 4)), "vehicle", 1.0),
             grid=grid(vals, t=1.0, frame="vehicle"),
-            detections=[det(3.0)],
+            detections=dets(3.0),
         )
 
     def test_vehicle_only_ignores_channel(self):
@@ -265,7 +272,7 @@ class TestCooperativeFeature:
         assert out.grid.values[:, :, 0].sum() > 0
 
         ch2 = Channel(latency=LatencyModel())
-        send(ch2, MessageKind.DETECTIONS, [det(6.0)], 1.0)
+        send(ch2, MessageKind.DETECTIONS, dets(6.0), 1.0)
         out2 = cooperative_feature(FusionMethod(FusionKind.LATE), ch2, 1.0, ego, Pose.identity(),
                                    SPEC, COMPRESSED)
         assert len(out2.detections) == 2

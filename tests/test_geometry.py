@@ -6,13 +6,14 @@ import pytest
 from cotrack.errors import ConfigurationError, NumericError
 from cotrack.geometry import (
     Box3D,
+    Boxes,
+    Category,
     Pose,
     Region,
     center_distance_matrix,
     compose,
     inverse,
     rays_hit_blockers,
-    transform_box,
     wrap_angle,
 )
 from oracle_utils import blockers_of
@@ -65,6 +66,11 @@ class TestBoxValidation:
     def test_non_finite_fields_are_a_numeric_error(self, field, value):
         with pytest.raises(NumericError, match="finite"):
             make_box(**{field: value})
+
+
+def transform_box(b: Box3D, pose: Pose) -> Box3D:
+    """One box moved through ``Boxes.transformed``."""
+    return Boxes.of([b]).transformed(pose).rows()[0]
 
 
 class TestTransformBox:
@@ -142,6 +148,47 @@ class TestRegion:
         assert r.contains(0.0, -1.0)
         assert r.contains(10.0, 1.0)
         assert not r.contains(10.0001, 0.0)
+
+    def test_contains_is_elementwise_on_arrays(self):
+        r = Region(0.0, -1.0, 10.0, 1.0)
+        xs = np.array([0.0, 10.0, 10.0001, 5.0, math.nan])
+        ys = np.array([-1.0, 1.0, 0.0, -1.5, 0.0])
+        assert r.contains(xs, ys).tolist() == [r.contains(x, y) for x, y in zip(xs, ys)]
+
+
+class TestBoxes:
+    def test_rows_round_trip_every_field_and_category(self):
+        boxes = [make_box(1.0, -2.0, 0.5, yaw=-3.0), Box3D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0,
+                                                           yaw=math.pi, category=Category.BUS)]
+        record = Boxes.of(boxes, [0.25, 1.0])
+        assert record.rows() == boxes
+        assert record.score.tolist() == [0.25, 1.0] and len(record) == 2
+        assert len(Boxes.of([])) == 0 and Boxes.of([]).rows() == []
+
+    @pytest.mark.parametrize("column", range(7))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_field_is_a_numeric_error(self, column, value):
+        values = np.ones((3, 7))
+        values[1, column] = value
+        with pytest.raises(NumericError, match="finite"):
+            Boxes(values, np.zeros(3, dtype=np.uint8), np.ones(3))
+
+    def test_finite_fields_whose_sum_overflows_are_accepted(self):
+        values = np.full((2, 7), 1e308)
+        assert len(Boxes(values, np.zeros(2, dtype=np.uint8), np.ones(2))) == 2
+
+    @pytest.mark.parametrize("column", [3, 4, 5])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_a_non_positive_dim_is_a_configuration_error(self, column, value):
+        values = np.ones((3, 7))
+        values[2, column] = value
+        with pytest.raises(ConfigurationError, match="dims must be positive"):
+            Boxes(values, np.zeros(3, dtype=np.uint8), np.ones(3))
+
+    @pytest.mark.parametrize("score", [-0.01, 1.01, math.nan])
+    def test_a_score_outside_zero_one_is_a_numeric_error(self, score):
+        with pytest.raises(NumericError, match="scores"):
+            Boxes(np.ones((2, 7)), np.zeros(2, dtype=np.uint8), np.array([0.5, score]))
 
 
 UNIT_RECT = blockers_of(walls=[(0, 0, 2, 1)])

@@ -25,7 +25,7 @@ from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.presets import clean_straight_scenario, hidden_lane_scenario
 from cotrack.scenario import AgentPopulation, ScenarioConfig, generate_scenario
 from cotrack.sensing import FeatureGrid, GridSpec, NoiseConfig, PointCloud, View, rasterize_bev
-from oracle_utils import loop_detect, numpy_hungarian_square, ufunc_at_rasterize_bev
+from oracle_utils import detections_of, loop_detect, numpy_hungarian_square, ufunc_at_rasterize_bev
 
 SPEC = GridSpec(x0=-3.0, y0=1.5, cell_size=0.5, cols=48, rows=40)
 SECOND_SPEC = GridSpec(x0=-7.0, y0=-2.25, cell_size=0.75, cols=30, rows=28)
@@ -43,7 +43,7 @@ def detection_fields(dets) -> np.ndarray:
 
 
 def assert_detect_matches_loop(grid: FeatureGrid, params: DetectParams = DetectParams()):
-    new, ref = detect(grid, params), loop_detect(grid, params)
+    new, ref = detections_of(detect(grid, params)), loop_detect(grid, params)
     assert [d.box.category for d in new] == [d.box.category for d in ref]
     assert np.array_equal(detection_fields(new), detection_fields(ref))
 
@@ -108,12 +108,12 @@ def test_detect_matches_the_loop_on_every_size_around_the_pairwise_block(size):
 
 def test_detect_on_empty_and_all_below_threshold_grids():
     values = np.zeros(SPEC.shape)
-    assert detect(FeatureGrid(SPEC, values, 0.0, "vehicle")) == []
+    assert len(detect(FeatureGrid(SPEC, values, 0.0, "vehicle"))) == 0
     values[:, :, 0] = 0.15  # at the threshold, not above it
     values[:, :, 1] = 1.0
-    assert detect(FeatureGrid(SPEC, values, 0.0, "vehicle")) == []
+    assert len(detect(FeatureGrid(SPEC, values, 0.0, "vehicle"))) == 0
     values[5, 5, 0] = values[9, 9, 0] = 0.9  # two components, both too small
-    assert detect(FeatureGrid(SPEC, values, 0.0, "vehicle")) == []
+    assert len(detect(FeatureGrid(SPEC, values, 0.0, "vehicle"))) == 0
     assert_detect_matches_loop(FeatureGrid(SPEC, values, 0.0, "vehicle"))
 
 

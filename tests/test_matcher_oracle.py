@@ -3,7 +3,9 @@
 Late fusion, track association and cross-view trajectory
 pairing now share one gated assignment; ``oracle_utils`` keeps each one's own
 copy with its empty-side guard and leftover loops (``guarded_*``, and
-``frame_pairs_before`` for the pairing, whose frame times lie on a 10 Hz grid). Box centres sit
+``frame_pairs_before`` for the pairing, whose frame times lie on a 10 Hz grid).
+Late fusion and association run on ``Boxes`` records and stacked track
+states; the guarded versions take Detection lists and per-track ``Track``s. Box centres sit
 on an integer lattice and the gates are lattice distances, so tied costs and
 distances exactly at the gate are common. Outputs are compared through
 ``repr``, which tells every float apart, -0.0 from 0.0 included.
@@ -22,13 +24,12 @@ from cotrack.annotate import (
     trajectory_similarity,
 )
 from cotrack.assignment import gated_assignment, solve_assignment
-from cotrack.detector import Detection
 from cotrack.errors import UndefinedSimilarityError
 from cotrack.fusion import fuse_late
-from cotrack.geometry import Box3D, Category
+from cotrack.geometry import Box3D, Category, center_distances
 from cotrack.scenario import Provenance
-from cotrack.tracker import Track, associate
-from oracle_utils import frame_pairs_before, guarded_associate, guarded_fuse_late
+from oracle_utils import (Detection, Track, boxes_of, detections_of, frame_pairs_before,
+                          guarded_associate, guarded_fuse_late)
 
 # Every distance between two lattice centres is sqrt of an integer up to 4+4+1.
 LATTICE_GATES = st.sampled_from([math.sqrt(k) for k in range(10)])
@@ -64,13 +65,17 @@ def trajectories(side: Provenance):
 
 @given(st.lists(detections, max_size=8), st.lists(detections, max_size=8), LATTICE_GATES)
 def test_fuse_late_matches_its_guarded_version(ego, inf, gate):
-    assert repr(fuse_late(ego, inf, gate)) == repr(guarded_fuse_late(ego, inf, gate))
+    fused = detections_of(fuse_late(boxes_of(ego), boxes_of(inf), gate))
+    assert repr(fused) == repr(guarded_fuse_late(ego, inf, gate))
 
 
 @given(st.lists(boxes, max_size=8), st.lists(detections, max_size=8), LATTICE_GATES)
 def test_distance_association_matches_its_guarded_version(track_boxes, dets, gate):
+    """The tracker's association: stacked state centres against the frame's boxes."""
     tracks = [track_of(i, b) for i, b in enumerate(track_boxes)]
-    assert associate(tracks, dets, gate) == guarded_associate(tracks, dets, gate)
+    state = np.array([t.state for t in tracks]).reshape(len(tracks), 10)
+    cost = center_distances(state[:, :3], boxes_of(dets).values[:, :3])
+    assert gated_assignment(cost, cost <= gate) == guarded_associate(tracks, dets, gate)
 
 
 @given(trajectories(Provenance.VEHICLE_SIDE), trajectories(Provenance.INFRA_SIDE), LATTICE_GATES)

@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 from cotrack.assignment import solve_assignment
 from cotrack.channel import (BOX_RECORD, ChannelMessage, MessageKind, compress_grid,
                              compress_grid_pair, decode_message, decompress_grid)
-from cotrack.detector import Detection
 from cotrack.errors import DecodeError
+from cotrack.geometry import Boxes
 from cotrack.sensing import (
     FeatureGrid,
     GridSpec,
@@ -118,7 +118,7 @@ def record_payload(draw):
         record = st.tuples(st.lists(field, min_size=7, max_size=7),
                            st.one_of(st.integers(0, 3), st.integers(4, 255)),
                            st.one_of(st.floats(0.0, 1.0, width=32), float32s))
-        data = b"".join(BOX_RECORD.pack(*box, code, score)
+        data = b"".join(struct.pack("<7fBf", *box, code, score)
                         for box, code, score in draw(st.lists(record, max_size=4)))
     else:
         blocks = draw(st.integers(0, 3))
@@ -154,8 +154,11 @@ class TestRecordDecoderFuzz:
             assert isinstance(out, PointCloud)
             assert out.points.astype("<f4").tobytes() == data
         elif kind is MessageKind.DETECTIONS:
-            assert len(out) == len(data) // BOX_RECORD.size
-            assert all(isinstance(d, Detection) for d in out)
+            assert isinstance(out, Boxes)
+            records = np.frombuffer(data, dtype=BOX_RECORD)
+            assert len(out) == len(records)
+            assert out.values[:, :6].tobytes() == records["box"][:, :6].astype(float).tobytes()
+            assert out.score.tobytes() == records["score"].astype(float).tobytes()
         else:
             parts = out if isinstance(out, tuple) else (out,)
             assert len(parts) == grids
