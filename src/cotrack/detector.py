@@ -90,8 +90,8 @@ def detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> Boxes:
     overshoot) with the center z at half height. The score is the mean
     density of the component. Boxes are cars, in the grid's frame.
     """
-    density = g.values[:, :, DENSITY_CHANNEL]
-    cells, labels = _label_blobs(density > params.tau)
+    flat = g.values.reshape(-1, g.spec.channels)
+    cells, labels = _label_blobs(g.values[:, :, DENSITY_CHANNEL] > params.tau)
     sizes = np.bincount(labels)  # sizes[0] == 0; min_cells >= 1 drops it
     kept = sizes >= params.min_cells
     keep = kept[labels]
@@ -104,7 +104,7 @@ def detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> Boxes:
     starts = np.cumsum(sizes) - sizes
     bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))
     rows, cols = np.divmod(cells, g.spec.cols)
-    w = density.ravel()[cells]
+    w = flat[cells, DENSITY_CHANNEL]
     cell = g.spec.cell_size
     xs = g.spec.x0 + (cols + 0.5) * cell
     ys = g.spec.y0 + (rows + 0.5) * cell
@@ -131,7 +131,7 @@ def detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> Boxes:
     proj = np.stack([dx * c + dy * s, -dx * s + dy * c])  # along and across the major axis
     spans = np.maximum.reduceat(proj, starts, axis=1) - np.minimum.reduceat(proj, starts, axis=1)
     lengths, widths = np.clip(spans + cell, params.min_dim_m, params.max_dim_m)
-    heights = g.values.reshape(-1, g.spec.channels)[cells, HEIGHT_CHANNEL]
+    heights = flat[cells, HEIGHT_CHANNEL]
     heights = heights[np.lexsort((heights, np.repeat(np.arange(len(sizes)), sizes)))]
     # np.median's arithmetic: the mean of the middle two heights, or (a + a) / 2 == a.
     hs = np.clip((heights[starts + (sizes - 1) // 2] + heights[starts + sizes // 2]) / 2,

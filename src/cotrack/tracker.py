@@ -83,7 +83,7 @@ class Tracks:
         return len(self.ids)
 
     def take(self, index) -> "Tracks":
-        return Tracks(*(getattr(self, f.name)[index] for f in fields(self)))
+        return Tracks(*(column[index] for column in vars(self).values()))
 
 
 def _positive_definite(p: np.ndarray) -> np.ndarray:
@@ -186,8 +186,8 @@ class Tracker:
         self.tracks = live = live.take(live.misses <= p.max_age)
 
         warm = self._frame_count <= p.min_hits
-        out = live.take((live.misses == 0) & ((live.hits >= p.min_hits) | warm))
-        values = out.state[:, _BOX_OF_MEAS]
+        out = np.flatnonzero((live.misses == 0) & ((live.hits >= p.min_hits) | warm))
+        values = live.state[out[:, None], _BOX_OF_MEAS]
         np.maximum(values[:, 3:6], MIN_DIM_M, out=values[:, 3:6])
         values[:, 6] = wrap_angle(values[:, 6])  # as Box3D wraps
-        return Boxes(values, np.zeros(len(out), dtype=np.uint8), out.score), out.ids
+        return Boxes(values, np.zeros(len(out), dtype=np.uint8), live.score[out]), live.ids[out]
