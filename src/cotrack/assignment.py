@@ -140,10 +140,7 @@ def _lexicographic_refine(
     k = square.shape[0]
     eps = 1e-9 * max(1.0, scale)
     reduced = square - u[:, None] - v[None, :]
-    zero_adj = [[] for _ in range(k)]  # each row's zero-reduced-cost columns, ascending
-    rows, cols = np.nonzero(reduced <= eps)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        zero_adj[r].append(c)
+    zero_adj = [np.flatnonzero(reduced[r] <= eps).tolist() for r in range(k)]
 
     taken = set()
     for r in range(min(real_rows, k)):

@@ -298,22 +298,34 @@ def run_sweep(
 def summarize(reports: Sequence[RunReport]) -> List[dict]:
     """Per (fusion, latency) means over seeds, in first-seen order."""
     groups: Dict[Tuple[str, float], List[RunReport]] = {}
+    order: List[Tuple[str, float]] = []
     for r in reports:
-        groups.setdefault((r.fusion, r.latency_ms), []).append(r)
-    means = ("mota", "motp_m", "ids", "fp", "fn", "bps_pre", "bps_post", "fallback_frames")
-    return [{"fusion": fusion, "latency_ms": latency_ms, "n_seeds": len(rs),
-             **{f"mean_{name}": float(np.mean([getattr(r, name) for r in rs])) for name in means}}
-            for (fusion, latency_ms), rs in groups.items()]
+        key = (r.fusion, r.latency_ms)
+        if key not in groups:
+            groups[key] = []
+            order.append(key)
+        groups[key].append(r)
+    rows = []
+    for key in order:
+        rs = groups[key]
+        rows.append({
+            "fusion": key[0],
+            "latency_ms": key[1],
+            "n_seeds": len(rs),
+            "mean_mota": float(np.mean([r.mota for r in rs])),
+            "mean_motp_m": float(np.mean([r.motp_m for r in rs])),
+            "mean_ids": float(np.mean([r.ids for r in rs])),
+            "mean_fp": float(np.mean([r.fp for r in rs])),
+            "mean_fn": float(np.mean([r.fn for r in rs])),
+            "mean_bps_pre": float(np.mean([r.bps_pre for r in rs])),
+            "mean_bps_post": float(np.mean([r.bps_post for r in rs])),
+            "mean_fallback_frames": float(np.mean([r.fallback_frames for r in rs])),
+        })
+    return rows
 
 
 def _format_cell(v) -> str:
     return f"{v:.4f}" if isinstance(v, float) else str(v)
-
-
-def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[dict]) -> Path:
-    lines = [",".join(columns)] + [",".join(_format_cell(row[c]) for c in columns) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
 
 
 def emit_report(reports: Sequence[RunReport], fmt: str, out_dir) -> Path:
@@ -354,14 +366,27 @@ def write_sweep_outputs(
     paths = {"runs": emit_report(reports, fmt, out)}
 
     rows = summarize(reports)
-    paths["summary"] = _write_csv(out / "summary.csv", list(rows[0]), rows)
+    columns = list(rows[0])
+    lines = [",".join(columns)]
+    lines += [",".join(_format_cell(row[c]) for c in columns) for row in rows]
+    summary = out / "summary.csv"
+    summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    paths["summary"] = summary
+
     by_fusion: Dict[str, List[dict]] = {}
     for row in rows:
         by_fusion.setdefault(row["fusion"], []).append(row)
-    curve = ("latency_ms", "mean_mota", "mean_motp_m", "mean_ids")
     for fusion, frows in by_fusion.items():
-        paths[f"curve_{fusion}"] = _write_csv(out / f"latency_curve_{fusion}.csv", curve,
-                                              sorted(frows, key=lambda r: r["latency_ms"]))
+        frows = sorted(frows, key=lambda r: r["latency_ms"])
+        curve = out / f"latency_curve_{fusion}.csv"
+        lines = ["latency_ms,mean_mota,mean_motp_m,mean_ids"]
+        lines += [
+            f"{_format_cell(r['latency_ms'])},{_format_cell(r['mean_mota'])},"
+            f"{_format_cell(r['mean_motp_m'])},{_format_cell(r['mean_ids'])}"
+            for r in frows
+        ]
+        curve.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        paths[f"curve_{fusion}"] = curve
 
     if failures:
         fail_path = out / "failures.json"

@@ -135,14 +135,16 @@ def test_stacked_tracker_replays_the_per_track_tracker(sequence, params, steps):
     """States, covariances, ids, hits, misses, scores and reported objects,
     frame by frame: empty frames, births, deaths at max_age, the warm-up and
     the first frame's dt = 0 all come up."""
-    tracker, oracle = Tracker(params), PerTrackTracker(params)
+    tracker, oracle = Tracker(params), PerTrackTracker(params, Provenance.VEHICLE_SIDE)
     t = 0.0
     for dets, dt in zip(sequence, steps):
         boxes, ids = tracker.step(boxes_of(dets), t)
         want = oracle.step(dets, t)
-        got = tracked_objects(boxes, ids, t, Provenance.FUSED)
+        got = tracked_objects(boxes, ids, t, Provenance.VEHICLE_SIDE)
         assert box_bits([o.box for o in got]) == box_bits([o.box for o in want])
-        assert [(o.track_id, o.score) for o in got] == [(o.track_id, o.score) for o in want]
+        tags = [[(o.track_id, o.timestamp, o.provenance, o.score) for o in objects]
+                for objects in (got, want)]
+        assert tags[0] == tags[1]
         assert bits([o.score for o in got]) == bits([o.score for o in want])
         live = tracker.tracks
         assert live.ids.tolist() == [trk.id for trk in oracle.tracks]

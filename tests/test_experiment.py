@@ -27,7 +27,7 @@ from cotrack.experiment import (
 )
 from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.geometry import Category
-from cotrack.scenario import AgentPopulation, Lane, ScenarioConfig
+from cotrack.scenario import AgentPopulation, Lane, Provenance, ScenarioConfig
 from cotrack.sensing import NoiseConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -157,6 +157,13 @@ class TestRunSingle:
         for frame in art.gt_frames:
             for o in frame:
                 assert region.contains(o.box.x, o.box.y)
+
+    @pytest.mark.parametrize("kind, provenance", [(FusionKind.VEHICLE_ONLY, Provenance.VEHICLE_SIDE),
+                                                  (FusionKind.LATE, Provenance.FUSED)])
+    def test_hypotheses_carry_the_run_provenance(self, kind, provenance):
+        _, art = run_single(tiny_config(), FusionMethod(kind), 100.0, 1, keep_artifacts=True)
+        hyps = [o for frame in art.hyp_frames for o in frame]
+        assert hyps and all(o.provenance is provenance for o in hyps)
 
 
 class TestRunSweep:

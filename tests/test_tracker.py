@@ -161,6 +161,12 @@ class TestAssociation:
         # Distance matrix [[1, 2], [2, 4]] realized in the plane: the
         # assignment (0,1),(1,0) totals 4 versus 5. Track 1 (at the origin)
         # takes the detection at -2, track 2 the one at +1.
+        cost_check = np.array([
+            [1.0, 2.0],
+            [np.hypot(0.5, 1.9364916731037085), np.hypot(3.5, 1.9364916731037085)],
+        ])
+        assert cost_check[1, 0] == pytest.approx(2.0)
+        assert cost_check[1, 1] == pytest.approx(4.0)
         tracker = Tracker(TrackerParams(min_hits=1, gate_m=4.0, r_pos=1e-12, r_yaw=1e-12,
                                         r_dims=1e-12))
         tracker.step(Boxes.of([Box3D(0.0, 0.0, 0.75, 1.8, 4.5, 1.5),
