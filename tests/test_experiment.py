@@ -158,8 +158,10 @@ class TestRunSingle:
             for o in frame:
                 assert region.contains(o.box.x, o.box.y)
 
-    @pytest.mark.parametrize("kind, provenance", [(FusionKind.VEHICLE_ONLY, Provenance.VEHICLE_SIDE),
-                                                  (FusionKind.LATE, Provenance.FUSED)])
+    @pytest.mark.parametrize("kind, provenance", [
+        (FusionKind.VEHICLE_ONLY, Provenance.VEHICLE_SIDE),
+        (FusionKind.LATE, Provenance.FUSED),
+    ])
     def test_hypotheses_carry_the_run_provenance(self, kind, provenance):
         _, art = run_single(tiny_config(), FusionMethod(kind), 100.0, 1, keep_artifacts=True)
         hyps = [o for frame in art.hyp_frames for o in frame]
