@@ -18,7 +18,7 @@ import numpy as np
 
 from .assignment import gated_assignment
 from .errors import ConfigurationError, DecodeError, OrderingError, UndefinedSimilarityError
-from .geometry import Box3D, Category, center_distance_matrix
+from .geometry import Box3D, Category, center_distances
 from .scenario import Provenance, TrackedObject
 
 SIMILARITY_SCALE_M = 2.0
@@ -137,8 +137,12 @@ def score_interest(
     Turning is the total absolute yaw change along the track. Speed change
     is the largest absolute speed difference across a one-second gap, with
     speeds taken from finite differences of the centers. Completion is the
-    fraction of window frames the track is present, capped at 1.
+    fraction of window frames the track is present, capped at 1; a window
+    shorter than one frame is a ``ConfigurationError``.
     """
+    if window_s * frame_rate_hz < 1:
+        raise ConfigurationError(f"window_s * frame_rate_hz must be at least 1 frame, "
+                                 f"got {window_s} s at {frame_rate_hz} Hz")
     if len(t.samples) < 3:
         raise UndefinedSimilarityError(f"interest score needs >= 3 samples, got {len(t.samples)}")
     times = np.array([s for s, _ in t.samples])
@@ -188,7 +192,8 @@ def build_cooperative_trajectories(
                 frames.setdefault(t, ([], []))[side].append((tr.track_id, box))
     pairs = set()
     for bv, bi in frames.values():
-        cost = center_distance_matrix([b for _, b in bv], [b for _, b in bi])
+        cost = center_distances(*(np.array([(b.x, b.y, b.z) for _, b in side]).reshape(-1, 3)
+                                  for side in (bv, bi)))
         matched, _, _ = gated_assignment(cost, cost <= match_threshold_m)
         pairs.update((bv[r][0], bi[c][0]) for r, c in matched)
 

@@ -7,6 +7,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .annotate import (
     Provenance,
     build_cooperative_trajectories,
@@ -18,22 +20,22 @@ from .annotate import (
 )
 from .errors import CotrackError
 from .experiment import load_experiment_config, run_sweep, write_sweep_outputs
+from .geometry import Boxes
 from .metrics import evaluate_clearmot
 
 
 def _cmd_run(args) -> int:
     cfg = load_experiment_config(args.config)
     reports, failures = run_sweep(cfg, workers=args.workers)
-    out_dir = Path(args.out)
-    if not reports:
+    paths = write_sweep_outputs(reports, failures, Path(args.out), fmt=args.format)
+    if reports:
+        print(f"{len(reports)} runs completed, {len(failures)} failed; wrote {paths['runs']}")
+    else:
         print("no runs completed", file=sys.stderr)
-        return 1
-    paths = write_sweep_outputs(reports, failures, out_dir, fmt=args.format)
-    print(f"{len(reports)} runs completed, {len(failures)} failed; wrote {paths['runs']}")
     for failure in failures:
         print(f"FAILED {failure.fusion} latency={failure.latency_ms} seed={failure.seed}: "
               f"{failure.error}", file=sys.stderr)
-    return 0 if not failures else 1
+    return 0 if reports and not failures else 1
 
 
 def _cmd_annotate(args) -> int:
@@ -77,9 +79,9 @@ def _cmd_eval(args) -> int:
     gt = read_tracked_objects(args.gt)
     hyp = read_tracked_objects(args.hyp)
     times = sorted(set(gt) | set(hyp))
-    gt_frames = [gt.get(t, []) for t in times]
-    hyp_frames = [hyp.get(t, []) for t in times]
-    result = evaluate_clearmot(gt_frames, hyp_frames, args.gate)
+    frames = ([(np.array([o.track_id for o in objs], dtype=int), Boxes.of([o.box for o in objs]))
+               for objs in (side.get(t, []) for t in times)] for side in (gt, hyp))
+    result = evaluate_clearmot(*frames, args.gate)
     print(json.dumps({
         "mota": result.mota,
         "motp_m": result.motp,

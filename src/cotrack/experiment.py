@@ -31,17 +31,15 @@ from .channel import (
 from .detector import DetectParams, detect
 from .errors import ConfigurationError, CotrackError
 from .fusion import STRATEGIES, EgoInputs, FusionKind, FusionMethod, cooperative_feature
-from .geometry import Pose, compose, inverse
+from .geometry import Boxes, Pose, compose, inverse
 from .metrics import RunReport, aggregate_run, check_gate, evaluate_clearmot
 from .scenario import (
     Provenance,
     Scenario,
     ScenarioConfig,
     TrackedObject,
-    cooperative_ground_truth,
     generate_scenario,
     ground_truth_at,
-    objects_to_frame,
     tracked_objects,
 )
 from .sensing import FeatureGrid, View, rasterize_bev, sample_point_cloud
@@ -189,15 +187,21 @@ def run_single(
     tracker = Tracker(cfg.tracker)
     region = scn.region
 
-    gt_frames: List[List[TrackedObject]] = []
-    hyp_frames: List[List[TrackedObject]] = []
+    gt_frames, hyp_frames = [], []  # (ids, Boxes) per frame, ego frame, in the region
+    gt_sides = []  # per frame, the provenance of each ground-truth row, for the artifacts
     fallback = 0
 
     for frame in frames:
         t = frame.t
-        gt_v = ground_truth_at(scn, t, View.VEHICLE)
-        gt_both = objects_to_frame(gt_v + ground_truth_at(scn, t, View.INFRA), frame.world_to_ego)
-        gt_frames.append(cooperative_ground_truth(gt_both[:len(gt_v)], gt_both[len(gt_v):], region))
+        # The union of the views by id, sorted; a vehicle-side row wins.
+        ids_v, gt_v = ground_truth_at(scn, t, View.VEHICLE)
+        ids_i, gt_i = ground_truth_at(scn, t, View.INFRA)
+        ids, first = np.unique(np.concatenate([ids_v, ids_i]), return_index=True)
+        gt = Boxes.concat([gt_v, gt_i]).take(first).transformed(frame.world_to_ego)
+        inside = region.contains(gt.values[:, 0], gt.values[:, 1])
+        gt_frames.append((ids[inside], gt.take(inside)))
+        gt_sides.append(np.where(first[inside] < len(ids_v), Provenance.VEHICLE_SIDE,
+                                 Provenance.INFRA_SIDE))
 
         if channel is not None:
             channel.send(frame.messages[msg_kind])
@@ -210,7 +214,7 @@ def run_single(
         boxes, ids = tracker.step(dets.transformed(frame.ego_pose), t)
         boxes = boxes.transformed(frame.world_to_ego)
         inside = region.contains(boxes.values[:, 0], boxes.values[:, 1])
-        hyp_frames.append(tracked_objects(boxes.take(inside), ids[inside], t, provenance))
+        hyp_frames.append((ids[inside], boxes.take(inside)))
 
     mot = evaluate_clearmot(gt_frames, hyp_frames, cfg.eval_gate_m)
     report = aggregate_run(
@@ -218,7 +222,11 @@ def run_single(
         fallback_frames=fallback, match_gate_m=cfg.eval_gate_m, num_frames=len(gt_frames),
     )
     if keep_artifacts:
-        return report, RunArtifacts(gt_frames, hyp_frames, channel)
+        times = scn.frame_times()
+        return report, RunArtifacts(
+            [tracked_objects(b, i, t, p) for (i, b), t, p in zip(gt_frames, times, gt_sides)],
+            [tracked_objects(b, i, t, [provenance] * len(i))
+             for (i, b), t in zip(hyp_frames, times)], channel)
     return report
 
 
@@ -360,10 +368,18 @@ def write_sweep_outputs(
     out_dir,
     fmt: str = "csv",
 ) -> Dict[str, Path]:
-    """Emit runs table, per-cell summary, per-fusion latency curves, failures."""
+    """Emit failures, runs table, per-cell summary and per-fusion latency
+    curves; with no reports, only the failures."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {"runs": emit_report(reports, fmt, out)}
+    paths = {}
+    if failures:
+        paths["failures"] = out / "failures.json"
+        paths["failures"].write_text(json.dumps([f.__dict__ for f in failures], indent=2,
+                                                sort_keys=True) + "\n", encoding="utf-8")
+    if not reports:
+        return paths
+    paths["runs"] = emit_report(reports, fmt, out)
 
     rows = summarize(reports)
     columns = list(rows[0])
@@ -387,14 +403,6 @@ def write_sweep_outputs(
         ]
         curve.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths[f"curve_{fusion}"] = curve
-
-    if failures:
-        fail_path = out / "failures.json"
-        fail_path.write_text(
-            json.dumps([f.__dict__ for f in failures], indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        paths["failures"] = fail_path
     return paths
 
 

@@ -160,9 +160,7 @@ def fuse_late(ego: Boxes, inf: Boxes, threshold_m: float) -> Boxes:
         values[r, 6] = wrap_angle(np.where(ego_leads, a[:, 6], b[:, 6]))
         category[r] = np.where(ego_leads, ego.category[r], inf.category[c])
         score[r] = np.where(sb > sa, sb, sa)
-    return Boxes(np.concatenate([values, inf.values[leftover]]),
-                 np.concatenate([category, inf.category[leftover]]),
-                 np.concatenate([score, inf.score[leftover]]))
+    return Boxes.concat([Boxes(values, category, score), inf.take(leftover)])
 
 
 @dataclass

@@ -21,8 +21,14 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(angle):
-    """Wrap an angle (scalar or ndarray) into (-pi, pi]."""
-    return angle - TWO_PI * np.ceil((angle - math.pi) / TWO_PI)
+    """Wrap an angle (scalar or ndarray) into (-pi, pi]. Where rounding puts the
+    first formula out of range (next to -pi, or far out), ``fmod`` reduces exactly."""
+    wrapped = angle - TWO_PI * np.ceil((angle - math.pi) / TWO_PI)
+    out = (wrapped > math.pi) | (wrapped <= -math.pi)
+    if not out.any():
+        return wrapped
+    r = np.fmod(angle, TWO_PI)  # in (-2pi, 2pi); one turn, exact here, brings it in
+    return np.where(out, r - TWO_PI * (r > math.pi) + TWO_PI * (r <= -math.pi), wrapped)[()]
 
 
 class Category(Enum):
@@ -113,8 +119,7 @@ class Boxes:
     ``values`` is (N, 7): x, y, z, w, l, h, yaw, as in ``Box3D``; ``category``
     holds ``CATEGORY_ORDER`` codes and ``score`` confidences in [0, 1]. A new
     record checks its rows as ``Box3D`` checks a box, and the scores, but
-    wraps no yaw: ``wrap_angle`` is not idempotent next to -pi, so each stage
-    wraps exactly where the per-box path built a ``Box3D``.
+    wraps no yaw: each stage wraps the yaws it turns.
     """
 
     values: np.ndarray
@@ -140,6 +145,10 @@ class Boxes:
                    np.array([CATEGORY_ORDER.index(b.category) for b in boxes], dtype=np.uint8),
                    np.ones(len(boxes)) if scores is None else np.array(scores, dtype=float))
 
+    @classmethod
+    def concat(cls, parts: Sequence["Boxes"]) -> "Boxes":
+        return cls(*map(np.concatenate, zip(*((p.values, p.category, p.score) for p in parts))))
+
     def take(self, index) -> "Boxes":
         return Boxes(self.values[index], self.category[index], self.score[index])
 
@@ -147,35 +156,23 @@ class Boxes:
         """The boxes re-expressed in another frame; dims are unchanged.
 
         Centres move by ``Pose.apply_to_points`` (``apply_to_point``'s
-        arithmetic); each yaw turns by the pose's and wraps twice, as
-        ``transform_box`` did and the ``Box3D`` it made.
+        arithmetic); each yaw turns by the pose's and wraps.
         """
         values = self.values.copy()
         values[:, :3] = src_to_dst.apply_to_points(self.values[:, :3])
-        values[:, 6] = wrap_angle(wrap_angle(self.values[:, 6] + src_to_dst.yaw))
+        values[:, 6] = wrap_angle(self.values[:, 6] + src_to_dst.yaw)
         return Boxes(values, self.category, self.score)
 
     def rows(self) -> List[Box3D]:
-        """One ``Box3D`` per row, fields as they are: the rows were checked and
-        wrapped when the record was built, and one more wrap could move a yaw
-        next to -pi, so the boxes skip ``Box3D.__post_init__``."""
-        boxes = [object.__new__(Box3D) for _ in range(len(self))]
-        for box, row, code in zip(boxes, self.values.tolist(), self.category.tolist()):
-            box.__dict__.update(zip(("x", "y", "z", "w", "l", "h", "yaw"), row),
-                                category=CATEGORY_ORDER[code])
-        return boxes
+        """One ``Box3D`` per row."""
+        return [Box3D(*row, category=CATEGORY_ORDER[code])
+                for row, code in zip(self.values.tolist(), self.category.tolist())]
 
 
 def center_distances(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Pairwise distances between (N, 3) and (M, 3) centres, shape (N, M)."""
     diff = a[:, None, :] - c[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
-
-
-def center_distance_matrix(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> np.ndarray:
-    """Pairwise center distances of two box lists, shape (len(rows), len(cols))."""
-    return center_distances(*(np.array([(b.x, b.y, b.z) for b in boxes]).reshape(-1, 3)
-                              for boxes in (rows, cols)))
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .assignment import gated_assignment
 from .channel import Channel, bps
 from .errors import AlignmentError, ConfigurationError
-from .geometry import center_distance_matrix
-from .scenario import TrackedObject
+from .geometry import Boxes, center_distances
 
 
 @dataclass(frozen=True)
@@ -75,15 +74,17 @@ def check_gate(gate_m: float) -> float:
 
 
 def evaluate_clearmot(
-    gt_frames: Sequence[Sequence[TrackedObject]],
-    hyp_frames: Sequence[Sequence[TrackedObject]],
+    gt_frames: Sequence[Tuple[np.ndarray, Boxes]],
+    hyp_frames: Sequence[Tuple[np.ndarray, Boxes]],
     match_threshold_m: float = 2.0,
 ) -> MotResult:
     """Score a hypothesis sequence against frame-aligned ground truth.
 
-    Per frame: correspondences from the previous frame are kept while both
-    members are present and within the gate; the remainder are matched by
-    minimum-cost assignment, maximizing the number of gated matches first.
+    A frame is an ``(ids, boxes)`` pair, an int array and a ``Boxes`` record
+    row for row; only the ids and the centres ``boxes.values[:, :3]`` are
+    read. Per frame: correspondences from the previous frame are kept while
+    both members are present and within the gate; the remainder are matched
+    by minimum-cost assignment, maximizing the number of gated matches first.
     A ground-truth object matched to a different hypothesis id than its last
     known one counts one identity switch.
     """
@@ -98,13 +99,10 @@ def evaluate_clearmot(
     prev_pairs: Dict[int, int] = {}  # gt id -> hyp id matched in the previous frame
     last_known: Dict[int, int] = {}  # gt id -> hyp id from the most recent match
 
-    for gts, hyps in zip(gt_frames, hyp_frames):
-        _check_frame(gts)
-        _check_frame(hyps)
+    for (gt_ids, gts), (hyp_ids, hyps) in zip(gt_frames, hyp_frames):
         num_gt += len(gts)
-        gt_ids = [o.track_id for o in gts]
-        hyp_ids = [o.track_id for o in hyps]
-        dist = center_distance_matrix([o.box for o in gts], [o.box for o in hyps])
+        gt_ids, hyp_ids = gt_ids.tolist(), hyp_ids.tolist()
+        dist = center_distances(gts.values[:, :3], hyps.values[:, :3])
 
         hyp_index = {tid: j for j, tid in enumerate(hyp_ids)}
         matched_g: Dict[int, int] = {}
@@ -147,12 +145,6 @@ def evaluate_clearmot(
     motp = dist_sum / n_matches if n_matches else 0.0
     return MotResult(mota=mota, motp=motp, ids=ids, fp=fp, fn=fn, num_gt=num_gt,
                      num_matches=n_matches)
-
-
-def _check_frame(objects: Sequence[TrackedObject]) -> None:
-    stamps = {o.timestamp for o in objects}
-    if len(stamps) > 1:
-        raise AlignmentError(f"mixed timestamps within one frame: {sorted(stamps)}")
 
 
 def aggregate_run(

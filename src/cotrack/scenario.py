@@ -145,11 +145,6 @@ class Agent:
     # waypoints[k] = (t, x, y, yaw, speed) at frame k.
     waypoints: np.ndarray
 
-    def box_at(self, frame_idx: int) -> Box3D:
-        _, x, y, yaw, _ = self.waypoints[frame_idx]
-        w, l, h = self.dims
-        return Box3D(x=x, y=y, z=0.5 * h, w=w, l=l, h=h, yaw=yaw, category=self.category)
-
 
 class Outlines:
     """Where the point sampler samples each agent's outline, S samples in all.
@@ -196,6 +191,8 @@ class FrameGeometry:
     - ``rot_t`` (F, K, 2, 2), ``centre`` (F, K, 1, 2), ``lo`` and ``hi``
       (K, 1, 2): frame f's agent boxes, then the walls, as ``blockers(f)``;
     - ``visible[view]`` (F, A), the ground-truth visibility table;
+    - ``ids`` (A,), the agents' ids, and ``shapes``, each agent's box at the
+      origin with zero yaw (``Boxes``; z is half the height);
     - ``outlines``, where the point sampler's outline samples sit on each
       box (:class:`Outlines`).
 
@@ -207,10 +204,12 @@ class FrameGeometry:
     takes the scenario.
     """
 
-    def __init__(self, centres, yaws, corners, rot_t, centre, lo, hi, visible, outlines):
+    def __init__(self, centres, yaws, corners, rot_t, centre, lo, hi, visible, outlines,
+                 ids, shapes):
         self.centres, self.yaws, self.corners = centres, yaws, corners
         self.rot_t, self.centre, self.lo, self.hi = rot_t, centre, lo, hi
         self.visible, self.outlines = visible, outlines
+        self.ids, self.shapes = ids, shapes
 
     def blockers(self, f: int) -> Blockers:
         return Blockers(self.rot_t[f], self.centre[f], self.lo, self.hi)
@@ -398,15 +397,19 @@ def _frame_geometry(agents: Sequence[Agent], sensor_xy: Dict[View, np.ndarray],
     hi = np.concatenate([half, walls[:, 2:]])[:, None, :]
     lo = np.concatenate([-half, walls[:, :2]])[:, None, :]
 
+    shapes = Boxes.of([Box3D(0.0, 0.0, 0.5 * a.dims[2], *a.dims, category=a.category)
+                       for a in agents])
     geo = FrameGeometry(centres, yaws, corners, rot_t, centre, lo, hi, {},
-                        Outlines(agents, pts_per_m))
+                        Outlines(agents, pts_per_m), np.array([a.id for a in agents], dtype=int),
+                        shapes)
     for view, xy in sensor_xy.items():
         geo.visible[view] = np.zeros((n_frames, n_agents), dtype=bool)
         if n_agents:
             for f in range(0, n_frames, _BLOCK_FRAMES):
                 block = slice(f, f + _BLOCK_FRAMES)
                 geo.visible[view][block] = _visible(geo, block, xy[block], ranges[view])
-    for arr in (centres, yaws, corners, rot_t, centre, lo, hi, *geo.visible.values()):
+    for arr in (centres, yaws, corners, rot_t, centre, lo, hi, *geo.visible.values(), geo.ids,
+                *vars(shapes).values()):
         arr.setflags(write=False)
     return geo
 
@@ -474,47 +477,21 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     return replace(scn, clutter={view: scenario_clutter(scn, view, grids[view]) for view in View})
 
 
-def ground_truth_at(s: Scenario, t: float, view: View) -> List[TrackedObject]:
-    """World-frame ground truth visible to one sensor at a frame time.
-
-    An agent appears when its center is within the sensor range and at
-    least one perimeter probe point has an unobstructed 2D ray from the
-    sensor (walls and other agent boxes block rays). The scenario's
-    visibility table holds the answer (``FrameGeometry.visible``); only the
-    visible agents' boxes are built.
+def ground_truth_at(s: Scenario, t: float, view: View) -> Tuple[np.ndarray, Boxes]:
+    """The ids (ascending) and world-frame boxes of the agents one sensor sees
+    at a frame time: those whose center is within the sensor range and whose
+    perimeter has a probe point with an unobstructed 2D ray from the sensor
+    (walls and other agent boxes block rays), read from ``FrameGeometry``.
     """
-    idx = s.frame_index(t)
-    provenance = Provenance.VEHICLE_SIDE if view is View.VEHICLE else Provenance.INFRA_SIDE
-    agents = [s.agents[i] for i in np.flatnonzero(s.geometry.visible[view][idx])]
-    return [TrackedObject(box=a.box_at(idx), track_id=a.id, timestamp=t, provenance=provenance)
-            for a in agents]
+    f, geo = s.frame_index(t), s.geometry
+    agents = np.flatnonzero(geo.visible[view][f])
+    values = geo.shapes.values[agents]
+    values[:, :2] = geo.centres[f, agents]
+    values[:, 6] = geo.yaws[f, agents]
+    return geo.ids[agents], Boxes(values, geo.shapes.category[agents], geo.shapes.score[agents])
 
 
-def cooperative_ground_truth(
-    gt_v: Sequence[TrackedObject], gt_i: Sequence[TrackedObject], r: Region
-) -> List[TrackedObject]:
-    """Union of the two per-view ground truths restricted to a region.
-
-    Both inputs must be expressed in the ego frame at the same timestamp.
-    The union is keyed by track id (agents share ids across views); the
-    vehicle-side box wins when both views carry the same agent. Output is
-    sorted by track id and contains each id at most once.
-    """
-    merged: Dict[int, TrackedObject] = {}
-    for obj in list(gt_i) + list(gt_v):  # vehicle side overwrites infra side
-        merged[obj.track_id] = obj
-    kept = [o for o in merged.values() if r.contains(o.box.x, o.box.y)]
-    return sorted(kept, key=lambda o: o.track_id)
-
-
-def objects_to_frame(objects: Sequence[TrackedObject], src_to_dst: Pose) -> List[TrackedObject]:
-    """Re-express tracked objects in another frame, all boxes in one array transform."""
-    boxes = Boxes.of([o.box for o in objects]).transformed(src_to_dst).rows()
-    return [TrackedObject(b, o.track_id, o.timestamp, o.provenance, o.score)
-            for o, b in zip(objects, boxes)]
-
-
-def tracked_objects(boxes: Boxes, ids, t: float, provenance: Provenance) -> List[TrackedObject]:
-    """One TrackedObject per row of ``boxes``, with its track id and score."""
-    return [TrackedObject(b, i, t, provenance, s)
-            for b, i, s in zip(boxes.rows(), ids.tolist(), boxes.score.tolist())]
+def tracked_objects(boxes: Boxes, ids, t: float, provenances) -> List[TrackedObject]:
+    """One TrackedObject per row of ``boxes``, with its track id, provenance and score."""
+    return [TrackedObject(b, i, t, p, s) for b, i, p, s
+            in zip(boxes.rows(), ids.tolist(), provenances, boxes.score.tolist())]

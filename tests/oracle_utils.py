@@ -14,7 +14,8 @@ built next to the wire bytes. The per-box path the run once took is kept
 too: ``Detection`` lists, ``transform_box``, late fusion's ``_merge_pair``
 and the tracker that filtered one ``Track`` at a time (``kf_predict``,
 ``kf_update``, ``PerTrackTracker``), the references for the ``Boxes`` record
-and the stacked filter. ``scipy`` is a test-only dependency: the detector's
+and the stacked filter, and the per-object ground truth it scored (``box_at``,
+``objects_to_frame``, ``cooperative_ground_truth``). ``scipy`` is a test-only dependency: the detector's
 connected components are checked against ``ndimage.label``.
 """
 
@@ -43,7 +44,8 @@ from cotrack.geometry import (
     Boxes,
     Category,
     Pose,
-    center_distance_matrix,
+    Region,
+    center_distances,
     inverse,
     wrap_angle,
 )
@@ -62,6 +64,12 @@ from cotrack.sensing import (
 from cotrack.tracker import MEAS_DIM, MIN_DIM_M, STATE_DIM, TrackerParams, _H, _YAW
 
 _PERM_CACHE = {}
+
+
+def center_distance_matrix(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> np.ndarray:
+    """Pairwise center distances of two box lists, shape (len(rows), len(cols))."""
+    return center_distances(*(np.array([(b.x, b.y, b.z) for b in boxes]).reshape(-1, 3)
+                              for boxes in (rows, cols)))
 
 
 def brute_force_assignment_cost(cost: np.ndarray) -> float:
@@ -141,6 +149,12 @@ def _best_gated_matching(dist, gate, free_g, free_h):
 
     recurse(0, set(), 0.0, 0)
     return best_pairs
+
+
+def clearmot_frames(frames: Sequence[Sequence[TrackedObject]]) -> list:
+    """Lists of tracked objects as ``evaluate_clearmot`` reads frames: (ids, boxes)."""
+    return [(np.array([o.track_id for o in objects], dtype=int),
+             Boxes.of([o.box for o in objects])) for objects in frames]
 
 
 def brute_force_clearmot(gt_frames, hyp_frames, gate):
@@ -682,13 +696,20 @@ def visible_agents(
     return in_range & (~hits.any(axis=0)).any(axis=1)
 
 
+def box_at(agent, frame_idx: int) -> Box3D:
+    """An agent's box at frame ``frame_idx``, as ``Agent.box_at`` built it."""
+    _, x, y, yaw, _ = agent.waypoints[frame_idx]
+    w, l, h = agent.dims
+    return Box3D(x=x, y=y, z=0.5 * h, w=w, l=l, h=h, yaw=yaw, category=agent.category)
+
+
 def per_call_frame(s, f: int):
     """Frame ``f`` of scenario ``s`` as the per-call path built it.
 
     Returns the agents' boxes, their stacked ``corners_bev`` (A, 4, 2),
     ``blockers_of(boxes, walls)`` and, by view, the ``visible_agents`` row.
     """
-    boxes = [agent.box_at(f) for agent in s.agents]
+    boxes = [box_at(agent, f) for agent in s.agents]
     corners = np.array([corners_bev(box) for box in boxes]).reshape(len(boxes), 4, 2)
     t = s.frame_times()[f]
     visible = {}
@@ -696,6 +717,47 @@ def per_call_frame(s, f: int):
         pose = s.sensor_pose(view, t)
         visible[view] = visible_agents((pose.x, pose.y), boxes, s.occluders, s.sensor_range(view))
     return boxes, corners, blockers_of(boxes, s.occluders), visible
+
+
+# The per-object ground-truth path: each view's visible agents as
+# ``TrackedObject``s, moved into the ego frame one object at a time and
+# united by id inside the region.
+
+
+def cooperative_ground_truth(
+    gt_v: Sequence[TrackedObject], gt_i: Sequence[TrackedObject], r: Region
+) -> List[TrackedObject]:
+    """Union of the two per-view ground truths restricted to a region.
+
+    Both inputs must be expressed in the ego frame at the same timestamp.
+    The union is keyed by track id (agents share ids across views); the
+    vehicle-side box wins when both views carry the same agent. Output is
+    sorted by track id and contains each id at most once.
+    """
+    merged = {}
+    for obj in list(gt_i) + list(gt_v):  # vehicle side overwrites infra side
+        merged[obj.track_id] = obj
+    kept = [o for o in merged.values() if r.contains(o.box.x, o.box.y)]
+    return sorted(kept, key=lambda o: o.track_id)
+
+
+def objects_to_frame(objects: Sequence[TrackedObject], src_to_dst: Pose) -> List[TrackedObject]:
+    """Re-express tracked objects in another frame, one ``transform_box`` each."""
+    return [replace(o, box=transform_box(o.box, src_to_dst)) for o in objects]
+
+
+def per_object_ground_truth(s, t: float) -> List[TrackedObject]:
+    """The ground truth a run scores at frame time ``t``, built per object:
+    each view's ``visible_agents`` as tracked objects (``box_at``), both
+    moved into the ego frame and united by ``cooperative_ground_truth``."""
+    boxes, _, _, visible = per_call_frame(s, s.frame_index(t))
+    world_to_ego = inverse(s.ego_pose(t))
+    views = [objects_to_frame([TrackedObject(box, agent.id, t, provenance)
+                               for agent, box, seen in zip(s.agents, boxes, visible[view]) if seen],
+                              world_to_ego)
+             for view, provenance in ((View.VEHICLE, Provenance.VEHICLE_SIDE),
+                                      (View.INFRA, Provenance.INFRA_SIDE))]
+    return cooperative_ground_truth(*views, s.region)
 
 
 def per_box_sample_point_cloud(s, t: float, sensor: View) -> PointCloud:

@@ -25,7 +25,7 @@ from cotrack.sensing import (
     predict_feature,
 )
 
-from oracle_utils import brute_force_assignment_cost, brute_force_clearmot
+from oracle_utils import brute_force_assignment_cost, brute_force_clearmot, clearmot_frames
 
 STATIC = FusionMethod(FusionKind.MIDDLE_STATIC)
 FLOW = FusionMethod(FusionKind.MIDDLE_FLOW)
@@ -98,7 +98,7 @@ def test_criterion_3_clearmot_matches_brute_force():
                 obj(int(100 + i), float(rng.uniform(0, 12)), float(rng.uniform(0, 12)), t)
                 for i in rng.choice(5, size=rng.integers(0, 6), replace=False)
             ])
-        mine = evaluate_clearmot(gt_frames, hyp_frames, 3.0)
+        mine = evaluate_clearmot(clearmot_frames(gt_frames), clearmot_frames(hyp_frames), 3.0)
         fp, fn, ids, num_gt, _, _ = brute_force_clearmot(gt_frames, hyp_frames, 3.0)
         assert (mine.fp, mine.fn, mine.ids) == (fp, fn, ids)
         if num_gt > 0:
@@ -190,8 +190,8 @@ def test_criterion_8_every_fusion_beats_vehicle_only_with_occlusion():
     start = time.monotonic()
     scenario = hidden_lane_scenario()
     scn = generate_scenario(scenario, 1)
-    hidden = {o.track_id for o in ground_truth_at(scn, 0.0, View.INFRA)} - \
-             {o.track_id for o in ground_truth_at(scn, 0.0, View.VEHICLE)}
+    hidden = set(ground_truth_at(scn, 0.0, View.INFRA)[0].tolist()) - \
+             set(ground_truth_at(scn, 0.0, View.VEHICLE)[0].tolist())
     assert len(hidden) >= 2, "scenario must hide at least two agents from the ego"
 
     seeds = range(1, 11)

@@ -169,12 +169,13 @@ class TestCooperativePipeline:
         for view, prov in ((View.VEHICLE, Provenance.VEHICLE_SIDE),
                            (View.INFRA, Provenance.INFRA_SIDE)):
             for t in scn.frame_times():
-                for o in ground_truth_at(scn, t, view):
+                ids, boxes = ground_truth_at(scn, t, view)
+                for track_id, b in zip(ids.tolist(), boxes.rows()):
                     noisy = Box3D(
-                        x=o.box.x + rng.normal(0, sigma), y=o.box.y + rng.normal(0, sigma),
-                        z=o.box.z, w=o.box.w, l=o.box.l, h=o.box.h, yaw=o.box.yaw,
+                        x=b.x + rng.normal(0, sigma), y=b.y + rng.normal(0, sigma),
+                        z=b.z, w=b.w, l=b.l, h=b.h, yaw=b.yaw,
                     )
-                    sides[prov].setdefault(o.track_id, []).append((t, noisy))
+                    sides[prov].setdefault(track_id, []).append((t, noisy))
         out = {}
         for prov, tracks in sides.items():
             out[prov] = [

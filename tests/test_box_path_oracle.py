@@ -6,8 +6,7 @@ Detection list, ``transform_box``, late fusion's ``_merge_pair`` and the
 tracker that ran ``kf_predict``/``kf_update`` one ``Track`` at a time
 (``PerTrackTracker``). Floats are compared through ``view(np.uint64)``, so
 -0.0 and 0.0 differ. Yaws at and next to +-pi matter: ``wrap_angle`` maps -pi
-to pi and is not idempotent next to -pi, so the array path must wrap exactly
-where the per-box path did.
+to pi, and one ulp above -pi its first formula lands out of range.
 """
 
 import math
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 
 from cotrack.fusion import fuse_late
 from cotrack.geometry import Box3D, Boxes, Category, Pose
-from cotrack.scenario import Provenance, TrackedObject, objects_to_frame, tracked_objects
+from cotrack.scenario import Provenance, tracked_objects
 from cotrack.tracker import STATE_DIM, Tracker, TrackerParams, predict, update
 from oracle_utils import (Detection, PerTrackTracker, Track, boxes_of, detections_of,
                           guarded_fuse_late, kf_predict, kf_update, transform_box)
@@ -62,25 +61,14 @@ def test_transformed_matches_transform_box(boxes, pose):
 @pytest.mark.parametrize("yaw", EDGE_YAWS)
 @pytest.mark.parametrize("pose_yaw", [0.0, PI, -PI, -PI / 2, PI / 2, math.nextafter(PI, 0.0)])
 def test_transformed_at_plus_minus_pi(yaw, pose_yaw):
-    """Box3D(yaw=-pi) holds pi, and -pi/2 turned by -pi/2 sums to exactly -pi. One
-    ulp above -pi, each wrap flips the yaw to the other side of +-pi, so the
-    number of wraps shows in the bits."""
+    """Box3D(yaw=-pi) holds pi, and -pi/2 turned by -pi/2 sums to exactly -pi.
+    ``transformed`` wraps once where ``transform_box`` wraps twice (its
+    ``Box3D`` wraps again), and both land in (-pi, pi]."""
     box = Box3D(1.0, -2.0, 0.5, 1.8, 4.5, 1.5, yaw=yaw)
     pose = Pose(3.0, 4.0, 0.0, pose_yaw)
     array_yaw = Boxes.of([box]).transformed(pose).values[0, 6]
     assert bits([array_yaw]) == bits([transform_box(box, pose).yaw])
-
-
-def test_objects_to_frame_matches_per_object_transforms():
-    objs = [TrackedObject(Box3D(5.0 * k, -1.0, 0.75, 1.8, 4.5, 1.5, yaw=y, category=c), k + 1,
-                          0.3, Provenance.INFRA_SIDE, 0.25 * k)
-            for k, (y, c) in enumerate(zip(EDGE_YAWS, list(Category) * 2))]
-    pose = Pose(-4.0, 2.5, 0.1, -PI / 2)
-    moved = objects_to_frame(objs, pose)
-    assert box_bits([o.box for o in moved]) == box_bits([transform_box(o.box, pose) for o in objs])
-    assert [(o.track_id, o.timestamp, o.provenance, o.score) for o in moved] == \
-        [(o.track_id, o.timestamp, o.provenance, o.score) for o in objs]
-    assert objects_to_frame([], pose) == []
+    assert -PI < array_yaw <= PI
 
 
 @settings(max_examples=300, deadline=None)
@@ -140,7 +128,7 @@ def test_stacked_tracker_replays_the_per_track_tracker(sequence, params, steps):
     for dets, dt in zip(sequence, steps):
         boxes, ids = tracker.step(boxes_of(dets), t)
         want = oracle.step(dets, t)
-        got = tracked_objects(boxes, ids, t, Provenance.VEHICLE_SIDE)
+        got = tracked_objects(boxes, ids, t, [Provenance.VEHICLE_SIDE] * len(ids))
         assert box_bits([o.box for o in got]) == box_bits([o.box for o in want])
         tags = [[(o.track_id, o.timestamp, o.provenance, o.score) for o in objects]
                 for objects in (got, want)]

@@ -195,6 +195,25 @@ class TestRunSweep:
         assert len(failures) == 1
         assert failures[0].seed == 2 and "injected" in failures[0].error
 
+    def test_run_command_keeps_failures_when_every_cell_fails(self, tmp_path, monkeypatch,
+                                                              capsys):
+        def broken(cfg_, fusion, latency, seed, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(experiment, "run_single", broken)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": {"duration_s": 1.0}, "fusions": ["vehicle_only"],
+                                   "latencies_ms": [0], "seeds": [4]}))
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "no runs completed" in err
+        assert "FAILED vehicle_only latency=0.0 seed=4: RuntimeError('injected')" in err
+        failures = json.loads((out_dir / "failures.json").read_text())
+        assert failures == [{"error": "RuntimeError('injected')", "fusion": "vehicle_only",
+                             "latency_ms": 0.0, "seed": 4}]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["failures.json"]
+
     def test_shared_work_failure_fails_exactly_that_seeds_cells(self, monkeypatch):
         cfg = tiny_config()
         clean, _ = run_sweep(cfg)
@@ -673,6 +692,24 @@ class TestCli:
         assert result["ids"] == report.ids
         assert result["fp"] == report.fp
         assert result["fn"] == report.fn
+
+    def test_annotate_command_rejects_a_window_shorter_than_a_frame(self, tmp_path, capsys):
+        from cotrack.annotate import Trajectory, write_trajectories
+        from cotrack.geometry import Box3D
+
+        # 100 Hz tracks, 50 samples 0.01 s apart; interest scores count 10 Hz frames.
+        def tr(track_id, prov):
+            samples = tuple((0.01 * k, Box3D(x=0.1 * k, y=0.0, z=0.75, w=1.8, l=4.5, h=1.5))
+                            for k in range(50))
+            return Trajectory(track_id=track_id, samples=samples, provenance=prov)
+
+        src = tmp_path / "dense.jsonl"
+        write_trajectories(src, [tr(1, Provenance.VEHICLE_SIDE), tr(2, Provenance.INFRA_SIDE)])
+        code = cli_main(["annotate", "--in", str(src), "--out", str(tmp_path / "o"),
+                         "--window-s", "0.04", "--overlap-s", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: window_s * frame_rate_hz must be at least 1 frame, got 0.04 s at 10 Hz\n")
 
     def test_annotate_command(self, tmp_path, capsys):
         from cotrack.annotate import Trajectory, write_trajectories

@@ -5,7 +5,8 @@ each view's ground-truth visibility once (``Scenario.geometry``). The
 references in ``oracle_utils`` are what ground truth and the point sampler
 built on every call: a ``Box3D`` per agent, its corners and blocker row one
 box at a time, and the batched probe test. Every value must match bit for
-bit, in every frame and view.
+bit, in every frame and view. The ground truth a run scores, read from these
+tables as arrays, must equal what the per-object path built from them.
 """
 
 import math
@@ -15,11 +16,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cotrack.experiment as experiment
+from cotrack.experiment import ExperimentConfig, run_single
+from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.geometry import Category
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import AgentPopulation, ScenarioConfig, generate_scenario
 from cotrack.sensing import View
-from oracle_utils import per_call_frame
+from oracle_utils import per_call_frame, per_object_ground_truth
 
 
 def bits(values) -> np.ndarray:
@@ -103,6 +107,34 @@ class TestFrameGeometry:
         assert table == rows
         for arr in vars(ol).values():
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("name", SCENES)
+    def test_scored_ground_truth_equals_per_object_path(self, name, monkeypatch):
+        """The (ids, boxes) frames ``evaluate_clearmot`` scores, and the
+        artifacts' tracked objects (ids, boxes, timestamps, provenances), bit
+        for bit against the per-object union of both views in the region."""
+        scored = []
+        real = experiment.evaluate_clearmot
+
+        def keep(gt_frames, hyp_frames, gate):
+            scored.extend(gt_frames)
+            return real(gt_frames, hyp_frames, gate)
+
+        monkeypatch.setattr(experiment, "evaluate_clearmot", keep)
+        cfg = ExperimentConfig(scenario=SCENES[name])
+        _, art = run_single(cfg, FusionMethod(FusionKind.VEHICLE_ONLY), 0.0, 1,
+                            keep_artifacts=True)
+        s = generate_scenario(cfg.scenario, 1)
+        times = s.frame_times()
+        assert len(scored) == len(art.gt_frames) == len(times)
+        for (ids, boxes), objects, t in zip(scored, art.gt_frames, times):
+            want = per_object_ground_truth(s, t)
+            assert ids.tolist() == [o.track_id for o in want]
+            rows = [[o.box.x, o.box.y, o.box.z, o.box.w, o.box.l, o.box.h, o.box.yaw]
+                    for o in want]
+            assert np.array_equal(bits(boxes.values), bits(np.reshape(rows, (-1, 7))))
+            assert boxes.rows() == [o.box for o in want]
+            assert objects == want
 
     def test_same_config_and_seed_give_equal_tables(self):
         cfg = SCENES["moving_rotated_ego"]

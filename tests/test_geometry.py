@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cotrack.errors import ConfigurationError, NumericError
 from cotrack.geometry import (
@@ -10,7 +12,7 @@ from cotrack.geometry import (
     Category,
     Pose,
     Region,
-    center_distance_matrix,
+    center_distances,
     compose,
     inverse,
     rays_hit_blockers,
@@ -53,6 +55,55 @@ class TestPose:
     def test_wrap_angle_array(self):
         vals = wrap_angle(np.array([0.0, math.pi, -math.pi, 5 * math.pi / 2]))
         assert vals == pytest.approx([0.0, math.pi, math.pi, math.pi / 2])
+
+
+def first_formula(angle):
+    """``wrap_angle`` before its out-of-range fallback."""
+    return angle - 2.0 * math.pi * np.ceil((angle - math.pi) / (2.0 * math.pi))
+
+
+def float_bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def near(x: float, steps: int = 3) -> list:
+    """``x`` and the ``steps`` floats on each side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(steps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+# Neighbours of +-pi and of the odd multiples of pi where a turn ends.
+EDGES = [v for k in (1, 3, 5, 101) for sign in (1.0, -1.0) for v in near(sign * k * math.pi)]
+
+
+class TestWrapAngle:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_in_range_idempotent_and_the_first_formula_where_that_is_in_range(self, angle):
+        wrapped = wrap_angle(angle)
+        assert -math.pi < wrapped <= math.pi
+        assert float_bits(wrap_angle(wrapped)) == float_bits(wrapped)
+        first = first_formula(angle)
+        if -math.pi < first <= math.pi:
+            assert float_bits(wrapped) == float_bits(first)
+
+    @pytest.mark.parametrize("angle", EDGES)
+    def test_neighbours_of_plus_minus_pi(self, angle):
+        wrapped = wrap_angle(angle)
+        assert -math.pi < wrapped <= math.pi
+        assert float_bits(wrap_angle(wrapped)) == float_bits(wrapped)
+        assert abs(math.remainder(wrapped - angle, 2.0 * math.pi)) < 1e-12 * max(1.0, abs(angle))
+
+    def test_one_ulp_above_minus_pi_stays_put(self):
+        angle = math.nextafter(-math.pi, 0.0)
+        assert first_formula(angle) > math.pi  # the first formula's slip
+        assert float_bits(wrap_angle(angle)) == float_bits(angle)
+
+    def test_array_equals_each_scalar(self):
+        angles = np.array(EDGES + [0.0, -0.0, 1e300, -1e300, 7.5])
+        assert float_bits(wrap_angle(angles)) == float_bits([wrap_angle(a) for a in angles])
 
 
 class TestBoxValidation:
@@ -111,7 +162,7 @@ class TestTransformBox:
 
 def center_distance(a, b):
     """One box pair's entry of the pairwise distance matrix."""
-    return center_distance_matrix([a], [b])[0, 0]
+    return center_distances(np.array([[a.x, a.y, a.z]]), np.array([[b.x, b.y, b.z]]))[0, 0]
 
 
 class TestCenterDistance:

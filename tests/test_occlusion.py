@@ -22,7 +22,8 @@ from cotrack.geometry import Blockers, Box3D, rays_hit_blockers
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import ScenarioConfig, generate_scenario, ground_truth_at
 from cotrack.sensing import View, sample_point_cloud
-from oracle_utils import blockers_of, corners_bev, segments_hit_blockers, visible_agents
+from oracle_utils import (blockers_of, box_at, corners_bev, segments_hit_blockers,
+                          visible_agents)
 
 PROBE_OFFSETS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -272,14 +273,14 @@ class TestBatchedVisibility:
         for cfg in (hidden_lane_scenario(duration_s=2.0), ScenarioConfig(duration_s=2.0)):
             s = generate_scenario(cfg, seed=3)
             for t in s.frame_times()[::4]:
-                boxes = [agent.box_at(s.frame_index(t)) for agent in s.agents]
+                boxes = [box_at(agent, s.frame_index(t)) for agent in s.agents]
                 ids = [agent.id for agent in s.agents]
                 for view in View:
                     pose = s.sensor_pose(view, t)
                     seen = visible_per_agent((pose.x, pose.y), boxes, s.occluders,
                                              s.sensor_range(view))
                     want = [i for i, v in zip(ids, seen) if v]
-                    assert [o.track_id for o in ground_truth_at(s, t, view)] == want
+                    assert ground_truth_at(s, t, view)[0].tolist() == want
 
 
 class TestClutterField:

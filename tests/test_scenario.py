@@ -15,12 +15,11 @@ from cotrack.scenario import (
     Provenance,
     ScenarioConfig,
     TrackedObject,
-    cooperative_ground_truth,
     generate_scenario,
     ground_truth_at,
-    objects_to_frame,
 )
 from cotrack.sensing import MAX_GRID_CELLS, GridSpec, NoiseConfig, View
+from oracle_utils import cooperative_ground_truth, objects_to_frame
 
 
 def one_agent_config(speed=10.0, lane_y=0.0, x0=0.0, duration=3.0):
@@ -50,8 +49,9 @@ class TestGenerateScenario:
         cfg = ScenarioConfig(duration_s=1.0, agents=AgentPopulation(count=0))
         scn = generate_scenario(cfg, 1)
         for t in scn.frame_times():
-            assert ground_truth_at(scn, t, View.VEHICLE) == []
-            assert ground_truth_at(scn, t, View.INFRA) == []
+            for view in View:
+                ids, boxes = ground_truth_at(scn, t, view)
+                assert ids.shape == (0,) and boxes.values.shape == (0, 7)
 
     def test_constant_velocity_kinematics(self):
         scn = generate_scenario(one_agent_config(speed=10.0), 1)
@@ -167,10 +167,10 @@ class TestGroundTruth:
             noise=NoiseConfig(sigma_m=0.0, clutter_per_m2=0.0),
         )
         scn = generate_scenario(cfg, 1)
-        assert ground_truth_at(scn, 0.0, View.VEHICLE) == []
-        infra = ground_truth_at(scn, 0.0, View.INFRA)
-        assert [o.track_id for o in infra] == [1]
-        assert infra[0].provenance is Provenance.INFRA_SIDE
+        assert ground_truth_at(scn, 0.0, View.VEHICLE)[0].tolist() == []
+        ids, boxes = ground_truth_at(scn, 0.0, View.INFRA)
+        assert ids.tolist() == [1]
+        assert boxes.values[0, :2].tolist() == [30.0, 0.0]
 
     def test_both_views_equal_without_occlusion(self):
         cfg = ScenarioConfig(
@@ -184,22 +184,21 @@ class TestGroundTruth:
         )
         scn = generate_scenario(cfg, 3)
         for t in scn.frame_times():
-            gt_v = ground_truth_at(scn, t, View.VEHICLE)
-            gt_i = ground_truth_at(scn, t, View.INFRA)
-            assert [o.track_id for o in gt_v] == [o.track_id for o in gt_i] == [1, 2, 3]
-            for a, b in zip(gt_v, gt_i):
-                assert a.box == b.box
+            ids_v, gt_v = ground_truth_at(scn, t, View.VEHICLE)
+            ids_i, gt_i = ground_truth_at(scn, t, View.INFRA)
+            assert ids_v.tolist() == ids_i.tolist() == [1, 2, 3]
+            assert gt_v.rows() == gt_i.rows()
 
     def test_out_of_range_sensor_sees_nothing(self):
         cfg = one_agent_config(x0=80.0)
         cfg = ScenarioConfig(**{**cfg.__dict__, "vehicle_range_m": 50.0})
         scn = generate_scenario(cfg, 1)
-        assert ground_truth_at(scn, 0.0, View.VEHICLE) == []
+        assert ground_truth_at(scn, 0.0, View.VEHICLE)[0].tolist() == []
 
     def test_track_ids_are_agent_ids(self):
         scn = generate_scenario(ScenarioConfig(duration_s=1.0), 1)
-        gt = ground_truth_at(scn, 0.0, View.INFRA)
-        assert all(o.track_id in {a.id for a in scn.agents} for o in gt)
+        ids, _ = ground_truth_at(scn, 0.0, View.INFRA)
+        assert set(ids.tolist()) <= {a.id for a in scn.agents}
 
 
 def obj(track_id, x, y, z=0.0, t=0.0, prov=Provenance.VEHICLE_SIDE):
@@ -212,6 +211,9 @@ def obj(track_id, x, y, z=0.0, t=0.0, prov=Provenance.VEHICLE_SIDE):
 
 
 class TestCooperativeGroundTruth:
+    """The per-object union in ``oracle_utils``, the reference for the run's
+    scored ground truth (``test_frame_geometry``)."""
+
     REGION = Region(0.0, -40.0, 100.0, 40.0)
 
     def test_idempotent_union(self):
@@ -247,6 +249,8 @@ class TestCooperativeGroundTruth:
 
 
 class TestObjectsToFrame:
+    """The per-object transform in ``oracle_utils``."""
+
     def test_world_to_ego_roundtrip(self):
         pose = Pose(5.0, -3.0, 0.0, 0.7)
         objs = [obj(1, 10.0, 2.0, 0.75)]

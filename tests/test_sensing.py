@@ -19,7 +19,7 @@ from cotrack.sensing import (
     rasterize_bev,
     sample_point_cloud,
 )
-from oracle_utils import corners_bev, ufunc_at_rasterize_bev
+from oracle_utils import box_at, corners_bev, ufunc_at_rasterize_bev
 
 SPEC = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=20, rows=10)
 
@@ -83,7 +83,7 @@ class TestSamplePointCloud:
         scn = generate_scenario(cfg, 7)
         pc = sample_point_cloud(scn, 0.0, View.VEHICLE)
         assert len(pc) > 40
-        box = scn.agents[0].box_at(0)
+        box = box_at(scn.agents[0], 0)
         for pt in pc.points:
             assert perimeter_distance(box, pt[:2]) < 1e-9
             assert 0.0 <= pt[2] <= box.h
