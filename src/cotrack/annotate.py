@@ -18,28 +18,28 @@ import numpy as np
 
 from .assignment import gated_assignment
 from .errors import ConfigurationError, DecodeError, OrderingError, UndefinedSimilarityError
-from .geometry import Box3D, Category, center_distances
-from .scenario import Provenance, TrackedObject
+from .geometry import CATEGORY_ORDER, Boxes, Category, center_distances, wrap_angle
+from .scenario import Provenance
 
 SIMILARITY_SCALE_M = 2.0
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered (t, box) samples for one track."""
+    """One track over time: row k of ``boxes`` is its box at ``times[k]``, and
+    the times strictly increase."""
 
     track_id: int
-    samples: Tuple[Tuple[float, Box3D], ...]
+    times: Tuple[float, ...]
+    boxes: Boxes
     provenance: Provenance = Provenance.FUSED
     source_ids: Tuple[Optional[int], Optional[int]] = (None, None)
 
     def __post_init__(self):
-        times = [t for t, _ in self.samples]
-        if any(b - a <= 0 for a, b in zip(times, times[1:])):
+        if len(self.times) != len(self.boxes):
+            raise ConfigurationError(f"trajectory {self.track_id} needs one time per box")
+        if any(b - a <= 0 for a, b in zip(self.times, self.times[1:])):
             raise OrderingError(f"trajectory {self.track_id} times must strictly increase")
-
-    def times(self) -> List[float]:
-        return [t for t, _ in self.samples]
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ class Segment:
     trajectories: Tuple[Trajectory, ...]
 
 
-def _mean_center(a: Box3D, b: Box3D) -> Box3D:
-    """``a`` moved to the midpoint of the two centers."""
-    return replace(a, x=0.5 * (a.x + b.x), y=0.5 * (a.y + b.y), z=0.5 * (a.z + b.z))
+def _rows_by_time(tr: Trajectory) -> Dict[float, int]:
+    """Each sample's row, keyed by its time to the microsecond."""
+    return {round(t, 6): k for k, t in enumerate(tr.times)}
 
 
 def trajectory_similarity(a: Trajectory, b: Trajectory) -> float:
@@ -69,12 +69,10 @@ def trajectory_similarity(a: Trajectory, b: Trajectory) -> float:
     Identical trajectories score exactly 1; the score decays toward 0 as the
     trajectories diverge. Requires at least two overlapping frames.
     """
-    times_b = {round(t, 6): box for t, box in b.samples}
-    dists = []
-    for t, box in a.samples:
-        other = times_b.get(round(t, 6))
-        if other is not None:
-            dists.append(math.dist((box.x, box.y, box.z), (other.x, other.y, other.z)))
+    rows_b = _rows_by_time(b)
+    centres_a, centres_b = a.boxes.values[:, :3].tolist(), b.boxes.values[:, :3].tolist()
+    dists = [math.dist(centre, centres_b[rows_b[round(t, 6)]])
+             for t, centre in zip(a.times, centres_a) if round(t, 6) in rows_b]
     if len(dists) < 2:
         raise UndefinedSimilarityError(
             f"trajectories {a.track_id} and {b.track_id} overlap on {len(dists)} frames, need >= 2"
@@ -102,7 +100,7 @@ def fragment(
     if window_s <= overlap_s or overlap_s < 0:
         raise ConfigurationError(
             f"fragment requires window_s > overlap_s >= 0, got {window_s} and {overlap_s}")
-    all_times = [t for traj in traj_set for t in traj.times()]
+    all_times = [t for traj in traj_set for t in traj.times]
     if not all_times:
         return []
     t0 = min(all_times)
@@ -115,9 +113,10 @@ def fragment(
         end = start + window_s
         clipped = []
         for traj in traj_set:
-            samples = tuple((t, b) for t, b in traj.samples if start <= t <= end)
-            if samples:
-                clipped.append(replace(traj, samples=samples))
+            rows = [k for k, t in enumerate(traj.times) if start <= t <= end]
+            if rows:
+                clipped.append(replace(traj, times=tuple(traj.times[k] for k in rows),
+                                       boxes=traj.boxes.take(rows)))
         segments.append(
             Segment(index=index, start_s=start, end_s=end, full=end <= t_end,
                     trajectories=tuple(clipped))
@@ -125,6 +124,23 @@ def fragment(
         index += 1
         start = t0 + index * stride
     return segments
+
+
+def frame_rate_hz(trajectories: Sequence[Trajectory]) -> int:
+    """The rate trajectories are sampled at: one over the median gap between
+    consecutive samples, to whole Hz and at least 1 (10 when no track has two
+    samples). A gap under the microsecond that times pair at counts as one."""
+    gaps = [b - a for tr in trajectories for a, b in zip(tr.times, tr.times[1:])]
+    if not gaps:
+        return 10
+    return max(1, round(1.0 / max(float(np.median(gaps)), 1e-6)))
+
+
+def check_window(window_s: float, frame_rate_hz: int) -> None:
+    """A scoring window must hold at least one frame."""
+    if window_s * frame_rate_hz < 1:
+        raise ConfigurationError(f"window_s * frame_rate_hz must be at least 1 frame, "
+                                 f"got {window_s} s at {frame_rate_hz} Hz")
 
 
 def score_interest(
@@ -138,19 +154,16 @@ def score_interest(
     is the largest absolute speed difference across a one-second gap, with
     speeds taken from finite differences of the centers. Completion is the
     fraction of window frames the track is present, capped at 1; a window
-    shorter than one frame is a ``ConfigurationError``.
+    shorter than one frame is a ``ConfigurationError`` (``check_window``).
     """
-    if window_s * frame_rate_hz < 1:
-        raise ConfigurationError(f"window_s * frame_rate_hz must be at least 1 frame, "
-                                 f"got {window_s} s at {frame_rate_hz} Hz")
-    if len(t.samples) < 3:
-        raise UndefinedSimilarityError(f"interest score needs >= 3 samples, got {len(t.samples)}")
-    times = np.array([s for s, _ in t.samples])
-    yaws = np.unwrap(np.array([b.yaw for _, b in t.samples]))
+    check_window(window_s, frame_rate_hz)
+    if len(t.times) < 3:
+        raise UndefinedSimilarityError(f"interest score needs >= 3 samples, got {len(t.times)}")
+    times = np.array(t.times)
+    yaws = np.unwrap(t.boxes.values[:, 6])
     turning = float(np.abs(np.diff(yaws)).sum())
 
-    centers = np.array([[b.x, b.y] for _, b in t.samples])
-    step = np.linalg.norm(np.diff(centers, axis=0), axis=1)
+    step = np.linalg.norm(np.diff(t.boxes.values[:, :2], axis=0), axis=1)
     speeds = step / np.diff(times)
     lag = min(frame_rate_hz, len(speeds) - 1)
     if lag >= 1:
@@ -159,7 +172,7 @@ def score_interest(
         speed_change = 0.0
 
     expected_frames = int(round(window_s * frame_rate_hz))
-    completion = min(1.0, len(t.samples) / expected_frames)
+    completion = min(1.0, len(t.times) / expected_frames)
 
     return turning + speed_change + completion
 
@@ -184,15 +197,16 @@ def build_cooperative_trajectories(
     v_by_id = {tr.track_id: tr for tr in vehicle_trajs}
     i_by_id = {tr.track_id: tr for tr in infra_trajs}
 
-    # Per frame time, to the microsecond: each side's (track id, box) list.
+    # Per frame time, to the microsecond: each side's (track id, centre) list.
     frames: Dict[float, Tuple[list, list]] = {}
     for side, trajs in enumerate((vehicle_trajs, infra_trajs)):
         for tr in trajs:
-            for t, box in {round(t, 6): box for t, box in tr.samples}.items():
-                frames.setdefault(t, ([], []))[side].append((tr.track_id, box))
+            centres = tr.boxes.values[:, :3].tolist()
+            for t, k in _rows_by_time(tr).items():
+                frames.setdefault(t, ([], []))[side].append((tr.track_id, centres[k]))
     pairs = set()
     for bv, bi in frames.values():
-        cost = center_distances(*(np.array([(b.x, b.y, b.z) for _, b in side]).reshape(-1, 3)
+        cost = center_distances(*(np.array([c for _, c in side]).reshape(-1, 3)
                                   for side in (bv, bi)))
         matched, _, _ = gated_assignment(cost, cost <= match_threshold_m)
         pairs.update((bv[r][0], bi[c][0]) for r, c in matched)
@@ -235,29 +249,33 @@ def build_cooperative_trajectories(
 
 
 def _fuse_pair(v: Trajectory, i: Trajectory, coop_id: int) -> Trajectory:
-    i_by_t = {round(t, 6): b for t, b in i.samples}
-    v_times = {round(t, 6) for t, _ in v.samples}
-    samples: List[Tuple[float, Box3D]] = []
-    for t, box in v.samples:
-        other = i_by_t.get(round(t, 6))
-        if other is None:
-            samples.append((t, box))
-        else:
-            samples.append((t, _mean_center(box, other)))
-    for t, box in i.samples:
-        if round(t, 6) not in v_times:
-            samples.append((t, box))
-    samples.sort(key=lambda s: s[0])
-    return Trajectory(track_id=coop_id, samples=tuple(samples), provenance=Provenance.FUSED,
+    """``v``'s samples, each centre averaged with ``i``'s at the same time,
+    and ``i``'s samples at the times ``v`` lacks, sorted by time."""
+    i_rows = _rows_by_time(i)
+    values = v.boxes.values.copy()
+    for k, t in enumerate(v.times):
+        j = i_rows.get(round(t, 6))
+        if j is not None:
+            values[k, :3] = 0.5 * (values[k, :3] + i.boxes.values[j, :3])
+    v_rows = _rows_by_time(v)
+    only_i = [j for j, t in enumerate(i.times) if round(t, 6) not in v_rows]
+    times = v.times + tuple(i.times[j] for j in only_i)
+    boxes = Boxes.concat([Boxes(values, v.boxes.category, v.boxes.score), i.boxes.take(only_i)])
+    order = sorted(range(len(times)), key=times.__getitem__)
+    return Trajectory(track_id=coop_id, times=tuple(times[k] for k in order),
+                      boxes=boxes.take(order), provenance=Provenance.FUSED,
                       source_ids=(v.track_id, i.track_id))
 
 
 # ---------------------------------------------------------------------------
 # JSON-lines track files: one record per (track_id, t) with the box fields.
 
-def _box_to_dict(b: Box3D) -> dict:
-    return {"x": b.x, "y": b.y, "z": b.z, "w": b.w, "l": b.l, "h": b.h,
-            "yaw": b.yaw, "category": b.category.value}
+_BOX_FIELDS = ("x", "y", "z", "w", "l", "h", "yaw")
+
+
+def _box_dicts(boxes: Boxes) -> List[dict]:
+    return [dict(zip(_BOX_FIELDS, row), category=CATEGORY_ORDER[code].value)
+            for row, code in zip(boxes.values.tolist(), boxes.category.tolist())]
 
 
 @dataclass(frozen=True)
@@ -266,9 +284,8 @@ class _TrackRecord:
 
     t: float
     track_id: int
-    box: Box3D
+    box: Boxes  # one row, its yaw wrapped into (-pi, pi]
     provenance: Provenance
-    score: float
     source_ids: Tuple[Optional[int], Optional[int]]
 
 
@@ -282,34 +299,38 @@ def _number(d: dict, key: str, default: Optional[float] = None) -> float:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether ``value`` is a JSON integer that fits in 64 bits."""
+    return isinstance(value, int) and not isinstance(value, bool) and -2**63 <= value < 2**63
 
 
 def _parse_record(rec) -> _TrackRecord:
-    """Check one decoded line; a bad field raises ValueError naming it."""
+    """Check one decoded line: a bad field raises ValueError naming it, and a
+    box that ``Boxes`` rejects raises its ``CotrackError``, also a ValueError."""
     if not isinstance(rec, dict) or not isinstance(rec.get("box"), dict):
         raise ValueError("a record must be a JSON object with a 'box' object")
     if not _is_int(rec.get("track_id")):
-        raise ValueError(f"field 'track_id' must be an integer, got {rec.get('track_id')!r}")
+        raise ValueError(f"field 'track_id' must be a 64-bit integer, got {rec.get('track_id')!r}")
     source_ids = rec.get("source_ids") or [None, None]
     if (not isinstance(source_ids, list) or len(source_ids) != 2
             or not all(s is None or _is_int(s) for s in source_ids)):
         raise ValueError(f"field 'source_ids' must be two integers or nulls, got {source_ids!r}")
     b = rec["box"]
-    box = Box3D(x=_number(b, "x"), y=_number(b, "y"), z=_number(b, "z"),
-                w=_number(b, "w"), l=_number(b, "l"), h=_number(b, "h"),
-                yaw=_number(b, "yaw", 0.0), category=Category(b.get("category", "car")))
+    values = np.array([[_number(b, key, 0.0 if key == "yaw" else None) for key in _BOX_FIELDS]])
+    values[:, 6] = wrap_angle(values[:, 6])
+    category = CATEGORY_ORDER.index(Category(b.get("category", "car")))
+    score = np.array([_number(rec, "score", 1.0)])
+    box = Boxes(values, np.array([category], dtype=np.uint8), score)
     return _TrackRecord(t=_number(rec, "t"), track_id=rec["track_id"], box=box,
                         provenance=Provenance(rec.get("provenance", "fused")),
-                        score=_number(rec, "score", 1.0), source_ids=tuple(source_ids))
+                        source_ids=tuple(source_ids))
 
 
 def _read_records(path) -> Iterator[_TrackRecord]:
     """The records of a JSON-lines track file, blank lines skipped.
 
     Bad JSON, a missing or non-numeric field, an unknown category or
-    provenance, or a box with non-positive dims raises DecodeError naming
-    the file and line.
+    provenance, a box with non-positive dims or a score outside [0, 1]
+    raises DecodeError naming the file and line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -322,17 +343,15 @@ def _read_records(path) -> Iterator[_TrackRecord]:
             yield record
 
 
-def write_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
+def _write_lines(path, records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for tr in trajectories:
-            for t, box in tr.samples:
-                fh.write(json.dumps({
-                    "t": t,
-                    "track_id": tr.track_id,
-                    "box": _box_to_dict(box),
-                    "provenance": tr.provenance.value,
-                    "source_ids": list(tr.source_ids),
-                }) + "\n")
+        fh.writelines(json.dumps(rec) + "\n" for rec in records)
+
+
+def write_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
+    _write_lines(path, ({"t": t, "track_id": tr.track_id, "box": box,
+                         "provenance": tr.provenance.value, "source_ids": list(tr.source_ids)}
+                        for tr in trajectories for t, box in zip(tr.times, _box_dicts(tr.boxes))))
 
 
 def read_trajectories(path) -> List[Trajectory]:
@@ -343,31 +362,28 @@ def read_trajectories(path) -> List[Trajectory]:
     out = []
     for (track_id, prov), recs in sorted(rows.items()):
         recs.sort(key=lambda r: r.t)
-        out.append(Trajectory(track_id=track_id, samples=tuple((r.t, r.box) for r in recs),
+        out.append(Trajectory(track_id=track_id, times=tuple(r.t for r in recs),
+                              boxes=Boxes.concat([r.box for r in recs]),
                               provenance=Provenance(prov), source_ids=recs[0].source_ids))
     return out
 
 
-def write_tracked_objects(path, frames: Iterable[Sequence[TrackedObject]]) -> None:
-    """Stream per-frame tracker output as JSON lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for frame in frames:
-            for o in frame:
-                fh.write(json.dumps({
-                    "t": o.timestamp,
-                    "track_id": o.track_id,
-                    "box": _box_to_dict(o.box),
-                    "score": o.score,
-                    "provenance": o.provenance.value,
-                }) + "\n")
+def write_tracks(path, times: Iterable[float], frames: Iterable[Tuple[np.ndarray, Boxes]],
+                 sides: Iterable[Sequence[Provenance]]) -> None:
+    """Write ``(ids, boxes)`` frames as JSON lines, one per row; frame k is at
+    ``times[k]`` and ``sides[k]`` holds its rows' provenances."""
+    _write_lines(path, ({"t": t, "track_id": track_id, "box": box, "score": score,
+                         "provenance": provenance.value}
+                        for t, (ids, boxes), side in zip(times, frames, sides)
+                        for track_id, box, score, provenance
+                        in zip(ids.tolist(), _box_dicts(boxes), boxes.score.tolist(), side)))
 
 
-def read_tracked_objects(path) -> Dict[float, List[TrackedObject]]:
-    """Load a JSON-lines track file grouped by timestamp."""
-    frames: Dict[float, List[TrackedObject]] = {}
+def read_tracks(path) -> Dict[float, Tuple[np.ndarray, Boxes]]:
+    """A JSON-lines track file's ``(ids, boxes)`` frames, keyed by time to the
+    microsecond in the order the times first appear."""
+    frames: Dict[float, List[_TrackRecord]] = {}
     for rec in _read_records(path):
-        t = round(rec.t, 6)
-        frames.setdefault(t, []).append(TrackedObject(
-            box=rec.box, track_id=rec.track_id, timestamp=t,
-            provenance=rec.provenance, score=rec.score))
-    return frames
+        frames.setdefault(round(rec.t, 6), []).append(rec)
+    return {t: (np.array([r.track_id for r in recs], dtype=int),
+                Boxes.concat([r.box for r in recs])) for t, recs in frames.items()}

@@ -12,14 +12,16 @@ import numpy as np
 from .annotate import (
     Provenance,
     build_cooperative_trajectories,
+    check_window,
     fragment,
-    read_tracked_objects,
+    frame_rate_hz,
+    read_tracks,
     read_trajectories,
     score_interest,
     write_trajectories,
 )
 from .errors import CotrackError
-from .experiment import load_experiment_config, run_sweep, write_sweep_outputs
+from .experiment import load_experiment_config, run_sweep, write_csv, write_sweep_outputs
 from .geometry import Boxes
 from .metrics import evaluate_clearmot
 
@@ -47,41 +49,33 @@ def _cmd_annotate(args) -> int:
         match_threshold_m=args.match_threshold,
         similarity_threshold=args.similarity_threshold,
     )
+    rate_hz = frame_rate_hz(trajectories)
+    check_window(args.window_s, rate_hz)
+    segments = fragment(coop, window_s=args.window_s, overlap_s=args.overlap_s)
+    scores = [(seg.index, tr.track_id, score_interest(tr, args.window_s, rate_hz))
+              for seg in segments for tr in seg.trajectories if len(tr.times) >= 3]
+
+    # Every output is computed above, so a rejected input leaves no files.
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trajectories(out / "cooperative.jsonl", coop)
-
-    with open(out / "matches.csv", "w", encoding="utf-8") as fh:
-        fh.write("vehicle_id,infra_id,similarity,kept\n")
-        for c in candidates:
-            kept = int(c.similarity >= args.similarity_threshold)
-            fh.write(f"{c.vehicle_id},{c.infra_id},{c.similarity:.4f},{kept}\n")
-
-    segments = fragment(coop, window_s=args.window_s, overlap_s=args.overlap_s)
-    with open(out / "segments.csv", "w", encoding="utf-8") as fh:
-        fh.write("segment,start_s,end_s,full,n_trajectories\n")
-        for seg in segments:
-            fh.write(f"{seg.index},{seg.start_s:.4f},{seg.end_s:.4f},"
-                     f"{int(seg.full)},{len(seg.trajectories)}\n")
-    with open(out / "segment_scores.csv", "w", encoding="utf-8") as fh:
-        fh.write("segment,track_id,score\n")
-        for seg in segments:
-            for tr in seg.trajectories:
-                if len(tr.samples) < 3:
-                    continue
-                score = score_interest(tr, window_s=args.window_s)
-                fh.write(f"{seg.index},{tr.track_id},{score:.4f}\n")
+    write_csv(out / "matches.csv", ("vehicle_id", "infra_id", "similarity", "kept"),
+              ((c.vehicle_id, c.infra_id, c.similarity,
+                int(c.similarity >= args.similarity_threshold)) for c in candidates))
+    write_csv(out / "segments.csv", ("segment", "start_s", "end_s", "full", "n_trajectories"),
+              ((seg.index, seg.start_s, seg.end_s, int(seg.full), len(seg.trajectories))
+               for seg in segments))
+    write_csv(out / "segment_scores.csv", ("segment", "track_id", "score"), scores)
     print(f"wrote {len(coop)} cooperative trajectories and {len(segments)} segments to {out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    gt = read_tracked_objects(args.gt)
-    hyp = read_tracked_objects(args.hyp)
+    gt, hyp = read_tracks(args.gt), read_tracks(args.hyp)
     times = sorted(set(gt) | set(hyp))
-    frames = ([(np.array([o.track_id for o in objs], dtype=int), Boxes.of([o.box for o in objs]))
-               for objs in (side.get(t, []) for t in times)] for side in (gt, hyp))
-    result = evaluate_clearmot(*frames, args.gate)
+    empty = (np.zeros(0, dtype=int), Boxes.empty())
+    result = evaluate_clearmot([gt.get(t, empty) for t in times],
+                               [hyp.get(t, empty) for t in times], args.gate)
     print(json.dumps({
         "mota": result.mota,
         "motp_m": result.motp,

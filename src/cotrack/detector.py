@@ -96,7 +96,7 @@ def detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> Boxes:
     kept = sizes >= params.min_cells
     keep = kept[labels]
     if not keep.any():
-        return Boxes.of([])
+        return Boxes.empty()
     # A stable sort by label keeps each component's cells in row-major order,
     # the order numpy's pairwise sums must see them in for bit-equal results.
     cells = cells[keep][np.argsort(labels[keep], kind="stable")]

@@ -37,10 +37,8 @@ from .scenario import (
     Provenance,
     Scenario,
     ScenarioConfig,
-    TrackedObject,
     generate_scenario,
     ground_truth_at,
-    tracked_objects,
 )
 from .sensing import FeatureGrid, View, rasterize_bev, sample_point_cloud
 from .tracker import Tracker, TrackerParams
@@ -80,10 +78,14 @@ class RunFailure:
 
 @dataclass
 class RunArtifacts:
-    """Optional per-frame products of one run, for tests and file export."""
+    """Optional per-frame products of one run, for tests and file export: the
+    scored ``(ids, Boxes)`` frames at ``times``, and each row's ``Provenance``."""
 
-    gt_frames: List[List[TrackedObject]]
-    hyp_frames: List[List[TrackedObject]]
+    times: np.ndarray
+    gt_frames: List[Tuple[np.ndarray, Boxes]]
+    hyp_frames: List[Tuple[np.ndarray, Boxes]]
+    gt_sides: List[np.ndarray]
+    hyp_sides: List[np.ndarray]
     channel: Optional[Channel]
 
 
@@ -222,11 +224,9 @@ def run_single(
         fallback_frames=fallback, match_gate_m=cfg.eval_gate_m, num_frames=len(gt_frames),
     )
     if keep_artifacts:
-        times = scn.frame_times()
-        return report, RunArtifacts(
-            [tracked_objects(b, i, t, p) for (i, b), t, p in zip(gt_frames, times, gt_sides)],
-            [tracked_objects(b, i, t, [provenance] * len(i))
-             for (i, b), t in zip(hyp_frames, times)], channel)
+        hyp_sides = [np.full(len(ids), provenance) for ids, _ in hyp_frames]
+        return report, RunArtifacts(scn.frame_times(), gt_frames, hyp_frames, gt_sides,
+                                    hyp_sides, channel)
     return report
 
 
@@ -336,6 +336,13 @@ def _format_cell(v) -> str:
     return f"{v:.4f}" if isinstance(v, float) else str(v)
 
 
+def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Iterable]) -> Path:
+    """A header line of ``columns``, then one line per row; floats at 4 decimals."""
+    lines = [",".join(columns)] + [",".join(map(_format_cell, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def emit_report(reports: Sequence[RunReport], fmt: str, out_dir) -> Path:
     """Write the per-run report table as runs.csv or runs.json.
 
@@ -349,10 +356,7 @@ def emit_report(reports: Sequence[RunReport], fmt: str, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        path = out / "runs.csv"
-        lines = [",".join(RunReport.csv_columns())]
-        lines += [",".join(r.csv_row()) for r in reports]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = write_csv(out / "runs.csv", RunReport.csv_columns(), (r.csv_row() for r in reports))
     else:
         path = out / "runs.json"
         path.write_text(
@@ -382,27 +386,17 @@ def write_sweep_outputs(
     paths["runs"] = emit_report(reports, fmt, out)
 
     rows = summarize(reports)
-    columns = list(rows[0])
-    lines = [",".join(columns)]
-    lines += [",".join(_format_cell(row[c]) for c in columns) for row in rows]
-    summary = out / "summary.csv"
-    summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths["summary"] = summary
+    paths["summary"] = write_csv(out / "summary.csv", list(rows[0]),
+                                 (row.values() for row in rows))
 
     by_fusion: Dict[str, List[dict]] = {}
     for row in rows:
         by_fusion.setdefault(row["fusion"], []).append(row)
+    curve = ("latency_ms", "mean_mota", "mean_motp_m", "mean_ids")
     for fusion, frows in by_fusion.items():
         frows = sorted(frows, key=lambda r: r["latency_ms"])
-        curve = out / f"latency_curve_{fusion}.csv"
-        lines = ["latency_ms,mean_mota,mean_motp_m,mean_ids"]
-        lines += [
-            f"{_format_cell(r['latency_ms'])},{_format_cell(r['mean_mota'])},"
-            f"{_format_cell(r['mean_motp_m'])},{_format_cell(r['mean_ids'])}"
-            for r in frows
-        ]
-        curve.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        paths[f"curve_{fusion}"] = curve
+        paths[f"curve_{fusion}"] = write_csv(out / f"latency_curve_{fusion}.csv", curve,
+                                             ([r[c] for c in curve] for r in frows))
     return paths
 
 

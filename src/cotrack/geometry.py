@@ -1,9 +1,9 @@
 """Planar poses, oriented 3D boxes, frame transforms and box center distances.
 
-All rotations are yaw-only (about the vertical axis). A run carries each
-frame's boxes as one ``Boxes`` record; ``Box3D`` is one box, made where a box
-leaves the run (tracked objects, track files). Every function here is pure
-and operates on immutable values, so concurrent use is safe.
+All rotations are yaw-only (about the vertical axis). A frame's boxes,
+in a run, in memory and in track files, are one ``Boxes`` record. Every
+function here is pure and operates on immutable values, so concurrent use is
+safe.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,38 +88,15 @@ def inverse(p: Pose) -> Pose:
     return Pose(-(c * p.x + s * p.y), -(-s * p.x + c * p.y), -p.z, -p.yaw)
 
 
-@dataclass(frozen=True)
-class Box3D:
-    """Oriented cuboid: center (x, y, z), dims (w, l, h), yaw heading.
-
-    Width is across the heading, length along it. Dims must be positive.
-    """
-
-    x: float
-    y: float
-    z: float
-    w: float
-    l: float
-    h: float
-    yaw: float = 0.0
-    category: Category = Category.CAR
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z, self.w, self.l, self.h, self.yaw)):
-            raise NumericError("box fields must be finite")
-        if not (self.w > 0 and self.l > 0 and self.h > 0):
-            raise ConfigurationError(f"box dims must be positive, got w={self.w} l={self.l} h={self.h}")
-        object.__setattr__(self, "yaw", float(wrap_angle(self.yaw)))
-
-
 @dataclass(frozen=True, eq=False)
 class Boxes:
     """A frame's boxes as one record: row i of each array is one box.
 
-    ``values`` is (N, 7): x, y, z, w, l, h, yaw, as in ``Box3D``; ``category``
-    holds ``CATEGORY_ORDER`` codes and ``score`` confidences in [0, 1]. A new
-    record checks its rows as ``Box3D`` checks a box, and the scores, but
-    wraps no yaw: each stage wraps the yaws it turns.
+    ``values`` is (N, 7): the centre x, y, z, the dims w (across the heading),
+    l (along it) and h, and the yaw heading; ``category`` holds
+    ``CATEGORY_ORDER`` codes and ``score`` confidences in [0, 1]. A new record
+    checks that every field is finite, every dim positive and every score in
+    [0, 1], but wraps no yaw: each stage wraps the yaws it turns.
     """
 
     values: np.ndarray
@@ -139,11 +116,8 @@ class Boxes:
         return len(self.values)
 
     @classmethod
-    def of(cls, boxes: Sequence[Box3D], scores: Optional[Sequence[float]] = None) -> "Boxes":
-        """The record of ``boxes``, fields as they are; scores default to 1."""
-        return cls(np.array([(b.x, b.y, b.z, b.w, b.l, b.h, b.yaw) for b in boxes]).reshape(-1, 7),
-                   np.array([CATEGORY_ORDER.index(b.category) for b in boxes], dtype=np.uint8),
-                   np.ones(len(boxes)) if scores is None else np.array(scores, dtype=float))
+    def empty(cls) -> "Boxes":
+        return cls(np.zeros((0, 7)), np.zeros(0, dtype=np.uint8), np.zeros(0))
 
     @classmethod
     def concat(cls, parts: Sequence["Boxes"]) -> "Boxes":
@@ -162,11 +136,6 @@ class Boxes:
         values[:, :3] = src_to_dst.apply_to_points(self.values[:, :3])
         values[:, 6] = wrap_angle(self.values[:, 6] + src_to_dst.yaw)
         return Boxes(values, self.category, self.score)
-
-    def rows(self) -> List[Box3D]:
-        """One ``Box3D`` per row."""
-        return [Box3D(*row, category=CATEGORY_ORDER[code])
-                for row, code in zip(self.values.tolist(), self.category.tolist())]
 
 
 def center_distances(a: np.ndarray, c: np.ndarray) -> np.ndarray:

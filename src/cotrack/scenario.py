@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigurationError
 from .geometry import (
-    Blockers, Box3D, Boxes, Category, Pose, Region, rays_hit_blockers, wrap_angle)
+    CATEGORY_ORDER, Blockers, Boxes, Category, Pose, Region, rays_hit_blockers, wrap_angle)
 from .sensing import Clutter, GridSpec, NoiseConfig, View, scenario_clutter
 
 
@@ -25,17 +25,6 @@ class Provenance(Enum):
     VEHICLE_SIDE = "vehicle"
     INFRA_SIDE = "infra"
     FUSED = "fused"
-
-
-@dataclass(frozen=True)
-class TrackedObject:
-    """A box with identity at one timestamp."""
-
-    box: Box3D
-    track_id: int
-    timestamp: float
-    provenance: Provenance = Provenance.FUSED
-    score: float = 1.0
 
 
 # Nominal (w, l, h) per category, meters.
@@ -67,8 +56,8 @@ class AgentPopulation:
     lane_slot_spacing_m: float = 40.0
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ConfigurationError("agent count must be non-negative")
+        if not 0 <= self.count <= MAX_AGENTS:
+            raise ConfigurationError(f"agent count must be in [0, {MAX_AGENTS}], got {self.count}")
         if not self.lanes:
             raise ConfigurationError("at least one lane template is required")
         if not self.categories:
@@ -79,8 +68,10 @@ class AgentPopulation:
             raise ConfigurationError("turn_fraction must be in [0, 1]")
 
 
-# Largest runs, outline densities and clutter fields a config may ask for.
+# Largest runs, scenes, outline densities and clutter fields a config may ask for.
 MAX_FRAME_INTERVALS = 100_000  # duration_s * frame_rate_hz
+MAX_AGENTS = 100  # generate_scenario's peak: about 54 MB with MAX_OCCLUDERS walls
+MAX_OCCLUDERS = 100
 MAX_PTS_PER_M = 1_000  # surface_pts_per_m: at most 27,000 points on a bus outline
 MAX_CLUTTER_PER_VIEW = 1_000_000  # clutter_per_m2 times the longer sensor range's disc
 
@@ -126,6 +117,8 @@ class ScenarioConfig:
         if not self.duration_s * self.frame_rate_hz <= MAX_FRAME_INTERVALS:
             raise ConfigurationError(
                 f"duration_s * frame_rate_hz must be at most {MAX_FRAME_INTERVALS:,}")
+        if len(self.occluders) > MAX_OCCLUDERS:
+            raise ConfigurationError(f"a scene may have at most {MAX_OCCLUDERS} occluders")
         if self.surface_pts_per_m > MAX_PTS_PER_M:
             raise ConfigurationError(f"surface_pts_per_m must be at most {MAX_PTS_PER_M:,}")
         range_m = max(self.vehicle_range_m, self.infra_range_m)
@@ -185,7 +178,7 @@ class FrameGeometry:
     Made once by ``generate_scenario``. For F frames, A agents and K = A +
     walls blockers:
 
-    - ``centres`` (F, A, 2) and ``yaws`` (F, A), wrapped as ``Box3D`` wraps;
+    - ``centres`` (F, A, 2) and ``yaws`` (F, A), wrapped by ``wrap_angle``;
     - ``corners`` (F, A, 4, 2), each box's ground-plane footprint
       counter-clockwise from (l/2, -w/2) in its own frame;
     - ``rot_t`` (F, K, 2, 2), ``centre`` (F, K, 1, 2), ``lo`` and ``hi``
@@ -326,9 +319,11 @@ def _integrate_track(
 _PROBE_OFFSETS = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
 
 
-# Frames per visibility block: the ray test's temporaries stay a few hundred
-# kB however long the scenario runs.
+# Frames per visibility block: at most 16, and fewer where more blockers and
+# probes would make one of the ray test's (frames, blockers, 2, probes + 1)
+# temporaries hold more than _BLOCK_FLOATS floats (2 MB), but at least one.
 _BLOCK_FRAMES = 16
+_BLOCK_FLOATS = 1 << 18
 
 
 def _visible(geo: FrameGeometry, frames: slice, sensor_xy: np.ndarray,
@@ -397,16 +392,20 @@ def _frame_geometry(agents: Sequence[Agent], sensor_xy: Dict[View, np.ndarray],
     hi = np.concatenate([half, walls[:, 2:]])[:, None, :]
     lo = np.concatenate([-half, walls[:, :2]])[:, None, :]
 
-    shapes = Boxes.of([Box3D(0.0, 0.0, 0.5 * a.dims[2], *a.dims, category=a.category)
-                       for a in agents])
+    shapes = [(0.0, 0.0, 0.5 * a.dims[2], *a.dims, 0.0) for a in agents]
+    shapes = Boxes(np.array(shapes).reshape(-1, 7),
+                   np.array([CATEGORY_ORDER.index(a.category) for a in agents], dtype=np.uint8),
+                   np.ones(n_agents))
     geo = FrameGeometry(centres, yaws, corners, rot_t, centre, lo, hi, {},
                         Outlines(agents, pts_per_m), np.array([a.id for a in agents], dtype=int),
                         shapes)
+    per_frame = len(lo) * 2 * (4 * len(_PROBE_OFFSETS) * n_agents + 1)
+    n_block = max(1, min(_BLOCK_FRAMES, _BLOCK_FLOATS // max(per_frame, 1)))
     for view, xy in sensor_xy.items():
         geo.visible[view] = np.zeros((n_frames, n_agents), dtype=bool)
         if n_agents:
-            for f in range(0, n_frames, _BLOCK_FRAMES):
-                block = slice(f, f + _BLOCK_FRAMES)
+            for f in range(0, n_frames, n_block):
+                block = slice(f, f + n_block)
                 geo.visible[view][block] = _visible(geo, block, xy[block], ranges[view])
     for arr in (centres, yaws, corners, rot_t, centre, lo, hi, *geo.visible.values(), geo.ids,
                 *vars(shapes).values()):
@@ -489,9 +488,3 @@ def ground_truth_at(s: Scenario, t: float, view: View) -> Tuple[np.ndarray, Boxe
     values[:, :2] = geo.centres[f, agents]
     values[:, 6] = geo.yaws[f, agents]
     return geo.ids[agents], Boxes(values, geo.shapes.category[agents], geo.shapes.score[agents])
-
-
-def tracked_objects(boxes: Boxes, ids, t: float, provenances) -> List[TrackedObject]:
-    """One TrackedObject per row of ``boxes``, with its track id, provenance and score."""
-    return [TrackedObject(b, i, t, p, s) for b, i, p, s
-            in zip(boxes.rows(), ids.tolist(), provenances, boxes.score.tolist())]

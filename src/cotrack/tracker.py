@@ -189,5 +189,5 @@ class Tracker:
         out = np.flatnonzero((live.misses == 0) & ((live.hits >= p.min_hits) | warm))
         values = live.state[out[:, None], _BOX_OF_MEAS]
         np.maximum(values[:, 3:6], MIN_DIM_M, out=values[:, 3:6])
-        values[:, 6] = wrap_angle(values[:, 6])  # as Box3D wraps
+        values[:, 6] = wrap_angle(values[:, 6])
         return Boxes(values, np.zeros(len(out), dtype=np.uint8), live.score[out]), live.ids[out]

@@ -15,8 +15,12 @@ too: ``Detection`` lists, ``transform_box``, late fusion's ``_merge_pair``
 and the tracker that filtered one ``Track`` at a time (``kf_predict``,
 ``kf_update``, ``PerTrackTracker``), the references for the ``Boxes`` record
 and the stacked filter, and the per-object ground truth it scored (``box_at``,
-``objects_to_frame``, ``cooperative_ground_truth``). ``scipy`` is a test-only dependency: the detector's
-connected components are checked against ``ndimage.label``.
+``objects_to_frame``, ``cooperative_ground_truth``). Its one-box record,
+``Box3D``, and ``TrackedObject`` (a box with a track id, a time, a provenance
+and a score) are kept verbatim, with ``record_of`` and ``rows_of`` to move
+between box lists and ``Boxes`` records, and ``trajectory_of`` and
+``samples_of`` between (t, box) samples and a ``Trajectory``. ``scipy`` is a test-only dependency:
+the detector's connected components are checked against ``ndimage.label``.
 """
 
 from __future__ import annotations
@@ -32,15 +36,16 @@ from typing import List, Optional, Sequence, Tuple
 
 from scipy import ndimage
 
+from cotrack.annotate import Trajectory
 from cotrack.assignment import gated_assignment, solve_assignment
 from cotrack.channel import CHANNEL_RANGE, ChannelMessage
 from cotrack.detector import DetectParams
-from cotrack.errors import DecodeError, EncodeError, NumericError, OrderingError
+from cotrack.errors import (ConfigurationError, DecodeError, EncodeError, NumericError,
+                            OrderingError)
 from cotrack.geometry import (
     _EPS_T,
     CATEGORY_ORDER,
     Blockers,
-    Box3D,
     Boxes,
     Category,
     Pose,
@@ -49,7 +54,7 @@ from cotrack.geometry import (
     inverse,
     wrap_angle,
 )
-from cotrack.scenario import Provenance, TrackedObject
+from cotrack.scenario import Provenance
 from cotrack.sensing import (
     DENSITY_CHANNEL,
     HEIGHT_CHANNEL,
@@ -64,6 +69,76 @@ from cotrack.sensing import (
 from cotrack.tracker import MEAS_DIM, MIN_DIM_M, STATE_DIM, TrackerParams, _H, _YAW
 
 _PERM_CACHE = {}
+
+
+# The one-box record and the tracked object the package used before a box
+# became a row of a ``Boxes`` record, verbatim.
+
+
+@dataclass(frozen=True)
+class Box3D:
+    """Oriented cuboid: center (x, y, z), dims (w, l, h), yaw heading.
+
+    Width is across the heading, length along it. Dims must be positive.
+    """
+
+    x: float
+    y: float
+    z: float
+    w: float
+    l: float
+    h: float
+    yaw: float = 0.0
+    category: Category = Category.CAR
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.z, self.w, self.l, self.h, self.yaw)):
+            raise NumericError("box fields must be finite")
+        if not (self.w > 0 and self.l > 0 and self.h > 0):
+            raise ConfigurationError(f"box dims must be positive, got w={self.w} l={self.l} h={self.h}")
+        object.__setattr__(self, "yaw", float(wrap_angle(self.yaw)))
+
+
+@dataclass(frozen=True)
+class TrackedObject:
+    """A box with identity at one timestamp."""
+
+    box: Box3D
+    track_id: int
+    timestamp: float
+    provenance: Provenance = Provenance.FUSED
+    score: float = 1.0
+
+
+def record_of(boxes: Sequence[Box3D], scores: Optional[Sequence[float]] = None) -> Boxes:
+    """The record of ``boxes``, fields as they are; scores default to 1."""
+    return Boxes(np.array([(b.x, b.y, b.z, b.w, b.l, b.h, b.yaw) for b in boxes]).reshape(-1, 7),
+                 np.array([CATEGORY_ORDER.index(b.category) for b in boxes], dtype=np.uint8),
+                 np.ones(len(boxes)) if scores is None else np.array(scores, dtype=float))
+
+
+def rows_of(record: Boxes) -> List[Box3D]:
+    """One ``Box3D`` per row of a ``Boxes`` record."""
+    return [Box3D(*row, category=CATEGORY_ORDER[code])
+            for row, code in zip(record.values.tolist(), record.category.tolist())]
+
+
+def trajectory_of(track_id: int, samples: Sequence[Tuple[float, Box3D]],
+                  provenance: Provenance = Provenance.FUSED) -> Trajectory:
+    """A ``Trajectory`` from (t, box) samples."""
+    return Trajectory(track_id, tuple(t for t, _ in samples), record_of([b for _, b in samples]),
+                      provenance)
+
+
+def samples_of(tr: Trajectory) -> List[Tuple[float, Box3D]]:
+    """A ``Trajectory`` as (t, box) samples."""
+    return list(zip(tr.times, rows_of(tr.boxes)))
+
+
+def tracked_objects(boxes: Boxes, ids, t: float, provenances) -> List[TrackedObject]:
+    """One TrackedObject per row of ``boxes``, with its track id, provenance and score."""
+    return [TrackedObject(b, i, t, p, s) for b, i, p, s
+            in zip(rows_of(boxes), ids.tolist(), provenances, boxes.score.tolist())]
 
 
 def center_distance_matrix(rows: Sequence[Box3D], cols: Sequence[Box3D]) -> np.ndarray:
@@ -154,7 +229,7 @@ def _best_gated_matching(dist, gate, free_g, free_h):
 def clearmot_frames(frames: Sequence[Sequence[TrackedObject]]) -> list:
     """Lists of tracked objects as ``evaluate_clearmot`` reads frames: (ids, boxes)."""
     return [(np.array([o.track_id for o in objects], dtype=int),
-             Boxes.of([o.box for o in objects])) for objects in frames]
+             record_of([o.box for o in objects])) for objects in frames]
 
 
 def brute_force_clearmot(gt_frames, hyp_frames, gate):
@@ -566,10 +641,10 @@ def frame_pairs_before(vehicle_trajs, infra_trajs, threshold_m: float) -> set:
     own empty-side guard."""
 
     def box_at(tr, t):
-        return next((box for st, box in tr.samples if abs(st - t) < 1e-9), None)
+        return next((box for st, box in samples_of(tr) if abs(st - t) < 1e-9), None)
 
     times = sorted({round(t, 6) for tr in list(vehicle_trajs) + list(infra_trajs)
-                    for t, _ in tr.samples})
+                    for t in tr.times})
     pairs = set()
     for t in times:
         bv = [(tr.track_id, box_at(tr, t)) for tr in vehicle_trajs if box_at(tr, t) is not None]
@@ -839,12 +914,12 @@ class Detection:
 
 def boxes_of(dets: Sequence[Detection]) -> Boxes:
     """The ``Boxes`` record of a Detection list."""
-    return Boxes.of([d.box for d in dets], [d.score for d in dets])
+    return record_of([d.box for d in dets], [d.score for d in dets])
 
 
 def detections_of(boxes: Boxes) -> List[Detection]:
     """A ``Boxes`` record as a Detection list, fields as they are."""
-    return [Detection(box=b, score=s) for b, s in zip(boxes.rows(), boxes.score.tolist())]
+    return [Detection(box=b, score=s) for b, s in zip(rows_of(boxes), boxes.score.tolist())]
 
 
 def transform_box(b: Box3D, src_to_dst: Pose) -> Box3D:

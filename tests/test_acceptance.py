@@ -13,10 +13,9 @@ from cotrack.assignment import solve_assignment
 from cotrack.channel import compress_grid, decompress_grid
 from cotrack.experiment import ExperimentConfig, run_single, run_sweep, write_sweep_outputs
 from cotrack.fusion import FusionKind, FusionMethod
-from cotrack.geometry import Box3D
 from cotrack.metrics import evaluate_clearmot
 from cotrack.presets import clean_straight_scenario, hidden_lane_scenario
-from cotrack.scenario import Provenance, TrackedObject, generate_scenario, ground_truth_at
+from cotrack.scenario import Provenance, generate_scenario, ground_truth_at
 from cotrack.sensing import (
     FeatureGrid,
     GridSpec,
@@ -25,7 +24,8 @@ from cotrack.sensing import (
     predict_feature,
 )
 
-from oracle_utils import brute_force_assignment_cost, brute_force_clearmot, clearmot_frames
+from oracle_utils import (Box3D, TrackedObject, brute_force_assignment_cost, brute_force_clearmot,
+                          clearmot_frames)
 
 STATIC = FusionMethod(FusionKind.MIDDLE_STATIC)
 FLOW = FusionMethod(FusionKind.MIDDLE_FLOW)

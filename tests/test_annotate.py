@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotrack.annotate import (
     CandidateMatch,
@@ -9,10 +13,12 @@ from cotrack.annotate import (
     build_cooperative_trajectories,
     filter_matches,
     fragment,
-    read_tracked_objects,
+    frame_rate_hz,
+    read_tracks,
     read_trajectories,
     score_interest,
     trajectory_similarity,
+    write_tracks,
     write_trajectories,
 )
 from cotrack.cli import main as cli_main
@@ -22,17 +28,14 @@ from cotrack.errors import (
     OrderingError,
     UndefinedSimilarityError,
 )
-from cotrack.geometry import Box3D
-from cotrack.scenario import Provenance, ScenarioConfig, TrackedObject, generate_scenario
+from cotrack.geometry import CATEGORY_ORDER, Boxes, wrap_angle
+from cotrack.scenario import Provenance, ScenarioConfig, generate_scenario
 from cotrack.sensing import View
+from oracle_utils import Box3D, rows_of, trajectory_of
 
 
 def box(x, y=0.0, z=0.75, yaw=0.0):
     return Box3D(x=x, y=y, z=z, w=1.8, l=4.5, h=1.5, yaw=yaw)
-
-
-def tobj(track_id, x, y=0.0, t=0.0, prov=Provenance.VEHICLE_SIDE):
-    return TrackedObject(box=box(x, y), track_id=track_id, timestamp=t, provenance=prov)
 
 
 def traj(track_id, positions, t0=0.0, dt=0.1, prov=Provenance.VEHICLE_SIDE, yaws=None):
@@ -41,7 +44,7 @@ def traj(track_id, positions, t0=0.0, dt=0.1, prov=Provenance.VEHICLE_SIDE, yaws
         x, y = p if isinstance(p, tuple) else (p, 0.0)
         yaw = yaws[k] if yaws is not None else 0.0
         samples.append((t0 + k * dt, box(x, y, yaw=yaw)))
-    return Trajectory(track_id=track_id, samples=tuple(samples), provenance=prov)
+    return trajectory_of(track_id, samples, prov)
 
 
 class TestTrajectorySimilarity:
@@ -102,7 +105,7 @@ class TestFragment:
         covered = set()
         for seg in segments:
             for tr in seg.trajectories:
-                covered.update(round(t, 6) for t in tr.times())
+                covered.update(round(t, 6) for t in tr.times)
         assert covered == {round(0.1 * k, 6) for k in range(173)}
         full = [s for s in segments if s.full]
         for a, b in zip(full, full[1:]):
@@ -170,7 +173,7 @@ class TestCooperativePipeline:
                            (View.INFRA, Provenance.INFRA_SIDE)):
             for t in scn.frame_times():
                 ids, boxes = ground_truth_at(scn, t, view)
-                for track_id, b in zip(ids.tolist(), boxes.rows()):
+                for track_id, b in zip(ids.tolist(), rows_of(boxes)):
                     noisy = Box3D(
                         x=b.x + rng.normal(0, sigma), y=b.y + rng.normal(0, sigma),
                         z=b.z, w=b.w, l=b.l, h=b.h, yaw=b.yaw,
@@ -179,8 +182,7 @@ class TestCooperativePipeline:
         out = {}
         for prov, tracks in sides.items():
             out[prov] = [
-                Trajectory(track_id=tid, samples=tuple(samples), provenance=prov)
-                for tid, samples in sorted(tracks.items())
+                trajectory_of(tid, samples, prov) for tid, samples in sorted(tracks.items())
                 if len(samples) >= 2
             ]
         return out
@@ -216,6 +218,26 @@ class TestCooperativePipeline:
         assert {tr.source_ids for tr in coop} == {(1, None), (None, 9)}
 
 
+class TestTrajectory:
+    def test_one_time_per_box(self):
+        with pytest.raises(ConfigurationError, match="one time per box"):
+            Trajectory(1, (0.0, 0.1), traj(1, [0.0]).boxes)
+
+    def test_times_strictly_increase(self):
+        with pytest.raises(OrderingError, match="trajectory 1"):
+            Trajectory(1, (0.1, 0.1), traj(1, [0.0, 1.0]).boxes)
+
+
+class TestFrameRate:
+    @pytest.mark.parametrize("dt, hz", [(0.1, 10), (0.01, 100), (3.0, 1), (1e-310, 10**6)])
+    def test_one_over_the_median_gap_to_whole_hz(self, dt, hz):
+        # Under 1 Hz counts as 1 Hz; a gap under a microsecond as one (no overflow).
+        assert frame_rate_hz([traj(1, [0.0] * 20, dt=dt), traj(2, [0.0] * 3, dt=2 * dt)]) == hz
+
+    def test_ten_hz_without_a_gap(self):
+        assert frame_rate_hz([traj(1, [0.0]), traj(2, [1.0])]) == 10
+
+
 class TestTrajectoryIO:
     def test_roundtrip(self, tmp_path):
         trajs = [
@@ -228,8 +250,8 @@ class TestTrajectoryIO:
         assert len(back) == 2
         by_id = {tr.track_id: tr for tr in back}
         assert by_id[1].provenance is Provenance.VEHICLE_SIDE
-        assert by_id[2].samples[1][1].x == pytest.approx(6.0)
-        assert [t for t, _ in by_id[1].samples] == [0.0, 0.1, 0.2]
+        assert by_id[2].boxes.values[1, 0] == pytest.approx(6.0)
+        assert by_id[1].times == (0.0, 0.1, 0.2)
 
 
 GOOD_LINE = ('{"t": 0.1, "track_id": 3, "box": {"x": 1.0, "y": 2.0, "z": 0.75, "w": 1.8, '
@@ -251,8 +273,18 @@ MALFORMED_LINES = {
     "unknown_category": GOOD_LINE.replace('"car"', '"tank"'),
     "unknown_provenance": GOOD_LINE.replace('"vehicle"', '"satellite"'),
     "bad_source_ids": GOOD_LINE.replace("[3, null]", '[3, "x"]'),
+    "huge_track_id": GOOD_LINE.replace('"track_id": 3', '"track_id": ' + str(2**63)),
+    "score_out_of_range": GOOD_LINE.replace('"score": 0.9', '"score": 1.5'),
     "zero_dims": GOOD_LINE.replace('"h": 1.5', '"h": 0.0'),
     "negative_dims": GOOD_LINE.replace('"l": 4.5', '"l": -4.5'),
+    "zero_width": GOOD_LINE.replace('"w": 1.8', '"w": 0.0'),
+    "non_finite_x": GOOD_LINE.replace('"x": 1.0', '"x": NaN'),
+    "non_finite_y": GOOD_LINE.replace('"y": 2.0', '"y": Infinity'),
+    "non_finite_z": GOOD_LINE.replace('"z": 0.75', '"z": -Infinity'),
+    "non_finite_w": GOOD_LINE.replace('"w": 1.8', '"w": Infinity'),
+    "non_finite_l": GOOD_LINE.replace('"l": 4.5', '"l": NaN'),
+    "non_finite_h": GOOD_LINE.replace('"h": 1.5', '"h": -Infinity'),
+    "non_finite_yaw": GOOD_LINE.replace('"yaw": 0.0', '"yaw": Infinity'),
 }
 
 
@@ -267,12 +299,13 @@ class TestMalformedTrackFiles:
     def test_the_good_line_reads(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
         path.write_text(GOOD_LINE + "\n", encoding="utf-8")
-        (obj,) = read_tracked_objects(path)[0.1]
-        assert (obj.track_id, obj.score, obj.provenance) == (3, 0.9, Provenance.VEHICLE_SIDE)
+        ids, boxes = read_tracks(path)[0.1]
+        assert (ids.tolist(), boxes.score.tolist()) == ([3], [0.9])
+        assert boxes.values.tolist() == [[1.0, 2.0, 0.75, 1.8, 4.5, 1.5, 0.0]]
         (tr,) = read_trajectories(path)
-        assert tr.source_ids == (3, None)
+        assert (tr.provenance, tr.source_ids) == (Provenance.VEHICLE_SIDE, (3, None))
 
-    @pytest.mark.parametrize("reader", [read_tracked_objects, read_trajectories])
+    @pytest.mark.parametrize("reader", [read_tracks, read_trajectories])
     @pytest.mark.parametrize("bad_line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
     def test_reader_raises_decode_error(self, tmp_path, reader, bad_line):
         path = self.write(tmp_path, bad_line)
@@ -292,3 +325,52 @@ class TestMalformedTrackFiles:
         path.write_text(GOOD_LINE + "\n" + GOOD_LINE + "\n", encoding="utf-8")
         with pytest.raises(OrderingError, match="trajectory 3"):
             read_trajectories(path)
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+track_rows = st.tuples(st.integers(-2**63, 2**63 - 1),
+                       st.tuples(finite, finite, finite, positive, positive, positive, finite),
+                       st.integers(0, len(CATEGORY_ORDER) - 1), st.floats(0.0, 1.0),
+                       st.sampled_from(list(Provenance)))
+
+
+class TestTrackFiles:
+    """``write_tracks`` and ``read_tracks``: ``(ids, Boxes)`` frames as JSON lines."""
+
+    def test_one_line_per_row(self, tmp_path):
+        path = tmp_path / "tracks.jsonl"
+        boxes = Boxes(np.array([[1.0, 2.0, 0.75, 1.8, 4.5, 1.5, 0.0]]),
+                      np.zeros(1, dtype=np.uint8), np.array([0.9]))
+        write_tracks(path, [0.1], [(np.array([3]), boxes)], [[Provenance.VEHICLE_SIDE]])
+        assert path.read_text() == GOOD_LINE.replace(', "source_ids": [3, null]', "") + "\n"
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_write_then_read_gives_every_field_back(self, data):
+        """Ids, centres, dims, categories and scores bit for bit, by time to
+        the microsecond; each yaw comes back wrapped into (-pi, pi]."""
+        rows = data.draw(st.lists(st.lists(track_rows, max_size=4), min_size=1, max_size=5))
+        times = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(rows), max_size=len(rows),
+                                   unique_by=lambda t: round(t, 6)))
+        frames = [(np.array([r[0] for r in frame], dtype=int),
+                   Boxes(np.array([r[1] for r in frame]).reshape(-1, 7),
+                         np.array([r[2] for r in frame], dtype=np.uint8),
+                         np.array([r[3] for r in frame], dtype=float))) for frame in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tracks.jsonl"
+            write_tracks(path, times, frames, [[r[4] for r in frame] for frame in rows])
+            back = read_tracks(path)
+        kept = [(round(t, 6), frame) for t, frame in zip(times, frames) if len(frame[0])]
+        assert list(back) == [t for t, _ in kept]
+        for (ids, boxes), (_, (want_ids, want)) in zip(back.values(), kept):
+            assert ids.tolist() == want_ids.tolist()
+            assert bits(boxes.values[:, :6]) == bits(want.values[:, :6])
+            assert bits(boxes.values[:, 6]) == bits(wrap_angle(want.values[:, 6]))
+            assert ((-math.pi < boxes.values[:, 6]) & (boxes.values[:, 6] <= math.pi)).all()
+            assert boxes.category.tolist() == want.category.tolist()
+            assert bits(boxes.score) == bits(want.score)

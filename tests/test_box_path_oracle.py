@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotrack.fusion import fuse_late
-from cotrack.geometry import Box3D, Boxes, Category, Pose
-from cotrack.scenario import Provenance, tracked_objects
+from cotrack.geometry import Category, Pose
+from cotrack.scenario import Provenance
 from cotrack.tracker import STATE_DIM, Tracker, TrackerParams, predict, update
-from oracle_utils import (Detection, PerTrackTracker, Track, boxes_of, detections_of,
-                          guarded_fuse_late, kf_predict, kf_update, transform_box)
+from oracle_utils import (Box3D, Detection, PerTrackTracker, Track, boxes_of, detections_of,
+                          guarded_fuse_late, kf_predict, kf_update, record_of, rows_of,
+                          tracked_objects, transform_box)
 
 PI = math.pi
 # Yaws at +-pi, one ulp inside them, and a float whose sum with -pi/2 is exactly -pi.
@@ -54,8 +55,8 @@ poses = st.builds(Pose, x=st.floats(-50.0, 50.0), y=st.floats(-50.0, 50.0),
 @settings(max_examples=300, deadline=None)
 @given(st.lists(box3ds(span=100.0), max_size=6), poses)
 def test_transformed_matches_transform_box(boxes, pose):
-    out = Boxes.of(boxes).transformed(pose)
-    assert box_bits(out.rows()) == box_bits([transform_box(b, pose) for b in boxes])
+    out = record_of(boxes).transformed(pose)
+    assert box_bits(rows_of(out)) == box_bits([transform_box(b, pose) for b in boxes])
 
 
 @pytest.mark.parametrize("yaw", EDGE_YAWS)
@@ -66,7 +67,7 @@ def test_transformed_at_plus_minus_pi(yaw, pose_yaw):
     ``Box3D`` wraps again), and both land in (-pi, pi]."""
     box = Box3D(1.0, -2.0, 0.5, 1.8, 4.5, 1.5, yaw=yaw)
     pose = Pose(3.0, 4.0, 0.0, pose_yaw)
-    array_yaw = Boxes.of([box]).transformed(pose).values[0, 6]
+    array_yaw = record_of([box]).transformed(pose).values[0, 6]
     assert bits([array_yaw]) == bits([transform_box(box, pose).yaw])
     assert -PI < array_yaw <= PI
 

@@ -24,10 +24,10 @@ from cotrack.channel import (
     transmit,
 )
 from cotrack.errors import ConfigurationError, DecodeError, EncodeError, ShapeMismatchError
-from cotrack.geometry import Box3D, Boxes, Category
+from cotrack.geometry import Category
 from cotrack.sensing import FeatureGrid, GridSpec, PointCloud
-from oracle_utils import (Detection, _encode_detections, _encode_points, _raw_grid, boxes_of,
-                          detections_of, latest_available)
+from oracle_utils import (Box3D, Detection, _encode_detections, _encode_points, _raw_grid,
+                          boxes_of, detections_of, latest_available, record_of, rows_of)
 
 SPEC = GridSpec(x0=0.0, y0=-40.0, cell_size=0.5, cols=200, rows=160)
 SMALL = GridSpec(x0=-4.0, y0=-4.0, cell_size=0.5, cols=16, rows=16)
@@ -40,8 +40,8 @@ def grid(values, spec=SPEC, t=0.0):
 
 
 def detections(n):
-    return Boxes.of([Box3D(x=float(i), y=0.0, z=0.75, w=1.8, l=4.5, h=1.5, category=Category.VAN)
-                     for i in range(n)], [0.5] * n)
+    return record_of([Box3D(x=float(i), y=0.0, z=0.75, w=1.8, l=4.5, h=1.5, category=Category.VAN)
+                      for i in range(n)], [0.5] * n)
 
 
 class TestEncode:
@@ -50,7 +50,7 @@ class TestEncode:
         assert msg.payload_bytes == 330
         assert msg.raw_bytes == 330
         # round-tripped boxes are float32-quantized but structurally equal
-        decoded = decode_message(msg, SPEC, RAW).rows()
+        decoded = rows_of(decode_message(msg, SPEC, RAW))
         assert len(decoded) == 10
         assert decoded[3].category is Category.VAN
         assert decoded[3].x == pytest.approx(3.0)

@@ -29,6 +29,7 @@ from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.geometry import Category
 from cotrack.scenario import AgentPopulation, Lane, Provenance, ScenarioConfig
 from cotrack.sensing import NoiseConfig
+from oracle_utils import Box3D, trajectory_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -154,9 +155,8 @@ class TestRunSingle:
         _, art = run_single(cfg, FusionMethod(FusionKind.VEHICLE_ONLY), 0.0, 1,
                             keep_artifacts=True)
         region = cfg.scenario.region
-        for frame in art.gt_frames:
-            for o in frame:
-                assert region.contains(o.box.x, o.box.y)
+        for _, boxes in art.gt_frames:
+            assert region.contains(boxes.values[:, 0], boxes.values[:, 1]).all()
 
     @pytest.mark.parametrize("kind, provenance", [
         (FusionKind.VEHICLE_ONLY, Provenance.VEHICLE_SIDE),
@@ -164,8 +164,9 @@ class TestRunSingle:
     ])
     def test_hypotheses_carry_the_run_provenance(self, kind, provenance):
         _, art = run_single(tiny_config(), FusionMethod(kind), 100.0, 1, keep_artifacts=True)
-        hyps = [o for frame in art.hyp_frames for o in frame]
-        assert hyps and all(o.provenance is provenance for o in hyps)
+        sides = [side for frame in art.hyp_sides for side in frame]
+        assert sides and all(side is provenance for side in sides)
+        assert [len(side) for side in art.hyp_sides] == [len(ids) for ids, _ in art.hyp_frames]
 
 
 class TestRunSweep:
@@ -604,7 +605,10 @@ class TestCli:
         ({"scenario": {"infra_grid": {"x0": 0.0, "y0": 0.0, "cell_size": 0.5,
                                       "cols": 10**8, "rows": 10**8}}}, "cells"),
         ({"scenario": {"duration_s": 1e9}}, "frame_rate_hz must be at most"),
-    ], ids=["surface_pts_per_m", "clutter_per_m2", "grid_cells", "duration_s"])
+        ({"scenario": {"agents": {"count": 101}}}, "agent count must be in [0, 100]"),
+        ({"scenario": {"occluders": [[0.0, 0.0, 1.0, 1.0]] * 101}}, "at most 100 occluders"),
+    ], ids=["surface_pts_per_m", "clutter_per_m2", "grid_cells", "duration_s", "agents",
+            "occluders"])
     def test_run_command_exits_2_on_a_size_past_its_cap(self, tmp_path, capsys, doc, message):
         """Each of these loaded and then failed its cell with a MemoryError."""
         cfg = self._write_config(tmp_path)
@@ -674,54 +678,65 @@ class TestCli:
 
     def test_eval_command_agrees_with_pipeline_report(self, tmp_path, capsys):
         # Exported track files scored by the standalone evaluator reproduce
-        # the run's own metrics.
-        from cotrack.annotate import write_tracked_objects
+        # the run's own metrics exactly, for every fusion kind.
+        from cotrack.annotate import write_tracks
 
         cfg = tiny_config()
-        report, art = run_single(cfg, FusionMethod(FusionKind.LATE), 100.0, 2,
-                                 keep_artifacts=True)
         gt_path = tmp_path / "gt.jsonl"
         hyp_path = tmp_path / "hyp.jsonl"
-        write_tracked_objects(gt_path, art.gt_frames)
-        write_tracked_objects(hyp_path, art.hyp_frames)
-        code = cli_main(["eval", "--gt", str(gt_path), "--hyp", str(hyp_path),
-                         "--gate", str(cfg.eval_gate_m)])
-        assert code == 0
-        result = json.loads(capsys.readouterr().out)
-        assert result["mota"] == pytest.approx(report.mota, abs=1e-9)
-        assert result["ids"] == report.ids
-        assert result["fp"] == report.fp
-        assert result["fn"] == report.fn
+        for kind in FusionKind:
+            report, art = run_single(cfg, FusionMethod(kind), 100.0, 2, keep_artifacts=True)
+            write_tracks(gt_path, art.times, art.gt_frames, art.gt_sides)
+            write_tracks(hyp_path, art.times, art.hyp_frames, art.hyp_sides)
+            code = cli_main(["eval", "--gt", str(gt_path), "--hyp", str(hyp_path),
+                             "--gate", str(cfg.eval_gate_m)])
+            assert code == 0
+            result = json.loads(capsys.readouterr().out)
+            got = [result[key] for key in ("mota", "motp_m", "ids", "fp", "fn", "num_gt")]
+            assert got == [report.mota, report.motp_m, report.ids, report.fp, report.fn,
+                           report.num_gt], kind
+
+    @staticmethod
+    def dense_tracks(path):
+        """A 100 Hz file: two views of one track, 50 samples 0.01 s apart."""
+        from cotrack.annotate import write_trajectories
+
+        def tr(track_id, prov):
+            return trajectory_of(track_id, [(0.01 * k, Box3D(x=0.1 * k, y=0.0, z=0.75, w=1.8,
+                                                             l=4.5, h=1.5)) for k in range(50)],
+                                 prov)
+
+        write_trajectories(path, [tr(1, Provenance.VEHICLE_SIDE), tr(2, Provenance.INFRA_SIDE)])
+        return path
 
     def test_annotate_command_rejects_a_window_shorter_than_a_frame(self, tmp_path, capsys):
-        from cotrack.annotate import Trajectory, write_trajectories
-        from cotrack.geometry import Box3D
-
-        # 100 Hz tracks, 50 samples 0.01 s apart; interest scores count 10 Hz frames.
-        def tr(track_id, prov):
-            samples = tuple((0.01 * k, Box3D(x=0.1 * k, y=0.0, z=0.75, w=1.8, l=4.5, h=1.5))
-                            for k in range(50))
-            return Trajectory(track_id=track_id, samples=samples, provenance=prov)
-
-        src = tmp_path / "dense.jsonl"
-        write_trajectories(src, [tr(1, Provenance.VEHICLE_SIDE), tr(2, Provenance.INFRA_SIDE)])
-        code = cli_main(["annotate", "--in", str(src), "--out", str(tmp_path / "o"),
-                         "--window-s", "0.04", "--overlap-s", "0"])
+        # The frame rate is the file's own, 100 Hz, so 0.004 s is under a frame.
+        src = self.dense_tracks(tmp_path / "dense.jsonl")
+        out_dir = tmp_path / "o"
+        code = cli_main(["annotate", "--in", str(src), "--out", str(out_dir),
+                         "--window-s", "0.004", "--overlap-s", "0"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: window_s * frame_rate_hz must be at least 1 frame, got 0.04 s at 10 Hz\n")
+            "error: window_s * frame_rate_hz must be at least 1 frame, got 0.004 s at 100 Hz\n")
+        assert not out_dir.exists()  # a rejected command writes nothing
+
+    def test_annotate_command_scores_completion_at_the_file_frame_rate(self, tmp_path):
+        # The fused track covers half of a 1 s window at 100 Hz: completion
+        # 0.5, with no turning and a constant speed.
+        src = self.dense_tracks(tmp_path / "dense.jsonl")
+        out_dir = tmp_path / "o"
+        assert cli_main(["annotate", "--in", str(src), "--out", str(out_dir),
+                         "--window-s", "1", "--overlap-s", "0.5"]) == 0
+        assert (out_dir / "segment_scores.csv").read_text() == (
+            "segment,track_id,score\n0,1,0.5000\n")
 
     def test_annotate_command(self, tmp_path, capsys):
-        from cotrack.annotate import Trajectory, write_trajectories
-        from cotrack.geometry import Box3D
-        from cotrack.scenario import Provenance
+        from cotrack.annotate import write_trajectories
 
         def tr(track_id, prov, offset):
-            samples = tuple(
-                (0.1 * k, Box3D(x=1.0 * k + offset, y=0.0, z=0.75, w=1.8, l=4.5, h=1.5))
-                for k in range(120)
-            )
-            return Trajectory(track_id=track_id, samples=samples, provenance=prov)
+            samples = [(0.1 * k, Box3D(x=1.0 * k + offset, y=0.0, z=0.75, w=1.8, l=4.5, h=1.5))
+                       for k in range(120)]
+            return trajectory_of(track_id, samples, prov)
 
         src = tmp_path / "tracks.jsonl"
         write_trajectories(src, [tr(1, Provenance.VEHICLE_SIDE, 0.0),

@@ -23,7 +23,7 @@ from cotrack.geometry import Category
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import AgentPopulation, ScenarioConfig, generate_scenario
 from cotrack.sensing import View
-from oracle_utils import per_call_frame, per_object_ground_truth
+from oracle_utils import per_call_frame, per_object_ground_truth, rows_of, tracked_objects
 
 
 def bits(values) -> np.ndarray:
@@ -127,14 +127,15 @@ class TestFrameGeometry:
         s = generate_scenario(cfg.scenario, 1)
         times = s.frame_times()
         assert len(scored) == len(art.gt_frames) == len(times)
-        for (ids, boxes), objects, t in zip(scored, art.gt_frames, times):
+        assert np.array_equal(art.times, times)
+        for (ids, boxes), kept, sides, t in zip(scored, art.gt_frames, art.gt_sides, times):
             want = per_object_ground_truth(s, t)
             assert ids.tolist() == [o.track_id for o in want]
             rows = [[o.box.x, o.box.y, o.box.z, o.box.w, o.box.l, o.box.h, o.box.yaw]
                     for o in want]
             assert np.array_equal(bits(boxes.values), bits(np.reshape(rows, (-1, 7))))
-            assert boxes.rows() == [o.box for o in want]
-            assert objects == want
+            assert rows_of(boxes) == [o.box for o in want]
+            assert tracked_objects(kept[1], kept[0], t, sides) == want
 
     def test_same_config_and_seed_give_equal_tables(self):
         cfg = SCENES["moving_rotated_ego"]

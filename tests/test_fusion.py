@@ -15,8 +15,9 @@ from cotrack.fusion import (
     fuse_late,
     fuse_middle,
 )
-from cotrack.geometry import Box3D, Boxes, Category, Pose
+from cotrack.geometry import Boxes, Category, Pose
 from cotrack.sensing import FeatureGrid, GridSpec, PointCloud, rasterize_bev
+from oracle_utils import Box3D, record_of, rows_of
 
 SPEC = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=20, rows=16)
 
@@ -134,19 +135,19 @@ class TestFuseMiddle:
 
 def dets(*xs, scores=None):
     """Cars at (x, 0, 0.75), each scored 0.5 unless ``scores`` says otherwise."""
-    return Boxes.of([Box3D(x=x, y=0.0, z=0.75, w=1.8, l=4.5, h=1.5) for x in xs],
-                    [0.5] * len(xs) if scores is None else scores)
+    return record_of([Box3D(x=x, y=0.0, z=0.75, w=1.8, l=4.5, h=1.5) for x in xs],
+                     [0.5] * len(xs) if scores is None else scores)
 
 
 def same(a: Boxes, b: Boxes) -> bool:
-    return a.rows() == b.rows() and a.score.tolist() == b.score.tolist()
+    return rows_of(a) == rows_of(b) and a.score.tolist() == b.score.tolist()
 
 
 class TestFuseLate:
     def test_one_side_empty_passthrough(self):
         both = dets(1.0, 5.0)
-        assert same(fuse_late(both, Boxes.of([]), 2.0), both)
-        assert same(fuse_late(Boxes.of([]), both, 2.0), both)
+        assert same(fuse_late(both, record_of([]), 2.0), both)
+        assert same(fuse_late(record_of([]), both, 2.0), both)
 
     def test_identical_singletons_merge(self):
         out = fuse_late(dets(1.0), dets(1.0), 2.0)
@@ -163,15 +164,15 @@ class TestFuseLate:
         assert out.values[:, 0].tolist() == [0.0, 4.0, 1.0, 5.0]
 
     def test_score_weighted_average_and_max_score(self):
-        a = Boxes.of([Box3D(0.0, 0.0, 0.75, 1.8, 4.5, 1.5, yaw=0.3)], [0.75])
-        b = Boxes.of([Box3D(2.0, 0.0, 0.75, 1.8, 4.5, 1.5, yaw=-0.2, category=Category.BUS)],
-                     [0.25])
+        a = record_of([Box3D(0.0, 0.0, 0.75, 1.8, 4.5, 1.5, yaw=0.3)], [0.75])
+        b = record_of([Box3D(2.0, 0.0, 0.75, 1.8, 4.5, 1.5, yaw=-0.2, category=Category.BUS)],
+                      [0.25])
         out = fuse_late(a, b, 3.0)
         assert len(out) == 1
         assert out.values[0, 0] == pytest.approx(0.5)  # (0.75*0 + 0.25*2) / 1.0
         assert out.score[0] == 0.75
         assert out.values[0, 6] == 0.3  # higher score wins yaw
-        assert out.rows()[0].category is Category.CAR  # and category
+        assert rows_of(out)[0].category is Category.CAR  # and category
 
     def test_nonpositive_threshold_rejected(self):
         for threshold in (0.0, -1.0, math.nan):

@@ -19,17 +19,16 @@ from hypothesis import strategies as st
 
 from cotrack.annotate import (
     CandidateMatch,
-    Trajectory,
     build_cooperative_trajectories,
     trajectory_similarity,
 )
 from cotrack.assignment import gated_assignment, solve_assignment
 from cotrack.errors import UndefinedSimilarityError
 from cotrack.fusion import fuse_late
-from cotrack.geometry import Box3D, Category, center_distances
+from cotrack.geometry import Category, center_distances
 from cotrack.scenario import Provenance
-from oracle_utils import (Detection, Track, boxes_of, detections_of, frame_pairs_before,
-                          guarded_associate, guarded_fuse_late)
+from oracle_utils import (Box3D, Detection, Track, boxes_of, detections_of, frame_pairs_before,
+                          guarded_associate, guarded_fuse_late, trajectory_of)
 
 # Every distance between two lattice centres is sqrt of an integer up to 4+4+1.
 LATTICE_GATES = st.sampled_from([math.sqrt(k) for k in range(10)])
@@ -58,8 +57,7 @@ def trajectories(side: Provenance):
     """Up to four trajectories of one to four consecutive 10 Hz frames each."""
     starts_and_boxes = st.tuples(st.integers(0, 3), st.lists(boxes, min_size=1, max_size=4))
     return st.lists(starts_and_boxes, max_size=4).map(lambda specs: [
-        Trajectory(track_id=10 * k + 1, provenance=side,
-                   samples=tuple((0.1 * (start + j), b) for j, b in enumerate(found)))
+        trajectory_of(10 * k + 1, [(0.1 * (start + j), b) for j, b in enumerate(found)], side)
         for k, (start, found) in enumerate(specs)])
 
 

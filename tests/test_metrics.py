@@ -7,16 +7,15 @@ import pytest
 
 from cotrack.channel import Channel, ChannelMessage, LatencyModel, MessageKind
 from cotrack.errors import AlignmentError, ConfigurationError
-from cotrack.geometry import Box3D
 from cotrack.metrics import (
     MotResult,
     RunReport,
     aggregate_run,
     evaluate_clearmot,
 )
-from cotrack.scenario import Provenance, TrackedObject
+from cotrack.scenario import Provenance
 
-from oracle_utils import brute_force_clearmot, clearmot_frames
+from oracle_utils import Box3D, TrackedObject, brute_force_clearmot, clearmot_frames
 
 
 def obj(track_id, x, y=0.0, z=0.0, t=0.0):

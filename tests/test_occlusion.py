@@ -18,11 +18,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cotrack.geometry import Blockers, Box3D, rays_hit_blockers
+from cotrack.geometry import Blockers, rays_hit_blockers
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import ScenarioConfig, generate_scenario, ground_truth_at
 from cotrack.sensing import View, sample_point_cloud
-from oracle_utils import (blockers_of, box_at, corners_bev, segments_hit_blockers,
+from oracle_utils import (Box3D, blockers_of, box_at, corners_bev, segments_hit_blockers,
                           visible_agents)
 
 PROBE_OFFSETS = (0.1, 0.3, 0.5, 0.7, 0.9)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,20 +7,24 @@ import pytest
 
 from cotrack.errors import AlignmentError, ConfigurationError
 from cotrack.geometry import Category, Pose, Region, inverse
+from cotrack import scenario
+from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import (
+    MAX_AGENTS,
     MAX_CLUTTER_PER_VIEW,
     MAX_FRAME_INTERVALS,
+    MAX_OCCLUDERS,
     MAX_PTS_PER_M,
     AgentPopulation,
     Lane,
     Provenance,
     ScenarioConfig,
-    TrackedObject,
     generate_scenario,
     ground_truth_at,
 )
 from cotrack.sensing import MAX_GRID_CELLS, GridSpec, NoiseConfig, View
-from oracle_utils import cooperative_ground_truth, objects_to_frame
+from oracle_utils import (Box3D, TrackedObject, cooperative_ground_truth, objects_to_frame,
+                          rows_of)
 
 
 def one_agent_config(speed=10.0, lane_y=0.0, x0=0.0, duration=3.0):
@@ -121,6 +126,10 @@ class TestGenerateScenario:
         for duration in (1e300, float(MAX_FRAME_INTERVALS)):
             with pytest.raises(ConfigurationError, match="frame_rate_hz must be at most"):
                 ScenarioConfig(duration_s=duration)
+        with pytest.raises(ConfigurationError, match=r"agent count must be in \[0, 100\]"):
+            AgentPopulation(count=MAX_AGENTS + 1)
+        with pytest.raises(ConfigurationError, match="at most 100 occluders"):
+            ScenarioConfig(occluders=((0.0, 0.0, 1.0, 1.0),) * (MAX_OCCLUDERS + 1))
 
     def test_sizes_at_their_caps_load(self):
         cfg = ScenarioConfig(surface_pts_per_m=MAX_PTS_PER_M,
@@ -142,6 +151,44 @@ class TestGenerateScenario:
         assert cfg.duration_s * cfg.frame_rate_hz == MAX_FRAME_INTERVALS
         with pytest.raises(ConfigurationError):
             ScenarioConfig(duration_s=MAX_FRAME_INTERVALS / 10 + 0.01)
+
+    def test_generation_memory_at_the_agent_and_occluder_caps(self):
+        """The visibility pass ray-tests one frame at a time at the caps: about
+        54 MB at peak, where 16 frames at a time took about 580 MB."""
+        walls = tuple((200.0 + 3 * k, 50.0, 201.0 + 3 * k, 51.0) for k in range(MAX_OCCLUDERS))
+        cfg = ScenarioConfig(duration_s=1.0, agents=AgentPopulation(count=MAX_AGENTS),
+                             occluders=walls)
+        tracemalloc.start()
+        try:
+            generate_scenario(cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6
+
+    @pytest.mark.parametrize("cfg, frames", [
+        (ScenarioConfig(duration_s=3.0), 16),
+        (hidden_lane_scenario(duration_s=3.0), 16),
+        (ScenarioConfig(duration_s=1.0, agents=AgentPopulation(count=MAX_AGENTS)), 1),
+    ], ids=["default", "hidden_lane", "agent_cap"])
+    def test_visibility_block_size_leaves_the_tables_unchanged(self, cfg, frames, monkeypatch):
+        """Shipped scenes ray-test 16 frames at a time and the agent cap one;
+        every block size gives the same visibility tables."""
+        blocks = []
+        real = scenario._visible
+
+        def spy(geo, block, *args):
+            blocks.append(block.stop - block.start)
+            return real(geo, block, *args)
+
+        monkeypatch.setattr(scenario, "_visible", spy)
+        tables = generate_scenario(cfg, 1).geometry.visible
+        assert blocks[0] == frames
+        monkeypatch.setattr(scenario, "_BLOCK_FLOATS", 0)
+        blocks.clear()
+        one_frame = generate_scenario(cfg, 1).geometry.visible
+        assert set(blocks) == {1}
+        assert all(np.array_equal(tables[view], one_frame[view]) for view in View)
 
     def test_lane_slots_keep_agents_apart(self):
         cfg = ScenarioConfig(
@@ -187,7 +234,7 @@ class TestGroundTruth:
             ids_v, gt_v = ground_truth_at(scn, t, View.VEHICLE)
             ids_i, gt_i = ground_truth_at(scn, t, View.INFRA)
             assert ids_v.tolist() == ids_i.tolist() == [1, 2, 3]
-            assert gt_v.rows() == gt_i.rows()
+            assert rows_of(gt_v) == rows_of(gt_i)
 
     def test_out_of_range_sensor_sees_nothing(self):
         cfg = one_agent_config(x0=80.0)
@@ -202,8 +249,6 @@ class TestGroundTruth:
 
 
 def obj(track_id, x, y, z=0.0, t=0.0, prov=Provenance.VEHICLE_SIDE):
-    from cotrack.geometry import Box3D
-
     return TrackedObject(
         box=Box3D(x=x, y=y, z=z, w=2.0, l=4.0, h=1.5), track_id=track_id,
         timestamp=t, provenance=prov,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cotrack.errors import ConfigurationError, NumericError, OrderingError, ShapeMismatchError
-from cotrack.geometry import Box3D
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import AgentPopulation, Lane, ScenarioConfig, generate_scenario
 from cotrack.sensing import (
@@ -19,7 +18,7 @@ from cotrack.sensing import (
     rasterize_bev,
     sample_point_cloud,
 )
-from oracle_utils import box_at, corners_bev, ufunc_at_rasterize_bev
+from oracle_utils import Box3D, box_at, corners_bev, ufunc_at_rasterize_bev
 
 SPEC = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=20, rows=10)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cotrack.errors import ConfigurationError, NumericError, OrderingError
-from cotrack.geometry import Box3D, Boxes
 from cotrack.tracker import (
     STATE_DIM,
     Tracker,
@@ -13,11 +12,12 @@ from cotrack.tracker import (
     predict,
     update,
 )
+from oracle_utils import Box3D, record_of
 
 
 def dets(*xs, y=0.0, z=0.75, yaw=0.0, score=0.9):
-    return Boxes.of([Box3D(x=x, y=y, z=z, w=1.8, l=4.5, h=1.5, yaw=yaw) for x in xs],
-                    [score] * len(xs))
+    return record_of([Box3D(x=x, y=y, z=z, w=1.8, l=4.5, h=1.5, yaw=yaw) for x in xs],
+                     [score] * len(xs))
 
 
 def fresh(x=0.0, y=0.0, params=TrackerParams()):
@@ -169,8 +169,8 @@ class TestAssociation:
         assert cost_check[1, 1] == pytest.approx(4.0)
         tracker = Tracker(TrackerParams(min_hits=1, gate_m=4.0, r_pos=1e-12, r_yaw=1e-12,
                                         r_dims=1e-12))
-        tracker.step(Boxes.of([Box3D(0.0, 0.0, 0.75, 1.8, 4.5, 1.5),
-                               Box3D(1.5, 1.9364916731037085, 0.75, 1.8, 4.5, 1.5)]), 0.0)
+        tracker.step(record_of([Box3D(0.0, 0.0, 0.75, 1.8, 4.5, 1.5),
+                                Box3D(1.5, 1.9364916731037085, 0.75, 1.8, 4.5, 1.5)]), 0.0)
         tracker.step(dets(1.0, -2.0), 1e-9)
         assert tracker.tracks.state[:, 0] == pytest.approx([-2.0, 1.0], abs=1e-6)
 
@@ -227,7 +227,7 @@ class TestTrackerLifecycle:
         for _ in range(40):
             t += 0.1
             xy = rng.uniform(0, 80, size=(rng.integers(0, 4), 2))
-            frame = Boxes.of([Box3D(x, y, 0.75, 1.8, 4.5, 1.5) for x, y in xy.tolist()])
+            frame = record_of([Box3D(x, y, 0.75, 1.8, 4.5, 1.5) for x, y in xy.tolist()])
             born.extend(tracker.step(frame, t)[1].tolist())
         # A dead id never returns: ids are reported in birth order.
         first_seen = list(dict.fromkeys(born))
