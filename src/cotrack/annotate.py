@@ -22,6 +22,9 @@ from .geometry import CATEGORY_ORDER, Boxes, Category, center_distances, wrap_an
 from .scenario import Provenance
 
 SIMILARITY_SCALE_M = 2.0
+# Most segments a trajectory set may cut into: a 10 s window stepping by 5 s
+# covers about 139 hours.
+MAX_SEGMENTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,8 @@ def fragment(
     every timestamp of the input is covered by at least one segment.
     Segments reaching past the final timestamp are flagged as partial
     tails. Trajectories clip to the closed window [start, start + window].
+    A span of more than ``MAX_SEGMENTS`` strides is a ``ConfigurationError``,
+    raised before any segment is cut.
     """
     if window_s <= overlap_s or overlap_s < 0:
         raise ConfigurationError(
@@ -106,6 +111,10 @@ def fragment(
     t0 = min(all_times)
     t_end = max(all_times)
     stride = window_s - overlap_s
+    if (t_end - t0) / stride > MAX_SEGMENTS:
+        raise ConfigurationError(
+            f"a {t_end - t0} s span in steps of window_s - overlap_s = {stride} s cuts into "
+            f"more than {MAX_SEGMENTS:,} segments")
     segments: List[Segment] = []
     index = 0
     start = t0

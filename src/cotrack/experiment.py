@@ -40,7 +40,8 @@ from .scenario import (
     generate_scenario,
     ground_truth_at,
 )
-from .sensing import FeatureGrid, View, rasterize_bev, sample_point_cloud
+from .sensing import (Clutter, FeatureGrid, PointCloud, View, rasterize_bev,
+                      sample_point_cloud)
 from .tracker import Tracker, TrackerParams
 
 
@@ -136,31 +137,62 @@ def _seed_frames(cfg: ExperimentConfig, scn,
         yield _Frame(t, ego_pose, world_to_ego, compose(world_to_ego, scn.infra_pose), ego, messages)
 
 
+class _Thin(NamedTuple):
+    """A cloud that carries its scenario's clutter, held without the clutter rows."""
+
+    own: np.ndarray  # the agent rows
+    intensity: np.ndarray  # the clutter rows' intensities, the only clutter column drawn per frame
+    frame: str
+    timestamp: float
+    clutter: Clutter
+
+
 class _Sparse(NamedTuple):
-    """An ego grid held without its zero cells."""
+    """An ego grid held as its occupied cells."""
 
     other_fields: dict  # every field but ``values``
-    index: np.ndarray  # flat indices of the cells whose bits are not all zero
-    values: np.ndarray
+    cells: np.ndarray  # int32 flat index of each cell with a nonzero bit in any channel
+    values: np.ndarray  # (cells, channels): their values, -0.0 included
 
 
 def _packed(frame: _Frame) -> _Frame:
-    """A frame to hold while other cells of its seed wait: the ego grid kept
-    sparse (about 3% of its cells are nonzero); messages are wire bytes already."""
-    grid = frame.ego.grid
-    flat = grid.values.ravel()
-    index = np.flatnonzero(flat.view(np.uint64))  # keeps -0.0: unpacking is bit-exact
+    """A frame to hold while other cells of its seed wait, at the size of what
+    the frame adds. An ego cloud that carries its scenario's clutter keeps its
+    agent rows and the clutter rows' intensities (``_Thin``); any other cloud
+    is held whole. The ego grid keeps its occupied cells (about 3% of them).
+    Messages are wire bytes already."""
+    ego = frame.ego
+    cloud, grid = ego.cloud, ego.grid
+    if cloud.clutter is not None:
+        n = len(cloud) - len(cloud.clutter.points)
+        cloud = _Thin(cloud.points[:n].copy(), cloud.points[n:, 3].copy(), cloud.frame,
+                      cloud.timestamp, cloud.clutter)
+    by_cell = grid.values.reshape(-1, grid.spec.channels)
+    # The cell of each value with a nonzero bit (-0.0 included), ascending.
+    cells = np.flatnonzero(by_cell.view(np.uint64).ravel() != 0) // grid.spec.channels
+    cells = cells[np.diff(cells, prepend=-1) != 0].astype(np.int32)
     other_fields = {f.name: getattr(grid, f.name) for f in fields(grid) if f.name != "values"}
-    return frame._replace(ego=replace(frame.ego, grid=_Sparse(other_fields, index, flat[index])))
+    return frame._replace(ego=replace(ego, cloud=cloud,
+                                      grid=_Sparse(other_fields, cells, by_cell[cells])))
 
 
 def _unpacked(frame: _Frame) -> _Frame:
-    """A held frame as a cell reads it, with a fresh ego grid."""
-    sparse = frame.ego.grid
+    """A held frame as a cell reads it, bit for bit the frame ``_packed`` took:
+    the ego cloud read-only and carrying the same clutter, and a fresh ego grid."""
+    ego = frame.ego
+    cloud, sparse = ego.cloud, ego.grid
+    if isinstance(cloud, _Thin):
+        n = len(cloud.own)
+        points = np.empty((n + len(cloud.intensity), 4))
+        points[:n] = cloud.own
+        points[n:] = cloud.clutter.points
+        points[n:, 3] = cloud.intensity
+        points.setflags(write=False)
+        cloud = PointCloud(points, cloud.frame, cloud.timestamp, carry=cloud.clutter)
     values = np.zeros(sparse.other_fields["spec"].shape)
-    values.ravel()[sparse.index] = sparse.values
-    return frame._replace(ego=replace(frame.ego, grid=FeatureGrid(values=values,
-                                                                  **sparse.other_fields)))
+    values.reshape(-1, values.shape[-1])[sparse.cells] = sparse.values
+    return frame._replace(ego=replace(ego, cloud=cloud,
+                                      grid=FeatureGrid(values=values, **sparse.other_fields)))
 
 
 def run_single(
@@ -236,10 +268,14 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
 
     Returns one entry per cell, in order: its RunReport or the exception
     that failed it. The scenario and the frames (``_seed_frames``) are made
-    once and held packed (``_packed``), so memory grows with the scenario's
-    duration, while one ``run_single`` per distinct cell reads them in
-    turn. A fusion that sends no message (``vehicle_only``) ignores latency,
-    so one of its runs serves all latencies. A failure in the shared work
+    once. With more than one distinct run the frames are held packed
+    (``_packed``) while one ``run_single`` per distinct run reads them in
+    turn: each frame keeps what it adds to its scenario, the ego cloud's
+    agent rows and clutter intensities, the ego grid's occupied cells and the
+    messages' wire bytes, so memory still grows with the scenario's
+    duration. A lone run reads the frames as they are made. A fusion that
+    sends no message (``vehicle_only``) ignores latency, so one of its runs
+    serves all latencies. A failure in the shared work
     fails every cell; a failure in one run fails only the cells it serves.
     """
     keys = [(f, lat if STRATEGIES[f.kind].message is not None else None) for f, lat in cells]

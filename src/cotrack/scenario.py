@@ -74,6 +74,14 @@ MAX_AGENTS = 100  # generate_scenario's peak: about 54 MB with MAX_OCCLUDERS wal
 MAX_OCCLUDERS = 100
 MAX_PTS_PER_M = 1_000  # surface_pts_per_m: at most 27,000 points on a bus outline
 MAX_CLUTTER_PER_VIEW = 1_000_000  # clutter_per_m2 times the longer sensor range's disc
+MAX_GEOMETRY_BYTES = 256 * 2**20  # FrameGeometry's per-frame tables, geometry_table_bytes
+
+
+def geometry_table_bytes(frames: int, agents: int, walls: int) -> int:
+    """Bytes of ``FrameGeometry``'s per-frame tables: per frame and agent the
+    centres (16), yaws (8), corners (64) and both views' visibility (2); per
+    frame and blocker, agents then walls, ``rot_t`` (32) and ``centre`` (16)."""
+    return frames * (90 * agents + 48 * (agents + walls))
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,13 @@ class ScenarioConfig:
             raise ConfigurationError(f"a scene may have at most {MAX_OCCLUDERS} occluders")
         if self.surface_pts_per_m > MAX_PTS_PER_M:
             raise ConfigurationError(f"surface_pts_per_m must be at most {MAX_PTS_PER_M:,}")
+        frames = int(round(self.duration_s * self.frame_rate_hz)) + 1
+        table_bytes = geometry_table_bytes(frames, self.agents.count, len(self.occluders))
+        if table_bytes > MAX_GEOMETRY_BYTES:
+            raise ConfigurationError(
+                f"{frames:,} frames of {self.agents.count} agents and {len(self.occluders)} "
+                f"occluders need {table_bytes:,} bytes of frame geometry, more than "
+                f"{MAX_GEOMETRY_BYTES:,}")
         range_m = max(self.vehicle_range_m, self.infra_range_m)
         if self.noise.clutter_per_m2 * math.pi * range_m * range_m > MAX_CLUTTER_PER_VIEW:
             raise ConfigurationError(

@@ -21,10 +21,12 @@ it. Clouds are byte for byte the box-by-box sampler's.
 Ground clutter belongs to the scenario: ``generate_scenario`` draws each
 view's clutter once, from (seed, view, noise, range), as a :class:`Clutter`
 holding its sensor-frame points at the sensor's frame-0 pose, as a (C, 4)
-block a cloud copies whole, and their (cell, z) sort on the view's grid. A
-cloud sampled at that pose with no dropout carries the clutter, and
-``rasterize_bev`` takes every cell that no agent point hits from the cached
-sort and sorts only the points of the other cells. Every other cloud is
+block, and their (cell, z) sort on the view's grid. A cloud sampled at that
+pose with no dropout carries the clutter: its last C rows copy the block
+whole with fresh intensities, the only clutter column drawn per frame, so a
+frame held for later reading keeps just those intensities. For such a
+cloud, ``rasterize_bev`` takes every cell that no agent point hits from the
+cached sort and sorts only the points of the other cells. Every other cloud is
 sorted whole, in three cases. A moving ego's clouds after frame 0 do not
 carry the clutter, which is moved to each new pose. Clouds with dropout do
 not carry it, as their clutter thins anew each frame. A view with two

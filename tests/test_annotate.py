@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cotrack.annotate import (
+    MAX_SEGMENTS,
     CandidateMatch,
     Trajectory,
     build_cooperative_trajectories,
@@ -114,6 +115,15 @@ class TestFragment:
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigurationError):
             fragment([], window_s=5.0, overlap_s=5.0)
+
+    def test_segment_count_capped(self):
+        # A span of MAX_SEGMENTS strides cuts into MAX_SEGMENTS segments; one
+        # more stride is rejected before any is cut.
+        at_cap = [traj(1, [0.0, 1.0], dt=float(MAX_SEGMENTS))]
+        assert len(fragment(at_cap, window_s=1.0, overlap_s=0.0)) == MAX_SEGMENTS
+        past_cap = [traj(1, [0.0, 1.0], dt=float(MAX_SEGMENTS + 1))]
+        with pytest.raises(ConfigurationError, match="more than 100,000 segments"):
+            fragment(past_cap, window_s=1.0, overlap_s=0.0)
 
     def test_cli_exits_2_on_a_window_not_longer_than_the_overlap(self, tmp_path, capsys):
         path = tmp_path / "tracks.jsonl"

@@ -27,8 +27,10 @@ from cotrack.experiment import (
 )
 from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.geometry import Category
-from cotrack.scenario import AgentPopulation, Lane, Provenance, ScenarioConfig
-from cotrack.sensing import NoiseConfig
+from cotrack.presets import hidden_lane_scenario
+from cotrack.scenario import (AgentPopulation, Lane, Provenance, ScenarioConfig,
+                              generate_scenario)
+from cotrack.sensing import Clutter, NoiseConfig
 from oracle_utils import Box3D, trajectory_of
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -284,6 +286,100 @@ class TestRunSweep:
         reports, failures = run_sweep(workloads.WORKLOADS["latency_sweep"].config(0))
         assert failures == []
         assert [r.to_json_dict() for r in reports] == pinned["seeds"]["0"]
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _held_bytes(obj, seen) -> int:
+    """Bytes a held object keeps alive: each array counted by the buffer that
+    owns it (a view keeps its whole base), each wire payload by its length.
+    The scenario's clutter is shared by every frame and not counted."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if isinstance(obj, bytes):
+        return len(obj)
+    if isinstance(obj, (Enum, Clutter)):
+        return 0
+    if isinstance(obj, dict):
+        return sum(_held_bytes(v, seen) for v in obj.values())
+    if isinstance(obj, (tuple, list)):
+        return sum(_held_bytes(v, seen) for v in obj)
+    if hasattr(obj, "__dict__"):
+        return sum(_held_bytes(v, seen) for v in vars(obj).values())
+    return 0
+
+
+HELD_SCENES = {
+    "hidden_lane": hidden_lane_scenario(duration_s=1.0),
+    "default": ScenarioConfig(duration_s=1.0),
+    "moving_ego": ScenarioConfig(duration_s=1.0, ego_speed=6.0),
+    "noiseless_dropout": ScenarioConfig(
+        duration_s=1.0, noise=NoiseConfig(sigma_m=0.0, dropout_p=0.2)),
+}
+
+
+def all_fusion_frames(scene: ScenarioConfig):
+    cfg = ExperimentConfig(scenario=scene, seeds=(1,))
+    scn = generate_scenario(scene, 1)
+    return list(experiment._seed_frames(cfg, scn, cfg.fusions))
+
+
+class TestHeldFrames:
+    """A seed's frames are held packed while its cells replay them."""
+
+    def assert_same_frame(self, got, frame):
+        assert got._replace(ego=None) == frame._replace(ego=None)
+        cloud, want = got.ego.cloud, frame.ego.cloud
+        np.testing.assert_array_equal(_bits(cloud.points), _bits(want.points))
+        assert not cloud.points.flags.writeable
+        assert cloud.clutter is want.clutter
+        assert (cloud.frame, cloud.timestamp) == (want.frame, want.timestamp)
+        grid, want = got.ego.grid, frame.ego.grid
+        np.testing.assert_array_equal(_bits(grid.values), _bits(want.values))
+        assert (grid.spec, grid.timestamp, grid.frame) == (want.spec, want.timestamp, want.frame)
+        assert got.ego.detections is frame.ego.detections
+        assert got.ego.density_cap == frame.ego.density_cap
+
+    @pytest.mark.parametrize("name", sorted(HELD_SCENES))
+    def test_unpacking_gives_every_frame_back_bit_for_bit(self, name):
+        frames = all_fusion_frames(HELD_SCENES[name])
+        carried = [frame.ego.cloud.clutter is not None for frame in frames]
+        # The presets carry their clutter; a moving ego only at its frame-0
+        # pose; dropout never.
+        assert carried == {"hidden_lane": [True] * 11, "default": [True] * 11,
+                           "moving_ego": [True] + [False] * 10,
+                           "noiseless_dropout": [False] * 11}[name]
+        for frame in frames:
+            self.assert_same_frame(experiment._unpacked(experiment._packed(frame)), frame)
+
+    def test_a_negative_zero_cell_keeps_its_sign(self):
+        frames = all_fusion_frames(HELD_SCENES["hidden_lane"])
+        frame = frames[0]
+        values = frame.ego.grid.values.copy()
+        values[0, 0] = (-0.0, 0.0, 0.0)
+        values[1, 2, 1] = -0.0
+        frame = frame._replace(ego=replace(frame.ego, grid=replace(frame.ego.grid,
+                                                                   values=values)))
+        self.assert_same_frame(experiment._unpacked(experiment._packed(frame)), frame)
+
+    def test_a_held_frame_keeps_what_the_frame_adds(self):
+        # The reference holds the ego cloud whole and the grid as each
+        # nonzero float with an int64 index, the messages and detections
+        # as they are.
+        frames = all_fusion_frames(HELD_SCENES["hidden_lane"])
+        held = whole = 0
+        for frame in frames:
+            held += _held_bytes(experiment._packed(frame), set())
+            whole += _held_bytes(frame._replace(ego=replace(frame.ego, grid=None)), set())
+            whole += 16 * np.count_nonzero(_bits(frame.ego.grid.values))
+        assert held <= 0.6 * whole
 
 
 class TestEmitReport:
@@ -719,6 +815,23 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: window_s * frame_rate_hz must be at least 1 frame, got 0.004 s at 100 Hz\n")
         assert not out_dir.exists()  # a rejected command writes nothing
+
+    def test_annotate_command_rejects_a_span_of_too_many_segments(self, tmp_path, capsys):
+        # 12 lines, samples 10 us apart at 0 and at 10 s: a 100 kHz file whose
+        # 1e-5 s window holds a frame but would cut 10 s into a million segments.
+        src = tmp_path / "sparse.jsonl"
+        box = {"y": 0.0, "z": 0.75, "w": 1.8, "l": 4.5, "h": 1.5}
+        lines = [{"t": t0 + 1e-5 * k, "track_id": track_id, "provenance": side,
+                  "box": {"x": 10 * t0 + 1e-4 * k, **box}}
+                 for track_id, side in ((1, "vehicle"), (2, "infra"))
+                 for t0 in (0.0, 10.0) for k in range(3)]
+        src.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out_dir = tmp_path / "o"
+        code = cli_main(["annotate", "--in", str(src), "--out", str(out_dir),
+                         "--window-s", "1e-5", "--overlap-s", "0"])
+        assert code == 2
+        assert "more than 100,000 segments" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_annotate_command_scores_completion_at_the_file_frame_rate(self, tmp_path):
         # The fused track covers half of a 1 s window at 100 Hz: completion

@@ -13,6 +13,7 @@ from cotrack.scenario import (
     MAX_AGENTS,
     MAX_CLUTTER_PER_VIEW,
     MAX_FRAME_INTERVALS,
+    MAX_GEOMETRY_BYTES,
     MAX_OCCLUDERS,
     MAX_PTS_PER_M,
     AgentPopulation,
@@ -20,6 +21,7 @@ from cotrack.scenario import (
     Provenance,
     ScenarioConfig,
     generate_scenario,
+    geometry_table_bytes,
     ground_truth_at,
 )
 from cotrack.sensing import MAX_GRID_CELLS, GridSpec, NoiseConfig, View
@@ -151,6 +153,25 @@ class TestGenerateScenario:
         assert cfg.duration_s * cfg.frame_rate_hz == MAX_FRAME_INTERVALS
         with pytest.raises(ConfigurationError):
             ScenarioConfig(duration_s=MAX_FRAME_INTERVALS / 10 + 0.01)
+
+    def test_geometry_table_bytes_count_the_frame_geometry_tables(self):
+        geo = generate_scenario(hidden_lane_scenario(duration_s=1.0), 1).geometry
+        tables = (geo.centres, geo.yaws, geo.corners, geo.rot_t, geo.centre,
+                  *geo.visible.values())
+        assert sum(t.nbytes for t in tables) == geometry_table_bytes(11, 4, 1)
+
+    def test_frame_geometry_tables_capped(self):
+        """At the agent and occluder caps a frame's tables take 18.6 KB, so
+        MAX_GEOMETRY_BYTES holds 14,432 frames; one more is rejected."""
+        agents = AgentPopulation(count=MAX_AGENTS)
+        walls = ((0.0, 0.0, 1.0, 1.0),) * MAX_OCCLUDERS
+        per_frame = geometry_table_bytes(1, MAX_AGENTS, MAX_OCCLUDERS)
+        assert per_frame == 18_600
+        frames = MAX_GEOMETRY_BYTES // per_frame
+        cfg = ScenarioConfig(duration_s=(frames - 1) / 10, agents=agents, occluders=walls)
+        assert int(round(cfg.duration_s * cfg.frame_rate_hz)) + 1 == frames == 14_432
+        with pytest.raises(ConfigurationError, match="bytes of frame geometry, more than"):
+            ScenarioConfig(duration_s=frames / 10, agents=agents, occluders=walls)
 
     def test_generation_memory_at_the_agent_and_occluder_caps(self):
         """The visibility pass ray-tests one frame at a time at the caps: about
