@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -122,10 +123,10 @@ def fragment(
         end = start + window_s
         clipped = []
         for traj in traj_set:
-            rows = [k for k, t in enumerate(traj.times) if start <= t <= end]
-            if rows:
-                clipped.append(replace(traj, times=tuple(traj.times[k] for k in rows),
-                                       boxes=traj.boxes.take(rows)))
+            # Times strictly increase: the window's rows are one run of them.
+            rows = slice(bisect_left(traj.times, start), bisect_right(traj.times, end))
+            if rows.start < rows.stop:
+                clipped.append(replace(traj, times=traj.times[rows], boxes=traj.boxes.take(rows)))
         segments.append(
             Segment(index=index, start_s=start, end_s=end, full=end <= t_end,
                     trajectories=tuple(clipped))

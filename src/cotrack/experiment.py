@@ -40,8 +40,7 @@ from .scenario import (
     generate_scenario,
     ground_truth_at,
 )
-from .sensing import (Clutter, FeatureGrid, PointCloud, View, rasterize_bev,
-                      sample_point_cloud)
+from .sensing import FeatureGrid, View, rasterize_bev, sample_point_cloud
 from .tracker import Tracker, TrackerParams
 
 
@@ -137,16 +136,6 @@ def _seed_frames(cfg: ExperimentConfig, scn,
         yield _Frame(t, ego_pose, world_to_ego, compose(world_to_ego, scn.infra_pose), ego, messages)
 
 
-class _Thin(NamedTuple):
-    """A cloud that carries its scenario's clutter, held without the clutter rows."""
-
-    own: np.ndarray  # the agent rows
-    intensity: np.ndarray  # the clutter rows' intensities, the only clutter column drawn per frame
-    frame: str
-    timestamp: float
-    clutter: Clutter
-
-
 class _Sparse(NamedTuple):
     """An ego grid held as its occupied cells."""
 
@@ -157,41 +146,27 @@ class _Sparse(NamedTuple):
 
 def _packed(frame: _Frame) -> _Frame:
     """A frame to hold while other cells of its seed wait, at the size of what
-    the frame adds. An ego cloud that carries its scenario's clutter keeps its
-    agent rows and the clutter rows' intensities (``_Thin``); any other cloud
-    is held whole. The ego grid keeps its occupied cells (about 3% of them).
-    Messages are wire bytes already."""
+    the frame adds. The ego grid keeps its occupied cells (about 3% of them).
+    The ego cloud is held as the sampler made it: one that carries its
+    scenario's clutter holds only its agent rows and the clutter rows'
+    intensities. Messages are wire bytes already."""
     ego = frame.ego
-    cloud, grid = ego.cloud, ego.grid
-    if cloud.clutter is not None:
-        n = len(cloud) - len(cloud.clutter.points)
-        cloud = _Thin(cloud.points[:n].copy(), cloud.points[n:, 3].copy(), cloud.frame,
-                      cloud.timestamp, cloud.clutter)
+    grid = ego.grid
     by_cell = grid.values.reshape(-1, grid.spec.channels)
     # The cell of each value with a nonzero bit (-0.0 included), ascending.
     cells = np.flatnonzero(by_cell.view(np.uint64).ravel() != 0) // grid.spec.channels
     cells = cells[np.diff(cells, prepend=-1) != 0].astype(np.int32)
     other_fields = {f.name: getattr(grid, f.name) for f in fields(grid) if f.name != "values"}
-    return frame._replace(ego=replace(ego, cloud=cloud,
-                                      grid=_Sparse(other_fields, cells, by_cell[cells])))
+    return frame._replace(ego=replace(ego, grid=_Sparse(other_fields, cells, by_cell[cells])))
 
 
 def _unpacked(frame: _Frame) -> _Frame:
-    """A held frame as a cell reads it, bit for bit the frame ``_packed`` took:
-    the ego cloud read-only and carrying the same clutter, and a fresh ego grid."""
-    ego = frame.ego
-    cloud, sparse = ego.cloud, ego.grid
-    if isinstance(cloud, _Thin):
-        n = len(cloud.own)
-        points = np.empty((n + len(cloud.intensity), 4))
-        points[:n] = cloud.own
-        points[n:] = cloud.clutter.points
-        points[n:, 3] = cloud.intensity
-        points.setflags(write=False)
-        cloud = PointCloud(points, cloud.frame, cloud.timestamp, carry=cloud.clutter)
+    """A held frame as a cell reads it, bit for bit the frame ``_packed`` took,
+    with a fresh ego grid."""
+    sparse = frame.ego.grid
     values = np.zeros(sparse.other_fields["spec"].shape)
     values.reshape(-1, values.shape[-1])[sparse.cells] = sparse.values
-    return frame._replace(ego=replace(ego, cloud=cloud,
+    return frame._replace(ego=replace(frame.ego,
                                       grid=FeatureGrid(values=values, **sparse.other_fields)))
 
 
@@ -270,13 +245,13 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
     that failed it. The scenario and the frames (``_seed_frames``) are made
     once. With more than one distinct run the frames are held packed
     (``_packed``) while one ``run_single`` per distinct run reads them in
-    turn: each frame keeps what it adds to its scenario, the ego cloud's
-    agent rows and clutter intensities, the ego grid's occupied cells and the
-    messages' wire bytes, so memory still grows with the scenario's
-    duration. A lone run reads the frames as they are made. A fusion that
-    sends no message (``vehicle_only``) ignores latency, so one of its runs
-    serves all latencies. A failure in the shared work
-    fails every cell; a failure in one run fails only the cells it serves.
+    turn: each frame keeps what it adds to its scenario, the ego cloud as
+    sampled (agent rows and clutter intensities when it carries the clutter),
+    the ego grid's occupied cells and the messages' wire bytes, so memory
+    still grows with the scenario's duration. A lone run reads the frames as
+    they are made. A fusion that sends no message (``vehicle_only``) ignores
+    latency, so one of its runs serves all latencies. A failure in the shared
+    work fails every cell; a failure in one run fails only the cells it serves.
     """
     keys = [(f, lat if STRATEGIES[f.kind].message is not None else None) for f, lat in cells]
     runs: Dict[tuple, float] = {}  # distinct run -> the latency it runs at
@@ -392,7 +367,8 @@ def emit_report(reports: Sequence[RunReport], fmt: str, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        path = write_csv(out / "runs.csv", RunReport.csv_columns(), (r.csv_row() for r in reports))
+        path = write_csv(out / "runs.csv", RunReport.csv_columns(),
+                         (r.to_json_dict().values() for r in reports))
     else:
         path = out / "runs.json"
         path.write_text(

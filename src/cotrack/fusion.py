@@ -126,7 +126,7 @@ def fuse_early(
         moved = pc_inf.points.copy()
         moved[:, :3] = infra_to_ego.apply_to_points(pc_inf.points[:, :3])
         merged = np.concatenate([pc_ego.points, moved], axis=0) if len(pc_ego) else moved
-    cloud = PointCloud(points=merged, frame="vehicle", timestamp=pc_ego.timestamp)
+    cloud = PointCloud(merged, "vehicle", pc_ego.timestamp)
     return rasterize_bev(cloud, spec, density_cap=density_cap)
 
 

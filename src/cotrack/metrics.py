@@ -58,12 +58,8 @@ class RunReport:
 
     @staticmethod
     def csv_columns() -> List[str]:
+        """The fields in ``to_json_dict`` order."""
         return [f.name for f in fields(RunReport)]
-
-    def csv_row(self) -> List[str]:
-        """The fields in ``csv_columns`` order, floats at 4 decimals."""
-        return [f"{v:.4f}" if isinstance(v, float) else str(v)
-                for v in self.to_json_dict().values()]
 
 
 def check_gate(gate_m: float) -> float:

@@ -60,10 +60,13 @@ def clean_straight_scenario(duration_s: float = 15.0) -> ScenarioConfig:
 def hidden_lane_scenario(duration_s: float = 15.0) -> ScenarioConfig:
     """A wall hides the north lane from the ego; the roadside sensor sees it.
 
-    Two fast agents run on the hidden lane and two on the ego-visible lane.
-    At 10.5 to 11.5 m/s, a 200 ms stale feature displaces a hidden agent
-    beyond the 2 m evaluation gate while the flow-extrapolated feature stays
-    within it, which is exactly the regime latency experiments probe.
+    Two fast agents run on the hidden lane and two on the ego-visible lane,
+    at 10.5 to 11.5 m/s: the regime latency experiments probe. What the
+    acceptance suite asserts on it (criterion 7, seeds 1 to 20, 2 m gate) is
+    that from 0 to 200 ms the mean MOTA of ``middle_flow`` drops less than
+    that of ``middle_static``, and that at 200 ms flow's mean is at least
+    static's. A nominal 200 ms message age mixes two frame counts by float
+    rounding (ROADMAP item 2).
     """
     return ScenarioConfig(
         duration_s=duration_s,

@@ -228,11 +228,12 @@ class Scenario:
     """Immutable generated world plus sensor configuration.
 
     ``clutter`` holds each view's ground clutter, drawn once from the seed
-    (see :class:`~cotrack.sensing.Clutter`): its points in the frame of the
-    sensor at its frame-0 pose, and their (cell, z) sort on the view's grid
-    unless two clutter heights tie in a cell. Every cloud sampled at that
-    pose without dropout carries it, so rasterizing sorts only the cells its
-    agent points hit. A moving ego's clouds after frame 0 move the clutter to
+    (see :class:`~cotrack.sensing.Clutter`): its positions in the frame of
+    the sensor at its frame-0 pose, and their (cell, z) sort on the view's
+    grid unless two clutter heights tie in a cell. Every cloud sampled at
+    that pose without dropout carries it, holding only its agent rows and the
+    clutter's intensities, so rasterizing sorts only the cells its agent
+    points hit. A moving ego's clouds after frame 0 move the clutter to
     the new pose and are sorted whole. With dropout every cloud is sorted
     whole. With tied heights, as with zero position noise, the view's clouds
     are sorted whole.

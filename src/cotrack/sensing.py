@@ -20,11 +20,12 @@ it. Clouds are byte for byte the box-by-box sampler's.
 
 Ground clutter belongs to the scenario: ``generate_scenario`` draws each
 view's clutter once, from (seed, view, noise, range), as a :class:`Clutter`
-holding its sensor-frame points at the sensor's frame-0 pose, as a (C, 4)
-block, and their (cell, z) sort on the view's grid. A cloud sampled at that
-pose with no dropout carries the clutter: its last C rows copy the block
-whole with fresh intensities, the only clutter column drawn per frame, so a
-frame held for later reading keeps just those intensities. For such a
+holding its sensor-frame positions at the sensor's frame-0 pose, (C, 3), and
+their (cell, z) sort on the view's grid. A cloud sampled at that pose with no
+dropout carries the clutter: it holds its own agent rows, the scenario's
+``Clutter`` and the clutter rows' fresh intensities, the only clutter column
+drawn per frame. Its full rows (agent rows, then the clutter's) are built
+only when something reads ``PointCloud.points``. For such a
 cloud, ``rasterize_bev`` takes every cell that no agent point hits from the
 cached sort and sorts only the points of the other cells. Every other cloud is
 sorted whole, in three cases. A moving ego's clouds after frame 0 do not
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
@@ -103,33 +104,45 @@ class GridSpec:
 
 @dataclass
 class PointCloud:
-    """Points as an (N, 4) array of x, y, z, intensity.
+    """Points of x, y, z, intensity: ``own`` (n, 4) rows and, for a cloud that
+    carries its scenario's ``clutter`` (see :func:`sample_point_cloud`), that
+    :class:`Clutter`'s C positions with their fresh ``intensity`` (C,).
 
-    A sampled cloud may also carry its scenario's ``clutter`` (the init-only
-    ``carry``, see :func:`sample_point_cloud`): its last rows are then that
-    :class:`Clutter`'s points with fresh intensities, and
-    :func:`rasterize_bev` reads their cached sort. Such a cloud's points are
-    read-only. A cloud built from new points (``replace``, a merged or
-    decoded cloud) carries none.
+    ``points`` is the (n + C, 4) array of the own rows, then the clutter
+    rows: ``own`` itself for a cloud that carries nothing, and a fresh
+    read-only array, built on each read, for a carried one; ``len`` builds
+    nothing. A merged or decoded cloud carries nothing.
     """
 
-    points: np.ndarray
+    own: np.ndarray
     frame: str
     timestamp: float
-    carry: InitVar[Optional["Clutter"]] = None
+    clutter: Optional["Clutter"] = None
+    intensity: Optional[np.ndarray] = None
 
-    def __post_init__(self, carry):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != 4:
-            raise ShapeMismatchError(f"points {self.points.shape} are not an (N, 4) array")
-        self.clutter: Optional[Clutter] = carry
+    def __post_init__(self):
+        self.own = np.asarray(self.own, dtype=float)
+        if self.own.ndim != 2 or self.own.shape[1] != 4:
+            raise ShapeMismatchError(f"points {self.own.shape} are not an (N, 4) array")
+        want = None if self.clutter is None else (len(self.clutter.xyz),)
+        got = None if self.intensity is None else np.shape(self.intensity)
+        if got != want:
+            raise ShapeMismatchError(f"clutter intensities {got} do not match the carried "
+                                     f"clutter's rows {want}")
         # Carried clutter was checked once, when its scenario was made.
-        own = self.points if carry is None else self.points[:len(self) - len(carry.xyz)]
-        if own.size and not np.all(np.isfinite(own)):
+        if self.own.size and not np.all(np.isfinite(self.own)):
             raise NumericError("point cloud contains non-finite values")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.own) + (0 if self.clutter is None else len(self.intensity))
+
+    @property
+    def points(self) -> np.ndarray:
+        if self.clutter is None:
+            return self.own
+        points = np.concatenate([self.own, np.column_stack([self.clutter.xyz, self.intensity])])
+        points.setflags(write=False)
+        return points
 
 
 @dataclass
@@ -195,20 +208,19 @@ class Clutter:
     """Ground clutter of one scenario view, made once by ``generate_scenario``.
 
     ``field`` is the seed's draw relative to the sensor position: offsets
-    (C, 2), jitter (C, 2) or None, and z (C,). ``points`` (C, 4) holds the
+    (C, 2), jitter (C, 2) or None, and z (C,). ``xyz`` (C, 3) holds the
     clutter in the frame of the sensor at its frame-0 ``pose``, checked
-    finite, and a zero intensity; ``xyz`` is a view of its first three
-    columns. ``grid`` is its sort on the view's grid, or None when two
-    clutter heights tie in a cell. Every array is read-only.
+    finite; every cloud that carries the clutter shares it. ``grid`` is its
+    sort on the view's grid, or None when two clutter heights tie in a cell.
+    Every array is read-only.
 
     A plain object, not a tuple or dataclass, so that the benchmark's tracer
     digests a scenario's clutter (about 0.5 MB per view) by identity rather
     than hashing it on every traced call that takes the scenario.
     """
 
-    def __init__(self, field, pose: Pose, points: np.ndarray, grid: Optional[StaticGrid]):
-        self.field, self.pose, self.points, self.grid = field, pose, points, grid
-        self.xyz = points[:, :3]
+    def __init__(self, field, pose: Pose, xyz: np.ndarray, grid: Optional[StaticGrid]):
+        self.field, self.pose, self.xyz, self.grid = field, pose, xyz, grid
 
 
 def _clutter_xyz(field, pose: Pose) -> np.ndarray:
@@ -244,8 +256,7 @@ def scenario_clutter(s: "Scenario", sensor: View, spec: GridSpec) -> Clutter:
         jitter = np.ascontiguousarray(j[:, :2])
         z = z + j[:, 2]
     pose = s.sensor_pose(sensor, 0.0)
-    points = np.zeros((count, 4))
-    points[:, :3] = xyz = _clutter_xyz((offsets, jitter, z), pose)
+    xyz = _clutter_xyz((offsets, jitter, z), pose)
     if not np.all(np.isfinite(xyz)):
         raise NumericError("point cloud contains non-finite values")
 
@@ -257,10 +268,10 @@ def scenario_clutter(s: "Scenario", sensor: View, spec: GridSpec) -> Clutter:
     # Heights that tie in a cell are ordered by intensity alone: no cached sort.
     tied = np.any((flat[1:] == flat[:-1]) & (cz[1:] == cz[:-1]))
     grid = None if tied else StaticGrid(spec, rows, flat, cz, _run_ends(flat))
-    for arr in (offsets, jitter, z, points, *(grid[1:] if grid else ())):
+    for arr in (offsets, jitter, z, xyz, *(grid[1:] if grid else ())):
         if arr is not None:
             arr.setflags(write=False)
-    return Clutter((offsets, jitter, z), pose, points, grid)
+    return Clutter((offsets, jitter, z), pose, xyz, grid)
 
 
 def _pose_bytes(p: Pose) -> bytes:
@@ -372,9 +383,10 @@ def sample_point_cloud(s: "Scenario", t: float, sensor: View) -> PointCloud:
     The returned cloud is expressed in the sensor's own frame, agent rows
     first and the scenario's clutter rows last. It carries the
     :class:`Clutter` when the sensor is at its frame-0 pose, compared bit for
-    bit, and the noise has no dropout. A moving ego's cloud after frame 0
-    carries none: its clutter is moved to the new pose. A cloud with dropout
-    carries none: its clutter rows are thinned.
+    bit, and the noise has no dropout: only its agent rows and the clutter
+    intensities are written here. A moving ego's cloud after frame 0 carries
+    none: its clutter is moved to the new pose. A cloud with dropout carries
+    none: its clutter rows are thinned. Either is built whole.
     """
     noise = s.config.noise
     frame_idx = s.frame_index(t)
@@ -396,16 +408,17 @@ def sample_point_cloud(s: "Scenario", t: float, sensor: View) -> PointCloud:
         xyz, clutter_i = xyz[kept], clutter_i[kept]
 
     n = len(pts)
-    local = np.empty((n + len(xyz), 4))
+    local = np.empty((n + (len(xyz) if carried is None else 0), 4))
     local[:n, :3] = inverse(pose).apply_to_points(pts[:, :3])
     local[:n, 3] = pts[:, 3]
-    if carried is not None:
-        local[n:] = clutter.points
-    else:
+    if carried is None:
         local[n:, :3] = xyz
-    local[n:, 3] = clutter_i
+        local[n:, 3] = clutter_i
+        clutter_i = None
+    else:
+        clutter_i.setflags(write=False)
     local.setflags(write=False)
-    return PointCloud(points=local, frame=sensor.value, timestamp=t, carry=carried)
+    return PointCloud(local, sensor.value, t, carried, clutter_i)
 
 
 def _rasterize_sorted(out: np.ndarray, flat: np.ndarray, z: np.ndarray, intensity: np.ndarray,
@@ -435,11 +448,9 @@ def rasterize_bev(pc: PointCloud, spec: GridSpec, density_cap: float = 10.0) -> 
     """
     values = np.zeros(spec.shape)
     out = values.reshape(-1, spec.channels)
-    pts = pc.points
     g = pc.clutter.grid if pc.clutter is not None else None
     if g is not None and g.spec == spec:
-        own = pts[:len(pts) - len(pc.clutter.xyz)]
-        s_i = pts[g.rows + len(own), 3]
+        own, s_i = pc.own, pc.intensity[g.rows]
         if len(g.flat):
             _rasterize_sorted(out, g.flat, g.z, s_i, g.last, density_cap)
         flat, ok = _grid_cells(spec, own)
@@ -451,6 +462,7 @@ def rasterize_bev(pc: PointCloud, spec: GridSpec, density_cap: float = 10.0) -> 
         z = np.concatenate([own[ok, 2], g.z[redo]])
         intensity = np.concatenate([own[ok, 3], s_i[redo]])
     else:
+        pts = pc.points
         flat, ok = _grid_cells(spec, pts)
         z, intensity = pts[ok, 2], pts[ok, 3]
     if len(flat):

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from scipy import ndimage
 
-from cotrack.annotate import Trajectory
+from cotrack.annotate import MAX_SEGMENTS, Segment, Trajectory
 from cotrack.assignment import gated_assignment, solve_assignment
 from cotrack.channel import CHANNEL_RANGE, ChannelMessage
 from cotrack.detector import DetectParams
@@ -365,11 +365,7 @@ def dense_decompress_values(data: bytes, offset: int, spec: GridSpec):
 
 def _encode_points(pc: PointCloud) -> Tuple[bytes, PointCloud]:
     data = pc.points.astype("<f4").tobytes()
-    decoded = PointCloud(
-        points=pc.points.astype(np.float32).astype(float),
-        frame=pc.frame,
-        timestamp=pc.timestamp,
-    )
+    decoded = PointCloud(pc.points.astype(np.float32).astype(float), pc.frame, pc.timestamp)
     return data, decoded
 
 
@@ -892,8 +888,9 @@ def per_box_sample_point_cloud(s, t: float, sensor: View) -> PointCloud:
     local[len(pts):, :3] = xyz
     local[len(pts):, 3] = clutter_i
     local.setflags(write=False)
-    carried = clutter if at_rest and noise.dropout_p == 0 else None
-    return PointCloud(points=local, frame=sensor.value, timestamp=t, carry=carried)
+    if at_rest and noise.dropout_p == 0:
+        return PointCloud(local[:len(pts)], sensor.value, t, clutter, local[len(pts):, 3])
+    return PointCloud(local, sensor.value, t)
 
 
 # The per-box path, as the run took it before boxes and tracks became arrays.
@@ -1092,3 +1089,43 @@ class PerTrackTracker:
                     )
                 )
         return out
+
+
+# ``annotate.fragment`` as it was before it cut each trajectory's rows by
+# bisection: every segment scans every sample of every trajectory. Verbatim.
+
+
+def scan_fragment(
+    traj_set: Sequence[Trajectory], window_s: float = 10.0, overlap_s: float = 5.0
+) -> List[Segment]:
+    if window_s <= overlap_s or overlap_s < 0:
+        raise ConfigurationError(
+            f"fragment requires window_s > overlap_s >= 0, got {window_s} and {overlap_s}")
+    all_times = [t for traj in traj_set for t in traj.times]
+    if not all_times:
+        return []
+    t0 = min(all_times)
+    t_end = max(all_times)
+    stride = window_s - overlap_s
+    if (t_end - t0) / stride > MAX_SEGMENTS:
+        raise ConfigurationError(
+            f"a {t_end - t0} s span in steps of window_s - overlap_s = {stride} s cuts into "
+            f"more than {MAX_SEGMENTS:,} segments")
+    segments: List[Segment] = []
+    index = 0
+    start = t0
+    while start < t_end or (start == t0 and t_end == t0):
+        end = start + window_s
+        clipped = []
+        for traj in traj_set:
+            rows = [k for k, t in enumerate(traj.times) if start <= t <= end]
+            if rows:
+                clipped.append(replace(traj, times=tuple(traj.times[k] for k in rows),
+                                       boxes=traj.boxes.take(rows)))
+        segments.append(
+            Segment(index=index, start_s=start, end_s=end, full=end <= t_end,
+                    trajectories=tuple(clipped))
+        )
+        index += 1
+        start = t0 + index * stride
+    return segments

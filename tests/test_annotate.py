@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cotrack.annotate import (
@@ -32,7 +32,7 @@ from cotrack.errors import (
 from cotrack.geometry import CATEGORY_ORDER, Boxes, wrap_angle
 from cotrack.scenario import Provenance, ScenarioConfig, generate_scenario
 from cotrack.sensing import View
-from oracle_utils import Box3D, rows_of, trajectory_of
+from oracle_utils import Box3D, rows_of, scan_fragment, trajectory_of
 
 
 def box(x, y=0.0, z=0.75, yaw=0.0):
@@ -124,6 +124,39 @@ class TestFragment:
         past_cap = [traj(1, [0.0, 1.0], dt=float(MAX_SEGMENTS + 1))]
         with pytest.raises(ConfigurationError, match="more than 100,000 segments"):
             fragment(past_cap, window_s=1.0, overlap_s=0.0)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_bisection_cuts_the_segments_the_scan_cuts(self, data):
+        """Times on a coarse grid put samples on window edges, which both
+        closed ends of a window keep."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        steps = data.draw(st.sampled_from([(0.1, 0.5), (0.25, 1.0), None]))
+        trajs = []
+        for track_id in range(data.draw(st.integers(0, 4))):
+            n = data.draw(st.integers(1, 40))
+            gaps = rng.choice(steps, n) if steps else rng.uniform(1e-3, 1.0, n)
+            t0 = float(rng.choice([0.0, 0.5, 3.0]) if steps else rng.uniform(-5.0, 5.0))
+            times = tuple((t0 + np.cumsum(gaps) - gaps[0]).tolist())
+            assume(all(b > a for a, b in zip(times, times[1:])))
+            boxes = Boxes(rng.uniform(0.5, 5.0, (n, 7)), rng.integers(0, 3, n).astype(np.uint8),
+                          rng.random(n))
+            trajs.append(Trajectory(track_id, times, boxes, Provenance.INFRA_SIDE, (track_id, None)))
+        window = data.draw(st.sampled_from([0.5, 1.0, 2.5, 10.0]) | st.floats(0.2, 12.0))
+        overlap = data.draw(st.sampled_from([0.0, 0.5 * window, 0.25])
+                            | st.floats(0.0, 0.9 * window))
+        assume(overlap < window)
+        got, want = fragment(trajs, window, overlap), scan_fragment(trajs, window, overlap)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.index, g.start_s, g.end_s, g.full) == (w.index, w.start_s, w.end_s, w.full)
+            assert len(g.trajectories) == len(w.trajectories)
+            for a, b in zip(g.trajectories, w.trajectories):
+                assert (a.track_id, a.times, a.provenance, a.source_ids) == (
+                    b.track_id, b.times, b.provenance, b.source_ids)
+                for field in ("values", "category", "score"):
+                    x, y = getattr(a.boxes, field), getattr(b.boxes, field)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     def test_cli_exits_2_on_a_window_not_longer_than_the_overlap(self, tmp_path, capsys):
         path = tmp_path / "tracks.jsonl"

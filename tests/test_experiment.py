@@ -30,7 +30,7 @@ from cotrack.geometry import Category
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import (AgentPopulation, Lane, Provenance, ScenarioConfig,
                               generate_scenario)
-from cotrack.sensing import Clutter, NoiseConfig
+from cotrack.sensing import Clutter, NoiseConfig, PointCloud
 from oracle_utils import Box3D, trajectory_of
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -370,16 +370,37 @@ class TestHeldFrames:
         self.assert_same_frame(experiment._unpacked(experiment._packed(frame)), frame)
 
     def test_a_held_frame_keeps_what_the_frame_adds(self):
-        # The reference holds the ego cloud whole and the grid as each
-        # nonzero float with an int64 index, the messages and detections
-        # as they are.
+        # The reference holds the ego cloud at its built size, 32 bytes a
+        # row, and the grid as each nonzero float with an int64 index, the
+        # messages and detections as they are.
         frames = all_fusion_frames(HELD_SCENES["hidden_lane"])
         held = whole = 0
         for frame in frames:
             held += _held_bytes(experiment._packed(frame), set())
-            whole += _held_bytes(frame._replace(ego=replace(frame.ego, grid=None)), set())
+            whole += _held_bytes(frame._replace(ego=replace(frame.ego, cloud=None, grid=None)),
+                                 set())
+            whole += 32 * len(frame.ego.cloud)
             whole += 16 * np.count_nonzero(_bits(frame.ego.grid.values))
         assert held <= 0.6 * whole
+
+
+@pytest.mark.parametrize("kinds", [(FusionKind.LATE,), (FusionKind.MIDDLE_FLOW,),
+                                   (FusionKind.LATE, FusionKind.MIDDLE_FLOW)],
+                         ids=["late", "middle_flow", "both_held"])
+def test_late_and_middle_cells_build_no_full_cloud(kinds, monkeypatch):
+    """Only ``early`` fusion and the raw-points encoder read a cloud's rows
+    whole; a late or middle cell, streamed or held, never builds them."""
+    cfg = ExperimentConfig(scenario=ScenarioConfig(duration_s=1.0),
+                           fusions=tuple(map(FusionMethod, kinds)), latencies_ms=(100.0,),
+                           seeds=(1,))
+    want = run_sweep(cfg)
+
+    def no_points(pc):
+        raise AssertionError("a full cloud was built")
+
+    monkeypatch.setattr(PointCloud, "points", property(no_points))
+    got = run_sweep(cfg)
+    assert got == want and not got[1] and len(got[0]) == len(kinds)
 
 
 class TestEmitReport:

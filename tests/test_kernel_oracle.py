@@ -185,8 +185,8 @@ def static_clouds(draw):
     if noise.dropout_p > 0:
         keep = rng.random(n + len(clutter)) >= noise.dropout_p
         agents, clutter = agents[keep[:n]], clutter[keep[n:]]
-        returns = None
-    return PointCloud(np.concatenate([agents, clutter]), "infra", 0.5, carry=returns)
+        return PointCloud(np.concatenate([agents, clutter]), "infra", 0.5)
+    return PointCloud(agents, "infra", 0.5, returns, clutter[:, 3])
 
 
 @given(cloud=static_clouds(), cap=st.sampled_from([1.0, 3.0, 10.0]))

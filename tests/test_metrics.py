@@ -7,6 +7,7 @@ import pytest
 
 from cotrack.channel import Channel, ChannelMessage, LatencyModel, MessageKind
 from cotrack.errors import AlignmentError, ConfigurationError
+from cotrack.experiment import emit_report
 from cotrack.metrics import (
     MotResult,
     RunReport,
@@ -174,14 +175,17 @@ class TestAggregateRun:
                                fallback_frames=2, match_gate_m=2.0, num_frames=151)
         again = RunReport(**json.loads(json.dumps(report.to_json_dict())))
         assert again == report
-        # csv_row reads the dict's values as csv_columns, also after replace or pickling.
+        # emit_report writes the dict's values under csv_columns, also after
+        # replace or pickling.
         for r in (report, replace(report, latency_ms=0.0), pickle.loads(pickle.dumps(report))):
             assert list(r.to_json_dict()) == RunReport.csv_columns()
 
-    def test_csv_row_four_decimals(self):
+    def test_csv_row_four_decimals(self, tmp_path):
         mot = MotResult(mota=0.83415, motp=0.3, ids=0, fp=0, fn=0, num_gt=10)
         report = aggregate_run(mot, None, 15.0, "early", 100.0, 1)
-        row = dict(zip(RunReport.csv_columns(), report.csv_row()))
+        header, line = emit_report([report], "csv", tmp_path).read_text().splitlines()
+        assert header.split(",") == RunReport.csv_columns()
+        row = dict(zip(RunReport.csv_columns(), line.split(",")))
         assert row["mota"] == "0.8341" or row["mota"] == "0.8342"
         assert row["seed"] == "1"
         assert row["fusion"] == "early"

@@ -4,7 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cotrack.channel import MessageKind, encode_message
 from cotrack.errors import ConfigurationError, NumericError, OrderingError, ShapeMismatchError
+from cotrack.fusion import fuse_early
+from cotrack.geometry import compose, inverse
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import AgentPopulation, Lane, ScenarioConfig, generate_scenario
 from cotrack.sensing import (
@@ -18,9 +21,17 @@ from cotrack.sensing import (
     rasterize_bev,
     sample_point_cloud,
 )
-from oracle_utils import Box3D, box_at, corners_bev, ufunc_at_rasterize_bev
+from oracle_utils import (Box3D, box_at, corners_bev, per_box_sample_point_cloud,
+                          ufunc_at_rasterize_bev)
 
 SPEC = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=20, rows=10)
+
+
+def owned_bytes(arr):
+    """Bytes an array keeps alive: those of the buffer that owns its data."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr.nbytes
 
 
 def make_grid(values, t=0.0, spec=SPEC):
@@ -125,12 +136,36 @@ class TestScenarioClutter:
             with pytest.raises(ValueError):
                 clutter.xyz[0, 0] = 1.0
 
-    def test_clutter_points_hold_xyz_without_a_copy(self):
-        clutter = generate_scenario(ScenarioConfig(duration_s=1.0), 3).clutter[View.INFRA]
-        assert clutter.points.shape == (len(clutter.xyz), 4)
-        assert np.shares_memory(clutter.points, clutter.xyz)
-        assert np.array_equal(clutter.points[:, :3], clutter.xyz) and not clutter.points[:, 3].any()
-        assert not clutter.points.flags.writeable and not clutter.xyz.flags.writeable
+    def test_carried_clouds_share_the_scenarios_read_only_xyz(self):
+        scn = generate_scenario(ScenarioConfig(duration_s=1.0), 3)
+        clutter = scn.clutter[View.INFRA]
+        assert clutter.xyz.shape == (len(clutter.xyz), 3) and not clutter.xyz.flags.writeable
+        assert not hasattr(clutter, "points")
+        for t in (0.0, 0.5):
+            pc = sample_point_cloud(scn, t, View.INFRA)
+            assert pc.clutter is clutter and pc.clutter.xyz is clutter.xyz
+            assert not any(np.shares_memory(clutter.xyz, a) for a in (pc.own, pc.intensity))
+
+    @pytest.mark.parametrize("scenario", [ScenarioConfig(), hidden_lane_scenario()],
+                             ids=["default", "hidden_lane"])
+    def test_a_carried_cloud_holds_its_own_rows_and_the_clutter_intensities(self, scenario):
+        scn = generate_scenario(replace(scenario, duration_s=0.5), 2)
+        for view in View:
+            clutter = scn.clutter[view]
+            for t in scn.frame_times():
+                pc = sample_point_cloud(scn, t, view)
+                want = per_box_sample_point_cloud(scn, t, view)
+                assert pc.clutter is clutter is want.clutter
+                held = sum(owned_bytes(v) for v in vars(pc).values()
+                           if isinstance(v, np.ndarray))
+                assert held == 32 * len(pc.own) + 8 * len(clutter.xyz)
+                assert len(pc) == len(pc.own) + len(clutter.xyz)
+                # The oracle's rows, laid out here without PointCloud.points.
+                rows = np.vstack([want.own, np.column_stack([clutter.xyz, want.intensity])])
+                points = pc.points
+                assert not points.flags.writeable
+                assert points.shape == rows.shape and points.tobytes() == rows.tobytes()
+                assert points is not pc.points  # built on each read, never held
 
     @pytest.mark.parametrize("scenario", [ScenarioConfig(), hidden_lane_scenario()],
                              ids=["default", "hidden_lane"])
@@ -183,11 +218,36 @@ class TestScenarioClutter:
         cfg = ScenarioConfig(duration_s=1.0)
         pc = sample_point_cloud(generate_scenario(cfg, 5), 0.5, View.INFRA)
         assert pc.clutter is not None and not pc.points.flags.writeable
-        copy = replace(pc, points=pc.points.copy())
+        copy = PointCloud(pc.points.copy(), pc.frame, pc.timestamp)
         assert copy.clutter is None
         assert np.array_equal(bits(rasterize_bev(pc, cfg.infra_grid).values),
                               bits(rasterize_bev(copy, cfg.infra_grid).values))
         assert_matches_ufunc_at(pc, cfg.infra_grid)
+
+    @pytest.mark.parametrize("scenario", [ScenarioConfig(), hidden_lane_scenario()],
+                             ids=["default", "hidden_lane"])
+    def test_carried_and_whole_clouds_rasterize_encode_and_fuse_alike(self, scenario):
+        scn = generate_scenario(replace(scenario, duration_s=0.3), 4)
+        infra_to_ego = compose(inverse(scn.ego_pose(0.2)), scn.infra_pose)
+        for t in scn.frame_times():
+            carried = {view: sample_point_cloud(scn, t, view) for view in View}
+            whole = {view: PointCloud(pc.points.copy(), pc.frame, pc.timestamp)
+                     for view, pc in carried.items()}
+            assert all(carried[v].clutter is scn.clutter[v] and whole[v].clutter is None
+                       for v in View)
+            for view, spec in ((View.VEHICLE, scenario.vehicle_grid),
+                               (View.INFRA, scenario.infra_grid)):
+                assert (bits(rasterize_bev(carried[view], spec).values).tobytes()
+                        == bits(rasterize_bev(whole[view], spec).values).tobytes())
+            for compress in (True, False):
+                a, b = (encode_message(MessageKind.RAW_POINTS, c[View.INFRA], compress, t)
+                        for c in (carried, whole))
+                assert (a.content, a.raw_bytes, a.payload_bytes) == (b.content, b.raw_bytes,
+                                                                     b.payload_bytes)
+            a, b = (fuse_early(c[View.VEHICLE], c[View.INFRA], infra_to_ego,
+                               scenario.vehicle_grid, scenario.density_cap)
+                    for c in (carried, whole))
+            assert bits(a.values).tobytes() == bits(b.values).tobytes()
 
 
 class TestRasterize:
@@ -249,6 +309,16 @@ class TestPointCloudShape:
     def test_anything_but_n_by_4_is_a_shape_mismatch(self, shape):
         with pytest.raises(ShapeMismatchError, match=r"\(N, 4\)"):
             PointCloud(np.arange(float(np.prod(shape))).reshape(shape), "vehicle", 0.0)
+
+    def test_carried_intensities_must_match_the_clutter_rows(self):
+        pc = sample_point_cloud(generate_scenario(ScenarioConfig(duration_s=0.1), 1), 0.0,
+                                View.INFRA)
+        for intensity in (pc.intensity[:-1], np.append(pc.intensity, 0.5),
+                          pc.intensity[:, None], None):
+            with pytest.raises(ShapeMismatchError, match="clutter intensities"):
+                PointCloud(pc.own, pc.frame, pc.timestamp, pc.clutter, intensity)
+        with pytest.raises(ShapeMismatchError, match="clutter intensities"):
+            PointCloud(pc.own, pc.frame, pc.timestamp, None, pc.intensity)
 
     def test_n_by_4_is_kept_as_given(self):
         pts = np.arange(12.0).reshape(3, 4)
