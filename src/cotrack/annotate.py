@@ -103,9 +103,10 @@ def fragment(
     A span of more than ``MAX_SEGMENTS`` strides is a ``ConfigurationError``,
     raised before any segment is cut.
     """
-    if window_s <= overlap_s or overlap_s < 0:
+    if not 0 <= overlap_s < window_s < math.inf:
         raise ConfigurationError(
-            f"fragment requires window_s > overlap_s >= 0, got {window_s} and {overlap_s}")
+            f"fragment requires window_s > overlap_s >= 0, both finite, "
+            f"got {window_s} and {overlap_s}")
     all_times = [t for traj in traj_set for t in traj.times]
     if not all_times:
         return []
@@ -147,8 +148,12 @@ def frame_rate_hz(trajectories: Sequence[Trajectory]) -> int:
 
 
 def check_window(window_s: float, frame_rate_hz: int) -> None:
-    """A scoring window must hold at least one frame."""
-    if window_s * frame_rate_hz < 1:
+    """A scoring window must hold at least one frame, and finitely many."""
+    frames = window_s * frame_rate_hz
+    if not frames < math.inf:
+        raise ConfigurationError(f"window_s * frame_rate_hz must be finite, "
+                                 f"got {window_s} s at {frame_rate_hz} Hz")
+    if frames < 1:
         raise ConfigurationError(f"window_s * frame_rate_hz must be at least 1 frame, "
                                  f"got {window_s} s at {frame_rate_hz} Hz")
 
@@ -202,8 +207,17 @@ def build_cooperative_trajectories(
     assignment on (1 - similarity). Fused
     samples average the two centers on shared frames and pass single-side
     samples through. Unpaired trajectories are re-emitted with their own
-    provenance. Cooperative ids are assigned sequentially from 1.
+    provenance. Cooperative ids are assigned sequentially from 1. The match
+    threshold must be non-negative and finite (0 pairs only coincident
+    centres) and the similarity threshold in [0, 1], else
+    ``ConfigurationError``.
     """
+    if not 0 <= match_threshold_m < math.inf:
+        raise ConfigurationError(
+            f"match threshold must be non-negative and finite, got {match_threshold_m}")
+    if not 0 <= similarity_threshold <= 1:
+        raise ConfigurationError(
+            f"similarity threshold must be in [0, 1], got {similarity_threshold}")
     v_by_id = {tr.track_id: tr for tr in vehicle_trajs}
     i_by_id = {tr.track_id: tr for tr in infra_trajs}
 

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (ConfigurationError, DecodeError, EncodeError, NumericError, OrderingError,
-                     ShapeMismatchError)
+                     ShapeMismatchError, check_finite)
 from .geometry import CATEGORY_ORDER, Boxes, wrap_angle
 from .sensing import FeatureGrid, GridSpec, PointCloud, View
 
@@ -84,6 +84,7 @@ class LatencyModel:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self, self.base_ms, self.jitter_ms)
         if self.base_ms < 0 or self.jitter_ms < 0:
             raise ConfigurationError("latency parameters must be non-negative")
 

@@ -76,16 +76,8 @@ def _cmd_eval(args) -> int:
     empty = (np.zeros(0, dtype=int), Boxes.empty())
     result = evaluate_clearmot([gt.get(t, empty) for t in times],
                                [hyp.get(t, empty) for t in times], args.gate)
-    print(json.dumps({
-        "mota": result.mota,
-        "motp_m": result.motp,
-        "ids": result.ids,
-        "fp": result.fp,
-        "fn": result.fn,
-        "num_gt": result.num_gt,
-        "frames": len(times),
-        "gate_m": args.gate,
-    }, sort_keys=True))
+    print(json.dumps({**vars(result), "frames": len(times), "gate_m": args.gate},
+                     sort_keys=True))
     return 0
 
 

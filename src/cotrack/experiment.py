@@ -29,7 +29,7 @@ from .channel import (
     encode_message,
 )
 from .detector import DetectParams, detect
-from .errors import ConfigurationError, CotrackError
+from .errors import ConfigurationError, CotrackError, check_finite
 from .fusion import STRATEGIES, EgoInputs, FusionKind, FusionMethod, cooperative_feature
 from .geometry import Boxes, Pose, compose, inverse
 from .metrics import RunReport, aggregate_run, check_gate, evaluate_clearmot
@@ -57,13 +57,14 @@ class ExperimentConfig:
     tracker: TrackerParams = TrackerParams()
 
     def __post_init__(self):
+        check_finite(self, *self.latencies_ms, self.jitter_ms, self.eval_gate_m)
         if not self.fusions or not self.latencies_ms or not self.seeds:
             raise ConfigurationError("sweep lists must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seeds must be distinct")
-        if any(seed < 0 for seed in self.seeds):
+        if min(self.seeds) < 0:
             raise ConfigurationError("seeds must be non-negative")
-        if any(l < 0 for l in self.latencies_ms) or self.jitter_ms < 0:
+        if min(self.latencies_ms) < 0 or self.jitter_ms < 0:
             raise ConfigurationError("latencies must be non-negative")
         check_gate(self.eval_gate_m)
 
@@ -86,7 +87,7 @@ class RunArtifacts:
     hyp_frames: List[Tuple[np.ndarray, Boxes]]
     gt_sides: List[np.ndarray]
     hyp_sides: List[np.ndarray]
-    channel: Optional[Channel]
+    channel: Channel
 
 
 class _Frame(NamedTuple):
@@ -181,6 +182,8 @@ def run_single(
     """Execute one full run and return its RunReport.
 
     With keep_artifacts=True returns (report, RunArtifacts) instead.
+    Every run has a channel; a fusion that sends no message
+    (``vehicle_only``) leaves it empty, so its report reads no bytes.
     ``shared`` is the seed's scenario and its frames (``_seed_frames``) when
     a sweep runs several cells of the seed; a lone run makes its own, one
     frame at a time. The run itself receives, fuses, detects, tracks and
@@ -191,8 +194,8 @@ def run_single(
         shared = (scn, _seed_frames(cfg, scn, [fusion]))
     scn, frames = shared
     msg_kind = STRATEGIES[fusion.kind].message
-    channel = None if msg_kind is None else Channel(LatencyModel(latency_ms, cfg.jitter_ms, seed))
-    provenance = Provenance.VEHICLE_SIDE if channel is None else Provenance.FUSED
+    channel = Channel(LatencyModel(latency_ms, cfg.jitter_ms, seed))
+    provenance = Provenance.VEHICLE_SIDE if msg_kind is None else Provenance.FUSED
     tracker = Tracker(cfg.tracker)
     region = scn.region
 
@@ -212,7 +215,7 @@ def run_single(
         gt_sides.append(np.where(first[inside] < len(ids_v), Provenance.VEHICLE_SIDE,
                                  Provenance.INFRA_SIDE))
 
-        if channel is not None:
+        if msg_kind is not None:
             channel.send(frame.messages[msg_kind])
 
         fused = cooperative_feature(fusion, channel, t, frame.ego, frame.infra_to_ego,
@@ -314,32 +317,22 @@ def run_sweep(
     return reports, failures
 
 
+# The RunReport fields summary.csv averages over seeds, in column order.
+SUMMARY_FIELDS = ("mota", "motp_m", "ids", "fp", "fn", "bps_pre", "bps_post", "fallback_frames")
+
+
 def summarize(reports: Sequence[RunReport]) -> List[dict]:
-    """Per (fusion, latency) means over seeds, in first-seen order."""
+    """Per (fusion, latency) cell, in first-seen order: its seed count and,
+    for each of ``SUMMARY_FIELDS``, the mean over seeds as ``mean_<field>``."""
     groups: Dict[Tuple[str, float], List[RunReport]] = {}
-    order: List[Tuple[str, float]] = []
     for r in reports:
-        key = (r.fusion, r.latency_ms)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
+        groups.setdefault((r.fusion, r.latency_ms), []).append(r)
     rows = []
-    for key in order:
-        rs = groups[key]
-        rows.append({
-            "fusion": key[0],
-            "latency_ms": key[1],
-            "n_seeds": len(rs),
-            "mean_mota": float(np.mean([r.mota for r in rs])),
-            "mean_motp_m": float(np.mean([r.motp_m for r in rs])),
-            "mean_ids": float(np.mean([r.ids for r in rs])),
-            "mean_fp": float(np.mean([r.fp for r in rs])),
-            "mean_fn": float(np.mean([r.fn for r in rs])),
-            "mean_bps_pre": float(np.mean([r.bps_pre for r in rs])),
-            "mean_bps_post": float(np.mean([r.bps_post for r in rs])),
-            "mean_fallback_frames": float(np.mean([r.fallback_frames for r in rs])),
-        })
+    for (fusion, latency_ms), rs in groups.items():
+        row = {"fusion": fusion, "latency_ms": latency_ms, "n_seeds": len(rs)}
+        for name in SUMMARY_FIELDS:
+            row[f"mean_{name}"] = float(np.mean([getattr(r, name) for r in rs]))
+        rows.append(row)
     return rows
 
 

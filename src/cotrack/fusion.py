@@ -235,7 +235,7 @@ STRATEGIES = {
 
 def cooperative_feature(
     fusion: FusionMethod,
-    channel: Optional[Channel],
+    channel: Channel,
     t_v: float,
     ego: EgoInputs,
     infra_to_ego: Pose,
@@ -244,15 +244,16 @@ def cooperative_feature(
 ) -> FusionOutput:
     """Produce the fused representation for one ego frame.
 
-    A strategy that sends a message decodes the latest arrived one against
-    the run's infra grid and grid format (``decode_message``) and fuses it
-    with tau = t_v minus the message capture time. With no message (always
-    for ``vehicle_only``) the frame is the ego frame alone, flagged as a
-    fallback when the strategy sends one.
+    ``channel`` is the run's; a strategy that sends nothing (``vehicle_only``)
+    never reads it. A strategy that sends a message decodes the latest
+    arrived one against the run's infra grid and grid format
+    (``decode_message``) and fuses it with tau = t_v minus the message
+    capture time. With no message (always for ``vehicle_only``) the frame is
+    the ego frame alone, flagged as a fallback when the strategy sends one.
     """
     strategy = STRATEGIES[fusion.kind]
     sends = strategy.message is not None
-    msg = channel.latest(t_v) if sends and channel is not None else None
+    msg = channel.latest(t_v) if sends else None
     if msg is None:
         return FusionOutput(grid=ego.grid, used_fallback=sends,
                             detections=ego.detections if strategy.ego_detections else None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -22,13 +22,15 @@ from .geometry import Boxes, center_distances
 
 @dataclass(frozen=True)
 class MotResult:
+    """A sequence's CLEAR-MOT scores, named and ordered as ``RunReport``'s
+    score fields: a report, ``cotrack eval`` and runs.csv take them by name."""
+
     mota: float
-    motp: float  # meters; mean matched center distance
+    motp_m: float  # meters; mean matched center distance
     ids: int
     fp: int
     fn: int
     num_gt: int
-    num_matches: int = 0
 
 
 @dataclass(frozen=True)
@@ -139,34 +141,30 @@ def evaluate_clearmot(
 
     mota = 1.0 - (fp + fn + ids) / num_gt if num_gt > 0 else 1.0
     motp = dist_sum / n_matches if n_matches else 0.0
-    return MotResult(mota=mota, motp=motp, ids=ids, fp=fp, fn=fn, num_gt=num_gt,
-                     num_matches=n_matches)
+    return MotResult(mota=mota, motp_m=motp, ids=ids, fp=fp, fn=fn, num_gt=num_gt)
 
 
 def aggregate_run(
     mot: MotResult,
-    channel: Optional[Channel],
+    channel: Channel,
     duration_s: float,
     fusion: str,
     latency_ms: float,
     seed: int,
-    fallback_frames: int = 0,
-    match_gate_m: float = 2.0,
-    num_frames: int = 0,
+    fallback_frames: int,
+    match_gate_m: float,
+    num_frames: int,
 ) -> RunReport:
-    """Attach transmission cost and run provenance to a tracking result."""
-    messages = channel.messages if channel is not None else []
-    bps_pre, bps_post = bps(messages, duration_s) if messages else (0.0, 0.0)
+    """Attach transmission cost and run provenance to a tracking result.
+
+    The score fields are ``mot``'s, by name; the rates are those of every
+    message sent into ``channel``, 0.0 for a channel nothing was sent into."""
+    bps_pre, bps_post = bps(channel.messages, duration_s)
     return RunReport(
         fusion=fusion,
         latency_ms=latency_ms,
         seed=seed,
-        mota=mot.mota,
-        motp_m=mot.motp,
-        ids=mot.ids,
-        fp=mot.fp,
-        fn=mot.fn,
-        num_gt=mot.num_gt,
+        **vars(mot),
         bps_pre=bps_pre,
         bps_post=bps_post,
         fallback_frames=fallback_frames,

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError
+from .errors import AlignmentError, ConfigurationError, check_finite
 from .geometry import (
     CATEGORY_ORDER, Blockers, Boxes, Category, Pose, Region, rays_hit_blockers, wrap_angle)
 from .sensing import Clutter, GridSpec, NoiseConfig, View, scenario_clutter
@@ -41,6 +42,9 @@ class Lane:
     y: float
     heading: float = 0.0  # radians; 0 drives +x, pi drives -x
 
+    def __post_init__(self):
+        check_finite(self, self.y, self.heading)
+
 
 @dataclass(frozen=True)
 class AgentPopulation:
@@ -56,6 +60,8 @@ class AgentPopulation:
     lane_slot_spacing_m: float = 40.0
 
     def __post_init__(self):
+        check_finite(self, *self.speed_range, *self.x_start_range, self.turn_fraction,
+                     self.turn_rate, self.lane_slot_spacing_m)
         if not 0 <= self.count <= MAX_AGENTS:
             raise ConfigurationError(f"agent count must be in [0, {MAX_AGENTS}], got {self.count}")
         if not self.lanes:
@@ -66,6 +72,12 @@ class AgentPopulation:
             raise ConfigurationError("invalid speed range")
         if not 0.0 <= self.turn_fraction <= 1.0:
             raise ConfigurationError("turn_fraction must be in [0, 1]")
+        if not self.turn_rate > 0:
+            raise ConfigurationError(f"turn_rate must be positive, got {self.turn_rate}")
+        low, high = self.x_start_range
+        if not 0 <= high - low < math.inf:
+            raise ConfigurationError(
+                f"x_start_range must have low <= high and a finite width, got {self.x_start_range}")
 
 
 # Largest runs, scenes, outline densities and clutter fields a config may ask for.
@@ -107,6 +119,10 @@ class ScenarioConfig:
     surface_pts_per_m: float = 6.0
 
     def __post_init__(self):
+        check_finite(self, self.duration_s, *self.ego_start, self.ego_yaw, self.ego_speed,
+                     *self.infra_position, self.infra_yaw, self.vehicle_range_m,
+                     self.infra_range_m, *chain.from_iterable(self.occluders),
+                     self.density_cap, self.surface_pts_per_m)
         if self.duration_s <= 0:
             raise ConfigurationError("duration must be positive")
         if self.frame_rate_hz <= 0:

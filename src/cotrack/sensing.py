@@ -49,7 +49,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, OrderingError, ShapeMismatchError
+from .errors import (ConfigurationError, NumericError, OrderingError, ShapeMismatchError,
+                     check_finite)
 from .geometry import Pose, inverse, rays_hit_blockers
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,6 +84,7 @@ class GridSpec:
     channels: int = 3
 
     def __post_init__(self):
+        check_finite(self, self.x0, self.y0, self.cell_size)
         if self.cell_size <= 0:
             raise ConfigurationError("cell_size must be positive")
         if self.cols <= 0 or self.rows <= 0 or self.channels <= 0:
@@ -177,6 +179,7 @@ class NoiseConfig:
     clutter_per_m2: float = 0.2
 
     def __post_init__(self):
+        check_finite(self, self.sigma_m, self.dropout_p, self.clutter_per_m2)
         if self.sigma_m < 0 or not 0 <= self.dropout_p < 1 or self.clutter_per_m2 < 0:
             raise ConfigurationError("invalid noise configuration")
 

@@ -116,6 +116,15 @@ class TestFragment:
         with pytest.raises(ConfigurationError):
             fragment([], window_s=5.0, overlap_s=5.0)
 
+    @pytest.mark.parametrize("window_s, overlap_s", [
+        (math.nan, 5.0), (math.inf, 5.0), (10.0, math.nan), (math.inf, math.inf),
+        (10.0, -math.inf), (10.0, -1.0),
+    ])
+    def test_non_finite_or_negative_window_rejected(self, window_s, overlap_s):
+        # A NaN overlap cut one window and dropped the rest of the file.
+        with pytest.raises(ConfigurationError, match="both finite"):
+            fragment([traj(1, [float(k) for k in range(119)])], window_s, overlap_s)
+
     def test_segment_count_capped(self):
         # A span of MAX_SEGMENTS strides cuts into MAX_SEGMENTS segments; one
         # more stride is rejected before any is cut.
@@ -197,6 +206,16 @@ class TestScoreInterest:
         score = score_interest(t, window_s=2.0)
         assert score == pytest.approx(4.0 + 1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("window_s, message", [
+        (math.nan, "must be finite"), (math.inf, "must be finite"), (1e308, "must be finite"),
+        (0.05, "must be at least 1 frame"),
+    ])
+    def test_window_of_no_frame_or_of_infinitely_many_rejected(self, window_s, message):
+        # NaN and infinite windows raised ValueError and OverflowError while
+        # counting the window's frames.
+        with pytest.raises(ConfigurationError, match=message):
+            score_interest(traj(1, [0.0, 1.0, 2.0]), window_s, 10)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(UndefinedSimilarityError):
             score_interest(traj(1, [0.0, 1.0]))
@@ -241,6 +260,19 @@ class TestCooperativePipeline:
         for tr in fused:
             v_id, i_id = tr.source_ids
             assert v_id == i_id  # simulator shares agent ids across views
+
+    @pytest.mark.parametrize("thresholds, message", [
+        ((math.nan, 0.5), "match threshold"), ((math.inf, 0.5), "match threshold"),
+        ((-math.inf, 0.5), "match threshold"), ((-2.0, 0.5), "match threshold"),
+        ((2.0, math.nan), "similarity threshold"), ((2.0, -0.1), "similarity threshold"),
+        ((2.0, 1.5), "similarity threshold"), ((2.0, math.inf), "similarity threshold"),
+    ])
+    def test_thresholds_out_of_range_rejected(self, thresholds, message):
+        # A NaN threshold of either kind paired nothing, silently.
+        vehicle = [traj(1, [float(k) for k in range(20)])]
+        infra = [traj(2, [k + 0.3 for k in range(20)], prov=Provenance.INFRA_SIDE)]
+        with pytest.raises(ConfigurationError, match=message):
+            build_cooperative_trajectories(vehicle, infra, *thresholds)
 
     @pytest.mark.parametrize("shift_s", [0.0, 1e-7, 1.23456789e-3])
     def test_identical_views_pair_whatever_the_time_offset(self, shift_s):

@@ -1,11 +1,12 @@
 import importlib.util
 import json
+import math
 import re
 import sys
 from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import cotrack.experiment as experiment
+from cotrack.channel import Channel, LatencyModel
 from cotrack.cli import main as cli_main
 from cotrack.errors import ConfigurationError
 from cotrack.experiment import (
@@ -27,10 +29,11 @@ from cotrack.experiment import (
 )
 from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.geometry import Category
+from cotrack.metrics import MotResult, RunReport
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import (AgentPopulation, Lane, Provenance, ScenarioConfig,
                               generate_scenario)
-from cotrack.sensing import Clutter, NoiseConfig, PointCloud
+from cotrack.sensing import Clutter, GridSpec, NoiseConfig, PointCloud
 from oracle_utils import Box3D, trajectory_of
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,6 +70,16 @@ WRONG_TYPED_DOCS = [
     {"jitter_ms": "3"},
     {"tracker": {"warmup_output": "no"}},  # an unknown key as well
     {"tracker": {"min_hits": True}},
+]
+
+# Agent populations that loaded and then failed every cell (a zero turn rate
+# divided by zero, a reversed or unbounded start range broke the draw) or,
+# with a negative turn rate, ran with no agent turning.
+BAD_AGENT_DOCS = [
+    {"scenario": {"agents": {"turn_fraction": 1.0, "turn_rate": 0.0}}},
+    {"scenario": {"agents": {"turn_rate": -0.3}}},
+    {"scenario": {"agents": {"x_start_range": [50.0, -10.0]}}},
+    {"scenario": {"agents": {"x_start_range": [-1e308, 1e308]}}},
 ]
 
 
@@ -143,8 +156,11 @@ class TestRunSingle:
         assert a == b
 
     def test_vehicle_only_has_zero_bps(self):
+        # Every run has a channel; vehicle_only never sends into it.
         cfg = tiny_config()
-        report = run_single(cfg, FusionMethod(FusionKind.VEHICLE_ONLY), 300.0, 1)
+        report, art = run_single(cfg, FusionMethod(FusionKind.VEHICLE_ONLY), 300.0, 1,
+                                 keep_artifacts=True)
+        assert isinstance(art.channel, Channel) and art.channel.messages == []
         assert report.bps_pre == 0.0 and report.bps_post == 0.0
 
     def test_fallback_frames_counted_under_latency(self):
@@ -181,6 +197,33 @@ class TestRunSweep:
         assert len(rows) == 1
         assert rows[0]["n_seeds"] == 3
         assert rows[0]["mean_mota"] == pytest.approx(np.mean([r.mota for r in reports]))
+
+    def test_summary_columns_are_the_means_of_the_report_fields(self, tmp_path):
+        rng = np.random.default_rng(5)
+        reports = [
+            RunReport(fusion=fusion, latency_ms=latency_ms, seed=seed,
+                      mota=float(rng.uniform(-1, 1)), motp_m=float(rng.uniform(0, 2)),
+                      ids=int(rng.integers(9)), fp=int(rng.integers(9)), fn=int(rng.integers(9)),
+                      num_gt=50, bps_pre=float(rng.uniform(0, 1e6)),
+                      bps_post=float(rng.uniform(0, 1e5)), fallback_frames=int(rng.integers(9)),
+                      match_gate_m=2.0, duration_s=2.0, num_frames=21)
+            for seed in (1, 2, 3) for fusion in ("late", "early") for latency_ms in (100.0, 0.0)
+        ]
+        paths = write_sweep_outputs(reports, [], tmp_path)
+        header = paths["summary"].read_text().splitlines()[0].split(",")
+        assert header == [
+            "fusion", "latency_ms", "n_seeds", "mean_mota", "mean_motp_m", "mean_ids", "mean_fp",
+            "mean_fn", "mean_bps_pre", "mean_bps_post", "mean_fallback_frames"]
+        rows = summarize(reports)
+        assert [(r["fusion"], r["latency_ms"]) for r in rows] == [
+            ("late", 100.0), ("late", 0.0), ("early", 100.0), ("early", 0.0)]
+        for row in rows:
+            cell = [r for r in reports if (r.fusion, r.latency_ms) == (row["fusion"],
+                                                                        row["latency_ms"])]
+            assert row["n_seeds"] == len(cell) == 3
+            for column in header[3:]:
+                field = column.removeprefix("mean_")
+                assert row[column] == float(np.mean([getattr(r, field) for r in cell]))
 
     def test_failures_recorded_and_sweep_continues(self, monkeypatch):
         cfg = tiny_config(fusions=(FusionMethod(FusionKind.VEHICLE_ONLY),),
@@ -504,6 +547,7 @@ class TestConfigParsing:
         {"scenario": {"ego": {"speed_mps": -1.0}}},
         *WRONG_TYPED_DOCS,
         {"seeds": [-1]},
+        *BAD_AGENT_DOCS,
     ])
     def test_malformed_values_raise_configuration_error(self, doc):
         with pytest.raises(ConfigurationError):
@@ -557,6 +601,55 @@ class TestConfigParsing:
         assert cfg.seeds == (3,)
         with pytest.raises(ConfigurationError):
             load_experiment_config(tmp_path / "missing.json")
+
+
+def _holds_float(tp) -> bool:
+    return tp is float or any(_holds_float(arg) for arg in get_args(tp))
+
+
+def _with_last_float(value, bad):
+    """``value`` with its last float, alone or nested in tuples, set to ``bad``."""
+    if isinstance(value, float):
+        return bad
+    *head, last = value
+    return (*head, _with_last_float(last, bad))
+
+
+# A valid config of each checked class, with every tuple field holding a float.
+_FINITE_CONFIGS = [
+    GridSpec(0.0, 0.0, 1.0, 2, 2),
+    NoiseConfig(),
+    Lane(0.0),
+    AgentPopulation(),
+    ScenarioConfig(occluders=((1.0, 2.0, 3.0, 4.0),)),
+    LatencyModel(),
+    ExperimentConfig(),
+]
+_FLOAT_FIELDS = [(config, f.name) for config in _FINITE_CONFIGS
+                 for f in fields(config) if _holds_float(get_type_hints(type(config))[f.name])]
+
+
+class TestNonFiniteConfigFields:
+    """Checks written as ``x < 0`` let NaN through a config built in Python:
+    NaN noise and latencies ran and reported, a NaN grid origin ran with numpy
+    warnings, and NaN ranges or infinite yaws and jitter failed every cell
+    with a plain ValueError or OverflowError."""
+
+    def test_the_float_fields_include_positions_yaws_and_tuples(self):
+        names = {(type(config).__name__, name) for config, name in _FLOAT_FIELDS}
+        assert {("ScenarioConfig", "ego_yaw"), ("ScenarioConfig", "occluders"),
+                ("AgentPopulation", "x_start_range"), ("ExperimentConfig", "latencies_ms"),
+                ("Lane", "heading"), ("GridSpec", "cell_size"),
+                ("LatencyModel", "jitter_ms")} <= names
+        assert len(names) == 29
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("config, name", _FLOAT_FIELDS,
+                             ids=[f"{type(c).__name__}.{n}" for c, n in _FLOAT_FIELDS])
+    def test_a_non_finite_float_is_rejected_at_construction(self, config, name, bad):
+        value = _with_last_float(getattr(config, name), bad)
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            replace(config, **{name: value})
 
 
 class TestReadmeSchema:
@@ -680,12 +773,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config.fusions[1]: ") and ".kind" not in err
 
-    @pytest.mark.parametrize("doc", [*WRONG_TYPED_DOCS, {"seeds": [-1]}], ids=json.dumps)
+    @pytest.mark.parametrize("doc", [*WRONG_TYPED_DOCS, {"seeds": [-1]}, *BAD_AGENT_DOCS],
+                             ids=json.dumps)
     def test_run_command_exits_2_on_a_bad_value(self, tmp_path, capsys, doc):
         cfg = self._write_config(tmp_path)  # a one-cell sweep, should the value load
         cfg.write_text(json.dumps(_merged(json.loads(cfg.read_text()), doc)))
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("grid", ["vehicle_grid", "infra_grid"])
     @pytest.mark.parametrize("channels", [2, 4])
@@ -809,9 +904,11 @@ class TestCli:
                              "--gate", str(cfg.eval_gate_m)])
             assert code == 0
             result = json.loads(capsys.readouterr().out)
-            got = [result[key] for key in ("mota", "motp_m", "ids", "fp", "fn", "num_gt")]
-            assert got == [report.mota, report.motp_m, report.ids, report.fp, report.fn,
-                           report.num_gt], kind
+            scores = [f.name for f in fields(MotResult)]
+            assert sorted(result) == sorted([*scores, "frames", "gate_m"])
+            assert [result[key] for key in scores] == [getattr(report, key) for key in scores], kind
+            assert (result["frames"], result["gate_m"]) == (report.num_frames,
+                                                            report.match_gate_m)
 
     @staticmethod
     def dense_tracks(path):
@@ -826,6 +923,21 @@ class TestCli:
         write_trajectories(path, [tr(1, Provenance.VEHICLE_SIDE), tr(2, Provenance.INFRA_SIDE)])
         return path
 
+    @staticmethod
+    def ten_hz_tracks(path, infra_offset_m=0.0):
+        """A 10 Hz, 11.9 s file: two views of one track, the infra one shifted
+        by ``infra_offset_m`` along x."""
+        from cotrack.annotate import write_trajectories
+
+        def tr(track_id, prov, offset):
+            samples = [(0.1 * k, Box3D(x=1.0 * k + offset, y=0.0, z=0.75, w=1.8, l=4.5, h=1.5))
+                       for k in range(120)]
+            return trajectory_of(track_id, samples, prov)
+
+        write_trajectories(path, [tr(1, Provenance.VEHICLE_SIDE, 0.0),
+                                  tr(2, Provenance.INFRA_SIDE, infra_offset_m)])
+        return path
+
     def test_annotate_command_rejects_a_window_shorter_than_a_frame(self, tmp_path, capsys):
         # The frame rate is the file's own, 100 Hz, so 0.004 s is under a frame.
         src = self.dense_tracks(tmp_path / "dense.jsonl")
@@ -836,6 +948,26 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: window_s * frame_rate_hz must be at least 1 frame, got 0.004 s at 100 Hz\n")
         assert not out_dir.exists()  # a rejected command writes nothing
+
+    @pytest.mark.parametrize("args", [
+        ["--window-s", "nan"],
+        ["--window-s", "inf"],
+        ["--window-s", "1e308", "--overlap-s", "0"],
+        ["--overlap-s", "nan"],
+        ["--overlap-s=-inf"],
+        ["--match-threshold", "nan"],
+        ["--match-threshold", "inf"],
+        ["--similarity-threshold", "nan"],
+    ], ids=" ".join)
+    def test_annotate_command_rejects_a_non_finite_parameter(self, tmp_path, capsys, args):
+        """On a 10 Hz, 11.9 s two-track file these raised a ValueError or an
+        OverflowError traceback, or wrote one segment or no pair at all."""
+        src = self.ten_hz_tracks(tmp_path / "ten_hz.jsonl")
+        out_dir = tmp_path / "o"
+        assert cli_main(["annotate", "--in", str(src), "--out", str(out_dir), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_annotate_command_rejects_a_span_of_too_many_segments(self, tmp_path, capsys):
         # 12 lines, samples 10 us apart at 0 and at 10 s: a 100 kHz file whose
@@ -865,16 +997,7 @@ class TestCli:
             "segment,track_id,score\n0,1,0.5000\n")
 
     def test_annotate_command(self, tmp_path, capsys):
-        from cotrack.annotate import write_trajectories
-
-        def tr(track_id, prov, offset):
-            samples = [(0.1 * k, Box3D(x=1.0 * k + offset, y=0.0, z=0.75, w=1.8, l=4.5, h=1.5))
-                       for k in range(120)]
-            return trajectory_of(track_id, samples, prov)
-
-        src = tmp_path / "tracks.jsonl"
-        write_trajectories(src, [tr(1, Provenance.VEHICLE_SIDE, 0.0),
-                                 tr(2, Provenance.INFRA_SIDE, 0.3)])
+        src = self.ten_hz_tracks(tmp_path / "tracks.jsonl", infra_offset_m=0.3)
         out_dir = tmp_path / "mined"
         code = cli_main(["annotate", "--in", str(src), "--out", str(out_dir)])
         assert code == 0

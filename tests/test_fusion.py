@@ -201,8 +201,10 @@ class TestCooperativeFeature:
         )
 
     def test_vehicle_only_ignores_channel(self):
+        ch = Channel(latency=LatencyModel())
+        send(ch, MessageKind.FEATURE, grid(np.ones(SPEC.shape)), 0.9)
         ego = self.make_ego()
-        out = cooperative_feature(FusionMethod(FusionKind.VEHICLE_ONLY), None, 1.0, ego,
+        out = cooperative_feature(FusionMethod(FusionKind.VEHICLE_ONLY), ch, 1.0, ego,
                                   Pose.identity(), SPEC, COMPRESSED)
         assert out.grid is ego.grid
         assert out.detections == ego.detections

@@ -1,6 +1,6 @@
 import json
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -44,7 +44,7 @@ class TestEvaluateClearmot:
         frames = [[obj(1, 0.0, t=0.1 * k), obj(2, 10.0, t=0.1 * k)] for k in range(5)]
         result = clearmot(frames, frames, 2.0)
         assert result.mota == 1.0
-        assert result.motp == 0.0
+        assert result.motp_m == 0.0
         assert result.ids == result.fp == result.fn == 0
         assert result.num_gt == 10
 
@@ -79,7 +79,7 @@ class TestEvaluateClearmot:
         result = clearmot(gt_frames, hyp_frames, 2.0)
         assert result.ids == 1
         assert result.fp == 0 and result.fn == 0
-        assert result.motp == pytest.approx(0.5)
+        assert result.motp_m == pytest.approx(0.5)
 
     def test_persistent_correspondence_resists_closer_newcomer(self):
         # Ground truth stays matched to its old hypothesis while in gate,
@@ -125,8 +125,8 @@ class TestEvaluateClearmot:
         shuffled_gt = [list(rng.permutation(np.array(f, dtype=object))) for f in gt_frames]
         shuffled_hyp = [list(rng.permutation(np.array(f, dtype=object))) for f in hyp_frames]
         again = clearmot(shuffled_gt, shuffled_hyp, 3.0)
-        assert (base.mota, base.motp, base.ids, base.fp, base.fn) == \
-               (again.mota, again.motp, again.ids, again.fp, again.fn)
+        assert (base.mota, base.motp_m, base.ids, base.fp, base.fn) == \
+               (again.mota, again.motp_m, again.ids, again.fp, again.fn)
 
     def test_matches_brute_force_on_random_micro_sequences(self):
         rng = np.random.default_rng(123)
@@ -147,7 +147,7 @@ class TestEvaluateClearmot:
             )
             assert (mine.fp, mine.fn, mine.ids, mine.num_gt) == (fp, fn, ids, num_gt)
             if n_match:
-                assert mine.motp == pytest.approx(dist_sum / n_match, abs=1e-12)
+                assert mine.motp_m == pytest.approx(dist_sum / n_match, abs=1e-12)
 
 
 def fake_msg(t, payload, raw):
@@ -156,22 +156,31 @@ def fake_msg(t, payload, raw):
 
 
 class TestAggregateRun:
+    def test_mot_result_fields_are_a_run_of_the_report_fields(self):
+        scores = [f.name for f in fields(MotResult)]
+        assert scores == ["mota", "motp_m", "ids", "fp", "fn", "num_gt"]
+        columns = RunReport.csv_columns()
+        start = columns.index(scores[0])
+        assert columns[start:start + len(scores)] == scores
+
     def test_empty_channel_zero_bps(self):
-        mot = MotResult(mota=1.0, motp=0.0, ids=0, fp=0, fn=0, num_gt=10)
-        report = aggregate_run(mot, None, 15.0, "vehicle_only", 0.0, 1)
+        mot = MotResult(mota=1.0, motp_m=0.0, ids=0, fp=0, fn=0, num_gt=10)
+        report = aggregate_run(mot, Channel(latency=LatencyModel()), 15.0, "vehicle_only", 0.0, 1,
+                               fallback_frames=0, match_gate_m=2.0, num_frames=0)
         assert report.bps_pre == 0.0 and report.bps_post == 0.0
 
     def test_bps_arithmetic(self):
         ch = Channel(latency=LatencyModel())
         ch.messages = [fake_msg(0.1 * k, 330, 330) for k in range(150)]
-        mot = MotResult(mota=0.5, motp=0.3, ids=1, fp=2, fn=3, num_gt=10)
-        report = aggregate_run(mot, ch, 15.0, "late", 200.0, 7)
+        mot = MotResult(mota=0.5, motp_m=0.3, ids=1, fp=2, fn=3, num_gt=10)
+        report = aggregate_run(mot, ch, 15.0, "late", 200.0, 7,
+                               fallback_frames=0, match_gate_m=2.0, num_frames=0)
         assert report.bps_post == pytest.approx(3300.0)
         assert report.bps_pre == pytest.approx(3300.0)
 
     def test_json_roundtrip_lossless(self):
-        mot = MotResult(mota=0.8341, motp=0.318281828, ids=2, fp=5, fn=10, num_gt=100)
-        report = aggregate_run(mot, None, 15.0, "middle_flow", 200.0, 3,
+        mot = MotResult(mota=0.8341, motp_m=0.318281828, ids=2, fp=5, fn=10, num_gt=100)
+        report = aggregate_run(mot, Channel(latency=LatencyModel()), 15.0, "middle_flow", 200.0, 3,
                                fallback_frames=2, match_gate_m=2.0, num_frames=151)
         again = RunReport(**json.loads(json.dumps(report.to_json_dict())))
         assert again == report
@@ -181,8 +190,9 @@ class TestAggregateRun:
             assert list(r.to_json_dict()) == RunReport.csv_columns()
 
     def test_csv_row_four_decimals(self, tmp_path):
-        mot = MotResult(mota=0.83415, motp=0.3, ids=0, fp=0, fn=0, num_gt=10)
-        report = aggregate_run(mot, None, 15.0, "early", 100.0, 1)
+        mot = MotResult(mota=0.83415, motp_m=0.3, ids=0, fp=0, fn=0, num_gt=10)
+        report = aggregate_run(mot, Channel(latency=LatencyModel()), 15.0, "early", 100.0, 1,
+                               fallback_frames=0, match_gate_m=2.0, num_frames=0)
         header, line = emit_report([report], "csv", tmp_path).read_text().splitlines()
         assert header.split(",") == RunReport.csv_columns()
         row = dict(zip(RunReport.csv_columns(), line.split(",")))
