@@ -13,6 +13,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -349,8 +350,9 @@ def _parse_record(rec) -> _TrackRecord:
                         source_ids=tuple(source_ids))
 
 
-def _read_records(path) -> Iterator[_TrackRecord]:
-    """The records of a JSON-lines track file, blank lines skipped.
+def _read_records(path) -> Iterator[Tuple[int, _TrackRecord]]:
+    """The records of a JSON-lines track file with their line numbers, blank
+    lines skipped.
 
     Bad JSON, a missing or non-numeric field, an unknown category or
     provenance, a box with non-positive dims or a score outside [0, 1]
@@ -364,24 +366,30 @@ def _read_records(path) -> Iterator[_TrackRecord]:
                 record = _parse_record(json.loads(line))
             except (OverflowError, TypeError, ValueError) as exc:
                 raise DecodeError(f"{path}, line {lineno}: {exc}") from exc
-            yield record
+            yield lineno, record
 
 
-def _write_lines(path, records: Iterable[dict]) -> None:
+def _write_lines(path, groups) -> None:
+    """Write track rows as JSON lines, each with all six fields. A group is
+    ``(times, track_ids, boxes, provenances, source_ids)``, one item per row."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(rec) + "\n" for rec in records)
+        for times, track_ids, boxes, provenances, source_ids in groups:
+            rows = zip(times, track_ids, _box_dicts(boxes), boxes.score.tolist(), provenances,
+                       source_ids)
+            fh.writelines(json.dumps({"t": t, "track_id": track_id, "box": box, "score": score,
+                                      "provenance": prov.value, "source_ids": list(src)}) + "\n"
+                          for t, track_id, box, score, prov, src in rows)
 
 
 def write_trajectories(path, trajectories: Iterable[Trajectory]) -> None:
-    _write_lines(path, ({"t": t, "track_id": tr.track_id, "box": box,
-                         "provenance": tr.provenance.value, "source_ids": list(tr.source_ids)}
-                        for tr in trajectories for t, box in zip(tr.times, _box_dicts(tr.boxes))))
+    _write_lines(path, ((tr.times, repeat(tr.track_id), tr.boxes, repeat(tr.provenance),
+                         repeat(tr.source_ids)) for tr in trajectories))
 
 
 def read_trajectories(path) -> List[Trajectory]:
     """Group a JSON-lines track file into time-sorted trajectories."""
     rows: Dict[Tuple[int, str], List[_TrackRecord]] = {}
-    for rec in _read_records(path):
+    for _, rec in _read_records(path):
         rows.setdefault((rec.track_id, rec.provenance.value), []).append(rec)
     out = []
     for (track_id, prov), recs in sorted(rows.items()):
@@ -396,18 +404,21 @@ def write_tracks(path, times: Iterable[float], frames: Iterable[Tuple[np.ndarray
                  sides: Iterable[Sequence[Provenance]]) -> None:
     """Write ``(ids, boxes)`` frames as JSON lines, one per row; frame k is at
     ``times[k]`` and ``sides[k]`` holds its rows' provenances."""
-    _write_lines(path, ({"t": t, "track_id": track_id, "box": box, "score": score,
-                         "provenance": provenance.value}
-                        for t, (ids, boxes), side in zip(times, frames, sides)
-                        for track_id, box, score, provenance
-                        in zip(ids.tolist(), _box_dicts(boxes), boxes.score.tolist(), side)))
+    _write_lines(path, ((repeat(t), ids.tolist(), boxes, side, repeat((None, None)))
+                        for t, (ids, boxes), side in zip(times, frames, sides)))
 
 
 def read_tracks(path) -> Dict[float, Tuple[np.ndarray, Boxes]]:
     """A JSON-lines track file's ``(ids, boxes)`` frames, keyed by time to the
-    microsecond in the order the times first appear."""
+    microsecond in the order the times first appear. An id repeated within
+    one frame raises DecodeError naming the file and the line."""
     frames: Dict[float, List[_TrackRecord]] = {}
-    for rec in _read_records(path):
-        frames.setdefault(round(rec.t, 6), []).append(rec)
+    seen = set()
+    for lineno, rec in _read_records(path):
+        key = (round(rec.t, 6), rec.track_id)
+        if key in seen:
+            raise DecodeError(f"{path}, line {lineno}: track_id {key[1]} repeats at t={key[0]}")
+        seen.add(key)
+        frames.setdefault(key[0], []).append(rec)
     return {t: (np.array([r.track_id for r in recs], dtype=int),
                 Boxes.concat([r.box for r in recs])) for t, recs in frames.items()}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -71,34 +71,42 @@ def check_gate(gate_m: float) -> float:
     return gate_m
 
 
-def evaluate_clearmot(
-    gt_frames: Sequence[Tuple[np.ndarray, Boxes]],
-    hyp_frames: Sequence[Tuple[np.ndarray, Boxes]],
-    match_threshold_m: float = 2.0,
-) -> MotResult:
-    """Score a hypothesis sequence against frame-aligned ground truth.
+Frames = Sequence[Tuple[np.ndarray, Boxes]]
 
-    A frame is an ``(ids, boxes)`` pair, an int array and a ``Boxes`` record
-    row for row; only the ids and the centres ``boxes.values[:, :3]`` are
-    read. Per frame: correspondences from the previous frame are kept while
-    both members are present and within the gate; the remainder are matched
-    by minimum-cost assignment, maximizing the number of gated matches first.
-    A ground-truth object matched to a different hypothesis id than its last
-    known one counts one identity switch.
+
+class FrameEvents(NamedTuple):
+    """One frame's CLEAR-MOT events by track id, each list in row order. Each
+    gt row is one match or one miss, each hyp row one match or one false
+    positive, and each switch is also a match."""
+
+    matches: List[Tuple[int, int, float]]  # (gt id, hyp id, centre distance)
+    misses: List[int]  # gt ids
+    false_positives: List[int]  # hyp ids
+    switches: List[Tuple[int, int, int]]  # (gt id, previous hyp id, new hyp id)
+
+
+def clearmot_events(gt_frames: Frames, hyp_frames: Frames,
+                    match_threshold_m: float = 2.0) -> List[FrameEvents]:
+    """Match a hypothesis sequence to frame-aligned ground truth: one ``FrameEvents`` per frame.
+
+    A frame is an ``(ids, boxes)`` pair, an int array of unique ids and a
+    ``Boxes`` record row for row; only the ids and the centres
+    ``boxes.values[:, :3]`` are read. Per frame: correspondences from the
+    previous frame are kept while both members are present and within the
+    gate; the remainder are matched by minimum-cost assignment, maximizing
+    the number of gated matches first. A ground-truth object matched to a
+    different hypothesis id than its last known one is an identity switch.
     """
     gate = check_gate(match_threshold_m)
     if len(gt_frames) != len(hyp_frames):
         raise AlignmentError(
             f"gt has {len(gt_frames)} frames but hypotheses have {len(hyp_frames)}"
         )
-    fp = fn = ids = num_gt = 0
-    dist_sum = 0.0
-    n_matches = 0
+    events: List[FrameEvents] = []
     prev_pairs: Dict[int, int] = {}  # gt id -> hyp id matched in the previous frame
     last_known: Dict[int, int] = {}  # gt id -> hyp id from the most recent match
 
     for (gt_ids, gts), (hyp_ids, hyps) in zip(gt_frames, hyp_frames):
-        num_gt += len(gts)
         gt_ids, hyp_ids = gt_ids.tolist(), hyp_ids.tolist()
         dist = center_distances(gts.values[:, :3], hyps.values[:, :3])
 
@@ -122,26 +130,43 @@ def evaluate_clearmot(
         for r, c in gated_assignment(np.where(ok, sub, sentinel), ok)[0]:
             matched_g[free_g[r]] = free_h[c]
 
-        cur_pairs: Dict[int, int] = {}
-        frame_dists = []
-        for i, j in matched_g.items():
-            gid, hid = gt_ids[i], hyp_ids[j]
+        matches, switches = [], []
+        for i in sorted(matched_g):
+            gid, hid = gt_ids[i], hyp_ids[matched_g[i]]
             if gid in last_known and last_known[gid] != hid:
-                ids += 1
+                switches.append((gid, last_known[gid], hid))
             last_known[gid] = hid
-            cur_pairs[gid] = hid
-            frame_dists.append(float(dist[i, j]))
-            n_matches += 1
-        # Sorted accumulation keeps MOTP exactly independent of the
-        # within-frame object order.
-        dist_sum += float(np.sum(np.sort(frame_dists))) if frame_dists else 0.0
-        fn += len(gts) - len(matched_g)
-        fp += len(hyps) - len(matched_g)
-        prev_pairs = cur_pairs
+            matches.append((gid, hid, float(dist[i, matched_g[i]])))
+        used_h = set(matched_g.values())
+        events.append(FrameEvents(matches, [g for i, g in enumerate(gt_ids) if i not in matched_g],
+                                  [h for j, h in enumerate(hyp_ids) if j not in used_h], switches))
+        prev_pairs = {gid: hid for gid, hid, _ in matches}
+    return events
 
+
+def clearmot_result(events: Sequence[FrameEvents]) -> MotResult:
+    """A sequence's scores, reduced from its ``FrameEvents``: each count is a
+    sum over frames and ``num_gt`` is matches plus misses. MOTP sums each
+    frame's match distances sorted, so it is exactly independent of the
+    within-frame object order."""
+    dist_sum = 0.0
+    for frame in events:
+        dist_sum += float(np.sum(np.sort([d for _, _, d in frame.matches])))
+    n_matches = sum(len(frame.matches) for frame in events)
+    fn = sum(len(frame.misses) for frame in events)
+    fp = sum(len(frame.false_positives) for frame in events)
+    ids = sum(len(frame.switches) for frame in events)
+    num_gt = n_matches + fn
     mota = 1.0 - (fp + fn + ids) / num_gt if num_gt > 0 else 1.0
     motp = dist_sum / n_matches if n_matches else 0.0
     return MotResult(mota=mota, motp_m=motp, ids=ids, fp=fp, fn=fn, num_gt=num_gt)
+
+
+def evaluate_clearmot(gt_frames: Frames, hyp_frames: Frames,
+                      match_threshold_m: float = 2.0) -> MotResult:
+    """Score a hypothesis sequence against frame-aligned ground truth: the
+    matcher ``clearmot_events`` reduced by ``clearmot_result``."""
+    return clearmot_result(clearmot_events(gt_frames, hyp_frames, match_threshold_m))
 
 
 def aggregate_run(

@@ -233,17 +233,22 @@ def clearmot_frames(frames: Sequence[Sequence[TrackedObject]]) -> list:
 
 
 def brute_force_clearmot(gt_frames, hyp_frames, gate):
-    """Reference CLEAR-MOT counts: (fp, fn, ids, num_gt, dist_sum, matches).
+    """Reference CLEAR-MOT counts and events:
+    (fp, fn, ids, num_gt, dist_sum, matches, events).
 
     Carries the previous frame's correspondences forward while still gated,
     matches the rest by exhaustive search (max matches, then min distance,
     then lexicographic), and counts an identity switch whenever a ground
     truth matches a different hypothesis id than its last known one.
+    ``events`` holds one (matches, misses, false positives, switches) tuple
+    per frame: (gt id, hyp id, distance) triples in gt row order, gt ids and
+    hyp ids in row order, and (gt id, previous hyp id, new hyp id) triples.
     """
     fp = fn = ids = num_gt = n_match = 0
     dist_sum = 0.0
     prev_pairs = {}
     last_known = {}
+    events = []
     for gts, hyps in zip(gt_frames, hyp_frames):
         num_gt += len(gts)
         gt_ids = [o.track_id for o in gts]
@@ -267,18 +272,25 @@ def brute_force_clearmot(gt_frames, hyp_frames, gate):
         for g, h_local in _best_gated_matching(dist, gate, free_g, free_h):
             matched[g] = h_local
         cur = {}
-        for i, j in matched.items():
+        frame_matches, frame_switches = [], []
+        for i, j in sorted(matched.items()):
             gid, hid = gt_ids[i], hyp_ids[j]
             if gid in last_known and last_known[gid] != hid:
                 ids += 1
+                frame_switches.append((gid, last_known[gid], hid))
             last_known[gid] = hid
             cur[gid] = hid
             dist_sum += dist[i, j]
             n_match += 1
+            frame_matches.append((gid, hid, float(dist[i, j])))
         fn += len(gts) - len(matched)
         fp += len(hyps) - len(matched)
         prev_pairs = cur
-    return fp, fn, ids, num_gt, dist_sum, n_match
+        events.append((frame_matches,
+                       [gid for i, gid in enumerate(gt_ids) if i not in matched],
+                       [hid for j, hid in enumerate(hyp_ids) if j not in matched.values()],
+                       frame_switches))
+    return fp, fn, ids, num_gt, dist_sum, n_match, events
 
 
 # The dense grid codec, kept verbatim as the byte-level reference for the

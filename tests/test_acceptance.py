@@ -99,7 +99,7 @@ def test_criterion_3_clearmot_matches_brute_force():
                 for i in rng.choice(5, size=rng.integers(0, 6), replace=False)
             ])
         mine = evaluate_clearmot(clearmot_frames(gt_frames), clearmot_frames(hyp_frames), 3.0)
-        fp, fn, ids, num_gt, _, _ = brute_force_clearmot(gt_frames, hyp_frames, 3.0)
+        fp, fn, ids, num_gt, *_ = brute_force_clearmot(gt_frames, hyp_frames, 3.0)
         assert (mine.fp, mine.fn, mine.ids) == (fp, fn, ids)
         if num_gt > 0:
             assert abs(mine.mota - (1.0 - (fp + fn + ids) / num_gt)) <= 1e-12

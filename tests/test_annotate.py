@@ -328,6 +328,16 @@ class TestTrajectoryIO:
         assert by_id[2].boxes.values[1, 0] == pytest.approx(6.0)
         assert by_id[1].times == (0.0, 0.1, 0.2)
 
+    def test_scores_and_source_ids_survive_a_write_and_a_read(self, tmp_path):
+        tr = traj(7, [0.0, 1.0])
+        tr = Trajectory(7, tr.times, Boxes(tr.boxes.values, tr.boxes.category,
+                                           np.array([0.4, 0.6])), source_ids=(3, None))
+        path = tmp_path / "tracks.jsonl"
+        write_trajectories(path, [tr])
+        (back,) = read_trajectories(path)
+        assert back.boxes.score.tolist() == [0.4, 0.6]
+        assert (back.provenance, back.source_ids) == (Provenance.FUSED, (3, None))
+
 
 GOOD_LINE = ('{"t": 0.1, "track_id": 3, "box": {"x": 1.0, "y": 2.0, "z": 0.75, "w": 1.8, '
              '"l": 4.5, "h": 1.5, "yaw": 0.0, "category": "car"}, "score": 0.9, '
@@ -395,6 +405,20 @@ class TestMalformedTrackFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(e.startswith("error: ") and "line 3" in e for e in err)
 
+    def test_an_id_repeated_in_one_frame_exits_2_from_eval(self, tmp_path, capsys):
+        # The same track id twice at t=0.1 (the second within a microsecond),
+        # on another side: scoring it would key two rows by one id. A
+        # two-sided annotate input may reuse an id, so read_trajectories
+        # takes it.
+        repeat = GOOD_LINE.replace('"t": 0.1', '"t": 0.1000004').replace('"vehicle"', '"infra"')
+        path = tmp_path / "tracks.jsonl"
+        path.write_text(GOOD_LINE + "\n\n" + repeat + "\n", encoding="utf-8")
+        with pytest.raises(DecodeError, match="tracks.jsonl, line 3: track_id 3 repeats at t=0.1"):
+            read_tracks(path)
+        assert len(read_trajectories(path)) == 2
+        assert cli_main(["eval", "--gt", str(path), "--hyp", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_a_repeated_time_in_one_trajectory_is_an_ordering_error(self, tmp_path):
         path = tmp_path / "tracks.jsonl"
         path.write_text(GOOD_LINE + "\n" + GOOD_LINE + "\n", encoding="utf-8")
@@ -422,14 +446,19 @@ class TestTrackFiles:
         boxes = Boxes(np.array([[1.0, 2.0, 0.75, 1.8, 4.5, 1.5, 0.0]]),
                       np.zeros(1, dtype=np.uint8), np.array([0.9]))
         write_tracks(path, [0.1], [(np.array([3]), boxes)], [[Provenance.VEHICLE_SIDE]])
-        assert path.read_text() == GOOD_LINE.replace(', "source_ids": [3, null]', "") + "\n"
+        assert path.read_text() == GOOD_LINE.replace("[3, null]", "[null, null]") + "\n"
+        # A trajectory's line carries the same six fields, its source ids included.
+        write_trajectories(path, [Trajectory(3, (0.1,), boxes, Provenance.VEHICLE_SIDE, (3, None))])
+        assert path.read_text() == GOOD_LINE + "\n"
 
     @settings(max_examples=100)
     @given(st.data())
     def test_write_then_read_gives_every_field_back(self, data):
         """Ids, centres, dims, categories and scores bit for bit, by time to
-        the microsecond; each yaw comes back wrapped into (-pi, pi]."""
-        rows = data.draw(st.lists(st.lists(track_rows, max_size=4), min_size=1, max_size=5))
+        the microsecond; each yaw comes back wrapped into (-pi, pi]. Ids are
+        unique within a frame, as ``read_tracks`` requires."""
+        rows = data.draw(st.lists(st.lists(track_rows, max_size=4, unique_by=lambda r: r[0]),
+                                   min_size=1, max_size=5))
         times = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(rows), max_size=len(rows),
                                    unique_by=lambda t: round(t, 6)))
         frames = [(np.array([r[0] for r in frame], dtype=int),

@@ -29,7 +29,7 @@ from cotrack.experiment import (
 )
 from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.geometry import Category
-from cotrack.metrics import MotResult, RunReport
+from cotrack.metrics import MotResult, RunReport, clearmot_events, clearmot_result
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import (AgentPopulation, Lane, Provenance, ScenarioConfig,
                               generate_scenario)
@@ -909,6 +909,10 @@ class TestCli:
             assert [result[key] for key in scores] == [getattr(report, key) for key in scores], kind
             assert (result["frames"], result["gate_m"]) == (report.num_frames,
                                                             report.match_gate_m)
+            # The artifacts hold what the events are a function of.
+            events = clearmot_events(art.gt_frames, art.hyp_frames, report.match_gate_m)
+            assert [vars(clearmot_result(events))[key] for key in scores] == \
+                [result[key] for key in scores]
 
     @staticmethod
     def dense_tracks(path):

@@ -1,9 +1,12 @@
 import json
+import math
 import pickle
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cotrack.channel import Channel, ChannelMessage, LatencyModel, MessageKind
 from cotrack.errors import AlignmentError, ConfigurationError
@@ -12,6 +15,8 @@ from cotrack.metrics import (
     MotResult,
     RunReport,
     aggregate_run,
+    clearmot_events,
+    clearmot_result,
     evaluate_clearmot,
 )
 from cotrack.scenario import Provenance
@@ -81,17 +86,25 @@ class TestEvaluateClearmot:
         assert result.fp == 0 and result.fn == 0
         assert result.motp_m == pytest.approx(0.5)
 
-    def test_persistent_correspondence_resists_closer_newcomer(self):
+    @pytest.mark.parametrize("old_x", [0.6, 2.0])
+    def test_persistent_correspondence_resists_closer_newcomer(self, old_x):
         # Ground truth stays matched to its old hypothesis while in gate,
-        # even when a new hypothesis appears closer.
+        # exactly at the gate included, even when a new hypothesis appears closer.
         gt_frames = [[obj(1, 0.0, t=0.0)], [obj(1, 0.0, t=0.1)]]
         hyp_frames = [
             [obj(7, 0.5, t=0.0)],
-            [obj(7, 0.6, t=0.1), obj(8, 0.1, t=0.1)],
+            [obj(7, old_x, t=0.1), obj(8, 0.1, t=0.1)],
         ]
         result = clearmot(gt_frames, hyp_frames, 2.0)
         assert result.ids == 0
         assert result.fp == 1  # the newcomer is unmatched
+
+    def test_motp_sums_each_frames_distances_in_ascending_order(self):
+        # Distances 0.3, 0.2, 0.1 in row order: added smallest first they sum
+        # to 0.6000000000000001, in row order or compensated to 0.6.
+        gts = [obj(i, 0.0, y=10.0 * i) for i in range(3)]
+        hyps = [obj(7 + i, d, y=10.0 * i) for i, d in enumerate([0.3, 0.2, 0.1])]
+        assert clearmot([gts], [hyps], 2.0).motp_m == ((0.1 + 0.2) + 0.3) / 3
 
     def test_switch_across_gap_counted(self):
         gt_frames = [[obj(1, 0.0, t=0.0)], [], [obj(1, 0.0, t=0.2)]]
@@ -142,12 +155,74 @@ class TestEvaluateClearmot:
                 gt_frames.append(gts)
                 hyp_frames.append(hyps)
             mine = clearmot(gt_frames, hyp_frames, 3.0)
-            fp, fn, ids, num_gt, dist_sum, n_match = brute_force_clearmot(
+            fp, fn, ids, num_gt, dist_sum, n_match, _ = brute_force_clearmot(
                 gt_frames, hyp_frames, 3.0
             )
             assert (mine.fp, mine.fn, mine.ids, mine.num_gt) == (fp, fn, ids, num_gt)
             if n_match:
                 assert mine.motp_m == pytest.approx(dist_sum / n_match, abs=1e-12)
+
+
+def random_sequence(seed):
+    """One to six frames of up to four ground-truth objects (unique ids 0-3)
+    and four hypotheses (100-103), uniform in a 6 m square, so that exact
+    distance ties have probability zero."""
+    rng = np.random.default_rng(seed)
+
+    def frame(first_id):
+        ids = rng.choice(4, size=rng.integers(0, 5), replace=False) + first_id
+        return [obj(int(i), *rng.uniform(0, 6, size=2)) for i in ids]
+
+    frames = [(frame(0), frame(100)) for _ in range(rng.integers(1, 7))]
+    return [g for g, _ in frames], [h for _, h in frames]
+
+
+def lattice_frames(ids):
+    """Up to four objects with unique ids from ``ids``, centred on a 4 x 3
+    lattice, so that tied costs and distances exactly at the gate occur."""
+    spot = st.tuples(st.integers(0, 3), st.integers(0, 2))
+    return st.dictionaries(st.sampled_from(ids), spot, max_size=4).map(
+        lambda found: [obj(i, float(x), float(y)) for i, (x, y) in found.items()])
+
+
+def check_events_account_for_every_row(events, gt_frames, hyp_frames):
+    """Each gt row is one match or one miss, each hyp row one match or one
+    false positive, and each switch is also a match."""
+    assert len(events) == len(gt_frames)
+    for frame, gts, hyps in zip(events, gt_frames, hyp_frames):
+        assert sorted([g for g, _, _ in frame.matches] + frame.misses) == \
+            sorted(o.track_id for o in gts)
+        assert sorted([h for _, h, _ in frame.matches] + frame.false_positives) == \
+            sorted(o.track_id for o in hyps)
+        assert {(g, new) for g, _, new in frame.switches} <= \
+            {(g, h) for g, h, _ in frame.matches}
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.5, 4.0))
+def test_events_match_the_oracle_and_reduce_to_the_scores(seed, gate):
+    gt_frames, hyp_frames = random_sequence(seed)
+    events = clearmot_events(clearmot_frames(gt_frames), clearmot_frames(hyp_frames), gate)
+    *_, oracle = brute_force_clearmot(gt_frames, hyp_frames, gate)
+    assert len(events) == len(oracle)
+    for frame, (matches, misses, fps, switches) in zip(events, oracle):
+        assert [(g, h) for g, h, _ in frame.matches] == [(g, h) for g, h, _ in matches]
+        assert [d for *_, d in frame.matches] == pytest.approx([d for *_, d in matches],
+                                                               abs=1e-12)
+        assert (frame.misses, frame.false_positives, frame.switches) == (misses, fps, switches)
+    check_events_account_for_every_row(events, gt_frames, hyp_frames)
+    assert repr(clearmot_result(events)) == repr(clearmot(gt_frames, hyp_frames, gate))
+
+
+@given(st.lists(st.tuples(lattice_frames(range(4)), lattice_frames(range(100, 104))),
+                min_size=1, max_size=6),
+       st.sampled_from([math.sqrt(k) for k in range(1, 14)]))  # every lattice distance
+def test_events_on_a_lattice_account_for_every_row(sequence, gate):
+    """Ties and distances exactly at the gate. The matcher and the oracle may
+    break a tie differently, so only the events' own invariants are checked."""
+    gt_frames, hyp_frames = [g for g, _ in sequence], [h for _, h in sequence]
+    events = clearmot_events(clearmot_frames(gt_frames), clearmot_frames(hyp_frames), gate)
+    check_events_account_for_every_row(events, gt_frames, hyp_frames)
+    assert repr(clearmot_result(events)) == repr(clearmot(gt_frames, hyp_frames, gate))
 
 
 def fake_msg(t, payload, raw):
