@@ -4,8 +4,9 @@ detection -> tracking -> metrics, swept over fusion method, latency and seed.
 Every run is deterministic in (config, fusion, latency, seed); sweep output
 files are byte-reproducible. A scenario seed is the unit of shared work and
 of parallelism: the world, sensing and encoded messages of a seed's frames are
-made once, and each (fusion, latency) cell of the seed replays them through its
-own channel, fusion, detection, tracking and scoring.
+made once, one frame at a time, and every distinct run of the seed takes that
+frame's step through its own channel, fusion and detection before the next
+frame is made. Each run then tracks and scores what it kept.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .channel import (
 )
 from .detector import DetectParams, detect
 from .errors import ConfigurationError, CotrackError, check_finite
-from .fusion import STRATEGIES, EgoInputs, FusionKind, FusionMethod, cooperative_feature
+from .fusion import (STRATEGIES, EgoInputs, FusionKind, FusionMethod, FusionOutput,
+                     cooperative_feature)
 from .geometry import Boxes, Pose, compose, inverse
 from .metrics import RunReport, aggregate_run, check_gate, evaluate_clearmot
 from .scenario import (
@@ -40,7 +42,7 @@ from .scenario import (
     generate_scenario,
     ground_truth_at,
 )
-from .sensing import FeatureGrid, View, rasterize_bev, sample_point_cloud
+from .sensing import View, rasterize_bev, sample_point_cloud
 from .tracker import Tracker, TrackerParams
 
 
@@ -137,38 +139,49 @@ def _seed_frames(cfg: ExperimentConfig, scn,
         yield _Frame(t, ego_pose, world_to_ego, compose(world_to_ego, scn.infra_pose), ego, messages)
 
 
-class _Sparse(NamedTuple):
-    """An ego grid held as its occupied cells."""
+class _Receiver:
+    """One run's receiving side, stepped one frame at a time: its channel,
+    fusion and detection. Of each frame it keeps only what tracking and
+    scoring read: the time, the ego poses and the fused detections."""
 
-    other_fields: dict  # every field but ``values``
-    cells: np.ndarray  # int32 flat index of each cell with a nonzero bit in any channel
-    values: np.ndarray  # (cells, channels): their values, -0.0 included
+    def __init__(self, cfg: ExperimentConfig, fusion: FusionMethod, latency_ms: float, seed: int):
+        self.cfg, self.fusion = cfg, fusion
+        self.message = STRATEGIES[fusion.kind].message
+        self.channel = Channel(LatencyModel(latency_ms, cfg.jitter_ms, seed))
+        self.frames: List[Tuple[float, Pose, Pose, Boxes]] = []  # t, ego_pose, world_to_ego, dets
+        self.fallback = 0
+        self.error: Optional[Exception] = None  # what failed a step; no step follows
+
+    def step(self, frame: _Frame) -> FusionOutput:
+        if self.message is not None:
+            self.channel.send(frame.messages[self.message])
+        fused = cooperative_feature(self.fusion, self.channel, frame.t, frame.ego,
+                                    frame.infra_to_ego, self.cfg.scenario.infra_grid,
+                                    self.cfg.compression)
+        self.fallback += fused.used_fallback
+        dets = (fused.detections if fused.detections is not None
+                else detect(fused.grid, self.cfg.detect))
+        self.frames.append((frame.t, frame.ego_pose, frame.world_to_ego, dets))
+        return fused
 
 
-def _packed(frame: _Frame) -> _Frame:
-    """A frame to hold while other cells of its seed wait, at the size of what
-    the frame adds. The ego grid keeps its occupied cells (about 3% of them).
-    The ego cloud is held as the sampler made it: one that carries its
-    scenario's clutter holds only its agent rows and the clutter rows'
-    intensities. Messages are wire bytes already."""
-    ego = frame.ego
-    grid = ego.grid
-    by_cell = grid.values.reshape(-1, grid.spec.channels)
-    # The cell of each value with a nonzero bit (-0.0 included), ascending.
-    cells = np.flatnonzero(by_cell.view(np.uint64).ravel() != 0) // grid.spec.channels
-    cells = cells[np.diff(cells, prepend=-1) != 0].astype(np.int32)
-    other_fields = {f.name: getattr(grid, f.name) for f in fields(grid) if f.name != "values"}
-    return frame._replace(ego=replace(ego, grid=_Sparse(other_fields, cells, by_cell[cells])))
-
-
-def _unpacked(frame: _Frame) -> _Frame:
-    """A held frame as a cell reads it, bit for bit the frame ``_packed`` took,
-    with a fresh ego grid."""
-    sparse = frame.ego.grid
-    values = np.zeros(sparse.other_fields["spec"].shape)
-    values.reshape(-1, values.shape[-1])[sparse.cells] = sparse.values
-    return frame._replace(ego=replace(frame.ego,
-                                      grid=FeatureGrid(values=values, **sparse.other_fields)))
+def _receive(cfg: ExperimentConfig, scn: Scenario, receivers: Sequence[_Receiver]) -> None:
+    """Step every receiver over the frames of its seed (``_seed_frames``),
+    each frame made once and dropped after every receiver's step. A receiver
+    whose step raises keeps the exception and takes no further step; the
+    others go on. A failure in making a frame propagates."""
+    # Each fusion kind's last output stays referenced until that kind's next
+    # step has made its own. Were a step's 768 KB grids all freed, the heap
+    # would give their pages back and the next step fault them in again: 4 to
+    # 10 times the page faults. One output per kind holds fewer grids than one per run.
+    kept: Dict[FusionKind, FusionOutput] = {}
+    for frame in _seed_frames(cfg, scn, [r.fusion for r in receivers]):
+        for receiver in receivers:
+            if receiver.error is None:
+                try:
+                    kept[receiver.fusion.kind] = receiver.step(frame)
+                except Exception as exc:  # noqa: BLE001 - one run's failure spares the rest
+                    receiver.error = exc
 
 
 def run_single(
@@ -177,66 +190,56 @@ def run_single(
     latency_ms: float,
     seed: int,
     keep_artifacts: bool = False,
-    shared: Optional[Tuple[Scenario, Iterable[_Frame]]] = None,
+    received: Optional[Tuple[Scenario, _Receiver]] = None,
 ):
     """Execute one full run and return its RunReport.
 
     With keep_artifacts=True returns (report, RunArtifacts) instead.
     Every run has a channel; a fusion that sends no message
     (``vehicle_only``) leaves it empty, so its report reads no bytes.
-    ``shared`` is the seed's scenario and its frames (``_seed_frames``) when
-    a sweep runs several cells of the seed; a lone run makes its own, one
-    frame at a time. The run itself receives, fuses, detects, tracks and
-    scores.
+    ``received`` is the seed's scenario and this run's receiver once a sweep
+    has stepped it over the seed's frames (``_receive``); a lone run makes
+    and steps its own. The run itself then takes ground truth, tracks and scores.
     """
-    if shared is None:
+    if received is None:
         scn = generate_scenario(cfg.scenario, seed)
-        shared = (scn, _seed_frames(cfg, scn, [fusion]))
-    scn, frames = shared
-    msg_kind = STRATEGIES[fusion.kind].message
-    channel = Channel(LatencyModel(latency_ms, cfg.jitter_ms, seed))
-    provenance = Provenance.VEHICLE_SIDE if msg_kind is None else Provenance.FUSED
+        received = (scn, _Receiver(cfg, fusion, latency_ms, seed))
+        _receive(cfg, scn, [received[1]])
+    scn, receiver = received
+    if receiver.error is not None:
+        raise receiver.error
+    provenance = Provenance.VEHICLE_SIDE if receiver.message is None else Provenance.FUSED
     tracker = Tracker(cfg.tracker)
     region = scn.region
 
     gt_frames, hyp_frames = [], []  # (ids, Boxes) per frame, ego frame, in the region
     gt_sides = []  # per frame, the provenance of each ground-truth row, for the artifacts
-    fallback = 0
 
-    for frame in frames:
-        t = frame.t
+    for t, ego_pose, world_to_ego, dets in receiver.frames:
         # The union of the views by id, sorted; a vehicle-side row wins.
         ids_v, gt_v = ground_truth_at(scn, t, View.VEHICLE)
         ids_i, gt_i = ground_truth_at(scn, t, View.INFRA)
         ids, first = np.unique(np.concatenate([ids_v, ids_i]), return_index=True)
-        gt = Boxes.concat([gt_v, gt_i]).take(first).transformed(frame.world_to_ego)
+        gt = Boxes.concat([gt_v, gt_i]).take(first).transformed(world_to_ego)
         inside = region.contains(gt.values[:, 0], gt.values[:, 1])
         gt_frames.append((ids[inside], gt.take(inside)))
         gt_sides.append(np.where(first[inside] < len(ids_v), Provenance.VEHICLE_SIDE,
                                  Provenance.INFRA_SIDE))
 
-        if msg_kind is not None:
-            channel.send(frame.messages[msg_kind])
-
-        fused = cooperative_feature(fusion, channel, t, frame.ego, frame.infra_to_ego,
-                                    cfg.scenario.infra_grid, cfg.compression)
-        fallback += fused.used_fallback
-        dets = fused.detections if fused.detections is not None else detect(fused.grid, cfg.detect)
-
-        boxes, ids = tracker.step(dets.transformed(frame.ego_pose), t)
-        boxes = boxes.transformed(frame.world_to_ego)
+        boxes, ids = tracker.step(dets.transformed(ego_pose), t)
+        boxes = boxes.transformed(world_to_ego)
         inside = region.contains(boxes.values[:, 0], boxes.values[:, 1])
         hyp_frames.append((ids[inside], boxes.take(inside)))
 
     mot = evaluate_clearmot(gt_frames, hyp_frames, cfg.eval_gate_m)
     report = aggregate_run(
-        mot, channel, cfg.scenario.duration_s, fusion.kind.value, latency_ms, seed,
-        fallback_frames=fallback, match_gate_m=cfg.eval_gate_m, num_frames=len(gt_frames),
+        mot, receiver.channel, cfg.scenario.duration_s, fusion.kind.value, latency_ms, seed,
+        fallback_frames=receiver.fallback, match_gate_m=cfg.eval_gate_m, num_frames=len(gt_frames),
     )
     if keep_artifacts:
         hyp_sides = [np.full(len(ids), provenance) for ids, _ in hyp_frames]
         return report, RunArtifacts(scn.frame_times(), gt_frames, hyp_frames, gt_sides,
-                                    hyp_sides, channel)
+                                    hyp_sides, receiver.channel)
     return report
 
 
@@ -245,14 +248,10 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
     """Run the (fusion, latency) ``cells`` of one scenario seed.
 
     Returns one entry per cell, in order: its RunReport or the exception
-    that failed it. The scenario and the frames (``_seed_frames``) are made
-    once. With more than one distinct run the frames are held packed
-    (``_packed``) while one ``run_single`` per distinct run reads them in
-    turn: each frame keeps what it adds to its scenario, the ego cloud as
-    sampled (agent rows and clutter intensities when it carries the clutter),
-    the ego grid's occupied cells and the messages' wire bytes, so memory
-    still grows with the scenario's duration. A lone run reads the frames as
-    they are made. A fusion that sends no message (``vehicle_only``) ignores
+    that failed it. The scenario is made once; the receiver of every
+    distinct run takes its step of each frame as the frame is made
+    (``_receive``), and one ``run_single`` per distinct run then tracks and
+    scores. A fusion that sends no message (``vehicle_only``) ignores
     latency, so one of its runs serves all latencies. A failure in the shared
     work fails every cell; a failure in one run fails only the cells it serves.
     """
@@ -262,17 +261,16 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
         runs.setdefault(key, latency_ms)
     try:
         scn = generate_scenario(cfg.scenario, seed)
-        frames = _seed_frames(cfg, scn, [fusion for fusion, _ in runs])
-        held = [_packed(frame) for frame in frames] if len(runs) > 1 else None
+        receivers = {key: _Receiver(cfg, key[0], latency_ms, seed)
+                     for key, latency_ms in runs.items()}
+        _receive(cfg, scn, list(receivers.values()))
     except Exception as exc:  # noqa: BLE001 - shared work failed: every cell fails
         return [exc] * len(cells)
     results = {}
     for key, latency_ms in runs.items():
-        fusion = key[0]
-        if held is not None:
-            frames = map(_unpacked, held)
         try:
-            results[key] = run_single(cfg, fusion, latency_ms, seed, shared=(scn, frames))
+            results[key] = run_single(cfg, key[0], latency_ms, seed,
+                                      received=(scn, receivers[key]))
         except Exception as exc:  # noqa: BLE001 - one cell's failure spares the rest
             results[key] = exc
     return [r if isinstance(r, Exception) else replace(r, latency_ms=latency_ms)

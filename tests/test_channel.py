@@ -464,6 +464,10 @@ class TestBps:
         msgs = [fake_message(0.5, 0.5, payload=100), fake_message(2.0, 2.0, payload=100)]
         assert bps(msgs, 1.0) == pytest.approx((100.0, 100.0))
 
+    def test_window_includes_a_send_at_its_end(self):
+        msgs = [fake_message(1.0, 1.0, payload=100)]
+        assert bps(msgs, 1.0) == (100.0, 100.0)
+
     def test_invalid_duration(self):
         with pytest.raises(ConfigurationError):
             bps([], 0.0)

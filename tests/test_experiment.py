@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -31,9 +32,8 @@ from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.geometry import Category
 from cotrack.metrics import MotResult, RunReport, clearmot_events, clearmot_result
 from cotrack.presets import hidden_lane_scenario
-from cotrack.scenario import (AgentPopulation, Lane, Provenance, ScenarioConfig,
-                              generate_scenario)
-from cotrack.sensing import Clutter, GridSpec, NoiseConfig, PointCloud
+from cotrack.scenario import AgentPopulation, Lane, Provenance, ScenarioConfig
+from cotrack.sensing import GridSpec, NoiseConfig, PointCloud
 from oracle_utils import Box3D, trajectory_of
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -186,6 +186,24 @@ class TestRunSingle:
         assert sides and all(side is provenance for side in sides)
         assert [len(side) for side in art.hyp_sides] == [len(ids) for ids, _ in art.hyp_frames]
 
+    def test_a_lone_run_raises_the_error_of_its_failed_step(self, monkeypatch):
+        cfg = tiny_config()
+        error = RuntimeError("detector bug")
+        real = experiment.detect
+        calls = []
+
+        def broken(grid, params):
+            calls.append(grid.timestamp)
+            if len(calls) == 4:
+                raise error
+            return real(grid, params)
+
+        monkeypatch.setattr(experiment, "detect", broken)
+        with pytest.raises(RuntimeError) as raised:
+            run_single(cfg, FusionMethod(FusionKind.MIDDLE_STATIC), 0.0, 1)
+        assert raised.value is error
+        assert len(calls) == 4  # no step follows the one that failed
+
 
 class TestRunSweep:
     def test_cell_counting_and_summary(self):
@@ -296,6 +314,45 @@ class TestRunSweep:
         assert [(f.fusion, f.latency_ms, f.seed, f.error) for f in failures] == [
             ("late", 100.0, 2, repr(RuntimeError("fusion bug")))]
 
+    def test_a_failed_step_ends_that_runs_steps_and_no_other(self, monkeypatch):
+        # Runs of a seed step in lockstep; the run whose step raises takes no
+        # further step, and every other run steps through all 21 frames.
+        cfg = tiny_config()
+        real = experiment.cooperative_feature
+        steps = {}
+
+        def counting(fusion, channel, t_v, *receiver):
+            run = (fusion.kind.value, channel.latency.base_ms, channel.latency.seed)
+            steps[run] = steps.get(run, 0) + 1
+            if run == ("late", 100.0, 2) and t_v >= 0.5:
+                raise RuntimeError("fusion bug")
+            return real(fusion, channel, t_v, *receiver)
+
+        monkeypatch.setattr(experiment, "cooperative_feature", counting)
+        run_sweep(cfg)
+        # vehicle_only sends nothing, so one run serves both its latencies.
+        assert steps == {("late", 0.0, 1): 21, ("late", 100.0, 1): 21, ("vehicle_only", 0.0, 1): 21,
+                         ("late", 0.0, 2): 21, ("late", 100.0, 2): 6, ("vehicle_only", 0.0, 2): 21}
+
+    def test_a_scoring_failure_fails_every_cell_its_run_serves(self, monkeypatch):
+        # One vehicle_only run serves both latencies of its seed, so failing
+        # its scoring fails both cells and spares the seed's other runs.
+        cfg = tiny_config()
+        clean, _ = run_sweep(cfg)
+        real = experiment.aggregate_run
+
+        def broken(mot, channel, duration_s, fusion, latency_ms, seed, **kwargs):
+            if (fusion, seed) == ("vehicle_only", 2):
+                raise RuntimeError("scoring bug")
+            return real(mot, channel, duration_s, fusion, latency_ms, seed, **kwargs)
+
+        monkeypatch.setattr(experiment, "aggregate_run", broken)
+        reports, failures = run_sweep(cfg)
+        assert reports == [r for r in clean if (r.fusion, r.seed) != ("vehicle_only", 2)]
+        assert [(f.fusion, f.latency_ms, f.seed, f.error) for f in failures] == [
+            ("vehicle_only", 0.0, 2, repr(RuntimeError("scoring bug"))),
+            ("vehicle_only", 100.0, 2, repr(RuntimeError("scoring bug")))]
+
     def test_parallel_matches_serial(self):
         cfg = tiny_config()
         assert len(cfg.fusions) >= 2 and len(cfg.latencies_ms) >= 2
@@ -331,108 +388,38 @@ class TestRunSweep:
         assert [r.to_json_dict() for r in reports] == pinned["seeds"]["0"]
 
 
-def _bits(values: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(values).view(np.uint64)
+def test_a_seeds_memory_does_not_grow_with_its_frames():
+    """Every run of a seed takes its step of a frame together and no frame
+    is held after it, so a longer scene adds to the peak only what each run
+    keeps of a frame (detections, poses, message records), about 13 KB
+    a frame over nine runs. A frame held whole at the size of what it adds
+    would add about 166 KB."""
+    def config(duration_s):
+        return ExperimentConfig(scenario=hidden_lane_scenario(duration_s=duration_s),
+                                latencies_ms=(0.0, 200.0), seeds=(1,))
 
+    def peak_bytes(duration_s):
+        cfg = config(duration_s)
+        tracemalloc.start()
+        try:
+            reports, failures = run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not failures and len(reports) == 10
+        return peak
 
-def _held_bytes(obj, seen) -> int:
-    """Bytes a held object keeps alive: each array counted by the buffer that
-    owns it (a view keeps its whole base), each wire payload by its length.
-    The scenario's clutter is shared by every frame and not counted."""
-    if isinstance(obj, np.ndarray):
-        while isinstance(obj.base, np.ndarray):
-            obj = obj.base
-        if id(obj) in seen:
-            return 0
-        seen.add(id(obj))
-        return obj.nbytes
-    if isinstance(obj, bytes):
-        return len(obj)
-    if isinstance(obj, (Enum, Clutter)):
-        return 0
-    if isinstance(obj, dict):
-        return sum(_held_bytes(v, seen) for v in obj.values())
-    if isinstance(obj, (tuple, list)):
-        return sum(_held_bytes(v, seen) for v in obj)
-    if hasattr(obj, "__dict__"):
-        return sum(_held_bytes(v, seen) for v in vars(obj).values())
-    return 0
-
-
-HELD_SCENES = {
-    "hidden_lane": hidden_lane_scenario(duration_s=1.0),
-    "default": ScenarioConfig(duration_s=1.0),
-    "moving_ego": ScenarioConfig(duration_s=1.0, ego_speed=6.0),
-    "noiseless_dropout": ScenarioConfig(
-        duration_s=1.0, noise=NoiseConfig(sigma_m=0.0, dropout_p=0.2)),
-}
-
-
-def all_fusion_frames(scene: ScenarioConfig):
-    cfg = ExperimentConfig(scenario=scene, seeds=(1,))
-    scn = generate_scenario(scene, 1)
-    return list(experiment._seed_frames(cfg, scn, cfg.fusions))
-
-
-class TestHeldFrames:
-    """A seed's frames are held packed while its cells replay them."""
-
-    def assert_same_frame(self, got, frame):
-        assert got._replace(ego=None) == frame._replace(ego=None)
-        cloud, want = got.ego.cloud, frame.ego.cloud
-        np.testing.assert_array_equal(_bits(cloud.points), _bits(want.points))
-        assert not cloud.points.flags.writeable
-        assert cloud.clutter is want.clutter
-        assert (cloud.frame, cloud.timestamp) == (want.frame, want.timestamp)
-        grid, want = got.ego.grid, frame.ego.grid
-        np.testing.assert_array_equal(_bits(grid.values), _bits(want.values))
-        assert (grid.spec, grid.timestamp, grid.frame) == (want.spec, want.timestamp, want.frame)
-        assert got.ego.detections is frame.ego.detections
-        assert got.ego.density_cap == frame.ego.density_cap
-
-    @pytest.mark.parametrize("name", sorted(HELD_SCENES))
-    def test_unpacking_gives_every_frame_back_bit_for_bit(self, name):
-        frames = all_fusion_frames(HELD_SCENES[name])
-        carried = [frame.ego.cloud.clutter is not None for frame in frames]
-        # The presets carry their clutter; a moving ego only at its frame-0
-        # pose; dropout never.
-        assert carried == {"hidden_lane": [True] * 11, "default": [True] * 11,
-                           "moving_ego": [True] + [False] * 10,
-                           "noiseless_dropout": [False] * 11}[name]
-        for frame in frames:
-            self.assert_same_frame(experiment._unpacked(experiment._packed(frame)), frame)
-
-    def test_a_negative_zero_cell_keeps_its_sign(self):
-        frames = all_fusion_frames(HELD_SCENES["hidden_lane"])
-        frame = frames[0]
-        values = frame.ego.grid.values.copy()
-        values[0, 0] = (-0.0, 0.0, 0.0)
-        values[1, 2, 1] = -0.0
-        frame = frame._replace(ego=replace(frame.ego, grid=replace(frame.ego.grid,
-                                                                   values=values)))
-        self.assert_same_frame(experiment._unpacked(experiment._packed(frame)), frame)
-
-    def test_a_held_frame_keeps_what_the_frame_adds(self):
-        # The reference holds the ego cloud at its built size, 32 bytes a
-        # row, and the grid as each nonzero float with an int64 index, the
-        # messages and detections as they are.
-        frames = all_fusion_frames(HELD_SCENES["hidden_lane"])
-        held = whole = 0
-        for frame in frames:
-            held += _held_bytes(experiment._packed(frame), set())
-            whole += _held_bytes(frame._replace(ego=replace(frame.ego, cloud=None, grid=None)),
-                                 set())
-            whole += 32 * len(frame.ego.cloud)
-            whole += 16 * np.count_nonzero(_bits(frame.ego.grid.values))
-        assert held <= 0.6 * whole
+    run_sweep(config(1.0))  # what a first sweep allocates once is not a frame's
+    short, long = peak_bytes(1.0), peak_bytes(3.0)  # 11 and 31 frames
+    assert (long - short) / 20 < 40e3
 
 
 @pytest.mark.parametrize("kinds", [(FusionKind.LATE,), (FusionKind.MIDDLE_FLOW,),
                                    (FusionKind.LATE, FusionKind.MIDDLE_FLOW)],
-                         ids=["late", "middle_flow", "both_held"])
+                         ids=["late", "middle_flow", "late_and_middle_flow"])
 def test_late_and_middle_cells_build_no_full_cloud(kinds, monkeypatch):
     """Only ``early`` fusion and the raw-points encoder read a cloud's rows
-    whole; a late or middle cell, streamed or held, never builds them."""
+    whole; a late or middle cell, alone or stepped with another, never builds them."""
     cfg = ExperimentConfig(scenario=ScenarioConfig(duration_s=1.0),
                            fusions=tuple(map(FusionMethod, kinds)), latencies_ms=(100.0,),
                            seeds=(1,))

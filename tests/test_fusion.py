@@ -174,6 +174,14 @@ class TestFuseLate:
         assert out.values[0, 6] == 0.3  # higher score wins yaw
         assert rows_of(out)[0].category is Category.CAR  # and category
 
+    def test_equal_scores_keep_the_ego_boxs_yaw_and_category(self):
+        a = record_of([Box3D(0.0, 0.0, 0.75, 1.8, 4.5, 1.5, yaw=0.3)], [0.5])
+        b = record_of([Box3D(1.0, 0.0, 0.75, 1.8, 4.5, 1.5, yaw=-0.2, category=Category.BUS)],
+                      [0.5])
+        out = fuse_late(a, b, 3.0)
+        assert out.values[0, 6] == 0.3
+        assert rows_of(out)[0].category is Category.CAR
+
     def test_nonpositive_threshold_rejected(self):
         for threshold in (0.0, -1.0, math.nan):
             with pytest.raises(ConfigurationError):

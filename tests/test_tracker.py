@@ -211,6 +211,15 @@ class TestTrackerLifecycle:
         again = tracker.step(dets(0.0), 0.5)[1][0]
         assert again != first
 
+    def test_a_track_lives_through_max_age_misses_and_dies_on_the_next(self):
+        tracker = Tracker(TrackerParams(min_hits=1, max_age=2))
+        first = tracker.step(dets(0.0), 0.0)[1][0]
+        for k in (1, 2):
+            tracker.step(dets(), 0.1 * k)
+            assert tracker.tracks.ids.tolist() == [first]
+        tracker.step(dets(), 0.3)
+        assert len(tracker.tracks) == 0
+
     def test_miss_frames_not_reported(self):
         params = TrackerParams(min_hits=1, max_age=3)
         tracker = Tracker(params)
