@@ -121,9 +121,14 @@ def clearmot_events(gt_frames: Frames, hyp_frames: Frames,
             if dist[i, j] <= gate:
                 matched_g[i] = j
 
+        # A free row or column that no gated pair reaches is a miss or a false
+        # positive whatever the solve; left in, it could pick among tied pairs.
         used_h = set(matched_g.values())
         free_g = [i for i in range(len(gts)) if i not in matched_g]
         free_h = [j for j in range(len(hyps)) if j not in used_h]
+        near = dist[np.ix_(free_g, free_h)] <= gate
+        free_g = [i for i, keep in zip(free_g, near.any(axis=1)) if keep]
+        free_h = [j for j, keep in zip(free_h, near.any(axis=0)) if keep]
         sub = dist[np.ix_(free_g, free_h)]
         ok = sub <= gate
         sentinel = (gate + 1.0) * (min(len(free_g), len(free_h)) + 1)

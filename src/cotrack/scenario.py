@@ -143,6 +143,10 @@ class ScenarioConfig:
                 f"duration_s * frame_rate_hz must be at most {MAX_FRAME_INTERVALS:,}")
         if len(self.occluders) > MAX_OCCLUDERS:
             raise ConfigurationError(f"a scene may have at most {MAX_OCCLUDERS} occluders")
+        for rect in self.occluders:
+            if len(rect) != 4 or not (rect[0] < rect[2] and rect[1] < rect[3]):
+                raise ConfigurationError(
+                    f"occluder {rect} must be (x0, y0, x1, y1) with x0 < x1 and y0 < y1")
         if self.surface_pts_per_m > MAX_PTS_PER_M:
             raise ConfigurationError(f"surface_pts_per_m must be at most {MAX_PTS_PER_M:,}")
         frames = int(round(self.duration_s * self.frame_rate_hz)) + 1
@@ -157,17 +161,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"noise.clutter_per_m2 expects more than {MAX_CLUTTER_PER_VIEW:,} clutter "
                 f"points in a {range_m} m sensor range")
-
-
-@dataclass(frozen=True)
-class Agent:
-    """One scripted traffic participant; waypoints cover every frame time."""
-
-    id: int
-    category: Category
-    dims: Tuple[float, float, float]  # (w, l, h)
-    # waypoints[k] = (t, x, y, yaw, speed) at frame k.
-    waypoints: np.ndarray
 
 
 class Outlines:
@@ -186,19 +179,19 @@ class Outlines:
       sample count, as floats.
 
     Per agent: ``size`` (A,), its sample count, and ``height`` (A,). Every
-    array is read-only.
+    array is read-only. Built from ``dims`` (A, 3), each agent's (w, l, h).
     """
 
-    def __init__(self, agents: Sequence[Agent], pts_per_m: float):
+    def __init__(self, dims: np.ndarray, pts_per_m: float):
         counts = np.array([max(1, int(round(pts_per_m * edge)))
-                           for a in agents for edge in (a.dims[0], a.dims[1]) * 2], dtype=np.int64)
+                           for w, l, _ in dims.tolist() for edge in (w, l) * 2], dtype=np.int64)
         first = np.cumsum(counts) - counts
         self.edge = np.repeat(np.arange(len(counts)), counts)
         self.agent, self.side = self.edge // 4, self.edge % 4
         self.index = (np.arange(len(self.edge)) - np.repeat(first, counts)).astype(float)
         self.count = np.repeat(counts, counts).astype(float)
         self.size = counts.reshape(-1, 4).sum(axis=1)
-        self.height = np.array([a.dims[2] for a in agents], dtype=float)
+        self.height = dims[:, 2].copy()
         for arr in vars(self).values():
             arr.setflags(write=False)
 
@@ -206,17 +199,20 @@ class Outlines:
 class FrameGeometry:
     """Every frame's agent footprints and ray blockers, and what each view sees.
 
-    Made once by ``generate_scenario``. For F frames, A agents and K = A +
-    walls blockers:
+    Made once by ``generate_scenario``, and the only place a scenario keeps
+    its agents: their tracks, boxes and ids are these tables, not per-agent
+    records. For F frames, A agents and K = A + walls blockers:
 
-    - ``centres`` (F, A, 2) and ``yaws`` (F, A), wrapped by ``wrap_angle``;
+    - ``centres`` (F, A, 2) and ``yaws`` (F, A), wrapped by ``wrap_angle``:
+      each agent's scripted track;
     - ``corners`` (F, A, 4, 2), each box's ground-plane footprint
       counter-clockwise from (l/2, -w/2) in its own frame;
     - ``rot_t`` (F, K, 2, 2), ``centre`` (F, K, 1, 2), ``lo`` and ``hi``
       (K, 1, 2): frame f's agent boxes, then the walls, as ``blockers(f)``;
     - ``visible[view]`` (F, A), the ground-truth visibility table;
-    - ``ids`` (A,), the agents' ids, and ``shapes``, each agent's box at the
-      origin with zero yaw (``Boxes``; z is half the height);
+    - ``ids`` (A,), the agents' ids (1 to A), and ``shapes``, each agent's
+      box at the origin with zero yaw (``Boxes``: its category's
+      ``CATEGORY_DIMS``, z half the height);
     - ``outlines``, where the point sampler's outline samples sit on each
       box (:class:`Outlines`).
 
@@ -254,17 +250,18 @@ class Scenario:
     whole. With tied heights, as with zero position noise, the view's clouds
     are sorted whole.
 
-    ``geometry`` holds every frame's agent corners and ray blockers and each
-    view's visibility table (:class:`FrameGeometry`), so ground truth is a
-    table read and the point sampler builds no boxes.
+    ``geometry`` holds every frame's agent poses, corners and ray blockers
+    and each view's visibility table (:class:`FrameGeometry`), so ground
+    truth is a table read and the point sampler builds no boxes. It is the
+    scenario's one copy of its agents; the walls are ``config.occluders``.
+    Outside ``geometry`` and ``clutter`` a scenario holds only the ego's
+    track, 24 bytes a frame.
     """
 
     config: ScenarioConfig
     seed: int
-    agents: Tuple[Agent, ...]
-    ego_waypoints: np.ndarray  # (K, 5): t, x, y, yaw, speed
+    ego_track: np.ndarray  # (F, 3): x, y, yaw at each frame
     infra_pose: Pose
-    occluders: Tuple[Tuple[float, float, float, float], ...]
     geometry: FrameGeometry
     clutter: Dict[View, Clutter]
 
@@ -285,12 +282,12 @@ class Scenario:
         nearest = round(idx)
         if abs(idx - nearest) > 1e-6:
             raise AlignmentError(f"time {t} is not on the {self.frame_rate} Hz frame grid")
-        if not 0 <= nearest < len(self.ego_waypoints):
+        if not 0 <= nearest < len(self.ego_track):
             raise AlignmentError(f"time {t} outside scenario duration")
         return int(nearest)
 
     def ego_pose(self, t: float) -> Pose:
-        _, x, y, yaw, _ = self.ego_waypoints[self.frame_index(t)]
+        x, y, yaw = self.ego_track[self.frame_index(t)]
         return Pose(x, y, 0.0, yaw)
 
     def sensor_pose(self, view: View, t: float) -> Pose:
@@ -309,15 +306,16 @@ def _integrate_track(
     segments: Sequence[Tuple[float, float]],
     times: np.ndarray,
 ) -> np.ndarray:
-    """Integrate constant-speed unicycle motion through (duration, turn_rate) segments.
+    """Integrate constant-speed unicycle motion through (duration, turn_rate)
+    segments: (F, 3), the x, y and yaw at each of the F frame times.
 
     Constant turn rate uses the exact arc update per frame step; straight
     motion is exact.
     """
     x, y = start_xy
     yaw = yaw0
-    out = np.empty((len(times), 5))
-    out[0] = (times[0], x, y, yaw, speed)
+    out = np.empty((len(times), 3))
+    out[0] = (x, y, yaw)
     seg_iter = list(segments) or [(math.inf, 0.0)]
     seg_idx = 0
     seg_left = seg_iter[0][0]
@@ -342,7 +340,7 @@ def _integrate_track(
             seg_left -= step
             remaining -= step
         yaw = float(wrap_angle(yaw))
-        out[k] = (times[k], x, y, yaw, speed)
+        out[k] = (x, y, yaw)
     return out
 
 
@@ -384,22 +382,25 @@ def _visible(geo: FrameGeometry, frames: slice, sensor_xy: np.ndarray,
     return in_range & (~hits.any(axis=1)).any(axis=2)
 
 
-def _frame_geometry(agents: Sequence[Agent], sensor_xy: Dict[View, np.ndarray],
-                    ranges: Dict[View, float],
+def _frame_geometry(tracks: np.ndarray, categories: Sequence[Category],
+                    sensor_xy: Dict[View, np.ndarray], ranges: Dict[View, float],
                     occluders: Sequence[Tuple[float, float, float, float]],
                     pts_per_m: float) -> FrameGeometry:
     """Every frame's footprints, blockers, visibility tables and the agents'
     outline samples, in array passes.
 
-    ``sensor_xy[view]`` is (F, 2). Angles go through ``math.cos`` and
-    ``math.sin`` one at a time, never ``np.cos``, whose rounding may differ
-    between CPUs, and each box's corners through its own 2 × 2 product of a
-    stacked matmul, so every value is bitwise what one box at a time gives.
+    ``tracks`` (A, F, 3) holds each agent's x, y and yaw at every frame, and
+    ``categories`` (A,) its category, whose ``CATEGORY_DIMS`` size its box;
+    agent ``a`` gets id ``a + 1``. ``sensor_xy[view]`` is (F, 2). Angles go
+    through ``math.cos`` and ``math.sin`` one at a time, never ``np.cos``,
+    whose rounding may differ between CPUs, and each box's corners through
+    its own 2 × 2 product of a stacked matmul, so every value is bitwise what
+    one box at a time gives.
     """
-    n_frames, n_agents = len(sensor_xy[View.VEHICLE]), len(agents)
-    way = np.array([a.waypoints for a in agents]).reshape(n_agents, n_frames, 5)
-    centres = np.ascontiguousarray(way[:, :, 1:3].transpose(1, 0, 2))
-    yaws = wrap_angle(way[:, :, 3].T)
+    n_agents, n_frames = tracks.shape[:2]
+    dims = np.array([CATEGORY_DIMS[c] for c in categories]).reshape(n_agents, 3)
+    centres = np.ascontiguousarray(tracks[:, :, :2].transpose(1, 0, 2))
+    yaws = wrap_angle(tracks[:, :, 2].T)
     angles = yaws.ravel().tolist()
 
     def each(fn, values):
@@ -407,7 +408,7 @@ def _frame_geometry(agents: Sequence[Agent], sensor_xy: Dict[View, np.ndarray],
 
     c, s = each(math.cos, angles), each(math.sin, angles)
     rot = np.stack([c, -s, s, c], axis=-1).reshape(n_frames, n_agents, 2, 2)
-    half = 0.5 * np.array([(a.dims[1], a.dims[0]) for a in agents]).reshape(n_agents, 2)
+    half = 0.5 * dims[:, 1::-1]
     hl, hw = half[:, :1], half[:, 1:]
     local = np.concatenate([hl, -hw, hl, hw, -hl, hw, -hl, -hw], axis=1).reshape(n_agents, 4, 2)
     local = np.ascontiguousarray(np.broadcast_to(local, (n_frames, n_agents, 4, 2)))
@@ -424,13 +425,12 @@ def _frame_geometry(agents: Sequence[Agent], sensor_xy: Dict[View, np.ndarray],
     hi = np.concatenate([half, walls[:, 2:]])[:, None, :]
     lo = np.concatenate([-half, walls[:, :2]])[:, None, :]
 
-    shapes = [(0.0, 0.0, 0.5 * a.dims[2], *a.dims, 0.0) for a in agents]
-    shapes = Boxes(np.array(shapes).reshape(-1, 7),
-                   np.array([CATEGORY_ORDER.index(a.category) for a in agents], dtype=np.uint8),
+    shapes = np.zeros((n_agents, 7))
+    shapes[:, 2], shapes[:, 3:6] = 0.5 * dims[:, 2], dims
+    shapes = Boxes(shapes, np.array([CATEGORY_ORDER.index(c) for c in categories], dtype=np.uint8),
                    np.ones(n_agents))
     geo = FrameGeometry(centres, yaws, corners, rot_t, centre, lo, hi, {},
-                        Outlines(agents, pts_per_m), np.array([a.id for a in agents], dtype=int),
-                        shapes)
+                        Outlines(dims, pts_per_m), np.arange(1, n_agents + 1), shapes)
     per_frame = len(lo) * 2 * (4 * len(_PROBE_OFFSETS) * n_agents + 1)
     n_block = max(1, min(_BLOCK_FRAMES, _BLOCK_FLOATS // max(per_frame, 1)))
     for view, xy in sensor_xy.items():
@@ -459,11 +459,10 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     rng = np.random.default_rng([seed, 0x5EED])
     times = np.arange(int(round(config.duration_s * config.frame_rate_hz)) + 1) / config.frame_rate_hz
 
-    agents = []
     pop = config.agents
+    tracks = np.empty((pop.count, len(times), 3))
     for i in range(pop.count):
         lane = pop.lanes[i % len(pop.lanes)]
-        category = pop.categories[i % len(pop.categories)]
         slot = i // len(pop.lanes)
         x0 = float(rng.uniform(*pop.x_start_range))
         x0 += slot * pop.lane_slot_spacing_m * math.cos(lane.heading)
@@ -476,32 +475,22 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
             turn_dur = (math.pi / 2) / pop.turn_rate
             omega = pop.turn_rate if rng.random() < 0.5 else -pop.turn_rate
             segments = [(t_turn, 0.0), (turn_dur, omega), (math.inf, 0.0)]
-        waypoints = _integrate_track((x0, y0), lane.heading, speed, segments, times)
-        agents.append(
-            Agent(id=i + 1, category=category, dims=CATEGORY_DIMS[category], waypoints=waypoints)
-        )
+        tracks[i] = _integrate_track((x0, y0), lane.heading, speed, segments, times)
+    categories = [pop.categories[i % len(pop.categories)] for i in range(pop.count)]
 
-    ego_waypoints = _integrate_track(
-        config.ego_start, config.ego_yaw, config.ego_speed, [], times
-    )
-    occluders = tuple(tuple(map(float, rect)) for rect in config.occluders)
-    for rect in occluders:
-        if not (rect[0] < rect[2] and rect[1] < rect[3]):
-            raise ConfigurationError(f"occluder rectangle {rect} is degenerate")
-
+    ego_track = _integrate_track(config.ego_start, config.ego_yaw, config.ego_speed, [], times)
     infra_pose = Pose(config.infra_position[0], config.infra_position[1], 0.0, config.infra_yaw)
     infra_xy = np.array([infra_pose.x, infra_pose.y])
-    sensor_xy = {View.VEHICLE: ego_waypoints[:, 1:3],
+    sensor_xy = {View.VEHICLE: ego_track[:, :2],
                  View.INFRA: np.broadcast_to(infra_xy, (len(times), 2))}
     ranges = {View.VEHICLE: config.vehicle_range_m, View.INFRA: config.infra_range_m}
     scn = Scenario(
         config=config,
         seed=seed,
-        agents=tuple(agents),
-        ego_waypoints=ego_waypoints,
+        ego_track=ego_track,
         infra_pose=infra_pose,
-        occluders=occluders,
-        geometry=_frame_geometry(agents, sensor_xy, ranges, occluders, config.surface_pts_per_m),
+        geometry=_frame_geometry(tracks, categories, sensor_xy, ranges, config.occluders,
+                                 config.surface_pts_per_m),
         clutter={},
     )
     grids = {View.VEHICLE: config.vehicle_grid, View.INFRA: config.infra_grid}

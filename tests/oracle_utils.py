@@ -779,11 +779,15 @@ def visible_agents(
     return in_range & (~hits.any(axis=0)).any(axis=1)
 
 
-def box_at(agent, frame_idx: int) -> Box3D:
-    """An agent's box at frame ``frame_idx``, as ``Agent.box_at`` built it."""
-    _, x, y, yaw, _ = agent.waypoints[frame_idx]
-    w, l, h = agent.dims
-    return Box3D(x=x, y=y, z=0.5 * h, w=w, l=l, h=h, yaw=yaw, category=agent.category)
+def box_at(s, a: int, f: int) -> Box3D:
+    """Agent ``a``'s box at frame ``f`` as one ``Box3D``: its pose from the
+    scenario's ``geometry.centres`` and ``yaws``, its size, height and
+    category from ``geometry.shapes``."""
+    geo = s.geometry
+    x, y = geo.centres[f, a].tolist()
+    _, _, z, w, l, h, _ = geo.shapes.values[a].tolist()
+    return Box3D(x=x, y=y, z=z, w=w, l=l, h=h, yaw=float(geo.yaws[f, a]),
+                 category=CATEGORY_ORDER[geo.shapes.category[a]])
 
 
 def per_call_frame(s, f: int):
@@ -792,14 +796,14 @@ def per_call_frame(s, f: int):
     Returns the agents' boxes, their stacked ``corners_bev`` (A, 4, 2),
     ``blockers_of(boxes, walls)`` and, by view, the ``visible_agents`` row.
     """
-    boxes = [box_at(agent, f) for agent in s.agents]
+    boxes = [box_at(s, a, f) for a in range(len(s.geometry.ids))]
     corners = np.array([corners_bev(box) for box in boxes]).reshape(len(boxes), 4, 2)
-    t = s.frame_times()[f]
+    t, walls = s.frame_times()[f], s.config.occluders
     visible = {}
     for view in View:
         pose = s.sensor_pose(view, t)
-        visible[view] = visible_agents((pose.x, pose.y), boxes, s.occluders, s.sensor_range(view))
-    return boxes, corners, blockers_of(boxes, s.occluders), visible
+        visible[view] = visible_agents((pose.x, pose.y), boxes, walls, s.sensor_range(view))
+    return boxes, corners, blockers_of(boxes, walls), visible
 
 
 # The per-object ground-truth path: each view's visible agents as
@@ -835,8 +839,8 @@ def per_object_ground_truth(s, t: float) -> List[TrackedObject]:
     moved into the ego frame and united by ``cooperative_ground_truth``."""
     boxes, _, _, visible = per_call_frame(s, s.frame_index(t))
     world_to_ego = inverse(s.ego_pose(t))
-    views = [objects_to_frame([TrackedObject(box, agent.id, t, provenance)
-                               for agent, box, seen in zip(s.agents, boxes, visible[view]) if seen],
+    views = [objects_to_frame([TrackedObject(box, agent_id, t, provenance) for agent_id, box, seen
+                               in zip(s.geometry.ids.tolist(), boxes, visible[view]) if seen],
                               world_to_ego)
              for view, provenance in ((View.VEHICLE, Provenance.VEHICLE_SIDE),
                                       (View.INFRA, Provenance.INFRA_SIDE))]
@@ -862,11 +866,11 @@ def per_box_sample_point_cloud(s, t: float, sensor: View) -> PointCloud:
     blockers = geo.blockers(frame_idx)
 
     chunks = []
-    for idx, agent in enumerate(s.agents):
+    for idx in range(len(geo.ids)):
         x, y = geo.centres[frame_idx, idx]
         if math.hypot(x - sensor_xy[0], y - sensor_xy[1]) > range_m:
             continue
-        w, l, h = agent.dims
+        w, l, h = geo.shapes.values[idx, 3:6]
         counts = [max(1, int(round(s.config.surface_pts_per_m * edge))) for edge in (w, l, w, l)]
         offsets = [(np.arange(n) + rng.random()) / n for n in counts]
         c = geo.corners[frame_idx, idx]

@@ -769,6 +769,17 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("wall", [[16, 0.5, 14, 26], [14, 0.5, 16, 0.5]], ids=json.dumps)
+    def test_run_command_exits_2_on_a_degenerate_wall(self, tmp_path, capsys, wall):
+        """A shipped config with a wall whose corners are swapped, or that has
+        no height, once loaded and then failed every cell."""
+        doc = json.loads((ROOT / "configs" / "hidden_lane.json").read_text())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_merged(doc, {"scenario": {"occluders": [wall]}})))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: occluder ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("grid", ["vehicle_grid", "infra_grid"])
     @pytest.mark.parametrize("channels", [2, 4])
     def test_run_command_exits_2_on_a_grid_without_three_channels(self, tmp_path, capsys,

@@ -3,9 +3,10 @@
 ``generate_scenario`` builds every frame's agent corners, ray blockers and
 each view's ground-truth visibility once (``Scenario.geometry``). The
 references in ``oracle_utils`` are what ground truth and the point sampler
-built on every call: a ``Box3D`` per agent, its corners and blocker row one
-box at a time, and the batched probe test. Every value must match bit for
-bit, in every frame and view. The ground truth a run scores, read from these
+built on every call: a ``Box3D`` per agent, made from the tables' centres,
+yaws and shapes, its corners and blocker row one box at a time, and the
+batched probe test. Every derived value must match bit for bit, in every
+frame and view. The ground truth a run scores, read from these
 tables as arrays, must equal what the per-object path built from them.
 """
 
@@ -21,7 +22,7 @@ from cotrack.experiment import ExperimentConfig, run_single
 from cotrack.fusion import FusionKind, FusionMethod
 from cotrack.geometry import Category
 from cotrack.presets import hidden_lane_scenario
-from cotrack.scenario import AgentPopulation, ScenarioConfig, generate_scenario
+from cotrack.scenario import CATEGORY_DIMS, AgentPopulation, ScenarioConfig, generate_scenario
 from cotrack.sensing import View
 from oracle_utils import per_call_frame, per_object_ground_truth, rows_of, tracked_objects
 
@@ -32,15 +33,12 @@ def bits(values) -> np.ndarray:
 
 def assert_matches_per_call_path(s):
     geo = s.geometry
-    n_frames, n_agents = len(s.frame_times()), len(s.agents)
+    n_frames, n_agents = len(s.frame_times()), len(geo.ids)
     assert geo.corners.shape == (n_frames, n_agents, 4, 2)
     for view in View:
         assert geo.visible[view].shape == (n_frames, n_agents)
     for f in range(n_frames):
-        boxes, corners, blockers, visible = per_call_frame(s, f)
-        centres = np.array([(b.x, b.y) for b in boxes]).reshape(-1, 2)
-        assert np.array_equal(bits(geo.centres[f]), bits(centres))
-        assert np.array_equal(bits(geo.yaws[f]), bits([b.yaw for b in boxes]))
+        _, corners, blockers, visible = per_call_frame(s, f)
         assert np.array_equal(bits(geo.corners[f]), bits(corners))
         mine = geo.blockers(f)
         for name in ("rot_t", "centre", "lo", "hi"):
@@ -75,7 +73,7 @@ class TestFrameGeometry:
             assert any(v.any() and not v.all() for v in vis.values()), name
         s = generate_scenario(SCENES["short_range"], 1)
         far = [math.hypot(*(s.geometry.centres[0, a] - (s.infra_pose.x, s.infra_pose.y))) > 15.0
-               for a in range(len(s.agents))]
+               for a in range(len(s.geometry.ids))]
         assert any(far) and not s.geometry.visible[View.INFRA][0][far].any()
 
     def test_arrays_are_read_only(self):
@@ -96,8 +94,8 @@ class TestFrameGeometry:
         s = generate_scenario(cfg, 1)
         ol = s.geometry.outlines
         rows = []
-        for a, agent in enumerate(s.agents):
-            w, l, h = agent.dims
+        for a in range(cfg.agents.count):
+            w, l, h = CATEGORY_DIMS[cfg.agents.categories[a % len(cfg.agents.categories)]]
             counts = [max(1, int(round(pts_per_m * edge))) for edge in (w, l, w, l)]
             assert ol.size[a] == sum(counts) and ol.height[a] == h
             rows += [(4 * a + e, a, e, float(i), float(n))

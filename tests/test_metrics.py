@@ -112,6 +112,32 @@ class TestEvaluateClearmot:
         result = clearmot(gt_frames, hyp_frames, 2.0)
         assert result.ids == 1
 
+    @pytest.mark.parametrize("far_hyp", [False, True])
+    def test_a_hypothesis_no_gated_pair_reaches_leaves_a_tie_as_it_was(self, far_hyp):
+        """gt 0 and 1 tie for hypothesis 101; the lower row takes it, so gt 0
+        switches to 102 next frame. Hypothesis 100, listed first and 5 m from
+        everything, once made the padded solve give 101 to gt 1 (ids 0)."""
+        first = [obj(101, 0.0)]
+        if far_hyp:
+            first.insert(0, obj(100, 0.0, y=5.0))
+        gt_frames = [[obj(0, 0.0), obj(1, 0.0)], [obj(0, 0.0), obj(1, 10.0)]]
+        hyp_frames = [first, [obj(102, 0.0), obj(101, 10.0)]]
+        result = clearmot(gt_frames, hyp_frames, 1.0)
+        assert (result.ids, result.fp) == (1, int(far_hyp))
+
+    @pytest.mark.parametrize("far_gt", [False, True])
+    def test_a_ground_truth_no_gated_pair_reaches_leaves_a_tie_as_it_was(self, far_gt):
+        """Hypotheses 101 and 102 tie for gt 0; the lower column takes it, so
+        gt 0 switches to 102 next frame. Ground truth 5, listed first and 5 m
+        from everything, once made the padded solve give 102 to gt 0 (ids 0)."""
+        first = [obj(0, 0.0)]
+        if far_gt:
+            first.insert(0, obj(5, 0.0, y=5.0))
+        gt_frames = [first, [obj(0, 0.0)]]
+        hyp_frames = [[obj(101, 0.0), obj(102, 0.0)], [obj(102, 0.0)]]
+        result = clearmot(gt_frames, hyp_frames, 1.0)
+        assert (result.ids, result.fn) == (1, int(far_gt))
+
     def test_gate_respected(self):
         gt_frames = [[obj(1, 0.0)]]
         hyp_frames = [[obj(7, 2.5)]]
@@ -223,6 +249,27 @@ def test_events_on_a_lattice_account_for_every_row(sequence, gate):
     events = clearmot_events(clearmot_frames(gt_frames), clearmot_frames(hyp_frames), gate)
     check_events_account_for_every_row(events, gt_frames, hyp_frames)
     assert repr(clearmot_result(events)) == repr(clearmot(gt_frames, hyp_frames, gate))
+
+
+@given(st.lists(st.tuples(lattice_frames(range(4)), lattice_frames(range(100, 104))),
+                min_size=1, max_size=6),
+       st.sampled_from([math.sqrt(k) for k in range(1, 14)]),
+       st.integers(0, 5), st.booleans(), st.integers(0, 4))
+def test_a_row_no_gated_pair_reaches_changes_no_other_event(sequence, gate, frame, gt_side,
+                                                            position):
+    """A ground truth or a hypothesis 100 m from the lattice, inserted at any
+    row of any frame, is that frame's miss or false positive and nothing else:
+    ties included, every other event stays as it was."""
+    gt_frames, hyp_frames = [list(g) for g, _ in sequence], [list(h) for _, h in sequence]
+    before = clearmot_events(clearmot_frames(gt_frames), clearmot_frames(hyp_frames), gate)
+    k = frame % len(sequence)
+    rows, new_id = (gt_frames[k], 50) if gt_side else (hyp_frames[k], 150)
+    rows.insert(position % (len(rows) + 1), obj(new_id, 100.0))
+    after = clearmot_events(clearmot_frames(gt_frames), clearmot_frames(hyp_frames), gate)
+    side = after[k].misses if gt_side else after[k].false_positives
+    assert new_id in side
+    side.remove(new_id)
+    assert after == before
 
 
 def fake_msg(t, payload, raw):

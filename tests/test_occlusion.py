@@ -273,11 +273,11 @@ class TestBatchedVisibility:
         for cfg in (hidden_lane_scenario(duration_s=2.0), ScenarioConfig(duration_s=2.0)):
             s = generate_scenario(cfg, seed=3)
             for t in s.frame_times()[::4]:
-                boxes = [box_at(agent, s.frame_index(t)) for agent in s.agents]
-                ids = [agent.id for agent in s.agents]
+                ids = s.geometry.ids.tolist()
+                boxes = [box_at(s, a, s.frame_index(t)) for a in range(len(ids))]
                 for view in View:
                     pose = s.sensor_pose(view, t)
-                    seen = visible_per_agent((pose.x, pose.y), boxes, s.occluders,
+                    seen = visible_per_agent((pose.x, pose.y), boxes, s.config.occluders,
                                              s.sensor_range(view))
                     want = [i for i, v in zip(ids, seen) if v]
                     assert ground_truth_at(s, t, view)[0].tolist() == want

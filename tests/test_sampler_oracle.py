@@ -89,7 +89,7 @@ def test_the_scenes_take_the_paths_they_are_named_for(rounds):
     sample, calls = rounds
     # Every agent out of range: the clouds hold the clutter alone.
     s = generate_scenario(SCENES["out_of_range"], 1)
-    assert len(s.agents) and all(len(sample(s, t, View.INFRA)) == len(s.clutter[View.INFRA].xyz)
+    assert len(s.geometry.ids) and all(len(sample(s, t, View.INFRA)) == len(s.clutter[View.INFRA].xyz)
                                  for t in s.frame_times())
     # The middle box keeps none of its points from the ego, so the last box's
     # draws start right after the middle box's four phases.

@@ -1,15 +1,16 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from cotrack.errors import AlignmentError, ConfigurationError
-from cotrack.geometry import Category, Pose, Region, inverse
+from cotrack.geometry import CATEGORY_ORDER, Category, Pose, Region, inverse
 from cotrack import scenario
 from cotrack.presets import hidden_lane_scenario
 from cotrack.scenario import (
+    CATEGORY_DIMS,
     MAX_AGENTS,
     MAX_CLUTTER_PER_VIEW,
     MAX_FRAME_INTERVALS,
@@ -39,18 +40,53 @@ def one_agent_config(speed=10.0, lane_y=0.0, x0=0.0, duration=3.0):
     )
 
 
+def held_bytes(obj, seen) -> int:
+    """Bytes of the numpy buffers reachable from ``obj`` through dataclass
+    fields, tuples, lists and dicts, each buffer counted once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return held_bytes(obj.base, seen) if isinstance(obj.base, np.ndarray) else obj.nbytes
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = [getattr(obj, f.name) for f in fields(obj)]
+    elif isinstance(obj, dict):
+        obj = list(obj.values())
+    return sum(held_bytes(x, seen) for x in obj) if isinstance(obj, (tuple, list)) else 0
+
+
 class TestGenerateScenario:
     def test_deterministic_for_fixed_seed(self):
         cfg = ScenarioConfig(duration_s=4.0)
-        a = generate_scenario(cfg, seed=1)
-        b = generate_scenario(cfg, seed=1)
-        assert len(a.agents) == len(b.agents)
-        for agent_a, agent_b in zip(a.agents, b.agents):
-            assert agent_a.waypoints.tobytes() == agent_b.waypoints.tobytes()
-        c = generate_scenario(cfg, seed=2)
-        assert any(
-            x.waypoints.tobytes() != y.waypoints.tobytes() for x, y in zip(a.agents, c.agents)
-        )
+        a, b, c = (generate_scenario(cfg, seed).geometry for seed in (1, 1, 2))
+        assert a.centres.tobytes() == b.centres.tobytes() and a.yaws.tobytes() == b.yaws.tobytes()
+        assert a.centres.tobytes() != c.centres.tobytes()
+
+    @pytest.mark.parametrize("count", [0, 8])
+    def test_beside_its_tables_a_scenario_holds_the_egos_track_alone(self, count):
+        """Each agent's track is kept once, in ``geometry``: what a scenario
+        holds beside ``geometry`` and ``clutter`` grows by at most 24 bytes
+        (the ego's x, y and yaw) a frame, whatever the agent count."""
+
+        def held(duration):
+            cfg = ScenarioConfig(duration_s=duration, agents=AgentPopulation(count=count))
+            s = generate_scenario(cfg, 1)
+            rest = [getattr(s, f.name) for f in fields(s) if f.name not in ("geometry", "clutter")]
+            return held_bytes(rest, set())
+
+        assert held(3.0) - held(1.0) <= 24 * 20
+
+    def test_boxes_and_ids_follow_the_category_cycle(self):
+        cats = (Category.BUS, Category.CAR, Category.TRUCK)
+        cfg = ScenarioConfig(duration_s=1.0, agents=AgentPopulation(count=7, categories=cats))
+        geo = generate_scenario(cfg, 1).geometry
+        shapes = geo.shapes
+        assert geo.ids.tolist() == [1, 2, 3, 4, 5, 6, 7]
+        for a in range(7):
+            w, l, h = CATEGORY_DIMS[cats[a % 3]]
+            assert shapes.values[a].tolist() == [0.0, 0.0, 0.5 * h, w, l, h, 0.0]
+            assert CATEGORY_ORDER[shapes.category[a]] is cats[a % 3]
+        assert shapes.score.tolist() == [1.0] * 7
 
     def test_zero_agents_empty_ground_truth(self):
         cfg = ScenarioConfig(duration_s=1.0, agents=AgentPopulation(count=0))
@@ -62,12 +98,13 @@ class TestGenerateScenario:
 
     def test_constant_velocity_kinematics(self):
         scn = generate_scenario(one_agent_config(speed=10.0), 1)
-        agent = scn.agents[0]
-        t, x, y, yaw, speed = agent.waypoints[20]  # t = 2.0 s
-        assert t == pytest.approx(2.0)
+        track = scn.geometry.centres[:, 0]
+        x, y = track[20]
+        assert scn.frame_times()[20] == pytest.approx(2.0)
         assert x == pytest.approx(20.0)
         assert y == pytest.approx(0.0, abs=1e-12)
-        assert speed == pytest.approx(10.0)
+        steps = np.hypot(*np.diff(track, axis=0).T) * scn.frame_rate
+        assert steps == pytest.approx(np.full(len(steps), 10.0))
 
     def test_turn_segment_changes_heading(self):
         cfg = ScenarioConfig(
@@ -77,7 +114,7 @@ class TestGenerateScenario:
                                    turn_rate=0.3),
         )
         scn = generate_scenario(cfg, 4)
-        yaws = scn.agents[0].waypoints[:, 3]
+        yaws = scn.geometry.yaws[:, 0]
         assert abs(yaws[-1] - yaws[0]) > 1.0
 
     def test_frame_grid(self):
@@ -132,6 +169,13 @@ class TestGenerateScenario:
             AgentPopulation(count=MAX_AGENTS + 1)
         with pytest.raises(ConfigurationError, match="at most 100 occluders"):
             ScenarioConfig(occluders=((0.0, 0.0, 1.0, 1.0),) * (MAX_OCCLUDERS + 1))
+
+    @pytest.mark.parametrize("rect", [(16.0, 0.5, 14.0, 26.0), (14.0, 0.5, 14.0, 26.0),
+                                      (14.0, 26.0, 16.0, 0.5), (14.0, 0.5, 16.0, 0.5),
+                                      (14.0, 0.5, 16.0)])
+    def test_a_degenerate_wall_fails_when_the_config_is_made(self, rect):
+        with pytest.raises(ConfigurationError, match="with x0 < x1 and y0 < y1"):
+            ScenarioConfig(occluders=((0.0, 0.0, 1.0, 1.0), rect))
 
     def test_sizes_at_their_caps_load(self):
         cfg = ScenarioConfig(surface_pts_per_m=MAX_PTS_PER_M,
@@ -218,7 +262,7 @@ class TestGenerateScenario:
                                    x_start_range=(0.0, 5.0), lane_slot_spacing_m=30.0),
         )
         scn = generate_scenario(cfg, 2)
-        xs = sorted(a.waypoints[0][1] for a in scn.agents)
+        xs = sorted(scn.geometry.centres[0, :, 0])
         gaps = np.diff(xs)
         assert (gaps > 20.0).all()
 
@@ -264,9 +308,9 @@ class TestGroundTruth:
         assert ground_truth_at(scn, 0.0, View.VEHICLE)[0].tolist() == []
 
     def test_track_ids_are_agent_ids(self):
-        scn = generate_scenario(ScenarioConfig(duration_s=1.0), 1)
-        ids, _ = ground_truth_at(scn, 0.0, View.INFRA)
-        assert set(ids.tolist()) <= {a.id for a in scn.agents}
+        cfg = ScenarioConfig(duration_s=1.0)
+        ids, _ = ground_truth_at(generate_scenario(cfg, 1), 0.0, View.INFRA)
+        assert set(ids.tolist()) <= set(range(1, cfg.agents.count + 1))
 
 
 def obj(track_id, x, y, z=0.0, t=0.0, prov=Provenance.VEHICLE_SIDE):

@@ -93,7 +93,7 @@ class TestSamplePointCloud:
         scn = generate_scenario(cfg, 7)
         pc = sample_point_cloud(scn, 0.0, View.VEHICLE)
         assert len(pc) > 40
-        box = box_at(scn.agents[0], 0)
+        box = box_at(scn, 0, 0)
         for pt in pc.points:
             assert perimeter_distance(box, pt[:2]) < 1e-9
             assert 0.0 <= pt[2] <= box.h

@@ -194,6 +194,15 @@ class TestTrackerLifecycle:
         boxes, ids = tracker.step(dets(1.0), 0.5)
         assert ids.tolist() == [1]
 
+    def test_warm_up_lasts_min_hits_frames(self):
+        # Frame min_hits is the warm-up's last: a track born there is reported
+        # on its first hit, and on the next frame, with two hits, it is not.
+        tracker = Tracker(TrackerParams(min_hits=3))
+        for k in range(2):
+            assert len(tracker.step(dets(), 0.1 * k)[0]) == 0
+        assert tracker.step(dets(0.0), 0.2)[1].tolist() == [1]
+        assert len(tracker.step(dets(0.0), 0.3)[0]) == 0
+
     def test_single_stable_id_for_constant_velocity_target(self):
         tracker = Tracker(TrackerParams())
         ids = set()
