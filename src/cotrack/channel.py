@@ -291,7 +291,7 @@ def encode_message(
     ``compress`` selects the compressed grid format over raw float32 for
     grid payloads. The message's ``content`` is the wire bytes, which only
     ``decode_message`` turns back into a payload. Raises EncodeError if a
-    value, a grid's origin or the frame tag does not fit the wire format.
+    value, a grid's timestamp or the frame tag does not fit the wire format.
     """
     if kind is MessageKind.RAW_POINTS:
         if not isinstance(content, PointCloud):

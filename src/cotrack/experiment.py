@@ -13,25 +13,20 @@ from __future__ import annotations
 
 import json
 import sys
+import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
-                    get_args, get_origin, get_type_hints)
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 
-from .channel import (
-    Channel,
-    ChannelMessage,
-    LatencyModel,
-    MessageKind,
-    encode_message,
-)
+from .channel import Channel, LatencyModel, encode_message
 from .detector import DetectParams, detect
 from .errors import ConfigurationError, CotrackError, check_finite
-from .fusion import (STRATEGIES, EgoInputs, FusionKind, FusionMethod, FusionOutput,
+from .fusion import (STRATEGIES, Frame, FusionKind, FusionMethod, FusionOutput,
                      cooperative_feature)
 from .geometry import Boxes, Pose, compose, inverse
 from .metrics import RunReport, aggregate_run, check_gate, evaluate_clearmot
@@ -76,7 +71,13 @@ class RunFailure:
     fusion: str
     latency_ms: float
     seed: int
-    error: str
+    error: str  # repr of the exception
+    traceback: str  # formatted where the exception was caught, in the process that ran the cell
+
+
+def _failure(cell: Tuple[FusionMethod, float], seed: int, exc: Exception) -> RunFailure:
+    return RunFailure(cell[0].kind.value, cell[1], seed, repr(exc),
+                      "".join(traceback.format_exception(exc)))
 
 
 @dataclass
@@ -92,25 +93,15 @@ class RunArtifacts:
     channel: Channel
 
 
-class _Frame(NamedTuple):
-    """One frame's products that no cell's fusion or latency changes."""
-
-    t: float
-    ego_pose: Pose
-    world_to_ego: Pose
-    infra_to_ego: Pose
-    ego: EgoInputs
-    messages: Dict[MessageKind, ChannelMessage]  # wire bytes, encoded once, sent into every channel
-
-
 def _seed_frames(cfg: ExperimentConfig, scn,
-                 fusions: Sequence[FusionMethod]) -> Iterator[_Frame]:
+                 fusions: Sequence[FusionMethod]) -> Iterator[Frame]:
     """The frames of one scenario seed as every cell using ``fusions`` reads them.
 
-    Per frame: the ego cloud, grid and (if a fusion needs them) detections,
-    and the infra payload of each MessageKind the fusions send, encoded once.
-    The infra grid is rasterized only when a payload is made from it. Frames
-    are made one at a time, as they are read.
+    Each ``fusion.Frame`` holds the time and poses, the ego cloud, grid and
+    (if a fusion needs them) detections, and the infra payload of each
+    MessageKind the fusions send, encoded once. The infra grid is rasterized
+    only when a payload is made from it. Frames are made one at a time, as
+    they are read.
     """
     sc = cfg.scenario
     strategies = [STRATEGIES[f.kind] for f in fusions]
@@ -131,18 +122,17 @@ def _seed_frames(cfg: ExperimentConfig, scn,
             del pc_inf, prev_inf_grid  # not held while the cells read the frame
         pc_ego = sample_point_cloud(scn, t, View.VEHICLE)
         ego_grid = rasterize_bev(pc_ego, sc.vehicle_grid, sc.density_cap)
-        ego = EgoInputs(cloud=pc_ego, grid=ego_grid,
-                        detections=detect(ego_grid, cfg.detect) if needs_dets else None,
-                        density_cap=sc.density_cap)
         ego_pose = scn.ego_pose(t)
         world_to_ego = inverse(ego_pose)
-        yield _Frame(t, ego_pose, world_to_ego, compose(world_to_ego, scn.infra_pose), ego, messages)
+        yield Frame(t, ego_pose, world_to_ego, compose(world_to_ego, scn.infra_pose), pc_ego,
+                    ego_grid, detect(ego_grid, cfg.detect) if needs_dets else None, messages)
 
 
 class _Receiver:
-    """One run's receiving side, stepped one frame at a time: its channel,
-    fusion and detection. Of each frame it keeps only what tracking and
-    scoring read: the time, the ego poses and the fused detections."""
+    """One run's receiving side, stepped one ``fusion.Frame`` at a time: its
+    channel, fusion (``cooperative_feature``) and detection. Of each frame it
+    keeps only what tracking and scoring read: the time, the ego poses and
+    the fused detections."""
 
     def __init__(self, cfg: ExperimentConfig, fusion: FusionMethod, latency_ms: float, seed: int):
         self.cfg, self.fusion = cfg, fusion
@@ -152,11 +142,10 @@ class _Receiver:
         self.fallback = 0
         self.error: Optional[Exception] = None  # what failed a step; no step follows
 
-    def step(self, frame: _Frame) -> FusionOutput:
+    def step(self, frame: Frame) -> FusionOutput:
         if self.message is not None:
             self.channel.send(frame.messages[self.message])
-        fused = cooperative_feature(self.fusion, self.channel, frame.t, frame.ego,
-                                    frame.infra_to_ego, self.cfg.scenario.infra_grid,
+        fused = cooperative_feature(self.fusion, self.channel, frame, self.cfg.scenario,
                                     self.cfg.compression)
         self.fallback += fused.used_fallback
         dets = (fused.detections if fused.detections is not None
@@ -247,9 +236,10 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
               cells: Sequence[Tuple[FusionMethod, float]]) -> list:
     """Run the (fusion, latency) ``cells`` of one scenario seed.
 
-    Returns one entry per cell, in order: its RunReport or the exception
-    that failed it. The scenario is made once; the receiver of every
-    distinct run takes its step of each frame as the frame is made
+    Returns one entry per cell, in order: its RunReport or its RunFailure,
+    whose traceback is formatted here (an exception pickled back from a
+    worker process would have lost it). The scenario is made once; the
+    receiver of every distinct run takes its step of each frame as it is made
     (``_receive``), and one ``run_single`` per distinct run then tracks and
     scores. A fusion that sends no message (``vehicle_only``) ignores
     latency, so one of its runs serves all latencies. A failure in the shared
@@ -265,7 +255,7 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
                      for key, latency_ms in runs.items()}
         _receive(cfg, scn, list(receivers.values()))
     except Exception as exc:  # noqa: BLE001 - shared work failed: every cell fails
-        return [exc] * len(cells)
+        return [_failure(cell, seed, exc) for cell in cells]
     results = {}
     for key, latency_ms in runs.items():
         try:
@@ -273,8 +263,8 @@ def _run_seed(cfg: ExperimentConfig, seed: int,
                                       received=(scn, receivers[key]))
         except Exception as exc:  # noqa: BLE001 - one cell's failure spares the rest
             results[key] = exc
-    return [r if isinstance(r, Exception) else replace(r, latency_ms=latency_ms)
-            for r, (_, latency_ms) in zip(map(results.get, keys), cells)]
+    return [_failure(cell, seed, r) if isinstance(r, Exception) else replace(r, latency_ms=cell[1])
+            for r, cell in zip(map(results.get, keys), cells)]
 
 
 def run_sweep(
@@ -301,14 +291,14 @@ def run_sweep(
             try:
                 by_seed[seed] = future.result() if future else _run_seed(cfg, seed, cells)
             except Exception as exc:  # noqa: BLE001 - sweep must survive cell failures
-                by_seed[seed] = [exc] * len(cells)
+                by_seed[seed] = [_failure(cell, seed, exc) for cell in cells]
     reports: List[RunReport] = []
     failures: List[RunFailure] = []
-    for idx, (fusion, lat) in enumerate(cells):
+    for idx in range(len(cells)):
         for seed in cfg.seeds:
             out = by_seed[seed][idx]
-            if isinstance(out, Exception):
-                failures.append(RunFailure(fusion.kind.value, lat, seed, repr(out)))
+            if isinstance(out, RunFailure):
+                failures.append(out)
             else:
                 reports.append(out)
     failures.sort(key=lambda f: (f.fusion, f.latency_ms, f.seed))
@@ -439,15 +429,17 @@ def _check_keys(d: dict, allowed: set, where: str) -> None:
 
 
 def _from_dict(cls, d: dict, where: str):
-    """Build the dataclass ``cls`` from a JSON object of its field values."""
+    """Build the dataclass ``cls`` from a JSON object of its field values.
+
+    Any error of the construction names ``where``, the object's key path.
+    Its nested objects are built (and named) before it, so no path is
+    named twice."""
     _check_keys(d, {f.name for f in fields(cls) if f.init}, where)
     hints = get_type_hints(cls)
     kwargs = {k: _coerce(hints[k], v, f"{where}.{_JSON_NAMES.get(k, k)}") for k, v in d.items()}
     try:
         return cls(**kwargs)
-    except CotrackError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (CotrackError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid {where}: {exc}") from exc
 
 

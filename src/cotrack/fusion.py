@@ -14,9 +14,9 @@ A strategy is one ``Strategy`` record in ``STRATEGIES``; the runner and
 ``cooperative_feature`` read nothing else of it. A new strategy supplies its
 ``MessageKind`` (the wire codec stays in ``channel``), whether the receiver
 uses ego detections, whether its payload is made from the infra grid, how
-the sender builds that payload and how the receiver fuses it. The record's
-functions call pipeline stages as module globals, never as stored values,
-so a tracer that rebinds those globals sees every call.
+the sender builds that payload and how the receiver fuses it with one ego
+``Frame``. The record's functions call pipeline stages as module globals,
+never as stored values, so a tracer that rebinds those globals sees every call.
 """
 
 from __future__ import annotations
@@ -24,15 +24,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
 from .assignment import gated_assignment
-from .channel import Channel, MessageKind, decode_message
+from .channel import Channel, ChannelMessage, MessageKind, decode_message
 from .detector import detect
 from .errors import ConfigurationError, ShapeMismatchError
 from .geometry import Boxes, Pose, center_distances, inverse, wrap_angle
+from .scenario import ScenarioConfig
 from .sensing import (FeatureGrid, GridSpec, PointCloud, extract_feature_flow, predict_feature,
                       rasterize_bev)
 
@@ -112,13 +113,8 @@ def align_grid(f_inf: FeatureGrid, infra_to_ego: Pose, dst_spec: GridSpec) -> Fe
     return FeatureGrid(spec=dst_spec, values=out, timestamp=f_inf.timestamp, frame="vehicle")
 
 
-def fuse_early(
-    pc_ego: PointCloud,
-    pc_inf: PointCloud,
-    infra_to_ego: Pose,
-    spec: GridSpec,
-    density_cap: float = 10.0,
-) -> FeatureGrid:
+def fuse_early(pc_ego: PointCloud, pc_inf: PointCloud, infra_to_ego: Pose, spec: GridSpec,
+               density_cap: float) -> FeatureGrid:
     """Merge the transmitted cloud into the ego cloud and rasterize once."""
     if len(pc_inf) == 0:
         merged = pc_ego.points
@@ -163,14 +159,19 @@ def fuse_late(ego: Boxes, inf: Boxes, threshold_m: float) -> Boxes:
     return Boxes.concat([Boxes(values, category, score), inf.take(leftover)])
 
 
-@dataclass
-class EgoInputs:
-    """Per-frame vehicle-side products handed to the fusion stage."""
+class Frame(NamedTuple):
+    """One ego frame as every run of a scenario seed reads it; nothing in it
+    depends on a run's fusion or latency, and nothing the whole run shares
+    (the infra grid, the density cap) rides on it."""
 
+    t: float
+    ego_pose: Pose  # ego to world
+    world_to_ego: Pose
+    infra_to_ego: Pose
     cloud: PointCloud  # ego frame
     grid: FeatureGrid  # ego frame
     detections: Optional[Boxes]  # ego frame; None when no strategy uses them
-    density_cap: float = 10.0
+    messages: Dict[MessageKind, ChannelMessage]  # wire bytes, encoded once, sent into every channel
 
 
 @dataclass
@@ -191,7 +192,7 @@ class Strategy(NamedTuple):
     infra_grid: bool  # the payload is made from the infra grid
     # (infra cloud, infra grid, previous infra grid or None, DetectParams) -> payload
     payload: Optional[Callable] = None
-    # (FusionMethod, decoded payload, tau, EgoInputs, infra_to_ego) -> FusionOutput
+    # (FusionMethod, decoded payload, tau, Frame, ScenarioConfig) -> FusionOutput
     fuse: Optional[Callable] = None
 
 
@@ -201,14 +202,15 @@ def _grid_and_flow(cloud, grid, prev_grid, params):
                   else replace(grid, values=np.zeros(grid.spec.shape)))
 
 
-def _fuse_boxes(fusion, boxes, tau, ego, infra_to_ego):
-    return FusionOutput(detections=fuse_late(ego.detections, boxes.transformed(infra_to_ego),
+def _fuse_boxes(fusion, boxes, tau, frame, scenario):
+    return FusionOutput(detections=fuse_late(frame.detections,
+                                             boxes.transformed(frame.infra_to_ego),
                                              fusion.late_threshold_m), tau_s=tau)
 
 
-def _fuse_grid(fusion, f_inf, tau, ego, infra_to_ego):
-    aligned = align_grid(f_inf, infra_to_ego, ego.grid.spec)
-    return FusionOutput(grid=fuse_middle(ego.grid, aligned), tau_s=tau)
+def _fuse_grid(fusion, f_inf, tau, frame, scenario):
+    aligned = align_grid(f_inf, frame.infra_to_ego, frame.grid.spec)
+    return FusionOutput(grid=fuse_middle(frame.grid, aligned), tau_s=tau)
 
 
 STRATEGIES = {
@@ -216,9 +218,9 @@ STRATEGIES = {
     FusionKind.EARLY: Strategy(
         MessageKind.RAW_POINTS, ego_detections=False, infra_grid=False,
         payload=lambda cloud, grid, prev_grid, params: cloud,
-        fuse=lambda fusion, points, tau, ego, infra_to_ego: FusionOutput(
-            grid=fuse_early(ego.cloud, points, infra_to_ego, ego.grid.spec, ego.density_cap),
-            tau_s=tau)),
+        fuse=lambda fusion, points, tau, frame, scenario: FusionOutput(
+            grid=fuse_early(frame.cloud, points, frame.infra_to_ego, frame.grid.spec,
+                            scenario.density_cap), tau_s=tau)),
     FusionKind.LATE: Strategy(
         MessageKind.DETECTIONS, ego_detections=True, infra_grid=True,
         payload=lambda cloud, grid, prev_grid, params: detect(grid, params), fuse=_fuse_boxes),
@@ -233,29 +235,23 @@ STRATEGIES = {
 }
 
 
-def cooperative_feature(
-    fusion: FusionMethod,
-    channel: Channel,
-    t_v: float,
-    ego: EgoInputs,
-    infra_to_ego: Pose,
-    infra_spec: GridSpec,
-    compression: bool,
-) -> FusionOutput:
-    """Produce the fused representation for one ego frame.
+def cooperative_feature(fusion: FusionMethod, channel: Channel, frame: Frame,
+                        scenario: ScenarioConfig, compression: bool) -> FusionOutput:
+    """Produce the fused representation for one ego ``frame``.
 
     ``channel`` is the run's; a strategy that sends nothing (``vehicle_only``)
-    never reads it. A strategy that sends a message decodes the latest
-    arrived one against the run's infra grid and grid format
-    (``decode_message``) and fuses it with tau = t_v minus the message
-    capture time. With no message (always for ``vehicle_only``) the frame is
-    the ego frame alone, flagged as a fallback when the strategy sends one.
+    never reads it. A strategy that sends a message decodes the latest one
+    arrived by ``frame.t`` against the scenario's infra grid and the run's
+    grid format (``decode_message``), and its ``fuse`` reads that payload,
+    tau = ``frame.t`` minus its capture time, the frame and the scenario.
+    With no message (always for ``vehicle_only``) the result is the frame's
+    own, flagged as a fallback when the strategy sends one.
     """
     strategy = STRATEGIES[fusion.kind]
     sends = strategy.message is not None
-    msg = channel.latest(t_v) if sends else None
+    msg = channel.latest(frame.t) if sends else None
     if msg is None:
-        return FusionOutput(grid=ego.grid, used_fallback=sends,
-                            detections=ego.detections if strategy.ego_detections else None)
-    content = decode_message(msg, infra_spec, compression)
-    return strategy.fuse(fusion, content, t_v - msg.t_send, ego, infra_to_ego)
+        return FusionOutput(grid=frame.grid, used_fallback=sends,
+                            detections=frame.detections if strategy.ego_detections else None)
+    content = decode_message(msg, scenario.infra_grid, compression)
+    return strategy.fuse(fusion, content, frame.t - msg.t_send, frame, scenario)

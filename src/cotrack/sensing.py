@@ -70,6 +70,11 @@ INTENSITY_CHANNEL = 2
 
 # Largest grid a config may ask for, in cells (rows * cols).
 MAX_GRID_CELLS = 1_000_000
+# Bounds on a grid's origin and cell size, in metres, that keep every spec
+# inside the wire's grid header (``channel.GRID_HEADER``): the origin travels
+# as int32 millimetres (up to 2,147,483.647 m), the cell size as a float32.
+MAX_GRID_ORIGIN_M = 1_000_000.0
+MIN_CELL_SIZE_M, MAX_CELL_SIZE_M = 0.001, 1_000.0
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,12 @@ class GridSpec:
 
     def __post_init__(self):
         check_finite(self, self.x0, self.y0, self.cell_size)
-        if self.cell_size <= 0:
-            raise ConfigurationError("cell_size must be positive")
+        if max(abs(self.x0), abs(self.y0)) > MAX_GRID_ORIGIN_M:
+            raise ConfigurationError(f"a grid origin ({self.x0}, {self.y0}) must lie within "
+                                     f"{MAX_GRID_ORIGIN_M:,.0f} m of 0 on each axis")
+        if not MIN_CELL_SIZE_M <= self.cell_size <= MAX_CELL_SIZE_M:
+            raise ConfigurationError(f"cell_size {self.cell_size} must be in "
+                                     f"[{MIN_CELL_SIZE_M}, {MAX_CELL_SIZE_M:,.0f}] m")
         if self.cols <= 0 or self.rows <= 0 or self.channels <= 0:
             raise ConfigurationError("grid shape must be positive")
         if self.cols * self.rows > MAX_GRID_CELLS:
@@ -435,7 +444,7 @@ def _rasterize_sorted(out: np.ndarray, flat: np.ndarray, z: np.ndarray, intensit
     out[cells, INTENSITY_CHANNEL] = sum_i / counts
 
 
-def rasterize_bev(pc: PointCloud, spec: GridSpec, density_cap: float = 10.0) -> FeatureGrid:
+def rasterize_bev(pc: PointCloud, spec: GridSpec, density_cap: float) -> FeatureGrid:
     """Rasterize a point cloud into a (density, max height, mean intensity) grid.
 
     Density is the per-cell point count divided by ``density_cap`` and

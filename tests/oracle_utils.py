@@ -484,8 +484,7 @@ def loop_detect(g: FeatureGrid, params: DetectParams = DetectParams()) -> List[D
     return detections
 
 
-def ufunc_at_rasterize_bev(pc: PointCloud, spec: GridSpec,
-                           density_cap: float = 10.0) -> FeatureGrid:
+def ufunc_at_rasterize_bev(pc: PointCloud, spec: GridSpec, density_cap: float) -> FeatureGrid:
     """Rasterize a point cloud into a (density, max height, mean intensity) grid.
 
     Density is the per-cell point count divided by ``density_cap`` and

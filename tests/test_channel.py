@@ -25,7 +25,8 @@ from cotrack.channel import (
 )
 from cotrack.errors import ConfigurationError, DecodeError, EncodeError, ShapeMismatchError
 from cotrack.geometry import Category
-from cotrack.sensing import FeatureGrid, GridSpec, PointCloud
+from cotrack.sensing import (MAX_CELL_SIZE_M, MAX_GRID_ORIGIN_M, MIN_CELL_SIZE_M, FeatureGrid,
+                             GridSpec, PointCloud)
 from oracle_utils import (Box3D, Detection, _encode_detections, _encode_points, _raw_grid,
                           boxes_of, detections_of, latest_available, record_of, rows_of)
 
@@ -205,12 +206,46 @@ class TestCompression:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_expected_origin_beyond_the_header_rejected(self):
-        # No header can describe a grid at 3000 km; the receiver's own spec
-        # is not an encoding error.
-        far = GridSpec(x0=3e6, y0=0.0, cell_size=1.0, cols=2, rows=2)
+    def test_expected_grid_beyond_the_header_rejected(self):
+        # No header can describe a grid of 2**31 channels (a spec's origin and
+        # cell size are capped to fit); the receiver's own spec is not an
+        # encoding error.
+        wide = GridSpec(x0=0.0, y0=0.0, cell_size=1.0, cols=1, rows=1, channels=2**31)
         with pytest.raises(DecodeError, match="expected grid"):
-            decompress_grid(b"\0" * 40, far)
+            decompress_grid(b"\0" * 40, wide)
+
+
+# A grid at every cap: the farthest origin on both axes and the largest cell.
+AT_CAPS = dict(x0=-MAX_GRID_ORIGIN_M, y0=MAX_GRID_ORIGIN_M, cell_size=MAX_CELL_SIZE_M, cols=3,
+               rows=2)
+
+
+class TestGridHeaderCaps:
+    """A grid origin past int32 millimetres (3e6 m) or a cell size past
+    float32 (1e39 m) was once a valid spec, and every cell of a seed then
+    failed with EncodeError, ``vehicle_only`` and ``late`` included."""
+
+    @pytest.mark.parametrize("caps", [AT_CAPS, {**AT_CAPS, "x0": MAX_GRID_ORIGIN_M,
+                                                "y0": -MAX_GRID_ORIGIN_M,
+                                                "cell_size": MIN_CELL_SIZE_M}],
+                             ids=["max_cell", "min_cell"])
+    def test_a_spec_at_the_caps_packs_its_header(self, caps):
+        spec = GridSpec(**caps)
+        values = np.arange(np.prod(spec.shape), dtype=float).reshape(spec.shape)
+        out = decompress_grid(compress_grid(grid(values, spec=spec, t=1.5)), spec)
+        assert (out.spec.x0, out.spec.y0, out.spec.cols, out.spec.rows) == (
+            spec.x0, spec.y0, spec.cols, spec.rows)
+        assert out.spec.cell_size == float(np.float32(spec.cell_size))
+        assert out.timestamp == 1.5 and out.values.shape == spec.shape
+
+    @pytest.mark.parametrize("field,cap,outward", [
+        ("x0", -MAX_GRID_ORIGIN_M, -math.inf), ("x0", MAX_GRID_ORIGIN_M, math.inf),
+        ("y0", -MAX_GRID_ORIGIN_M, -math.inf), ("y0", MAX_GRID_ORIGIN_M, math.inf),
+        ("cell_size", MIN_CELL_SIZE_M, 0.0), ("cell_size", MAX_CELL_SIZE_M, math.inf),
+    ])
+    def test_a_spec_one_step_past_a_cap_is_rejected(self, field, cap, outward):
+        with pytest.raises(ConfigurationError, match="grid origin|cell_size"):
+            GridSpec(**{**AT_CAPS, field: math.nextafter(cap, outward)})
 
 
 def message(kind, data, t_send=0.5):
@@ -340,12 +375,14 @@ class TestFrameTag:
 
 
 class TestEncodeErrors:
-    def test_origin_beyond_the_int32_millimetre_header(self):
-        far = GridSpec(x0=3e6, y0=0.0, cell_size=0.5, cols=4, rows=4)
+    def test_timestamp_beyond_the_float32_header(self):
+        # A spec's origin and cell size always fit the header; a grid's
+        # timestamp need not.
+        late = grid(np.ones(SMALL.shape), spec=SMALL, t=1e39)
         with pytest.raises(EncodeError, match="grid header"):
-            compress_grid(grid(np.ones(far.shape), spec=far))
+            compress_grid(late)
         with pytest.raises(EncodeError, match="grid header"):
-            encode_message(MessageKind.FEATURE, grid(np.ones(far.shape), spec=far), COMPRESSED, 0.0)
+            encode_message(MessageKind.FEATURE, late, COMPRESSED, 0.0)
 
     @pytest.mark.parametrize("compression", [COMPRESSED, RAW], ids=["compressed", "raw"])
     def test_value_beyond_float32(self, compression):

@@ -15,6 +15,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import cotrack.experiment as experiment
+import cotrack.fusion as fusion
 from cotrack.channel import Channel, LatencyModel
 from cotrack.cli import main as cli_main
 from cotrack.errors import ConfigurationError
@@ -274,8 +275,10 @@ class TestRunSweep:
         assert "no runs completed" in err
         assert "FAILED vehicle_only latency=0.0 seed=4: RuntimeError('injected')" in err
         failures = json.loads((out_dir / "failures.json").read_text())
+        tb = failures[0].pop("traceback")
         assert failures == [{"error": "RuntimeError('injected')", "fusion": "vehicle_only",
                              "latency_ms": 0.0, "seed": 4}]
+        assert ", in broken\n" in tb and tb.endswith("RuntimeError: injected\n")
         assert sorted(p.name for p in out_dir.iterdir()) == ["failures.json"]
 
     def test_shared_work_failure_fails_exactly_that_seeds_cells(self, monkeypatch):
@@ -301,11 +304,11 @@ class TestRunSweep:
         clean, _ = run_sweep(cfg)
         real = experiment.cooperative_feature
 
-        def flaky(fusion, channel, t_v, *receiver):
+        def flaky(fusion, channel, frame, *rest):
             if (fusion.kind is FusionKind.LATE and channel.latency.base_ms == 100.0
-                    and channel.latency.seed == 2 and t_v >= 0.5):
+                    and channel.latency.seed == 2 and frame.t >= 0.5):
                 raise RuntimeError("fusion bug")
-            return real(fusion, channel, t_v, *receiver)
+            return real(fusion, channel, frame, *rest)
 
         monkeypatch.setattr(experiment, "cooperative_feature", flaky)
         reports, failures = run_sweep(cfg)
@@ -321,12 +324,12 @@ class TestRunSweep:
         real = experiment.cooperative_feature
         steps = {}
 
-        def counting(fusion, channel, t_v, *receiver):
+        def counting(fusion, channel, frame, *rest):
             run = (fusion.kind.value, channel.latency.base_ms, channel.latency.seed)
             steps[run] = steps.get(run, 0) + 1
-            if run == ("late", 100.0, 2) and t_v >= 0.5:
+            if run == ("late", 100.0, 2) and frame.t >= 0.5:
                 raise RuntimeError("fusion bug")
-            return real(fusion, channel, t_v, *receiver)
+            return real(fusion, channel, frame, *rest)
 
         monkeypatch.setattr(experiment, "cooperative_feature", counting)
         run_sweep(cfg)
@@ -352,6 +355,21 @@ class TestRunSweep:
         assert [(f.fusion, f.latency_ms, f.seed, f.error) for f in failures] == [
             ("vehicle_only", 0.0, 2, repr(RuntimeError("scoring bug"))),
             ("vehicle_only", 100.0, 2, repr(RuntimeError("scoring bug")))]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failed_cell_carries_the_traceback_of_what_raised(self, workers):
+        # A late threshold that passed no check: fuse_late's gate comparison
+        # raises. With two workers the cell fails in a worker process.
+        late = FusionMethod(FusionKind.LATE)
+        object.__setattr__(late, "late_threshold_m", "2 m")
+        cfg = tiny_config(fusions=(FusionMethod(FusionKind.VEHICLE_ONLY), late),
+                          latencies_ms=(0.0,))
+        reports, failures = run_sweep(cfg, workers=workers)
+        assert [(r.fusion, r.seed) for r in reports] == [("vehicle_only", 1), ("vehicle_only", 2)]
+        assert [(f.fusion, f.seed) for f in failures] == [("late", 1), ("late", 2)]
+        for f in failures:
+            assert f.traceback.startswith("Traceback (most recent call last):\n")
+            assert ", in _run_seed\n" in f.traceback and ", in fuse_late\n" in f.traceback
 
     def test_parallel_matches_serial(self):
         cfg = tiny_config()
@@ -431,6 +449,22 @@ def test_late_and_middle_cells_build_no_full_cloud(kinds, monkeypatch):
     monkeypatch.setattr(PointCloud, "points", property(no_points))
     got = run_sweep(cfg)
     assert got == want and not got[1] and len(got[0]) == len(kinds)
+
+
+def test_early_fusion_rasterizes_at_the_scenarios_density_cap(monkeypatch):
+    """``early`` rasterizes the merged cloud itself (``fuse_early``), so it
+    must pass the scenario's cap, not the default; at 0 ms every frame has a
+    message to fuse."""
+    cfg = tiny_config(scenario=replace(tiny_config().scenario, density_cap=3.0))
+    real, caps = fusion.rasterize_bev, []
+
+    def spy(cloud, spec, density_cap):
+        caps.append(density_cap)
+        return real(cloud, spec, density_cap)
+
+    monkeypatch.setattr(fusion, "rasterize_bev", spy)
+    report = run_single(cfg, FusionMethod(FusionKind.EARLY), 0.0, 1)
+    assert report.fallback_frames == 0 and caps == [3.0] * report.num_frames
 
 
 class TestEmitReport:
@@ -742,7 +776,24 @@ class TestCli:
         cfg = self._write_config(tmp_path)
         cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "eval_gate_m": -1}))
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("error: match gate must be positive")
+        assert capsys.readouterr().err.startswith(
+            "error: invalid config: match gate must be positive")
+
+    @pytest.mark.parametrize("doc,path", [
+        ({"scenario": {"duration_s": -1.0}}, "config.scenario"),
+        ({"scenario": {"noise": {"sigma_m": -1.0}}}, "config.scenario.noise"),
+    ], ids=["duration_s", "noise"])
+    def test_run_command_names_the_key_path_of_a_failed_check(self, tmp_path, capsys, doc,
+                                                               path):
+        """A check made when a config object is built named neither the key
+        nor the object: "error: duration must be positive", "error: invalid
+        noise configuration"."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid {path}: ") and err.count("config.") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_run_command_wrong_typed_compression(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
@@ -777,7 +828,7 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(_merged(doc, {"scenario": {"occluders": [wall]}})))
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("error: occluder ")
+        assert capsys.readouterr().err.startswith("error: invalid config.scenario: occluder ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("grid", ["vehicle_grid", "infra_grid"])
@@ -814,13 +865,20 @@ class TestCli:
         ({"scenario": {"noise": {"clutter_per_m2": 1e12}}}, "clutter points"),
         ({"scenario": {"infra_grid": {"x0": 0.0, "y0": 0.0, "cell_size": 0.5,
                                       "cols": 10**8, "rows": 10**8}}}, "cells"),
+        ({"scenario": {"infra_grid": {"x0": 3e6, "y0": 0.0, "cell_size": 0.5,
+                                      "cols": 200, "rows": 160}}}, "grid origin"),
+        ({"scenario": {"infra_grid": {"x0": -50.0, "y0": -40.0, "cell_size": 1e39,
+                                      "cols": 200, "rows": 160}}}, "cell_size"),
         ({"scenario": {"duration_s": 1e9}}, "frame_rate_hz must be at most"),
         ({"scenario": {"agents": {"count": 101}}}, "agent count must be in [0, 100]"),
         ({"scenario": {"occluders": [[0.0, 0.0, 1.0, 1.0]] * 101}}, "at most 100 occluders"),
-    ], ids=["surface_pts_per_m", "clutter_per_m2", "grid_cells", "duration_s", "agents",
-            "occluders"])
+    ], ids=["surface_pts_per_m", "clutter_per_m2", "grid_cells", "grid_origin", "cell_size",
+            "duration_s", "agents", "occluders"])
     def test_run_command_exits_2_on_a_size_past_its_cap(self, tmp_path, capsys, doc, message):
-        """Each of these loaded and then failed its cell with a MemoryError."""
+        """Each of these loaded and then failed its cell with a MemoryError; a
+        grid origin or cell size that the wire's grid header cannot hold
+        loaded and failed every cell of a seed that sends a grid, with an
+        EncodeError."""
         cfg = self._write_config(tmp_path)
         cfg.write_text(json.dumps(_merged(json.loads(cfg.read_text()), doc)))
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

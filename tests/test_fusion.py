@@ -6,7 +6,7 @@ import pytest
 from cotrack.channel import Channel, LatencyModel, MessageKind, encode_message
 from cotrack.errors import ConfigurationError, ShapeMismatchError
 from cotrack.fusion import (
-    EgoInputs,
+    Frame,
     FusionKind,
     FusionMethod,
     align_grid,
@@ -16,10 +16,12 @@ from cotrack.fusion import (
     fuse_middle,
 )
 from cotrack.geometry import Boxes, Category, Pose
+from cotrack.scenario import ScenarioConfig
 from cotrack.sensing import FeatureGrid, GridSpec, PointCloud, rasterize_bev
 from oracle_utils import Box3D, record_of, rows_of
 
 SPEC = GridSpec(x0=0.0, y0=0.0, cell_size=0.5, cols=20, rows=16)
+SCENE = ScenarioConfig(vehicle_grid=SPEC, infra_grid=SPEC)  # the infra grid messages decode on
 
 
 def grid(values, spec=SPEC, t=0.0, frame="infra"):
@@ -82,8 +84,8 @@ class TestFuseEarly:
         pts = np.array([[1.2, 1.2, 1.0, 0.5], [3.4, 2.0, 0.5, 0.25]])
         ego = PointCloud(pts, "vehicle", 0.0)
         infra = PointCloud(np.zeros((0, 4)), "infra", 0.0)
-        fused = fuse_early(ego, infra, Pose(5.0, 0.0, 0.0, 1.0), SPEC)
-        assert np.array_equal(fused.values, rasterize_bev(ego, SPEC).values)
+        fused = fuse_early(ego, infra, Pose(5.0, 0.0, 0.0, 1.0), SPEC, 10.0)
+        assert np.array_equal(fused.values, rasterize_bev(ego, SPEC, 10.0).values)
 
     def test_duplicate_cloud_doubles_density(self):
         pts = np.array([[1.2, 1.2, 1.0, 0.5]])
@@ -95,15 +97,15 @@ class TestFuseEarly:
     def test_infra_points_transformed(self):
         ego = PointCloud(np.zeros((0, 4)), "vehicle", 0.0)
         infra = PointCloud(np.array([[1.0, 0.0, 0.5, 1.0]]), "infra", 0.0)
-        fused = fuse_early(ego, infra, Pose(0.0, 0.0, 0.0, math.pi / 2), SPEC)
+        fused = fuse_early(ego, infra, Pose(0.0, 0.0, 0.0, math.pi / 2), SPEC, 10.0)
         # (1, 0) rotates to (0, 1)
         assert fused.values[2, 0, 0] > 0
 
     def test_infra_fills_ego_blind_spot(self):
         ego = PointCloud(np.array([[1.2, 1.2, 1.0, 0.5]]), "vehicle", 0.0)
         infra = PointCloud(np.array([[8.0, 6.0, 1.0, 0.5]]), "infra", 0.0)
-        ego_only = rasterize_bev(ego, SPEC)
-        fused = fuse_early(ego, infra, Pose.identity(), SPEC)
+        ego_only = rasterize_bev(ego, SPEC, 10.0)
+        fused = fuse_early(ego, infra, Pose.identity(), SPEC, 10.0)
         gained = (fused.values[:, :, 0] > 0) & (ego_only.values[:, :, 0] == 0)
         assert gained.any()
 
@@ -200,32 +202,35 @@ def affine_grid_maker(spec):
 
 
 class TestCooperativeFeature:
-    def make_ego(self, values=None):
+    def make_frame(self, values=None):
         vals = np.zeros(SPEC.shape) if values is None else values
-        return EgoInputs(
+        return Frame(
+            t=1.0, ego_pose=Pose.identity(), world_to_ego=Pose.identity(),
+            infra_to_ego=Pose.identity(),
             cloud=PointCloud(np.zeros((0, 4)), "vehicle", 1.0),
             grid=grid(vals, t=1.0, frame="vehicle"),
             detections=dets(3.0),
+            messages={},
         )
 
     def test_vehicle_only_ignores_channel(self):
         ch = Channel(latency=LatencyModel())
         send(ch, MessageKind.FEATURE, grid(np.ones(SPEC.shape)), 0.9)
-        ego = self.make_ego()
-        out = cooperative_feature(FusionMethod(FusionKind.VEHICLE_ONLY), ch, 1.0, ego,
-                                  Pose.identity(), SPEC, COMPRESSED)
-        assert out.grid is ego.grid
-        assert out.detections == ego.detections
+        frame = self.make_frame()
+        out = cooperative_feature(FusionMethod(FusionKind.VEHICLE_ONLY), ch, frame, SCENE,
+                                  COMPRESSED)
+        assert out.grid is frame.grid
+        assert out.detections == frame.detections
         assert not out.used_fallback
 
     def test_fallback_before_first_arrival(self):
         ch = Channel(latency=LatencyModel(500.0))
         send(ch, MessageKind.FEATURE, grid(np.ones(SPEC.shape)), 0.9)
-        ego = self.make_ego()
-        out = cooperative_feature(FusionMethod(FusionKind.MIDDLE_STATIC), ch, 1.0, ego,
-                                  Pose.identity(), SPEC, COMPRESSED)
+        frame = self.make_frame()
+        out = cooperative_feature(FusionMethod(FusionKind.MIDDLE_STATIC), ch, frame, SCENE,
+                                  COMPRESSED)
         assert out.used_fallback
-        assert np.array_equal(out.grid.values, ego.grid.values)
+        assert np.array_equal(out.grid.values, frame.grid.values)
 
     def test_unknown_kind_is_a_configuration_error(self):
         # Rejected when the method is built, so no run or sweep cell gets one.
@@ -235,15 +240,14 @@ class TestCooperativeFeature:
 
     def test_late_fallback_returns_ego_detections(self):
         ch = Channel(latency=LatencyModel(500.0))
-        ego = self.make_ego()
-        out = cooperative_feature(FusionMethod(FusionKind.LATE), ch, 1.0, ego, Pose.identity(),
-                                  SPEC, COMPRESSED)
+        frame = self.make_frame()
+        out = cooperative_feature(FusionMethod(FusionKind.LATE), ch, frame, SCENE, COMPRESSED)
         assert out.used_fallback
-        assert out.detections == ego.detections
+        assert out.detections == frame.detections
 
     def test_flow_equals_static_at_zero_latency_bitwise(self):
         at = affine_grid_maker(SPEC)
-        ego = self.make_ego(at(1.0).values * 0.5)
+        frame = self.make_frame(at(1.0).values * 0.5)
         static_ch = Channel(latency=LatencyModel())
         send(static_ch, MessageKind.FEATURE, at(1.0), 1.0)
         flow_ch = Channel(latency=LatencyModel())
@@ -251,41 +255,37 @@ class TestCooperativeFeature:
         send(flow_ch, MessageKind.FEATURE_WITH_FLOW,
                      (at(1.0), grid(flow_vals, t=1.0)), 1.0)
         out_static = cooperative_feature(FusionMethod(FusionKind.MIDDLE_STATIC), static_ch,
-                                         1.0, ego, Pose.identity(), SPEC, COMPRESSED)
-        out_flow = cooperative_feature(FusionMethod(FusionKind.MIDDLE_FLOW), flow_ch,
-                                       1.0, ego, Pose.identity(), SPEC, COMPRESSED)
+                                         frame, SCENE, COMPRESSED)
+        out_flow = cooperative_feature(FusionMethod(FusionKind.MIDDLE_FLOW), flow_ch, frame,
+                                       SCENE, COMPRESSED)
         assert np.array_equal(out_static.grid.values, out_flow.grid.values)
         assert out_flow.tau_s == 0.0
 
     def test_flow_prediction_cancels_latency_on_affine_grids(self):
         at = affine_grid_maker(SPEC)
-        ego = self.make_ego(np.zeros(SPEC.shape))
-        # Stale capture at t=0.8 carrying its flow, arriving before t_v=1.0.
+        frame = self.make_frame(np.zeros(SPEC.shape))
+        # Stale capture at t=0.8 carrying its flow, arriving before the frame at t=1.0.
         ch = Channel(latency=LatencyModel(200.0))
         flow_vals = (at(0.8).values - at(0.7).values) / 0.1
         send(ch, MessageKind.FEATURE_WITH_FLOW, (at(0.8), grid(flow_vals, t=0.8)), 0.8,
              compress=RAW)
-        out = cooperative_feature(FusionMethod(FusionKind.MIDDLE_FLOW), ch, 1.0, ego,
-                                  Pose.identity(), SPEC, RAW)
+        out = cooperative_feature(FusionMethod(FusionKind.MIDDLE_FLOW), ch, frame, SCENE, RAW)
         fresh = cooperative_feature(
             FusionMethod(FusionKind.MIDDLE_STATIC),
-            _instant_channel(at(1.0)), 1.0, ego, Pose.identity(), SPEC, RAW,
-        )
+            _instant_channel(at(1.0)), frame, SCENE, RAW)
         assert out.tau_s == pytest.approx(0.2)
         np.testing.assert_allclose(out.grid.values, fresh.grid.values, atol=1e-6)
 
     def test_early_and_late_paths(self):
-        ego = self.make_ego()
+        frame = self.make_frame()
         ch = Channel(latency=LatencyModel())
         send(ch, MessageKind.RAW_POINTS, PointCloud(np.array([[2.0, 2.0, 1.0, 0.5]]), "infra", 1.0), 1.0)
-        out = cooperative_feature(FusionMethod(FusionKind.EARLY), ch, 1.0, ego, Pose.identity(),
-                                  SPEC, COMPRESSED)
+        out = cooperative_feature(FusionMethod(FusionKind.EARLY), ch, frame, SCENE, COMPRESSED)
         assert out.grid.values[:, :, 0].sum() > 0
 
         ch2 = Channel(latency=LatencyModel())
         send(ch2, MessageKind.DETECTIONS, dets(6.0), 1.0)
-        out2 = cooperative_feature(FusionMethod(FusionKind.LATE), ch2, 1.0, ego, Pose.identity(),
-                                   SPEC, COMPRESSED)
+        out2 = cooperative_feature(FusionMethod(FusionKind.LATE), ch2, frame, SCENE, COMPRESSED)
         assert len(out2.detections) == 2
 
 

@@ -145,7 +145,8 @@ def test_rasterize_keeps_the_sign_of_a_tied_zero_height():
     for zs in ([-0.0, 0.0], [0.0, -0.0], [-1.0, 0.0, -0.0, -0.0], [-0.0, -0.0]):
         pts = np.array([[0.0, 2.0, z, 0.5] for z in zs])
         cloud = PointCloud(pts, "infra", 0.0)
-        assert_grids_equal(rasterize_bev(cloud, SPEC), ufunc_at_rasterize_bev(cloud, SPEC))
+        assert_grids_equal(rasterize_bev(cloud, SPEC, 10.0),
+                           ufunc_at_rasterize_bev(cloud, SPEC, 10.0))
 
 
 @st.composite
@@ -226,7 +227,7 @@ def test_hungarian_matches_the_numpy_solve(cost):
         assert pairs == solve_assignment(cost)
 
 
-def rasterize_checked(cloud, spec, density_cap=10.0):
+def rasterize_checked(cloud, spec, density_cap):
     grid = rasterize_bev(cloud, spec, density_cap)
     assert_grids_equal(grid, ufunc_at_rasterize_bev(cloud, spec, density_cap))
     return grid

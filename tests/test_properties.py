@@ -199,13 +199,13 @@ class TestRaster:
     @given(pts=points(), data=st.data())
     def test_permutation_invariant(self, pts, data):
         order = data.draw(st.permutations(range(len(pts))))
-        a = rasterize_bev(PointCloud(pts, "infra", 0.0), SPEC)
-        b = rasterize_bev(PointCloud(pts[list(order)], "infra", 0.0), SPEC)
+        a = rasterize_bev(PointCloud(pts, "infra", 0.0), SPEC, 10.0)
+        b = rasterize_bev(PointCloud(pts[list(order)], "infra", 0.0), SPEC, 10.0)
         assert a.values.tobytes() == b.values.tobytes()
 
     @given(pts=points(), flow=grid_values)
     def test_predict_at_zero_horizon_is_the_input_bit_for_bit(self, pts, flow):
-        f0 = rasterize_bev(PointCloud(pts, "infra", 1.0), SPEC)
+        f0 = rasterize_bev(PointCloud(pts, "infra", 1.0), SPEC, 10.0)
         out = predict_feature(f0, FeatureGrid(SPEC, flow, 1.0, "infra"), 0.0)
         assert out.values.tobytes() == f0.values.tobytes()
         assert out.timestamp == f0.timestamp and out.spec == f0.spec

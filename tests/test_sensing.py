@@ -120,8 +120,8 @@ def bits(values) -> np.ndarray:
 
 
 def assert_matches_ufunc_at(cloud, spec):
-    assert np.array_equal(bits(rasterize_bev(cloud, spec).values),
-                          bits(ufunc_at_rasterize_bev(cloud, spec).values))
+    assert np.array_equal(bits(rasterize_bev(cloud, spec, 10.0).values),
+                          bits(ufunc_at_rasterize_bev(cloud, spec, 10.0).values))
 
 
 class TestScenarioClutter:
@@ -220,8 +220,8 @@ class TestScenarioClutter:
         assert pc.clutter is not None and not pc.points.flags.writeable
         copy = PointCloud(pc.points.copy(), pc.frame, pc.timestamp)
         assert copy.clutter is None
-        assert np.array_equal(bits(rasterize_bev(pc, cfg.infra_grid).values),
-                              bits(rasterize_bev(copy, cfg.infra_grid).values))
+        assert np.array_equal(bits(rasterize_bev(pc, cfg.infra_grid, cfg.density_cap).values),
+                              bits(rasterize_bev(copy, cfg.infra_grid, cfg.density_cap).values))
         assert_matches_ufunc_at(pc, cfg.infra_grid)
 
     @pytest.mark.parametrize("scenario", [ScenarioConfig(), hidden_lane_scenario()],
@@ -237,8 +237,8 @@ class TestScenarioClutter:
                        for v in View)
             for view, spec in ((View.VEHICLE, scenario.vehicle_grid),
                                (View.INFRA, scenario.infra_grid)):
-                assert (bits(rasterize_bev(carried[view], spec).values).tobytes()
-                        == bits(rasterize_bev(whole[view], spec).values).tobytes())
+                a, b = (rasterize_bev(c[view], spec, scenario.density_cap) for c in (carried, whole))
+                assert bits(a.values).tobytes() == bits(b.values).tobytes()
             for compress in (True, False):
                 a, b = (encode_message(MessageKind.RAW_POINTS, c[View.INFRA], compress, t)
                         for c in (carried, whole))
@@ -253,12 +253,12 @@ class TestScenarioClutter:
 class TestRasterize:
     def test_empty_cloud_all_zero(self):
         pc = PointCloud(np.zeros((0, 4)), "vehicle", 0.0)
-        grid = rasterize_bev(pc, SPEC)
+        grid = rasterize_bev(pc, SPEC, 10.0)
         assert not grid.values.any()
 
     def test_single_point_single_cell(self):
         pc = PointCloud(np.array([[1.25, 0.75, 1.0, 0.5]]), "vehicle", 0.0)
-        grid = rasterize_bev(pc, SPEC)
+        grid = rasterize_bev(pc, SPEC, 10.0)
         nz = np.nonzero(grid.values[:, :, 0])
         assert len(nz[0]) == 1
         assert (nz[0][0], nz[1][0]) == (1, 2)
@@ -278,7 +278,7 @@ class TestRasterize:
 
     def test_points_outside_grid_ignored(self):
         pts = np.array([[-1.0, 0.2, 1.0, 0.5], [100.0, 0.2, 1.0, 0.5]])
-        grid = rasterize_bev(PointCloud(pts, "vehicle", 0.0), SPEC)
+        grid = rasterize_bev(PointCloud(pts, "vehicle", 0.0), SPEC, 10.0)
         assert not grid.values.any()
 
     def test_exact_permutation_invariance(self):
@@ -289,8 +289,8 @@ class TestRasterize:
             rng.uniform(0, 2, 500),
             rng.random(500),
         ])
-        g1 = rasterize_bev(PointCloud(pts, "vehicle", 0.0), SPEC)
-        g2 = rasterize_bev(PointCloud(pts[rng.permutation(500)], "vehicle", 0.0), SPEC)
+        g1 = rasterize_bev(PointCloud(pts, "vehicle", 0.0), SPEC, 10.0)
+        g2 = rasterize_bev(PointCloud(pts[rng.permutation(500)], "vehicle", 0.0), SPEC, 10.0)
         assert np.array_equal(g1.values, g2.values)
 
 
